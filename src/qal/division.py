@@ -3,29 +3,37 @@
 Covers Euclidean division by the generic monic polynomial and its
 specialization to concrete distinguished polynomials, regularity orders,
 strict regularity of truncated series, hyperbolicity of plane distinguished
-polynomials (decided exactly by a Sturm chain over the rational function
-field Q(x) with one-sided sign analysis at 0), a grid falsifier for three
-and more variables, and the two computable witnesses tied to division
-failures: the even-part Taylor coefficients of the extremal function theta
-and the flat-function derivative table for Gevrey weights.
+polynomials (decided exactly by a fraction-free Sturm chain over Z[x] with
+one-sided sign analysis at 0), a grid falsifier for three and more
+variables, and the two computable witnesses tied to division failures: the
+even-part Taylor coefficients of the extremal function theta and the
+flat-function derivative table for Gevrey weights.
 
 The hyperbolicity decision rests on the observation that the sign of a
-nonzero rational function near 0+ or 0- is read off from finitely many
-coefficients (the lowest-order ones), so "all roots real for every x' in
-a punctured neighborhood" is decidable without any sampling.
+nonzero polynomial near 0+ or 0- is read off from its lowest-order term, so
+"all roots real for every x' in a punctured neighborhood" is decidable
+without any sampling.  The polynomial is scaled into Z[x][y] and one
+subresultant chain (Brown's PRS: a pseudo-remainder, then an exact division
+in Z[x]) replaces the Euclid over Q(x): each element is the Sturm element
+times a multiplier whose sign on each side of 0 is tracked, so no fraction
+and no gcd of coefficients is ever formed (Basu, Pollack and Roy,
+Algorithms in Real Algebraic Geometry, ch. 8-9).  The chain works on plain
+Python ints in dense lists: sympy's polynomial rings would do the same job
+but importing them more than doubles the resident memory and adds a few
+tenths of a second to the import of every module that imports this one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import (ArityMismatchError, ChainDegenerationError, DomainError,
-                     NonMonicDivisorError, PrecisionFailure,
-                     ZeroPolynomialError)
+from .errors import (ArityMismatchError, CertificationError,
+                     ChainDegenerationError, DomainError, NonMonicDivisorError,
+                     PrecisionFailure, ZeroPolynomialError)
 from .intervals import RI, default_bits, iv_exp, ri_pow_frac
-from .polynomials import (MultiPoly, RatFunc, _var_key, ugcd, udeg, uderiv,
-                          udivmod, uneg, utrim)
+from .polynomials import MultiPoly, _var_key, umul, usub, utrim
 from .rationals import factorial, format_fraction
 from .sequences import CarlemanSequence
 from .theta import theta_derivative_at_zero
@@ -76,9 +84,9 @@ def euclid_divide(P: MultiPoly, F: MultiPoly, var: str) -> tuple[MultiPoly, Mult
     G = assemble(quot)
     H = assemble(work)
     if F * G + H != P:
-        raise ArithmeticError("division identity failed to re-expand")
+        raise CertificationError("division identity failed to re-expand")
     if H and H.degree(var) >= d:
-        raise ArithmeticError("remainder degree not reduced")
+        raise CertificationError("remainder degree not reduced")
     return G, H
 
 
@@ -151,7 +159,7 @@ def specialize_division(P: MultiPoly, phi: DistinguishedPoly,
         if phi.var != var else phi.to_multipoly()
     if phi_poly * G + H != P.with_vars(tuple(sorted(set(P.vars) | set(phi_poly.vars),
                                                     key=_var_key))):
-        raise ArithmeticError("specialized division identity failed")
+        raise CertificationError("specialized division identity failed")
     h_parts = [H.coefficient(var, j) if (H and H.degree(var) >= j) else MultiPoly(())
                for j in range(d)]
     return G, h_parts
@@ -186,32 +194,122 @@ def strictly_regular_check(F: MultiPoly, d: int, var: str) -> bool:
 
 
 # -- hyperbolicity ----------------------------------------------------------------
+#
+# A polynomial in the main variable over Z[x] is a dense list, constant term
+# first, of elements of Z[x]; an element of Z[x] is a dense list of ints with
+# no trailing zero, and [] is zero.  A fibre at a grid point is the case where
+# every element has degree 0.
 
-def _sturm_chain(p: list) -> list[list]:
-    """Signed-remainder Sturm chain for a squarefree polynomial over a
-    field (coefficients: Fraction or RatFunc)."""
-    chain = [list(p), uderiv(p)]
-    while chain[-1]:
-        rem = udivmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(uneg(rem))
-    if not chain[-1]:
-        chain.pop()
-    return chain
+def _param_vars(phi: DistinguishedPoly) -> set[str]:
+    """The parameter variables that occur in some coefficient of phi."""
+    return {v for aj in phi.a for exps in aj.coeffs
+            for v, e in zip(aj.vars, exps) if e}
+
+
+def _dense_in_param(a: MultiPoly) -> list:
+    """Dense coefficients of a polynomial in at most one occurring variable."""
+    row = [0] * (a.total_degree() + 1)
+    for exps, c in a.coeffs.items():
+        row[sum(exps)] += c
+    return row
+
+
+def _cleared(rows: list[list]) -> list[list[int]]:
+    """A polynomial over Q[x], given as dense rows, times the positive lcm of
+    its denominators: an element of Z[x][y] with the same roots."""
+    scale = lcm(*(Fraction(c).denominator for row in rows for c in row))
+    return [utrim([(Fraction(c) * scale).numerator for c in row]) for row in rows]
+
+
+def _zx_sign(a: list[int], side: str) -> int:
+    """Sign of a nonzero element of Z[x] on (0, eps) for side 'plus' or on
+    (-eps, 0) for side 'minus', eps small: the sign of its lowest-order term."""
+    k = next(i for i, c in enumerate(a) if c)
+    s = 1 if a[k] > 0 else -1
+    return -s if side == "minus" and k % 2 else s
+
+
+def _zx_pow(a: list[int], e: int) -> list[int]:
+    out = [1]
+    for _ in range(e):
+        out = umul(out, a)
+    return out
+
+
+def _zx_exquo(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b in Z[x]; a division that leaves a remainder means
+    the chain is not the subresultant sequence it should be."""
+    rem = list(a)
+    n, lead = len(b), b[-1]
+    quot = [0] * max(0, len(rem) - n + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[shift + n - 1], lead)
+        if r:
+            raise ChainDegenerationError("inexact division in the Sturm chain")
+        quot[shift] = q
+        if q:
+            for i in range(n - 1):
+                rem[shift + i] -= q * b[i]
+    if any(rem[:n - 1]):
+        raise ChainDegenerationError("inexact division in the Sturm chain")
+    return quot
+
+
+def _prem(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B in Z[x][y]."""
+    lead, n = B[-1], len(B)
+    rem = list(A)
+    for shift in range(len(A) - n, -1, -1):
+        top = rem.pop()
+        rem = [umul(lead, c) for c in rem]
+        if top:
+            for i in range(n - 1):
+                rem[shift + i] = usub(rem[shift + i], umul(top, B[i]))
+    return utrim(rem)
 
 
 def _variations(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _real_root_count_rational(p: list) -> int:
-    """Number of distinct real roots of a squarefree rational polynomial."""
-    chain = _sturm_chain(p)
-    at_minus = [(1 if c[-1] > 0 else -1) * (-1) ** udeg(c) for c in chain if c]
-    at_plus = [1 if c[-1] > 0 else -1 for c in chain if c]
-    return _variations(at_minus) - _variations(at_plus)
+def _sturm_counts(p: list[list[int]], sides: tuple[str, ...]) -> tuple[int, dict]:
+    """The y-degree of gcd(p, dp/dy), and for each side the number of
+    distinct real roots of p(x, .) for every x near 0 on that side; p has a
+    positive constant leading coefficient.
+
+    One subresultant PRS of (p, dp/dy) over Z[x] (Brown; Cohen, Algorithm
+    3.3.1): R_(i+1) = prem(R_(i-1), R_i) / (g h^delta), each division exact.
+    Over Q(x), R_i = m_i S_i, where S is the Sturm chain
+    S_(i+1) = -rem(S_(i-1), S_i).  As prem(R_(i-1), R_i) equals
+    -lc(R_i)^(delta+1) m_(i-1) S_(i+1), the multiplier is
+    m_(i+1) = -lc(R_i)^(delta+1) m_(i-1) / (g h^delta), and its sign on a
+    side is the product of the signs of its factors there.  The last
+    element is gcd(p, dp/dy), and the chain counts distinct roots whether or
+    not p is squarefree.
+    """
+    dp = [[k * c for c in p[k]] for k in range(1, len(p))]
+    ones = dict.fromkeys(sides, 1)
+    chain = [(p, ones), (dp, ones)]   # p = L S_0 and dp/dy = L S_1 with L > 0
+    g = h = [1]
+    while True:
+        (A, m_a), (B, _) = chain[-2:]
+        R = _prem(A, B)
+        if not R:
+            break
+        delta = len(A) - len(B)
+        beta = umul(g, _zx_pow(h, delta))
+        m_r = {s: -m_a[s] * _zx_sign(B[-1], s) ** (delta + 1) * _zx_sign(beta, s)
+               for s in sides}
+        chain.append(([_zx_exquo(c, beta) for c in R], m_r))
+        g = B[-1]
+        h = g if delta == 1 else _zx_exquo(_zx_pow(g, delta), _zx_pow(h, delta - 1))
+
+    counts = {}
+    for s in sides:
+        at_plus = [_zx_sign(R[-1], s) * m[s] for R, m in chain]
+        at_minus = [sg * (-1) ** (len(R) - 1) for sg, (R, _) in zip(at_plus, chain)]
+        counts[s] = _variations(at_minus) - _variations(at_plus)
+    return len(chain[-1][0]) - 1, counts
 
 
 @dataclass
@@ -219,7 +317,7 @@ class HyperbolicityReport:
     verdict: str                      # 'hyperbolic' | 'not-hyperbolic' | 'undecided'
     witness_side: str | None          # 'plus' | 'minus' | 'both' | None
     degree: int                       # deg of the squarefree part in the main var
-    multiplicity_excess: int          # deg(gcd(phi, phi')) removed beforehand
+    multiplicity_excess: int          # deg of gcd(phi, phi') in the main var
     real_root_counts: dict            # side -> distinct real roots near 0
 
     def to_json(self):
@@ -229,73 +327,30 @@ class HyperbolicityReport:
                 "real_root_counts": self.real_root_counts}
 
 
-def _phi_as_ratfunc_poly(phi: DistinguishedPoly) -> list[RatFunc]:
-    """Dense main-variable coefficients of phi as elements of Q(x)."""
-    coeffs: list[RatFunc] = []
-    for p in range(phi.d + 1):
-        if p == phi.d:
-            coeffs.append(RatFunc(1))
-            continue
-        a = phi.a[phi.d - 1 - p]
-        dense: list[Fraction] = []
-        if a:
-            xname = a.vars[0] if a.vars else None
-            deg = a.degree(xname) if xname else 0
-            dense = [a.coefficient(xname, e).constant_term() if xname else a.constant_term()
-                     for e in range(deg + 1)]
-        coeffs.append(RatFunc(dense))
-    return coeffs
-
-
 def hyperbolic_check_2d(phi: DistinguishedPoly,
                         side: str = "both") -> HyperbolicityReport:
     """Decide whether all roots of phi(x, .) are real for every x in a
     punctured one-sided neighborhood of 0.
 
-    The Sturm chain of the squarefree part is computed once over Q(x);
-    near 0 the sign of each leading coefficient is the sign of its
-    lowest-order term, so the root count on each side is exact.  The
-    polynomial is hyperbolic iff on every requested side the count equals
-    the squarefree degree.
+    phi is scaled by a positive integer into Z[x][y] and one subresultant
+    chain of (phi, phi') is computed over Z[x].  Each element is the Sturm
+    element over Q(x) times a multiplier whose sign near 0+ and near 0- is
+    tracked; near 0 the sign of an element of Z[x] is that of its
+    lowest-order term, so the count of distinct real roots on each side is
+    exact.  The last element is gcd(phi, phi'), whose degree is the
+    multiplicity excess.  phi is hyperbolic iff on every requested side the
+    count equals the squarefree degree.
     """
     if side not in ("both", "plus", "minus"):
         raise DomainError("side must be 'both', 'plus' or 'minus'")
-    for aj in phi.a:
-        if len(set(aj.vars)) > 1:
-            raise DomainError("the exact decision applies to one parameter "
-                              "variable; use hyperbolic_falsify_grid for more")
-    p = _phi_as_ratfunc_poly(phi)
-    dp = uderiv(p)
-    g = ugcd(p, dp)
-    excess = udeg(g)
-    if excess > 0:
-        p = udivmod(p, g)[0]  # real-rootedness ignores multiplicities
-    sf_deg = udeg(p)
-    chain = _sturm_chain(p)
-    for entry in chain:
-        if entry and all(not c for c in entry):
-            raise ChainDegenerationError("chain entry vanished identically")
-
+    if len(_param_vars(phi)) > 1:
+        raise DomainError("the exact decision applies to one parameter "
+                          "variable; use hyperbolic_falsify_grid for more")
+    rows = [_dense_in_param(aj) for aj in reversed(phi.a)] + [[1]]
     sides = ("plus", "minus") if side == "both" else (side,)
-    counts = {}
-    bad = []
-    for s in sides:
-        lead_signs = []
-        degs = []
-        for entry in chain:
-            lead = entry[-1]
-            sign = lead.sign_near_zero(s)
-            if sign == 0:
-                raise ChainDegenerationError(
-                    "leading coefficient with no sign near 0")
-            lead_signs.append(sign)
-            degs.append(udeg(entry))
-        at_plus = list(lead_signs)
-        at_minus = [sg * (-1) ** d for sg, d in zip(lead_signs, degs)]
-        count = _variations(at_minus) - _variations(at_plus)
-        counts[s] = count
-        if count != sf_deg:
-            bad.append(s)
+    excess, counts = _sturm_counts(_cleared(rows), sides)
+    sf_deg = phi.d - excess
+    bad = [s for s in sides if counts[s] != sf_deg]
     if not bad:
         return HyperbolicityReport("hyperbolic", None, sf_deg, excess, counts)
     witness = "both" if len(bad) == 2 else bad[0]
@@ -305,7 +360,8 @@ def hyperbolic_check_2d(phi: DistinguishedPoly,
 def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
                             resolution: int) -> dict | None:
     """Search a rational grid in the parameter variables for a point whose
-    fiber has a non-real root (decided exactly by a rational Sturm count).
+    fiber has a non-real root, decided exactly by the same integer chain
+    with constant coefficients.
 
     Returns the first counterexample point in deterministic scan order, or
     None.  A None result is NOT a hyperbolicity proof; it only reports
@@ -329,19 +385,10 @@ def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
                 yield out
 
     for assignment in points(0):
-        coeffs: list[Fraction] = []
-        for p in range(phi.d + 1):
-            if p == phi.d:
-                coeffs.append(Fraction(1))
-            else:
-                a = phi.a[phi.d - 1 - p]
-                coeffs.append(Fraction(a.eval(assignment)) if a else Fraction(0))
-        poly = utrim(list(coeffs))
-        g = ugcd(poly, uderiv(poly))
-        sf = udivmod(poly, g)[0] if udeg(g) > 0 else poly
-        if udeg(sf) < 1:
-            continue
-        if _real_root_count_rational(sf) != udeg(sf):
+        fiber = [[a.eval(assignment)] if a else [] for a in reversed(phi.a)] + [[1]]
+        # a constant has the same sign on both sides
+        excess, counts = _sturm_counts(_cleared(fiber), ("plus",))
+        if counts["plus"] != phi.d - excess:
             return {v: assignment[v] for v in params}
     return None
 

@@ -4,8 +4,9 @@ univariate rational functions.
 Multivariate polynomials carry exact rational (or Gaussian rational)
 coefficients in a sparse exponent-vector map with a canonical variable
 ordering (x before y; numbered variables x1, x2, ... by index).  The
-dense univariate helpers operate on plain coefficient lists over any
-field-like coefficient type and back the Sturm-chain machinery.
+dense univariate helpers operate on plain coefficient lists; the ring
+operations (add, multiply) work over any coefficient type, division and
+gcd over a field.
 """
 
 from __future__ import annotations
@@ -464,7 +465,7 @@ def ugcd(p: list, q: list) -> list:
 class RatFunc:
     """Rational function num/den with Fraction-coefficient polynomials,
     normalized to coprime parts with a monic denominator.  Serves as the
-    coefficient field Q(x) for Sturm chains of plane curves."""
+    coefficient field Q(x) of the squarefree split in puiseux."""
 
     __slots__ = ("num", "den")
 

@@ -1,13 +1,18 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from qal import division
 from qal.division import (DistinguishedPoly, euclid_divide, gevrey_flat_witness,
                           generic_divisor, hyperbolic_check_2d,
                           hyperbolic_falsify_grid, nodiv_witness, regular_order,
                           specialize_division, strictly_regular_check)
-from qal.errors import DomainError, NonMonicDivisorError, ZeroPolynomialError
+from qal.errors import (CertificationError, ChainDegenerationError, DomainError,
+                        NonMonicDivisorError, ZeroPolynomialError)
 from qal.intervals import iv_exp
 from qal.polynomials import MultiPoly, parse_polynomial
 from qal.rationals import factorial
@@ -186,6 +191,116 @@ class TestHyperbolicity:
         assert out.verdict == "hyperbolic"  # real roots on the minus side
 
 
+# quadratic branches y - (c1 x + c2 x^2), pairwise distinct and none of them +-x
+BRANCHES = ["(y - (x + 2*x^2))", "(y - (-x + x^2))", "(y - (2*x - 3*x^2))",
+            "(y - (-3*x + 1/2*x^2))", "(y - (1/3*x - x^2))", "(y - (-1/2*x + 2*x^2))",
+            "(y - (3*x + x^2))", "(y - (-2*x - x^2))", "(y - (5*x - 2*x^2))"]
+
+
+def sympy_reference(text):
+    """Squarefree degree, multiplicity excess and distinct real roots of
+    phi(+-x0, .), with x0 closer to 0 than every nonzero real root of the
+    discriminant of the squarefree part (Cauchy's bound on the roots of the
+    discriminant with its power of x divided out)."""
+    x, y = sympy.symbols("x y")
+    poly = sympy.Poly(sympy.sympify(text.replace("^", "**")), y, x)
+    sqf = poly.sqf_part()
+    disc = sympy.Poly(sympy.discriminant(sqf.as_expr(), y), x).all_coeffs()[::-1]
+    core = disc[next(i for i, c in enumerate(disc) if c):]
+    rest = max((abs(c) for c in core[1:]), default=0)
+    x0 = sympy.Rational(abs(core[0]), abs(core[0]) + rest) / 2
+    counts = {side: sympy.Poly(sqf.as_expr().subs(x, point), y).count_roots()
+              for side, point in (("plus", x0), ("minus", -x0))}
+    degree = sqf.degree(y)
+    return degree, poly.degree(y) - degree, counts
+
+
+class TestHyperbolicityHighDegree:
+    """Degrees 6 to 9, checked against the construction and against sympy."""
+
+    CASES = [
+        ("*".join(BRANCHES[:6]), "hyperbolic", None),
+        ("*".join(BRANCHES[:8]), "hyperbolic", None),
+        ("*".join(BRANCHES[:6]) + "*(y^2 + x^4)", "not-hyperbolic", "both"),
+        ("*".join(BRANCHES[:7]) + "*(y^2 - x^2)", "hyperbolic", None),
+        ("*".join(BRANCHES[:4]) + "*" + BRANCHES[0] + "*(y^2 + x^2)",
+         "not-hyperbolic", "both"),
+        ("*".join(BRANCHES[:3]) + "*" + BRANCHES[1] + "^2*(y^2 - x^4)", "hyperbolic", None),
+        # leading coefficients of odd order: the two sides differ
+        ("*".join(BRANCHES[:5]) + "*(y^2 - x^3)", "not-hyperbolic", "minus"),
+        ("*".join(BRANCHES[:5]) + "*(y^2 + x^5)", "not-hyperbolic", "plus"),
+        ("*".join(BRANCHES[:3]) + "^2*(y^2 - x^3)", "not-hyperbolic", "minus"),
+        # the chain of y^3 + x^3 skips from degree 2 to degree 0
+        ("y^3 + x^3", "not-hyperbolic", "both"),
+        ("*".join(BRANCHES[:4]) + "*(y^3 + x^3)", "not-hyperbolic", "both"),
+        ("(y^3 + x^3)^2*(y + x)", "not-hyperbolic", "both"),
+    ]
+
+    @pytest.mark.parametrize("text,verdict,side", CASES)
+    def test_against_construction_and_sympy(self, text, verdict, side):
+        out = hyperbolic_check_2d(dist(text))
+        assert (out.verdict, out.witness_side) == (verdict, side)
+        degree, excess, counts = sympy_reference(text)
+        assert (out.degree, out.multiplicity_excess) == (degree, excess)
+        assert out.real_root_counts == counts
+
+    # sparse inputs whose chains skip degrees before the last element, so that
+    # the sign of the divisor g h^delta of the subresultant step matters
+    @pytest.mark.parametrize("text", ["y^5 - 3*x^3*y^2 + 3*x^3",
+                                      "y^5 + 2*x^5*y^2 - 3*x*y",
+                                      "y^7 + 3*x*y^2 + 3*x^5",
+                                      "y^7 + 3*x^5*y^5 - 2*x"])
+    def test_skipping_chains_against_sympy(self, text):
+        out = hyperbolic_check_2d(dist(text))
+        degree, excess, counts = sympy_reference(text)
+        assert (out.degree, out.multiplicity_excess) == (degree, excess)
+        assert out.real_root_counts == counts
+        hyperbolic = all(c == degree for c in counts.values())
+        assert (out.verdict == "hyperbolic") == hyperbolic
+
+    def test_non_normal_chain_counts(self):
+        out = hyperbolic_check_2d(dist("y^3 + x^3"))
+        assert out.real_root_counts == {"plus": 1, "minus": 1}
+        assert (out.degree, out.multiplicity_excess) == (3, 0)
+
+    def test_degree_nine_under_a_second(self):
+        phi = dist("*".join(BRANCHES))
+        start = time.perf_counter()
+        out = hyperbolic_check_2d(phi)
+        assert time.perf_counter() - start < 1.0
+        assert out.verdict == "hyperbolic"
+        assert out.real_root_counts == {"plus": 9, "minus": 9}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3), st.integers(-3, 3)),
+                    min_size=1, max_size=6),
+           st.integers(1, 3))
+    def test_branch_products(self, branches, k):
+        phi = P("1")
+        for num, den, c2 in branches:
+            phi = phi * P(f"y - ({num}/{den})*x - ({c2})*x^2")
+        n = len({(Fraction(num, den), c2) for num, den, c2 in branches})
+        out = hyperbolic_check_2d(DistinguishedPoly.from_multipoly(phi, "y"))
+        assert out.verdict == "hyperbolic"
+        assert (out.degree, out.multiplicity_excess) == (n, len(branches) - n)
+        assert out.real_root_counts == {"plus": n, "minus": n}
+        phi = phi * P(f"y^2 + x^{2 * k}")
+        out = hyperbolic_check_2d(DistinguishedPoly.from_multipoly(phi, "y"))
+        assert (out.verdict, out.witness_side) == ("not-hyperbolic", "both")
+        assert out.degree == n + 2
+        assert out.real_root_counts == {"plus": n, "minus": n}
+
+    def test_mixed_parameters_rejected(self):
+        # y^2 + 3 x1 y + x2^2 has the roots +-i x2 at x1 = 0
+        phi = DistinguishedPoly("y", 2, [P("3*x1"), P("x2^2")])
+        with pytest.raises(DomainError):
+            hyperbolic_check_2d(phi)
+
+    def test_inexact_chain_division_is_coded(self):
+        with pytest.raises(ChainDegenerationError):
+            division._zx_exquo([1, 0, 1], [1, 1])   # (1 + x^2) / (1 + x)
+
+
 class TestFalsifyGrid:
     def test_sum_of_squares_three_vars(self):
         phi = DistinguishedPoly("y", 2, [MultiPoly(("x1", "x2")),
@@ -202,6 +317,24 @@ class TestFalsifyGrid:
     def test_degree_one(self):
         phi = DistinguishedPoly("y", 1, [P("x1 + x2")])
         assert hyperbolic_falsify_grid(phi, Fraction(1), 2) is None
+
+
+class TestCertificationErrors:
+    def test_failed_reexpansion_is_coded(self, monkeypatch):
+        monkeypatch.setattr(MultiPoly, "__eq__", lambda self, other: False)
+        with pytest.raises(CertificationError) as err:
+            euclid_divide(P("z^3"), generic_divisor(2), "z")
+        assert err.value.code == "certification-error"
+        assert isinstance(err.value, ArithmeticError)
+
+    def test_failed_specialization_is_coded(self, monkeypatch):
+        exact = division.euclid_divide
+        monkeypatch.setattr(division, "euclid_divide",
+                            lambda Ppoly, F, var: (exact(Ppoly, F, var)[0] + P("1"),
+                                                   exact(Ppoly, F, var)[1]))
+        with pytest.raises(CertificationError) as err:
+            specialize_division(P("z^2"), dist("y^2 + x"), "z")
+        assert err.value.code == "certification-error"
 
 
 class TestNoDivWitness:
