@@ -117,6 +117,17 @@ for p in range(1, 4):
     total = sum(abs(col[j] - 1) * factorial(j) for j in range(k_prev + 1))
     print(f"p={p}: sum = {total} = {float(total):.6g} -> {'ok' if total <= 1 else 'FAIL'}")
 
+print("== lacunary schedule check: Gevrey(1), four levels ==")
+schedule = [(1, 1), (4, 2), (5, 5), (16, 16)]
+print("pairs:", schedule)
+for p in range(1, len(schedule)):
+    D_p, k_p = schedule[p]
+    k_prev = schedule[p - 1][1]
+    G = gram_oracle(gevrey1_mvals(D_p), D_p)
+    col = omega_col(G, D_p, k_p, gevrey1_mvals(D_p))
+    total = sum(abs(col[j] - 1) * factorial(j) for j in range(k_prev + 1))
+    print(f"p={p}: sum = {total} = {float(total):.6g} -> {'ok' if total <= 1 else 'FAIL'}")
+
 print("== divergence demo: Gevrey(1), a=1/2, k_q=q, T=10^6 ==")
 total = Rational(0)
 for q in range(0, 40):

@@ -1,8 +1,8 @@
 """Exception hierarchy with stable machine-readable codes.
 
-Every error that can escape a public operation carries a ``code`` string;
-the CLI maps exceptions to these codes verbatim, so they are part of the
-output contract and must not be renamed.
+Every error that can escape a public operation carries a ``code`` string.
+Callers and tests match on these codes rather than on messages, so a code
+is stable once published and must not be renamed.
 """
 
 

@@ -23,11 +23,12 @@ increasing D, not as proofs about the untruncated space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (DomainError, SelectionFailure, UndecidableAtCap,
-                     UnsupportedSequenceError)
+from .errors import (CertificationError, DomainError, SelectionFailure,
+                     UndecidableAtCap, UnsupportedSequenceError)
 from .intervals import RI, PRECISION_CAP
 from .rationals import factorial, format_fraction
 from .sequences import CarlemanSequence
@@ -96,6 +97,8 @@ class HilbertModel:
     weights: Vec
     gram: Mat
     _ldl: tuple[Mat, Vec] = field(repr=False, default=None)
+    # certified representers by order, filled by `representer`
+    _reps: dict[int, Vec] = field(repr=False, compare=False, default_factory=dict)
 
     def inner(self, u: Vec, v: Vec) -> Fraction:
         """<u|v> via the Gram matrix; u, v in monomial coordinates."""
@@ -154,21 +157,23 @@ def build_model(M: CarlemanSequence, D: int) -> HilbertModel:
 def representer(model: HilbertModel, i: int) -> Vec:
     """The element e_i with <e_i|u> = u^(i)(0) for all u in the model.
 
-    Solves G r = i! * unit_i exactly and verifies the reproducing identity
-    on every basis monomial before returning.
+    Solves G r = i! * unit_i exactly and certifies the reproducing
+    identity on every basis monomial at once: <r|x^a> is the a-th entry of
+    G r, so the exact product G r must equal i! * unit_i, otherwise
+    CertificationError.  The certified solution is cached on the model;
+    callers get a copy.
     """
     if not 0 <= i <= model.degree:
         raise DomainError(f"representer order {i} outside 0..{model.degree}")
-    rhs = [Fraction(0)] * (model.degree + 1)
-    rhs[i] = Fraction(factorial(i))
-    r = model.solve(rhs)
-    for a in range(model.degree + 1):
-        unit = [Fraction(0)] * (a + 1)
-        unit[a] = Fraction(1)
-        expected = Fraction(factorial(i)) if a == i else Fraction(0)
-        if model.inner(r, unit) != expected:
-            raise ArithmeticError("reproducing identity failed; Gram solve is wrong")
-    return r
+    r = model._reps.get(i)
+    if r is None:
+        rhs = [Fraction(0)] * (model.degree + 1)
+        rhs[i] = Fraction(factorial(i))
+        r = model.solve(rhs)
+        if [sum(g * c for g, c in zip(row, r)) for row in model.gram] != rhs:
+            raise CertificationError("reproducing identity failed; Gram solve is wrong")
+        model._reps[i] = r
+    return list(r)
 
 
 @dataclass
@@ -202,12 +207,23 @@ def minimal_interpolant(model: HilbertModel, b: Vec) -> MinimalInterpolant:
         return MinimalInterpolant(model, 0, [], zero, [], Fraction(0))
     if k > model.degree + 1:
         raise DomainError(f"cannot prescribe {k} derivatives at degree {model.degree}")
-    b = [Fraction(x) for x in b]
+    reps, r_ldl = _representer_system(model, k)
+    return _interpolant(model, reps, r_ldl, [Fraction(x) for x in b])
+
+
+def _representer_system(model: HilbertModel, k: int) -> tuple[list[Vec], tuple[Mat, Vec]]:
+    """The first k representers and the LDL^T of R[i][j] = <e_i|e_j>."""
     reps = [representer(model, j) for j in range(k)]
     # R[i][j] = <e_i|e_j> = e_j^(i)(0), exact
     R: Mat = [[model.deriv_at_zero(reps[j], i) for j in range(k)] for i in range(k)]
-    lr, dr = ldl_decompose(R)  # also certifies the representers independent
-    xi = ldl_solve(lr, dr, b)
+    return reps, ldl_decompose(R)  # also certifies the representers independent
+
+
+def _interpolant(model: HilbertModel, reps: list[Vec], r_ldl: tuple[Mat, Vec],
+                 b: Vec) -> MinimalInterpolant:
+    """The minimal interpolant of data b from the factored representer system."""
+    k = len(b)
+    xi = ldl_solve(*r_ldl, b)
     coeffs = [Fraction(0)] * (model.degree + 1)
     for j in range(k):
         for a in range(model.degree + 1):
@@ -215,7 +231,7 @@ def minimal_interpolant(model: HilbertModel, b: Vec) -> MinimalInterpolant:
     norm_sq = sum(xi[j] * b[j] for j in range(k))  # <g|g> = xi . (R xi) = xi . b
     out = MinimalInterpolant(model, k, b, coeffs, xi, norm_sq)
     if not out.constraints_hold():
-        raise ArithmeticError("interpolation constraints not satisfied exactly")
+        raise CertificationError("interpolation constraints not satisfied exactly")
     return out
 
 
@@ -223,16 +239,22 @@ def omega_table(model: HilbertModel, k: int) -> list[Fraction]:
     """The reconstruction weights omega_{j,k} = j! * u_{j,k}(1) for j < k,
     where u_{j,k} is the minimal interpolant of the j-th unit data vector.
 
+    The k representers are certified once (see `representer`) and R is
+    factored once, with positive pivots; every u_{j,k} is still checked
+    to meet its k derivative constraints exactly, otherwise
+    CertificationError.
+
     At k = D + 1 the constraints pin every coefficient, u_{j,k} = x^j / j!,
     and the whole column is exactly 1.
     """
     if k > model.degree + 1:
         raise DomainError("omega table needs k <= D + 1")
+    reps, r_ldl = _representer_system(model, k)
     out = []
     for j in range(k):
         unit = [Fraction(0)] * k
         unit[j] = Fraction(1)
-        u = minimal_interpolant(model, unit)
+        u = _interpolant(model, reps, r_ldl, unit)
         out.append(factorial(j) * u.value_at(Fraction(1)))
     return out
 
@@ -355,9 +377,14 @@ def _sqrt_lower(x: Fraction, bits: int) -> Fraction:
     return root_bounds(x, 2, bits)[0]
 
 
-def _sqrt_upper(x: Fraction, bits: int) -> Fraction:
-    from .rationals import root_bounds
-    return root_bounds(x, 2, bits)[1]
+def _grid_numerator(U: list[int], i: int, n: int) -> int:
+    """n^m * U(i/n) for an integer polynomial U of degree m, in integers."""
+    acc = 0
+    scale = 1
+    for c in reversed(U):
+        acc = acc * i + c * scale
+        scale *= n
+    return acc
 
 
 def sobolev_check(u: Vec, j: int) -> SobolevRecord:
@@ -369,8 +396,12 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
 
     L2 norms are exact rational squares.  The sup norm is enclosed from
     above by interval evaluation on a refined subdivision and from below
-    by exact point evaluation; both inequalities are checked in squared
-    form so that sqrt 2 never needs to be approximated on its own.
+    by exact point evaluation on dyadic grids; both inequalities are
+    checked in squared form so that sqrt 2 never needs to be approximated
+    on its own.  Both bounds are computed for U = L u^(j), where L is the
+    positive lcm of the denominators of u^(j), and divided by L once at
+    the end: exact arithmetic scales by L exactly, so the certificate and
+    the returned Fractions are those of the unscaled computation.
     """
     u = [Fraction(c) for c in u]
     du = poly_derivative(u, j)
@@ -382,16 +413,22 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
         zero = Fraction(0)
         return SobolevRecord(j, A, B, zero, zero, True, True)
 
+    L = math.lcm(*(c.denominator for c in du))
+    U = [c.numerator * (L // c.denominator) for c in du]
+    L2 = L * L
+    m = len(U) - 1
+
     # lower bound: exact evaluation on dyadic grids until the witness
-    # certifies  sup^2 >= A/2
-    target = A / 2
+    # certifies  sup^2 >= A/2; depth d > 0 adds only the odd numerators,
+    # the even ones being the grid of depth d - 1
+    target = A / 2 * L2
     sup_lower = Fraction(0)
     depth = 0
     while True:
         n = 1 << depth
-        for i in range(-n, n + 1):
-            v = poly_eval(du, Fraction(i, n))
-            sup_lower = max(sup_lower, abs(v))
+        fresh = range(-n, n + 1) if depth == 0 else range(1 - n, n, 2)
+        best = max(abs(_grid_numerator(U, i, n)) for i in fresh)
+        sup_lower = max(sup_lower, Fraction(best, n**m))
         if sup_lower**2 >= target:
             left_ok = True
             break
@@ -411,11 +448,11 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
         for i in range(pieces):
             lo = Fraction(-1) + Fraction(2 * i, pieces)
             hi = Fraction(-1) + Fraction(2 * (i + 1), pieces)
-            box = _box_eval(du, lo, hi).abs()
+            box = _box_eval(U, lo, hi).abs()
             sup_upper = max(sup_upper, box.hi)
         # sup <= sqrt2 (sqrt A + sqrt B)  <=>  sup^2 <= 2 (A + B + 2 sqrt(AB))
         rhs_lower = 2 * (A + B + 2 * _sqrt_lower(A * B, bits))
-        if sup_upper**2 <= rhs_lower:
+        if sup_upper**2 <= rhs_lower * L2:
             right_ok = True
             break
         if pieces > 4096 or bits > PRECISION_CAP:
@@ -425,4 +462,4 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
 
     if not (left_ok and right_ok):
         raise UndecidableAtCap("sup-norm comparison could not be certified")
-    return SobolevRecord(j, A, B, sup_lower, sup_upper, left_ok, right_ok)
+    return SobolevRecord(j, A, B, sup_lower / L, sup_upper / L, left_ok, right_ok)

@@ -1,14 +1,21 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qal.errors import DomainError, SelectionFailure, UnsupportedSequenceError
+from qal import hilbert
+from qal.errors import (CertificationError, DomainError, SelectionFailure,
+                        UndecidableAtCap, UnsupportedSequenceError)
 from qal.hilbert import (build_model, divergence_demo, lacunary_select,
                          ldl_decompose, minimal_interpolant, omega_table,
-                         poly_derivative, representer, sobolev_check)
+                         poly_derivative, poly_eval, representer, sobolev_check)
+from qal.intervals import PRECISION_CAP
+from qal.polynomials import umul
 from qal.rationals import factorial
-from qal.sequences import analytic, gevrey, loggevrey
+from qal.sequences import analytic, gevrey, loggevrey, qgevrey
 
 
 class TestBuildModel:
@@ -81,6 +88,96 @@ class TestRepresenter:
             for i in range(9):
                 got = sum(reps[i][a] * gu[a] for a in range(9))
                 assert got == factorial(i) * u[i]
+
+
+def _perturb_solves(monkeypatch, size=None):
+    """Make ldl_solve return a wrong last entry (only for systems of the
+    given size, when one is given)."""
+    real = hilbert.ldl_solve
+
+    def perturbed(L, D, rhs):
+        out = real(L, D, rhs)
+        if size is None or len(rhs) == size:
+            out[-1] += Fraction(1, 10**9)
+        return out
+
+    monkeypatch.setattr(hilbert, "ldl_solve", perturbed)
+
+
+class TestCertificationErrors:
+    def test_representer_rejects_wrong_solve(self, monkeypatch):
+        model = build_model(gevrey(1), 6)
+        _perturb_solves(monkeypatch)
+        with pytest.raises(CertificationError) as err:
+            representer(model, 2)
+        assert err.value.code == "certification-error"
+        assert isinstance(err.value, ArithmeticError)
+
+    def test_omega_table_rejects_wrong_representer(self, monkeypatch):
+        model = build_model(gevrey(1), 6)
+        _perturb_solves(monkeypatch)
+        with pytest.raises(CertificationError) as err:
+            omega_table(model, 3)
+        assert err.value.code == "certification-error"
+
+    def test_omega_table_rejects_wrong_interpolant(self, monkeypatch):
+        # the representers are right; only the solves of R (size k) are off,
+        # so the constraint check of each interpolant must catch it
+        model = build_model(gevrey(1), 6)
+        _perturb_solves(monkeypatch, size=3)
+        with pytest.raises(CertificationError) as err:
+            omega_table(model, 3)
+        assert err.value.code == "certification-error"
+
+    def test_a_rebuilt_model_certifies_afresh(self, monkeypatch):
+        # a second model of the same sequence and degree must not reuse the
+        # first one's representers: its own solve is checked again
+        warm = build_model(gevrey(1), 6)
+        omega_table(warm, 4)
+        _perturb_solves(monkeypatch)
+        with pytest.raises(CertificationError):
+            representer(build_model(gevrey(1), 6), 1)
+
+
+class TestRepresenterCache:
+    def test_mutating_a_returned_representer_changes_nothing(self):
+        model = build_model(gevrey(1), 7)
+        clean = representer(build_model(gevrey(1), 7), 2)
+        r = representer(model, 2)
+        r[0] += 1
+        r[2] = Fraction(0)
+        assert representer(model, 2) == clean
+        assert omega_table(model, 4) == omega_table(build_model(gevrey(1), 7), 4)
+
+    def test_models_of_different_degree_do_not_share(self):
+        small, large = build_model(gevrey(1), 5), build_model(gevrey(1), 8)
+        for i in range(6):
+            representer(small, i)
+        for i in range(6):
+            r = representer(large, i)
+            assert len(r) == 9
+            assert r == representer(build_model(gevrey(1), 8), i)
+            gr = [sum(g * c for g, c in zip(row, r)) for row in large.gram]
+            assert gr == [factorial(i) if a == i else 0 for a in range(9)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["analytic", "gevrey1", "qgevrey2"]),
+           st.integers(1, 10), st.data())
+    def test_shared_factorization_matches_one_solve_per_column(self, name, D, data):
+        seq = {"analytic": analytic, "gevrey1": lambda: gevrey(1),
+               "qgevrey2": lambda: qgevrey(2)}[name]
+        k = data.draw(st.integers(1, D + 1), label="k")
+        warm_k = data.draw(st.integers(1, D + 1), label="warm_k")
+        expected = []
+        for j in range(k):
+            unit = [Fraction(0)] * k
+            unit[j] = Fraction(1)
+            u = minimal_interpolant(build_model(seq(), D), unit)
+            expected.append(factorial(j) * u.value_at(Fraction(1)))
+        assert omega_table(build_model(seq(), D), k) == expected
+        warmed = build_model(seq(), D)
+        omega_table(warmed, warm_k)
+        assert omega_table(warmed, k) == expected
 
 
 class TestMinimalInterpolant:
@@ -164,12 +261,36 @@ class TestOmegaTable:
             expected = sum(omegas[j] * b[j] / factorial(j) for j in range(k))
             assert g.value_at(Fraction(1)) == expected
 
+    def test_gevrey1_d24_k12_in_time(self):
+        # one LDL of R and k certified representers; 11-13 s when every
+        # column re-solved and re-verified all k representers
+        model = build_model(gevrey(1), 24)
+        start = time.perf_counter()
+        omegas = omega_table(model, 12)
+        assert time.perf_counter() - start < 2.0
+        assert len(omegas) == 12
+
+
+FOUR_LEVEL_SUMS = [
+    Fraction(39394346894, 59238792365),
+    Fraction(950400, 5829689),
+    Fraction(43360657004740102333579319574528000000,
+             72251248440777090874723854225057806959),
+]
+
 
 class TestLacunary:
     def test_pinned_schedule_has_zero_sums(self):
         schedule = [(2, 3), (4, 5), (8, 9)]
         out = lacunary_select(gevrey(1), schedule)
         assert out.sums == [Fraction(0), Fraction(0)]
+
+    def test_four_level_schedule_frozen_oracle(self):
+        # frozen from the independent symbolic-integration dense solve
+        # (scripts_dev_oracle.py); about [0.665, 0.163, 0.600]
+        out = lacunary_select(gevrey(1), [(1, 1), (4, 2), (5, 5), (16, 16)])
+        assert out.ks == [1, 2, 5, 16]
+        assert out.sums == FOUR_LEVEL_SUMS
 
     def test_single_element_schedule_trivially_valid(self):
         out = lacunary_select(gevrey(1), [(4, 2)])
@@ -239,3 +360,71 @@ class TestSobolev:
     def test_derivative_helper(self):
         assert poly_derivative([Fraction(1), Fraction(2), Fraction(3)], 1) == \
             [Fraction(2), Fraction(6)]
+
+
+def _unscaled_sobolev_sups(u, j):
+    """The sup-norm loops of sobolev_check run directly on u^(j), with a
+    full dyadic grid at every depth: the reference for the scaled loops."""
+    du = poly_derivative([Fraction(c) for c in u], j)
+    A = hilbert._l2_sq(du)
+    B = hilbert._l2_sq(poly_derivative([Fraction(c) for c in u], j + 1))
+    if not any(du):
+        return Fraction(0), Fraction(0), True, True
+    target = A / 2
+    sup_lower = Fraction(0)
+    depth = 0
+    while True:
+        n = 1 << depth
+        for i in range(-n, n + 1):
+            sup_lower = max(sup_lower, abs(poly_eval(du, Fraction(i, n))))
+        if sup_lower**2 >= target:
+            left_ok = True
+            break
+        if depth > 24:
+            left_ok = False
+            break
+        depth += 1
+    bits, pieces, right_ok = 64, 8, False
+    while True:
+        sup_upper = Fraction(0)
+        for i in range(pieces):
+            lo = Fraction(-1) + Fraction(2 * i, pieces)
+            hi = Fraction(-1) + Fraction(2 * (i + 1), pieces)
+            sup_upper = max(sup_upper, hilbert._box_eval(du, lo, hi).abs().hi)
+        rhs_lower = 2 * (A + B + 2 * hilbert._sqrt_lower(A * B, bits))
+        if sup_upper**2 <= rhs_lower:
+            right_ok = True
+            break
+        if pieces > 4096 or bits > PRECISION_CAP:
+            break
+        pieces *= 2
+        bits *= 2
+    return sup_lower, sup_upper, left_ok, right_ok
+
+
+_big_rationals = st.builds(
+    Fraction,
+    st.integers(-10**15, 10**15),
+    st.one_of(st.integers(1, 10**15),
+              st.lists(st.sampled_from([2, 3, 7, 11, 101, 65537, 10**9 + 7]),
+                       min_size=1, max_size=6).map(math.prod)))
+
+
+# factors vanishing on the coarse dyadic grids, so that the lower bound
+# must go deeper than depth 0 (x^3 - x) or depth 1 (times 4x^2 - 1)
+_GRID_ZEROS = ([Fraction(1)], [0, -1, 0, 1], [0, 1, 0, -5, 0, 4])
+
+
+class TestSobolevScaledExact:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_big_rationals, min_size=1, max_size=6),
+           st.sampled_from(_GRID_ZEROS), st.sampled_from([0, 1, 2]))
+    def test_common_denominator_gives_the_unscaled_fractions(self, p, zeros, j):
+        u = umul(p, zeros)
+        ref = _unscaled_sobolev_sups(u, j)
+        if not (ref[2] and ref[3]):
+            with pytest.raises(UndecidableAtCap):
+                sobolev_check(u, j)
+            return
+        rec = sobolev_check(u, j)
+        assert (rec.sup_lower, rec.sup_upper, rec.left_ok, rec.right_ok) == ref
