@@ -1,30 +1,45 @@
-"""Certified interval arithmetic with exact rational endpoints.
+"""Certified interval arithmetic with rational endpoints.
 
-Ring operations on :class:`RI` are exact (Fraction endpoints, no rounding
-at all).  Transcendental functions go through mpmath's interval context at
-a requested bit precision and come back as exact dyadic endpoints, so the
-enclosure property is preserved end to end.
+Endpoints are always Fractions.  Outside :func:`certify`, ring operations
+on :class:`RI` are exact.  Inside it, a working precision p is set, and
+``+``, ``*`` and the reciprocal of ``/`` round every endpoint of a
+non-point result that has more than 2p bits (numerator plus denominator)
+outward to a p-bit mantissa times a power of two: lower endpoints down,
+upper endpoints up.  Point results are never rounded, so exact rational
+data stay exact, while the endpoints of irrational quantities no longer
+grow without bound (ball/dyadic arithmetic as in Arb).  Transcendental
+functions go through mpmath's interval context at a requested bit
+precision and come back as exact dyadic endpoints, so the enclosure
+property is preserved end to end.
 
-Comparisons that an interval cannot decide are retried at doubled
-precision by :func:`decide` up to the global cap (``QAL_PRECISION_BITS``
-environment variable, default 256 bits, hard cap 4096).
+:func:`certify` runs a certification step at escalating precision: from
+``QAL_PRECISION_BITS`` (environment variable, default 256 bits), doubling
+up to the cap of 4096 bits.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, TypeVar
 
 import mpmath.libmp as _libmp
 from mpmath import iv as _iv
-from mpmath import mpf as _mpf
 
-from .errors import UndecidableAtCap
-from .rationals import pow_bounds, root_bounds
+from .errors import CertificationError
+from .rationals import pow_bounds
 
 PRECISION_CAP = 4096
 _DEFAULT_BITS = 256
+# working precision = attempt bits + guard bits, so that the rounding of a
+# chain of ring operations stays below the attempt's own resolution
+_GUARD_BITS = 32
+# the working precision p of the current certify attempt; None means exact
+_WORKING: contextvars.ContextVar[int | None] = contextvars.ContextVar(
+    "qal_working_precision", default=None)
+
+_T = TypeVar("_T")
 
 
 def default_bits() -> int:
@@ -38,8 +53,36 @@ def default_bits() -> int:
     return max(8, min(bits, PRECISION_CAP))
 
 
+def _floor_dyadic(q: Fraction, p: int) -> Fraction:
+    """q rounded down to m * 2^-s, with s fixed by the size of q so that
+    the mantissa |m| is at most 2^p."""
+    n, d = q.numerator, q.denominator
+    s = p - 1 - n.bit_length() + d.bit_length()   # |q| * 2^s < 2^p
+    if s >= 0:
+        return Fraction((n << s) // d, 1 << s)
+    return Fraction((n // (d << -s)) << -s)
+
+
+def _outward(lo: Fraction, hi: Fraction) -> "RI":
+    """RI(lo, hi), with long endpoints of a non-point result rounded outward
+    to the working precision when one is set."""
+    p = _WORKING.get()
+    if p is not None and lo != hi:
+        if lo.numerator.bit_length() + lo.denominator.bit_length() > 2 * p:
+            lo = _floor_dyadic(lo, p)
+        if hi.numerator.bit_length() + hi.denominator.bit_length() > 2 * p:
+            hi = -_floor_dyadic(-hi, p)
+    return RI(lo, hi)
+
+
 class RI:
-    """Closed real interval [lo, hi] with Fraction endpoints."""
+    """Closed real interval [lo, hi] with Fraction endpoints.
+
+    Ring operations are exact outside :func:`certify`; inside it, a
+    non-point result has its long endpoints rounded outward to the working
+    precision (see the module docstring), so the result still encloses the
+    exact one.
+    """
 
     __slots__ = ("lo", "hi")
 
@@ -59,11 +102,11 @@ class RI:
     def of(x) -> "RI":
         return x if isinstance(x, RI) else RI(x)
 
-    # -- exact ring operations -------------------------------------------
+    # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         o = RI.of(other)
-        return RI(self.lo + o.lo, self.hi + o.hi)
+        return _outward(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
@@ -79,7 +122,7 @@ class RI:
     def __mul__(self, other):
         o = RI.of(other)
         ps = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RI(min(ps), max(ps))
+        return _outward(min(ps), max(ps))
 
     __rmul__ = __mul__
 
@@ -87,7 +130,7 @@ class RI:
         o = RI.of(other)
         if o.lo <= 0 <= o.hi:
             raise ZeroDivisionError(f"divisor interval {o} contains 0")
-        inv = RI(1 / o.hi, 1 / o.lo)
+        inv = _outward(1 / o.hi, 1 / o.lo)
         return self * inv
 
     def __rtruediv__(self, other):
@@ -133,9 +176,6 @@ class RI:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def hull(self, other: "RI") -> "RI":
-        return RI(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def contains(self, x) -> bool:
         if isinstance(x, RI):
             return self.lo <= x.lo and x.hi <= self.hi
@@ -156,24 +196,6 @@ class RI:
             return 0
         return None
 
-    def certainly_le(self, other) -> bool:
-        return self.hi <= RI.of(other).lo
-
-    def certainly_lt(self, other) -> bool:
-        return self.hi < RI.of(other).lo
-
-    def certainly_ge(self, other) -> bool:
-        return self.lo >= RI.of(other).hi
-
-    def certainly_gt(self, other) -> bool:
-        return self.lo > RI.of(other).hi
-
-    def certainly_positive(self) -> bool:
-        return self.lo > 0
-
-    def certainly_negative(self) -> bool:
-        return self.hi < 0
-
     def excludes_zero(self) -> bool:
         return self.lo > 0 or self.hi < 0
 
@@ -190,18 +212,30 @@ class RI:
         return {"lo": format_fraction(self.lo), "hi": format_fraction(self.hi)}
 
 
-def decide(predicate: Callable[[int], bool | None], start_bits: int | None = None,
-           what: str = "comparison") -> bool:
-    """Run ``predicate(bits)`` at escalating precision until it returns a
-    bool; raise UndecidableAtCap if the cap is reached undecided."""
+def certify(step: Callable[[int], _T | None], what: str,
+            error: type[CertificationError],
+            start_bits: int | None = None) -> _T:
+    """Run ``step(bits)`` at escalating precision and return its first
+    result that is not None.
+
+    The attempts run at ``start_bits`` (default :func:`default_bits`),
+    then at ``min(2 * bits, PRECISION_CAP)``; each one sets the working
+    precision of the ring operations to ``bits`` plus guard bits.  When the
+    attempt at the cap returns None, ``error`` is raised with ``what`` in
+    its message.
+    """
     bits = start_bits or default_bits()
     while True:
-        result = predicate(bits)
+        token = _WORKING.set(bits + _GUARD_BITS)
+        try:
+            result = step(bits)
+        finally:
+            _WORKING.reset(token)
         if result is not None:
             return result
         if bits >= PRECISION_CAP:
-            raise UndecidableAtCap(f"{what} undecided at {PRECISION_CAP} bits")
-        bits = min(bits * 2, PRECISION_CAP)
+            raise error(f"{what} at the precision cap of {PRECISION_CAP} bits")
+        bits = min(2 * bits, PRECISION_CAP)
 
 
 # -- mpmath bridge ----------------------------------------------------------
@@ -211,7 +245,7 @@ def _to_iv(x, bits: int):
     if isinstance(x, RI):
         lo = _to_iv(x.lo, bits)
         hi = _to_iv(x.hi, bits)
-        return _iv.mpf([_mpf(lo.a), _mpf(hi.b)])
+        return _iv.mpf([lo.a, hi.b])
     f = Fraction(x)
     if f.denominator == 1:
         return _iv.mpf(f.numerator)
@@ -238,10 +272,6 @@ def iv_exp(x, bits: int) -> RI:
     return _with_prec(bits, lambda: _from_iv(_iv.exp(_to_iv(x, bits))))
 
 
-def iv_log(x, bits: int) -> RI:
-    return _with_prec(bits, lambda: _from_iv(_iv.log(_to_iv(x, bits))))
-
-
 def iv_log_shift_e(x, bits: int) -> RI:
     """log(x + e) as a certified interval."""
     return _with_prec(bits, lambda: _from_iv(_iv.log(_to_iv(x, bits) + _iv.e)))
@@ -264,16 +294,6 @@ def iv_pow(base, expo, bits: int) -> RI:
         return _from_iv(b**e)
 
     return _with_prec(bits, run)
-
-
-def ri_root(x: RI | Fraction, k: int, bits: int) -> RI:
-    """Certified k-th root of a nonnegative interval or Fraction."""
-    if isinstance(x, RI):
-        lo, _ = root_bounds(max(x.lo, Fraction(0)), k, bits)
-        _, hi = root_bounds(x.hi, k, bits)
-        return RI(lo, hi)
-    lo, hi = root_bounds(Fraction(x), k, bits)
-    return RI(lo, hi)
 
 
 def ri_pow_frac(x: RI | Fraction, s: Fraction, bits: int) -> RI:

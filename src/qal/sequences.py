@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import (DomainError, InconclusiveInput, QalSyntaxError,
                      UndecidableAtCap)
-from .intervals import (RI, decide, default_bits, iv_log_shift_e, iv_pow,
+from .intervals import (RI, certify, default_bits, iv_log_shift_e, iv_pow,
                         ri_pow_frac)
 from .rationals import (compare_power_products, exact_pow, factorial,
                         format_fraction, parse_fraction)
@@ -420,14 +420,7 @@ def _compare_values(M: CarlemanSequence, lhs: list[tuple[int, int]],
             rv = rv * N.interval_value(j, bits) ** p
         return lv.cmp(rv)
 
-    bits = default_bits()
-    while True:
-        c = attempt(bits)
-        if c is not None:
-            return c
-        if bits >= 4096:
-            raise UndecidableAtCap(f"{what} undecided at precision cap")
-        bits *= 2
+    return certify(attempt, f"{what} undecided", UndecidableAtCap)
 
 
 # -- structural checks ---------------------------------------------------------
@@ -490,15 +483,13 @@ def value(M: CarlemanSequence, j: int, precision: int | None = None):
         return exact
     precision = precision or default_bits()
     target = Fraction(1, 1 << precision)
-    bits = max(precision + 16, default_bits())
-    while True:
+
+    def attempt(bits: int) -> RI | None:
         out = M.interval_value(j, bits)
-        if out.rel_width() <= target:
-            return out
-        if bits >= 4096:
-            raise UndecidableAtCap(
-                f"cannot reach relative width 2^-{precision} for M_{j}")
-        bits *= 2
+        return out if out.rel_width() <= target else None
+
+    return certify(attempt, f"cannot reach relative width 2^-{precision} for M_{j}",
+                   UndecidableAtCap, max(precision + 16, default_bits()))
 
 
 # -- preorder comparison -------------------------------------------------------

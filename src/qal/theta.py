@@ -33,11 +33,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, PrecisionFailure, TruncationInsufficient
-from .intervals import CI, RI, default_bits, iv_cos, iv_sin
+from .intervals import CI, RI, certify, default_bits, iv_cos, iv_sin
 from .rationals import factorial, falling, stirling2_row
 from .sequences import CarlemanSequence
-
-PRECISION_HARD_CAP = 4096
 
 
 @dataclass
@@ -117,8 +115,8 @@ def theta_derivative_at_zero(M: CarlemanSequence, j: int, K: int,
     """
     if K < j + 8:
         raise DomainError("truncation K must be at least j + 8")
-    bits = bits or default_bits()
-    while True:
+
+    def attempt(bits: int) -> ThetaDerivative | None:
         approx = build_theta(M, K, bits)
         partial = RI.point(0)
         for k in range(K + 1):
@@ -129,10 +127,10 @@ def theta_derivative_at_zero(M: CarlemanSequence, j: int, K: int,
         if magnitude.lo >= target.hi:
             return ThetaDerivative(order=j, truncation=K, magnitude=magnitude,
                                    phase_power=j % 4, lower_bound=target.hi)
-        if bits >= PRECISION_HARD_CAP:
-            raise PrecisionFailure(
-                f"cannot certify |theta^({j})(0)| >= {j}! M_{j} at precision cap")
-        bits *= 2
+        return None
+
+    return certify(attempt, f"cannot certify |theta^({j})(0)| >= {j}! M_{j}",
+                   PrecisionFailure, bits)
 
 
 def theta_eval(M: CarlemanSequence, x: Fraction, j: int, K: int,
@@ -146,8 +144,8 @@ def theta_eval(M: CarlemanSequence, x: Fraction, j: int, K: int,
     if K < j + 8:
         raise DomainError("truncation K must be at least j + 8")
     x = Fraction(x)
-    bits = bits or default_bits()
-    while True:
+
+    def attempt(bits: int) -> CI | None:
         approx = build_theta(M, K, bits)
         total = CI(RI.point(0), RI.point(0))
         for k in range(K + 1):
@@ -168,11 +166,10 @@ def theta_eval(M: CarlemanSequence, x: Fraction, j: int, K: int,
         bound = 3 * Fraction(2) ** j * approx.mbars[j].lo
         if value.abs_sq().hi <= bound * bound:
             return value
-        if bits >= PRECISION_HARD_CAP:
-            raise PrecisionFailure(
-                f"cannot certify |theta^({j})({x})| <= 3*2^{j}*{j}!M_{j} "
-                "at precision cap")
-        bits *= 2
+        return None
+
+    return certify(attempt, f"cannot certify |theta^({j})({x})| <= 3*2^{j}*{j}!M_{j}",
+                   PrecisionFailure, bits)
 
 
 # -- the rational-pole series ---------------------------------------------------

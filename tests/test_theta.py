@@ -1,8 +1,12 @@
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from qal import intervals
 from qal.errors import DomainError
+from qal.intervals import default_bits
 from qal.rationals import factorial
 from qal.sequences import analytic, gevrey, qgevrey
 from qal.theta import (BorelExample, ThetaDerivative, borel_example_derivatives,
@@ -161,3 +165,52 @@ class TestBuildTheta:
         for k in range(11):
             assert approx.ms[k].is_point()
             assert approx.ms[k].lo == k + 1
+
+
+def reference_theta(alpha: Fraction, x: Fraction, j: int, terms: int):
+    """theta^(j)(x) for gevrey(alpha), summed in mpmath at 400 bits:
+    sum_k i^j Mbar_k (2 m_k)^(j-k) exp(2 i m_k x)."""
+    with mpmath.workprec(400):
+        a = mpmath.mpf(alpha.numerator) / alpha.denominator
+        x = mpmath.mpf(x.numerator) / x.denominator
+        mbar = [mpmath.factorial(k) ** (1 + a) for k in range(terms + 2)]
+        total = mpmath.mpc(0)
+        for k in range(terms + 1):
+            m = mbar[k + 1] / mbar[k]
+            total += mbar[k] * (2 * m) ** (j - k) * mpmath.expj(2 * m * x)
+        return total * mpmath.mpc(0, 1) ** j
+
+
+def _fraction(v) -> Fraction:
+    """An mpmath mpf as an exact Fraction."""
+    return Fraction(*mpmath.libmp.to_rational(v._mpf_))
+
+
+def _endpoint_bits(box) -> int:
+    return max(q.numerator.bit_length() + q.denominator.bit_length()
+               for r in (box.re, box.im) for q in (r.lo, r.hi))
+
+
+class TestWorkingPrecision:
+    def test_high_order_irrational_theta_is_fast_and_short(self, monkeypatch):
+        monkeypatch.delenv("QAL_PRECISION_BITS", raising=False)
+        M, x, j, K = gevrey(Fraction(1, 2)), Fraction(1, 3), 32, 48
+        start = time.perf_counter()
+        out = theta_eval(M, x, j, K)
+        assert time.perf_counter() - start < 1.0
+        assert _endpoint_bits(out) < 2 * (default_bits() + intervals._GUARD_BITS)
+        # the class bound |theta^(j)(x)| <= 3 * 2^j * j! M_j still holds
+        cap = 3 * Fraction(2) ** j * factorial(j) * M.interval_value(j).hi
+        assert out.abs_sq().hi <= cap * cap
+        # and the box encloses the series summed far past K
+        ref = reference_theta(Fraction(1, 2), x, j, K + 200)
+        assert out.contains(_fraction(ref.real), _fraction(ref.imag))
+
+    def test_rational_partial_sums_stay_exact(self):
+        for M in (gevrey(1), gevrey(2), qgevrey(2), analytic()):
+            for j in (0, 5, 12):
+                K = j + 10
+                out = theta_derivative_at_zero(M, j, K)
+                # the lower end is the exact partial sum, the width the exact tail
+                assert out.magnitude.lo == exact_partial_sum(M, j, K), (M, j)
+                assert out.magnitude.width() == build_theta(M, K).tail_bound(j), (M, j)
