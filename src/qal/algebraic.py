@@ -26,7 +26,7 @@ from sympy import CRootOf, Poly, Symbol
 
 from .errors import ExtensionFailure
 from .intervals import CI, RI
-from .polynomials import udeg, uderiv, udivmod, ugcd, umul, umonic, utrim
+from .polynomials import udeg, uderiv, udivmod, ugcd, umul, umonic, usub, utrim
 
 _T = Symbol("_qal_t")
 _Z = Symbol("_qal_z")
@@ -242,7 +242,7 @@ class FieldElement:
         while b:
             q, r = udivmod(a, b)
             a, b = b, r
-            s0, s1 = s1, _usub(s0, umul(q, s1))
+            s0, s1 = s1, usub(s0, umul(q, s1))
         lead = a[-1]
         inv = [c / lead for c in s0]
         return FieldElement(self.field, self.field._reduce(inv))
@@ -292,11 +292,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({list(self.rep)})"
-
-
-def _usub(p, q):
-    from .polynomials import usub
-    return usub(p, q)
 
 
 # -- certified-value identification ---------------------------------------------

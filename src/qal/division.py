@@ -32,11 +32,11 @@ from math import lcm
 from .errors import (ArityMismatchError, CertificationError,
                      ChainDegenerationError, DomainError, NonMonicDivisorError,
                      PrecisionFailure, ZeroPolynomialError)
-from .intervals import RI, default_bits, iv_exp, ri_pow_frac
+from .intervals import RI, certify, default_bits, iv_exp, ri_pow_frac
 from .polynomials import MultiPoly, _var_key, umul, usub, utrim
 from .rationals import factorial, format_fraction
 from .sequences import CarlemanSequence
-from .theta import theta_derivative_at_zero
+from .theta import _magnitude_at_zero, build_theta
 
 
 # -- Euclidean division ----------------------------------------------------------
@@ -426,25 +426,36 @@ def nodiv_witness(M: CarlemanSequence, J: int, K: int) -> NoDivWitness:
     diagnostic column reports (M_{2j}/M_j)^(1/j); for any non-analytic
     log-convex sequence M_{2j} >= M_j^2 makes it diverge, which is recorded
     symbolically.
+
+    The table runs on :func:`certify`: each attempt builds one theta
+    approximation and one list M_0..M_{2J} and reads every order from them,
+    and an attempt that cannot certify some c_j >= M_{2j} escalates.
     """
-    if K < 2 * J + 8:
-        raise DomainError("need K >= 2J + 8")
-    orders, cvals, lows, diags = [], [], [], []
-    bits = default_bits()
-    for j in range(J + 1):
-        th = theta_derivative_at_zero(M, 2 * j, K)
-        c = th.magnitude * RI.point(Fraction(1, factorial(2 * j)))
-        m2j = M.interval_value(2 * j, bits)
-        if not c.lo >= m2j.hi:
-            raise PrecisionFailure(f"cannot certify |c_{j}| >= M_{2 * j}")
-        orders.append(2 * j)
-        cvals.append(c)
-        lows.append(m2j.hi)
-        if j >= 1:
-            ratio = M.interval_value(2 * j, bits) / M.interval_value(j, bits)
-            diags.append(ri_pow_frac(ratio, Fraction(1, j), bits)
-                         if not ratio.is_point()
-                         else ri_pow_frac(ratio.lo, Fraction(1, j), bits))
+    if J < 1 or K < 2 * J + 8:
+        raise DomainError("need J >= 1 and K >= 2J + 8")
+    failed = 0
+
+    def attempt(bits: int):
+        nonlocal failed
+        approx = build_theta(M, K, bits)
+        values = [M.interval_value(i, bits) for i in range(2 * J + 1)]
+        cvals = []
+        for j in range(J + 1):
+            c = _magnitude_at_zero(approx, 2 * j) * RI.point(Fraction(1, factorial(2 * j)))
+            if c.lo < values[2 * j].hi:
+                failed = j
+                return None
+            cvals.append(c)
+        diags = []
+        for j in range(1, J + 1):
+            ratio = values[2 * j] / values[j]
+            diags.append(ri_pow_frac(ratio.lo if ratio.is_point() else ratio,
+                                     Fraction(1, j), bits))
+        return cvals, [values[2 * j].hi for j in range(J + 1)], diags
+
+    cvals, lows, diags = certify(
+        attempt, lambda: f"cannot certify |c_{failed}| >= M_{2 * failed}",
+        PrecisionFailure)
     sup = diags[0]
     for d in diags[1:]:
         sup = RI(max(sup.lo, d.lo), max(sup.hi, d.hi))
@@ -456,7 +467,7 @@ def nodiv_witness(M: CarlemanSequence, J: int, K: int) -> NoDivWitness:
                 "dominates (M_j)^(1/j), which is unbounded outside the "
                 "analytic class; the even part escapes every constant "
                 "multiple of the original weight")
-    return NoDivWitness(orders, cvals, lows, diags, sup, note)
+    return NoDivWitness([2 * j for j in range(J + 1)], cvals, lows, diags, sup, note)
 
 
 @dataclass

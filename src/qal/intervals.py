@@ -143,13 +143,16 @@ class RI:
             return RI(1)
         if n < 0:
             return RI(1) / self**(-n)
-        out = RI(1)
-        base = self
-        while n:
+        # square-and-multiply; the first factor is rounded as RI(1) * base
+        # would round it, and no square is formed past the top bit
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = _outward(base.lo, base.hi) if out is None else out * base
             n >>= 1
+            if not n:
+                break
+            base = base * base
         # even powers of sign-mixed intervals must clamp at 0
         if out.lo < 0 and self.lo <= 0 <= self.hi:
             out = RI(0, out.hi)
@@ -212,7 +215,7 @@ class RI:
         return {"lo": format_fraction(self.lo), "hi": format_fraction(self.hi)}
 
 
-def certify(step: Callable[[int], _T | None], what: str,
+def certify(step: Callable[[int], _T | None], what: str | Callable[[], str],
             error: type[CertificationError],
             start_bits: int | None = None) -> _T:
     """Run ``step(bits)`` at escalating precision and return its first
@@ -222,7 +225,8 @@ def certify(step: Callable[[int], _T | None], what: str,
     then at ``min(2 * bits, PRECISION_CAP)``; each one sets the working
     precision of the ring operations to ``bits`` plus guard bits.  When the
     attempt at the cap returns None, ``error`` is raised with ``what`` in
-    its message.
+    its message; ``what`` may be a callable, called then, for a step that
+    names what it left undecided.
     """
     bits = start_bits or default_bits()
     while True:
@@ -234,7 +238,8 @@ def certify(step: Callable[[int], _T | None], what: str,
         if result is not None:
             return result
         if bits >= PRECISION_CAP:
-            raise error(f"{what} at the precision cap of {PRECISION_CAP} bits")
+            text = what() if callable(what) else what
+            raise error(f"{text} at the precision cap of {PRECISION_CAP} bits")
         bits = min(2 * bits, PRECISION_CAP)
 
 

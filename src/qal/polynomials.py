@@ -407,12 +407,6 @@ def umul(p: list, q: list) -> list:
     return utrim(out)
 
 
-def uscale(p: list, c) -> list:
-    if not c:
-        return []
-    return [a * c for a in p]
-
-
 def udivmod(p: list, q: list) -> tuple[list, list]:
     """Exact division with remainder over a field."""
     q = utrim(list(q))

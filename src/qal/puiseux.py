@@ -437,9 +437,10 @@ def puiseux_expand(phi: MultiPoly, T) -> PuiseuxExpansion:
     for b in branches:
         b.m = m
     expansion = PuiseuxExpansion(sheared, c, branches, m, T)
-    if expansion.degree_count() != d:
+    if expansion.degree_count() != sheared.order():
         raise TruncationInsufficient(
-            f"branch count {expansion.degree_count()} does not match degree {d}")
+            f"branch count {expansion.degree_count()} does not match "
+            f"multiplicity {sheared.order()}")
     for b in branches:
         _certify_branch(sheared, b, T)
     return expansion
@@ -473,7 +474,7 @@ def _certify_branch(phi: MultiPoly, branch: PuiseuxBranch, T: Fraction):
     acc: dict[int, FieldElement] = {}
 
     def add_row(acc, row_poly: MultiPoly):
-        for (a, b), coef in row_poly.coeffs.items():
+        for (a,), coef in row_poly.coeffs.items():
             e = a * m
             if cap is not None and e > cap:
                 continue

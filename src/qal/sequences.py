@@ -22,7 +22,7 @@ finite prefix decides a condition on the whole tail.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -387,40 +387,84 @@ def parse_sequence(text: str) -> CarlemanSequence:
 
 # -- exact / certified value comparisons --------------------------------------
 
+def _power_product(seq: CarlemanSequence,
+                   items: list[tuple[int, int]]) -> list[tuple[Fraction, Fraction]] | None:
+    """prod seq_j^p over (j, p) in items as (base, exponent) pairs, or None
+    when some factor has no power form."""
+    out = []
+    for j, p in items:
+        pf = seq.power_form(j)
+        if pf is None:
+            return None
+        out.extend((b, e * p) for b, e in pf if b != 1)
+    return out
+
+
+def _compare_scan(M: CarlemanSequence, N: CarlemanSequence,
+                  comparisons: list[tuple[list, list, str]]) -> list[int]:
+    """Signs (-1, 0, 1) of the comparisons of prod M_j^p (lhs) against
+    prod N_j^p (rhs), in order, through the first one decided '>'.
+
+    Each comparison is (lhs, rhs, label), a side being a list of (index,
+    integer power).  A comparison whose sides both have a power form is
+    decided exactly, at most once.  The others share one :func:`certify`:
+    each attempt fetches every value it needs once, scans the comparisons
+    in order and escalates while one before the first '>' is undecided;
+    at the cap the error names that comparison.
+    """
+    exact: dict[int, int | None] = {}
+    pending = ""
+
+    def exact_sign(i: int) -> int | None:
+        if i not in exact:
+            lhs, rhs, _ = comparisons[i]
+            left, right = _power_product(M, lhs), _power_product(N, rhs)
+            exact[i] = (None if left is None or right is None
+                        else compare_power_products(left, right))
+        return exact[i]
+
+    def attempt(bits: int) -> list[int] | None:
+        nonlocal pending
+        table: dict[tuple[int, int], RI] = {}   # keyed by (id(seq), j)
+
+        def side(seq, items):
+            out = None
+            for j, p in items:
+                key = (id(seq), j)
+                if key not in table:
+                    table[key] = seq.interval_value(j, bits)
+                v = table[key] if p == 1 else table[key] ** p
+                out = v if out is None else out * v
+            return out
+
+        signs = []
+        for i, (lhs, rhs, label) in enumerate(comparisons):
+            c = exact_sign(i)
+            if c is None:
+                c = side(M, lhs).cmp(side(N, rhs))
+                if c is None:
+                    pending = label
+                    return None
+            signs.append(c)
+            if c > 0:
+                break
+        return signs
+
+    return certify(attempt, lambda: f"{pending} undecided", UndecidableAtCap)
+
+
 def _compare_values(M: CarlemanSequence, lhs: list[tuple[int, int]],
                     N: CarlemanSequence, rhs: list[tuple[int, int]],
                     what: str) -> int:
-    """Compare prod M_j^p (lhs) against prod N_j^p (rhs).
+    """Compare prod M_j^p (lhs) against prod N_j^p (rhs): -1, 0 or 1."""
+    return _compare_scan(M, N, [(lhs, rhs, what)])[0]
 
-    Each side is a list of (index, integer power).  Exact whenever both
-    sequences expose a power form; certified intervals with precision
-    escalation otherwise.  Returns -1, 0, 1.
-    """
 
-    def side_power_form(seq, items):
-        out = []
-        for j, p in items:
-            pf = seq.power_form(j)
-            if pf is None:
-                return None
-            out.extend((b, e * p) for b, e in pf if b != 1)
-        return out
-
-    left = side_power_form(M, lhs)
-    right = side_power_form(N, rhs)
-    if left is not None and right is not None:
-        return compare_power_products(left, right)
-
-    def attempt(bits: int):
-        lv = RI.point(1)
-        for j, p in lhs:
-            lv = lv * M.interval_value(j, bits) ** p
-        rv = RI.point(1)
-        for j, p in rhs:
-            rv = rv * N.interval_value(j, bits) ** p
-        return lv.cmp(rv)
-
-    return certify(attempt, f"{what} undecided", UndecidableAtCap)
+def _first_violation(M: CarlemanSequence,
+                     comparisons: list[tuple[list, list, str]]) -> int | None:
+    """Index of the first comparison of M's values decided '>', or None."""
+    signs = _compare_scan(M, M, comparisons)
+    return len(signs) - 1 if signs and signs[-1] > 0 else None
 
 
 # -- structural checks ---------------------------------------------------------
@@ -441,13 +485,12 @@ def check_log_convexity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
         raise DomainError("log-convexity check needs horizon >= 2")
     lim = M.horizon_limit()
     top = horizon if lim is None else min(horizon, lim - 1)
-    for j in range(1, top):
-        c = _compare_values(M, [(j, 2)], M, [(j - 1, 1), (j + 1, 1)],
-                            f"log-convexity at j={j}")
-        if c > 0:
-            return CheckResult(False, witness=(j,),
-                               detail=f"M_{j}^2 > M_{j-1} M_{j+1}")
-        # equality or strict inequality both satisfy log-convexity
+    # equality or strict inequality both satisfy log-convexity
+    i = _first_violation(M, [([(j, 2)], [(j - 1, 1), (j + 1, 1)],
+                              f"log-convexity at j={j}") for j in range(1, top)])
+    if i is not None:
+        j = i + 1
+        return CheckResult(False, witness=(j,), detail=f"M_{j}^2 > M_{j-1} M_{j+1}")
     return CheckResult(True, detail=f"verified for 1 <= j < {top}")
 
 
@@ -456,20 +499,20 @@ def verify_superadditivity(M: CarlemanSequence, horizon: int = 32) -> CheckResul
     is nondecreasing for 1 <= j <= horizon."""
     lim = M.horizon_limit()
     top = horizon if lim is None else min(horizon, lim)
+    comparisons, failures = [], []
     for j in range(1, top + 1):
         for k in range(j, top - j + 1):
-            c = _compare_values(M, [(j, 1), (k, 1)], M, [(j + k, 1)],
-                                f"superadditivity at ({j},{k})")
-            if c > 0:
-                return CheckResult(False, witness=(j, k),
-                                   detail=f"M_{j} M_{k} > M_{j+k}")
+            comparisons.append(([(j, 1), (k, 1)], [(j + k, 1)],
+                                f"superadditivity at ({j},{k})"))
+            failures.append(((j, k), f"M_{j} M_{k} > M_{j+k}"))
     # (M_j)^(1/j) nondecreasing  <=>  M_j^(j+1) <= M_{j+1}^j
     for j in range(1, top):
-        c = _compare_values(M, [(j, j + 1)], M, [(j + 1, j)],
-                            f"root monotonicity at j={j}")
-        if c > 0:
-            return CheckResult(False, witness=(j,),
-                               detail=f"(M_{j})^(1/{j}) > (M_{j+1})^(1/{j+1})")
+        comparisons.append(([(j, j + 1)], [(j + 1, j)], f"root monotonicity at j={j}"))
+        failures.append(((j,), f"(M_{j})^(1/{j}) > (M_{j+1})^(1/{j+1})"))
+    i = _first_violation(M, comparisons)
+    if i is not None:
+        witness, detail = failures[i]
+        return CheckResult(False, witness=witness, detail=detail)
     return CheckResult(True, detail=f"verified up to j+k <= {top}")
 
 
@@ -511,6 +554,12 @@ class PrecedeResult:
 _FAMILY_RANK = {ANALYTIC: 0, LOG_GEVREY: 1, GEVREY: 2, Q_GEVREY: 3}
 
 
+def _root(q: Fraction, n: int) -> float:
+    """q^(1/n) for a positive Fraction q, through the logarithms of its
+    numerator and denominator, so that no float of a huge q is formed."""
+    return math.exp((math.log(q.numerator) - math.log(q.denominator)) / n)
+
+
 def precede(M: CarlemanSequence, N: CarlemanSequence,
             horizon: int = 32) -> PrecedeResult:
     """Decide M ≺ N, i.e. M_j <= C^j N_j for some constant C.
@@ -546,7 +595,7 @@ def precede(M: CarlemanSequence, N: CarlemanSequence,
     for j in range(1, top + 1):
         mj = M.interval_value(j).mid()
         nj = N.interval_value(j).mid()
-        sup = max(sup, float(mj / nj) ** (1.0 / j))
+        sup = max(sup, _root(mj / nj, j))
     return PrecedeResult(INCONCLUSIVE, "diagnostic",
                          rule=f"finite-horizon sup over 1..{top}",
                          sup_estimate=sup)
@@ -599,9 +648,6 @@ class SequenceReport:
         for name in self.FLAG_NAMES:
             out[name] = self.flag(name).to_json()
         return out
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
 def _tri_and(a: str, b: str) -> str:
@@ -729,36 +775,33 @@ def classify(M: CarlemanSequence, horizon: int = 32) -> SequenceReport:
 def _classify_custom(M: CarlemanSequence, horizon: int) -> dict:
     lim = M.horizon_limit()
     top = horizon if lim is None else min(horizon, lim)
+    mids = [M.interval_value(j).mid() for j in range(top + 1)]
+    # the terms M_j/((j+1) M_{j+1}) of the quasianalyticity series
+    terms = [mids[j] / ((j + 1) * mids[j + 1]) for j in range(top)]
 
-    def mid(j):
-        return M.interval_value(j).mid()
-
-    # partial sums of the quasianalyticity series sum M_j/((j+1) M_{j+1})
     partial = Fraction(0)
     partial_trace = []
     for j in range(0, top):
-        partial += mid(j) / ((j + 1) * mid(j + 1))
+        partial += terms[j]
         if j in (1, 3, 7, 15, 31) or j == top - 1:
             partial_trace.append((j, partial))
 
     # strong non-quasianalyticity ratio diagnostic at each k
     snqa_ratios = []
     for k in range(0, top - 1):
-        tail = sum((mid(j) / ((j + 1) * mid(j + 1)) for j in range(k, top)),
-                   Fraction(0))
-        snqa_ratios.append(tail / (mid(k) / mid(k + 1)))
+        tail = sum(terms[k:top], Fraction(0))
+        snqa_ratios.append(tail / (mids[k] / mids[k + 1]))
     snqa_sup = max(snqa_ratios) if snqa_ratios else Fraction(0)
 
     # moderate growth diagnostic sup over j + k <= horizon
     mg_sup = 0.0
     for j in range(1, top):
         for k in range(1, top - j + 1):
-            r = float(mid(j + k) / (mid(j) * mid(k)))
-            mg_sup = max(mg_sup, r ** (1.0 / (j + k)))
+            mg_sup = max(mg_sup, _root(mids[j + k] / (mids[j] * mids[k]), j + k))
 
-    root_growth = float(mid(top)) ** (1.0 / top) if top >= 1 else 1.0
-    ratio_growth = max((float(mid(j + 1) / mid(j)) ** (1.0 / j)
-                        for j in range(1, top)), default=1.0)
+    root_growth = _root(mids[top], top) if top >= 1 else 1.0
+    ratio_growth = max((_root(mids[j + 1] / mids[j], j) for j in range(1, top)),
+                       default=1.0)
 
     def diagnostic(cert):
         return Flag(INCONCLUSIVE, "finite-horizon", cert)

@@ -105,6 +105,15 @@ class ThetaDerivative:
                 "phase_power": self.phase_power}
 
 
+def _magnitude_at_zero(approx: ThetaApproximation, j: int) -> RI:
+    """Encloses |theta^(j)(0)| = sum_k Mbar_k (2 m_k)^(j-k): the partial sum
+    through K, widened upward by the tail bound."""
+    partial = RI.point(0)
+    for k in range(approx.K + 1):
+        partial = partial + approx.term_magnitude(k, j)
+    return RI(partial.lo, partial.hi + approx.tail_bound(j))
+
+
 def theta_derivative_at_zero(M: CarlemanSequence, j: int, K: int,
                              bits: int | None = None) -> ThetaDerivative:
     """Certified interval for theta^(j)(0), asserting |theta^(j)(0)| >= j! M_j.
@@ -118,11 +127,7 @@ def theta_derivative_at_zero(M: CarlemanSequence, j: int, K: int,
 
     def attempt(bits: int) -> ThetaDerivative | None:
         approx = build_theta(M, K, bits)
-        partial = RI.point(0)
-        for k in range(K + 1):
-            partial = partial + approx.term_magnitude(k, j)
-        tail = approx.tail_bound(j)
-        magnitude = RI(partial.lo, partial.hi + tail)
+        magnitude = _magnitude_at_zero(approx, j)
         target = approx.mbars[j]  # j! M_j
         if magnitude.lo >= target.hi:
             return ThetaDerivative(order=j, truncation=K, magnitude=magnitude,

@@ -12,11 +12,11 @@ from qal.division import (DistinguishedPoly, euclid_divide, gevrey_flat_witness,
                           hyperbolic_falsify_grid, nodiv_witness, regular_order,
                           specialize_division, strictly_regular_check)
 from qal.errors import (CertificationError, ChainDegenerationError, DomainError,
-                        NonMonicDivisorError, ZeroPolynomialError)
-from qal.intervals import iv_exp
+                        NonMonicDivisorError, PrecisionFailure, ZeroPolynomialError)
+from qal.intervals import RI, iv_exp
 from qal.polynomials import MultiPoly, parse_polynomial
 from qal.rationals import factorial
-from qal.sequences import analytic, gevrey
+from qal.sequences import analytic, gevrey, loggevrey
 
 
 def P(text):
@@ -359,6 +359,58 @@ class TestNoDivWitness:
         for d in out.diagnostics:
             assert d.lo <= 1 <= d.hi
         assert "degenerates" in out.symbolic_note
+
+    @pytest.mark.parametrize("M", [gevrey(1), analytic()], ids=str)
+    def test_coefficients_contain_the_exact_partial_sums(self, M):
+        # oracle: c_j = sum_k Mbar_k (2 m_k)^(2j-k) / (2j)!, summed exactly;
+        # the sum through K is the lower end of the enclosure, and the sum
+        # 30 terms further lies below the true value, hence inside too
+        J, K = 5, 20
+        mbar = [factorial(k) * M.exact_value(k) for k in range(K + 32)]
+
+        def partial(j, top):
+            return sum((mbar[k] * (2 * mbar[k + 1] / mbar[k]) ** (2 * j - k)
+                        for k in range(top + 1)), Fraction(0)) / factorial(2 * j)
+
+        out = nodiv_witness(M, J, K)
+        for j, c in enumerate(out.c_values):
+            assert c.contains(partial(j, K)), j
+            assert c.contains(partial(j, K + 30)), j
+
+    def test_builds_theta_once(self, monkeypatch):
+        calls = []
+        build = division.build_theta
+
+        def recording(M, K, bits=None):
+            calls.append(bits)
+            return build(M, K, bits)
+
+        monkeypatch.setattr(division, "build_theta", recording)
+        nodiv_witness(loggevrey(1), 4, 16)
+        assert len(calls) == 1
+
+    def test_uncertified_coefficient_escalates_to_the_cap(self, monkeypatch):
+        monkeypatch.setenv("QAL_PRECISION_BITS", "2048")
+        calls = []
+        build = division.build_theta
+
+        def recording(M, K, bits=None):
+            calls.append(bits)
+            return build(M, K, bits)
+
+        monkeypatch.setattr(division, "build_theta", recording)
+        # an enclosure of c_j below M_{2j} never certifies
+        monkeypatch.setattr(division, "_magnitude_at_zero",
+                            lambda approx, j: RI(0, Fraction(1, 2)))
+        with pytest.raises(PrecisionFailure) as info:
+            nodiv_witness(gevrey(1), 2, 12)
+        assert calls == [2048, 4096]
+        assert info.value.code == "precision-failure"
+        assert "c_0" in str(info.value)
+
+    def test_needs_one_order(self):
+        with pytest.raises(DomainError):
+            nodiv_witness(gevrey(1), 0, 16)
 
 
 class TestFlatWitness:

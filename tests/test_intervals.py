@@ -140,6 +140,28 @@ class TestOutwardRounding:
         assert out.lo <= lo and hi <= out.hi
         _check_rounded(out, p)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.builds(Fraction, st.integers(-(1 << 300), 1 << 300), st.integers(1, 1 << 300)),
+           st.fractions(min_value=0, max_value=4), precisions)
+    def test_powers_equal_square_and_multiply_bit_for_bit(self, lo, width, bits):
+        # the square-and-multiply loop written with RI *, from RI(1) and
+        # squaring once more after the top bit
+        def by_products(x, n):
+            out, base = RI(1), x
+            while n:
+                if n & 1:
+                    out = out * base
+                base = base * base
+                n >>= 1
+            if out.lo < 0 and x.lo <= 0 <= x.hi:
+                out = RI(0, out.hi)
+            return out
+
+        x = RI(lo, lo + width)
+        for n in range(1, 41):
+            got, ref = at_precision(bits, lambda: (x ** n, by_products(x, n)))
+            assert (got.lo, got.hi) == (ref.lo, ref.hi), n
+
     @settings(max_examples=80, deadline=None)
     @given(intervals_(point=True), intervals_(point=True), st.integers(-3, 4),
            precisions)

@@ -1,9 +1,15 @@
+import collections
+import contextlib
 import itertools
+import time
 from fractions import Fraction
+from unittest import mock
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qal.errors import DomainError, QalSyntaxError
+from qal.errors import DomainError, QalSyntaxError, UndecidableAtCap
 from qal.intervals import RI
 from qal.sequences import (CarlemanSequence, analytic, check_log_convexity,
                            classify, custom, gevrey, loggevrey, parse_sequence,
@@ -256,3 +262,150 @@ class TestSerialization:
         assert data["sequence"] == {"family": "gevrey", "param": "1"}
         assert data["quasianalytic"]["value"] == FALSE
         assert set(data) >= set(r.FLAG_NAMES)
+
+
+# -- one certified value table per attempt -------------------------------------------
+
+def _reference_values(M, top):
+    """M_0..M_top for the pairwise reference: exact Fractions when M is
+    rational-valued, else 400-bit mpmath values (the built-ins tie only
+    where they are rational).  Compare them under mpmath.workprec(400)."""
+    exact = [M.exact_value(j) for j in range(top + 1)]
+    if all(v is not None for v in exact):
+        return exact
+    with mpmath.workprec(400):
+        return [mpmath.mpf(r.lo.numerator) / r.lo.denominator
+                for r in (M.interval_value(j, 400) for j in range(top + 1))]
+
+
+def reference_log_convexity(M, horizon):
+    """(passed, witness) of M_j^2 <= M_{j-1} M_{j+1}, one pair at a time."""
+    lim = M.horizon_limit()
+    top = horizon if lim is None else min(horizon, lim - 1)
+    v = _reference_values(M, max(top, 1))
+    with mpmath.workprec(400):
+        for j in range(1, top):
+            if v[j] ** 2 > v[j - 1] * v[j + 1]:
+                return False, (j,)
+    return True, None
+
+
+def reference_superadditivity(M, horizon):
+    """(passed, witness) of M_j M_k <= M_{j+k}, then of M_j^(j+1) <= M_{j+1}^j,
+    one pair at a time."""
+    lim = M.horizon_limit()
+    top = horizon if lim is None else min(horizon, lim)
+    v = _reference_values(M, top)
+    with mpmath.workprec(400):
+        for j in range(1, top + 1):
+            for k in range(j, top - j + 1):
+                if v[j] * v[k] > v[j + k]:
+                    return False, (j, k)
+        for j in range(1, top):
+            if v[j] ** (j + 1) > v[j + 1] ** j:
+                return False, (j,)
+    return True, None
+
+
+ratios = st.fractions(min_value=1, max_value=4, max_denominator=6)
+
+
+@st.composite
+def custom_sequences(draw):
+    """Terms from nondecreasing ratios (log-convex), sometimes broken by a
+    smaller ratio at a random index."""
+    rs = sorted(draw(st.lists(ratios, min_size=2, max_size=12)))
+    if draw(st.booleans()):
+        i = draw(st.integers(1, len(rs) - 1))
+        rs[i] = draw(st.fractions(min_value=1, max_value=rs[i - 1],
+                                  max_denominator=6))
+    terms = [Fraction(1)]
+    for r in rs:
+        terms.append(terms[-1] * r)
+    return custom(terms)
+
+
+class TestBatchedComparisons:
+    @settings(max_examples=60, deadline=None)
+    @given(custom_sequences(), st.integers(2, 14), st.booleans())
+    def test_custom_checks_match_the_pairwise_reference(self, M, horizon, intervals):
+        # with the power forms hidden, the same exact data go through the
+        # certified interval path instead of the exact comparison
+        hidden = (mock.patch.object(CarlemanSequence, "power_form", lambda self, j: None)
+                  if intervals else contextlib.nullcontext())
+        with hidden:
+            lc = check_log_convexity(M, horizon)
+            sa = verify_superadditivity(M, horizon)
+        assert (lc.passed, lc.witness) == reference_log_convexity(M, horizon)
+        assert (sa.passed, sa.witness) == reference_superadditivity(M, horizon)
+
+    @pytest.mark.parametrize("M", BUILTINS + [shift(loggevrey(1)), shift(gevrey(Fraction(1, 2))),
+                                              power(qgevrey(2), Fraction(3, 2))],
+                             ids=str)
+    def test_builtin_checks_match_the_pairwise_reference(self, M):
+        lc = check_log_convexity(M, 16)
+        sa = verify_superadditivity(M, 16)
+        assert (lc.passed, lc.witness) == reference_log_convexity(M, 16)
+        assert (sa.passed, sa.witness) == reference_superadditivity(M, 16)
+
+    def test_superadditivity_fetches_each_value_once_per_attempt(self, monkeypatch):
+        seen = collections.Counter()
+        interval_value = CarlemanSequence.interval_value
+
+        def recording(self, j, bits=None):
+            seen[bits] += 1
+            return interval_value(self, j, bits)
+
+        monkeypatch.setattr(CarlemanSequence, "interval_value", recording)
+        assert verify_superadditivity(loggevrey(1), 24).passed
+        assert seen and all(n <= 25 for n in seen.values()), seen
+
+    def test_undecided_comparison_is_named_at_the_cap(self, monkeypatch):
+        # M_1^2 against M_0 M_2 decides; an undecidable second comparison
+        # escalates the batch and the error names it
+        cmp = RI.cmp
+        calls = []
+
+        def undecided_after_first(self, other):
+            calls.append(1)
+            return cmp(self, other) if len(calls) % 2 else None
+
+        monkeypatch.setenv("QAL_PRECISION_BITS", "2048")
+        monkeypatch.setattr(RI, "cmp", undecided_after_first)
+        with pytest.raises(UndecidableAtCap) as info:
+            check_log_convexity(loggevrey(1), 4)
+        assert "log-convexity at j=2" in str(info.value)
+        assert info.value.code == "undecidable-at-cap"
+
+
+class TestDerivedClassification:
+    def test_shift_of_loggevrey_is_fast(self):
+        start = time.perf_counter()
+        classify(shift(loggevrey(1)))
+        assert time.perf_counter() - start < 0.5
+
+    def test_shift_of_loggevrey_diagnostics_are_unchanged(self):
+        # frozen from the float diagnostics before they moved to logarithms
+        r = classify(shift(loggevrey(1)))
+        frozen = {"analytic_class": 3.689355057237737,
+                  "derivation_stable": 2.2025159826630527,
+                  "strongly_non_quasianalytic": 2.830557159198185,
+                  "moderate_growth": 1.179234533858192}
+        for name, value in frozen.items():
+            assert r.flag(name).certificate["value"] == pytest.approx(value, rel=1e-12)
+        sums = [(1, 0.7726185167964043), (3, 0.9991879609264208),
+                (7, 1.2056117727416333), (15, 1.3866293447894797),
+                (31, 1.5443672942232725)]
+        got = r.quasianalytic.certificate["partial_sums"]
+        assert [j for j, _ in got] == [j for j, _ in sums]
+        for (_, a), (_, b) in zip(got, sums):
+            assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("M", [shift(qgevrey(2)), power(qgevrey(2), Fraction(3, 2))],
+                             ids=["shift", "power"])
+    def test_huge_values_give_inconclusive_reports(self, M):
+        # M_32 is about 2^1088 (shift) and 2^1536 (power): past any float
+        r = classify(M)
+        for name in r.FLAG_NAMES[1:]:
+            assert r.flag(name).value == INCONCLUSIVE, name
+        assert r.analytic_class.certificate["value"] > 1
