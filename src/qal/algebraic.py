@@ -398,48 +398,6 @@ def im_excludes_zero(a: FieldElement) -> bool | None:
     return None
 
 
-# -- AlgebraicNumber: the certified public view ----------------------------------
-
-
-@dataclass
-class AlgebraicNumber:
-    """A field element together with its identified minimal polynomial and
-    an isolating rectangle (rational corners) certified by exact root
-    counting to contain exactly this one root."""
-
-    element: FieldElement
-    minpoly: list[Fraction]
-    root_index: int
-    rectangle: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    @staticmethod
-    def identify(a: FieldElement) -> "AlgebraicNumber":
-        h, idx = identify_root(a)
-        if udeg(h) == 1:
-            v = -h[0]
-            return AlgebraicNumber(a, h, 0, (v, v, Fraction(0), Fraction(0)))
-        root = CRootOf(_to_sympy_poly(h, _T).as_expr(), idx)
-        iv = root._get_interval()
-        if root.is_real:
-            rect = (_mpq_to_fraction(iv.a), _mpq_to_fraction(iv.b),
-                    Fraction(0), Fraction(0))
-        else:
-            rect = (_mpq_to_fraction(iv.ax), _mpq_to_fraction(iv.bx),
-                    _mpq_to_fraction(iv.ay), _mpq_to_fraction(iv.by))
-        return AlgebraicNumber(a, h, idx, rect)
-
-    def is_real(self) -> bool:
-        return self.rectangle[2] == self.rectangle[3] == 0 or \
-            bool(CRootOf(_to_sympy_poly(self.minpoly, _T).as_expr(),
-                         self.root_index).is_real)
-
-    def to_json(self):
-        from .rationals import format_fraction
-        return {"minpoly": [format_fraction(c) for c in self.minpoly],
-                "root_index": self.root_index,
-                "rectangle": [format_fraction(c) for c in self.rectangle]}
-
-
 # -- factorization over a field ---------------------------------------------------
 
 

@@ -1,5 +1,4 @@
-"""Polynomial arithmetic: sparse multivariate, dense univariate, and
-univariate rational functions.
+"""Polynomial arithmetic: sparse multivariate and dense univariate.
 
 Multivariate polynomials carry exact rational (or Gaussian rational)
 coefficients in a sparse exponent-vector map with a canonical variable
@@ -432,13 +431,6 @@ def uderiv(p: list) -> list:
     return utrim([c * (i + 1) for i, c in enumerate(p[1:])])
 
 
-def ueval(p: list, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def umonic(p: list) -> list:
     if not p:
         return p
@@ -453,128 +445,3 @@ def ugcd(p: list, q: list) -> list:
         a, b = b, udivmod(a, b)[1]
     return umonic(a)
 
-
-# -- univariate rational functions over Q ----------------------------------------
-
-class RatFunc:
-    """Rational function num/den with Fraction-coefficient polynomials,
-    normalized to coprime parts with a monic denominator.  Serves as the
-    coefficient field Q(x) of the squarefree split in puiseux."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = [Fraction(num)] if num else []
-        num = utrim([Fraction(c) for c in num])
-        if den is None:
-            den = [Fraction(1)]
-        elif isinstance(den, (int, Fraction)):
-            den = [Fraction(den)]
-        den = utrim([Fraction(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num:
-            g = ugcd(num, den)
-            if udeg(g) > 0:
-                num = udivmod(num, g)[0]
-                den = udivmod(den, g)[0]
-        lead = den[-1]
-        self.num = [c / lead for c in num]
-        self.den = [c / lead for c in den]
-
-    @staticmethod
-    def x() -> "RatFunc":
-        return RatFunc([Fraction(0), Fraction(1)])
-
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, RatFunc):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return RatFunc(v)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RatFunc(uadd(umul(self.num, o.den), umul(o.num, self.den)),
-                       umul(self.den, o.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(uneg(self.num), self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RatFunc(umul(self.num, o.num), umul(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if not o.num:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(umul(self.num, o.den), umul(self.den, o.num))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((tuple(self.num), tuple(self.den)))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def order_at_zero(self) -> int:
-        """Order of vanishing at x = 0 (negative for a pole)."""
-        if not self.num:
-            raise ZeroPolynomialError("order of the zero function")
-        on = next(i for i, c in enumerate(self.num) if c)
-        od = next(i for i, c in enumerate(self.den) if c)
-        return on - od
-
-    def sign_near_zero(self, side: str) -> int:
-        """Sign on (0, eps) for side='plus' or on (-eps, 0) for side='minus';
-        determined exactly by the lowest-order coefficients."""
-        if not self.num:
-            return 0
-        on = next(i for i, c in enumerate(self.num) if c)
-        od = next(i for i, c in enumerate(self.den) if c)
-        sign = (1 if self.num[on] > 0 else -1) * (1 if self.den[od] > 0 else -1)
-        if side == "minus" and (on + od) % 2 == 1:
-            sign = -sign
-        return sign
-
-    def eval(self, x: Fraction) -> Fraction:
-        d = ueval(self.den, x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return ueval(self.num, x) / d
-
-    def __repr__(self):
-        return f"RatFunc({self.num}, {self.den})"

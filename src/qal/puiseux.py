@@ -1,99 +1,49 @@
-"""Newton polygon, Puiseux expansion of plane-curve germs, and the order
-invariants of their complex branches.
+"""Puiseux expansion of plane-curve germs and the order invariants of
+their complex branches.
 
 A germ phi(x, y) with phi(0,0) = 0 is first sheared by x -> x + c*y until
 the pure y^d coefficient (d = multiplicity at 0) is nonzero, which makes
 the zero set non-tangent to the y-axis and guarantees every branch through
-the origin has order >= 1.  The classical polygon iteration then produces
-the branches
+the origin has order >= 1.  The sheared germ is split into squarefree
+parts by sympy's ``sqf_list`` over Q[x, y]; the classical Newton polygon
+iteration then produces the branches of each part
 
     y(x) = sum  c_q x^(q/m),   coefficients in a number-field tower,
 
 one representative per rational conjugacy class; the class size is the
-field degree, and multiplicities come from the squarefree decomposition
-performed beforehand.  All coefficient arithmetic is exact; substitution
-back into phi certifies each truncated branch to the requested order.
+field degree, and the multiplicity is that of the squarefree part.  All
+coefficient arithmetic is exact; substitution back into phi certifies
+each truncated branch to the requested order.
 
 The imaginary-part orders d_j are computed per complex embedding of the
 branch field (realness is decided exactly, never from decimals): the
 two-sided maximum of d_j / m over the branches of phi and of phi(-x, y)
 is the closedness exponent reported by :func:`d_exponent`, and for an
-isolated real zero it coincides with the separation exponent estimated by
-:func:`tau_estimate`.
+isolated real zero it is also the separation exponent, reported as
+``ExponentReport.tau_exact``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+import sympy
 
-from .algebraic import (QQ, AlgebraicNumber, FieldElement, NumberField,
-                        extend_field, factor_over_field, im_excludes_zero,
-                        is_real_certified)
-from .errors import (DegenerateRegression, DomainError, ExhaustedTrials,
-                     TruncationInsufficient, ZeroPolynomialError)
-from .polynomials import MultiPoly, RatFunc, parse_polynomial, udeg, uderiv, \
-    udivmod, ugcd, umonic, utrim
+from .algebraic import (QQ, FieldElement, NumberField, extend_field,
+                        factor_over_field, im_excludes_zero)
+from .errors import (DomainError, ExhaustedTrials, TruncationInsufficient,
+                     ZeroPolynomialError)
+from .polynomials import MultiPoly, udeg, utrim
 from .rationals import format_fraction
 
 Term = tuple[Fraction, int]   # (x exponent, y power)
 
-
-# -- truncated series and their order ---------------------------------------------
-
-@dataclass
-class TruncSeries:
-    """Series known through x-order `truncation` (exclusive beyond)."""
-
-    coeffs: dict[Fraction, object]
-    truncation: Fraction
-
-    @staticmethod
-    def from_dense(values, truncation=None) -> "TruncSeries":
-        coeffs = {Fraction(i): v for i, v in enumerate(values) if v}
-        t = truncation if truncation is not None else Fraction(max(len(values) - 1, 0))
-        return TruncSeries(coeffs, Fraction(t))
-
-
-@dataclass
-class SeriesOrder:
-    finite: bool
-    value: Fraction            # the order, or the truncation bound
-
-    def __repr__(self):
-        if self.finite:
-            return f"SeriesOrder({self.value})"
-        return f"SeriesOrder(at least {self.value}, all computed terms vanish)"
-
-
-def series_order(v: TruncSeries) -> SeriesOrder:
-    """Smallest exponent with a nonzero coefficient; when every computed
-    coefficient vanishes the answer is only 'at least the truncation',
-    reported explicitly rather than as a silent infinity."""
-    present = sorted(e for e, c in v.coeffs.items() if c)
-    if present:
-        return SeriesOrder(True, present[0])
-    return SeriesOrder(False, v.truncation)
+_X, _Y = sympy.symbols("x y")
 
 
 # -- Newton polygon -----------------------------------------------------------------
-
-@dataclass
-class PolygonSegment:
-    slope: Fraction            # branch order carried by this segment
-    face: MultiPoly            # face polynomial in the variable 'c'
-    points: list[tuple[Fraction, int]]
-
-
-@dataclass
-class NewtonPolygonResult:
-    segments: list[PolygonSegment]
-    x_removed: int
-    y_removed: int
-
 
 def _support_hull(points: dict[int, Fraction]) -> list[tuple[int, Fraction]]:
     """Lower convex hull of (y-power, min x-exponent) pairs, as vertices
@@ -110,44 +60,6 @@ def _support_hull(points: dict[int, Fraction]) -> list[tuple[int, Fraction]]:
                 break
         hull.append((b, a))
     return hull
-
-
-def newton_polygon(phi: MultiPoly) -> NewtonPolygonResult:
-    """Segments of the lower Newton polygon of phi(x, y) that carry
-    branches through the origin (positive slope), with their supporting
-    face polynomials in the variable c."""
-    if phi.is_zero():
-        raise ZeroPolynomialError("Newton polygon of the zero polynomial")
-    if phi.constant_term() != 0:
-        raise DomainError("the germ must vanish at the origin")
-    vars_all = tuple(sorted(set(phi.vars) | {"x", "y"}))
-    phi = phi.with_vars(vars_all)
-    ix, iy = vars_all.index("x"), vars_all.index("y")
-
-    x_removed = min(e[ix] for e in phi.coeffs)
-    y_removed = min(e[iy] for e in phi.coeffs)
-    support: dict[int, Fraction] = {}
-    for exps, c in phi.coeffs.items():
-        b = exps[iy] - y_removed
-        a = Fraction(exps[ix] - x_removed)
-        if b not in support or a < support[b]:
-            support[b] = a
-    hull = _support_hull(support)
-    segments = []
-    for (b1, a1), (b2, a2) in zip(hull, hull[1:]):
-        if a1 <= a2:
-            continue  # nonpositive slope: roots not tending to 0
-        mu = Fraction(a1 - a2, b2 - b1)
-        pts = []
-        face: dict[tuple[int], object] = {}
-        for exps, c in phi.coeffs.items():
-            b = exps[iy] - y_removed
-            a = Fraction(exps[ix] - x_removed)
-            if b1 <= b <= b2 and a == a1 - mu * (b - b1):
-                pts.append((a, b))
-                face[(b - b1,)] = face.get((b - b1,), 0) + c
-        segments.append(PolygonSegment(mu, MultiPoly(("c",), face), pts))
-    return NewtonPolygonResult(segments, x_removed, y_removed)
 
 
 # -- Puiseux expansion ---------------------------------------------------------------
@@ -170,12 +82,6 @@ class PuiseuxBranch:
 
     def exponents(self) -> list[Fraction]:
         return [e for e, _ in self.terms]
-
-    def lowest_order(self) -> Fraction | None:
-        return self.terms[0][0] if self.terms else None
-
-    def algebraic_coefficients(self) -> list[tuple[Fraction, AlgebraicNumber]]:
-        return [(e, AlgebraicNumber.identify(c)) for e, c in self.terms]
 
     def to_json(self):
         return {
@@ -206,9 +112,6 @@ class _Work:
 
     def ydegree(self) -> int:
         return max((b for _, b in self.terms), default=-1)
-
-    def y_content(self) -> int:
-        return min((b for _, b in self.terms), default=0)
 
     def row_zero_empty(self) -> bool:
         return all(b > 0 for _, b in self.terms)
@@ -346,70 +249,33 @@ def shear_to_generic(phi: MultiPoly) -> tuple[MultiPoly, int]:
 
 
 def _squarefree_parts_in_y(phi: MultiPoly) -> list[tuple[MultiPoly, int]]:
-    """Squarefree decomposition as a polynomial in y over Q(x), with the
-    parts cleared back to polynomials (denominator and x-content removed;
-    both are units or powers of x, neither changes branches)."""
-    dense: list[RatFunc] = []
-    for p in range(phi.degree("y") + 1):
-        coeff = phi.coefficient("y", p)
-        if coeff.is_zero():
-            dense.append(RatFunc(0))
-            continue
-        xdeg = coeff.degree("x") if "x" in coeff.vars else 0
-        dense.append(RatFunc([coeff.coefficient("x", e).constant_term()
-                              if "x" in coeff.vars else coeff.constant_term()
-                              for e in range(xdeg + 1)]))
-    dense = utrim(dense)
-    out = []
-    f = dense
-    g = ugcd(f, uderiv(f))
-    w = udivmod(f, g)[0]
-    mult = 1
-    while udeg(w) > 0:
-        yk = ugcd(w, g)
-        part = udivmod(w, yk)[0]
-        if udeg(part) > 0:
-            out.append((_ratfunc_poly_to_multipoly(part), mult))
-        w = yk
-        g = udivmod(g, yk)[0]
-        mult += 1
-    return out
-
-
-def _ratfunc_poly_to_multipoly(poly: list[RatFunc]) -> MultiPoly:
-    poly = [c if isinstance(c, RatFunc) else RatFunc(c) for c in poly]
-    den = [Fraction(1)]
-    from .polynomials import umul
-    for c in poly:
-        den = umul(den, c.den)
-    terms: dict[tuple[int, int], Fraction] = {}
-    for p, c in enumerate(poly):
-        if c.is_zero():
-            continue
-        num = umul(c.num, udivmod(den, c.den)[0])
-        for e, q in enumerate(num):
-            if q:
-                terms[(e, p)] = terms.get((e, p), 0) + q
-    out = MultiPoly(("x", "y"), terms)
-    if out.is_zero():
-        return out
-    shift = min(e[0] for e in out.coeffs)
-    if shift:
-        out = MultiPoly(("x", "y"),
-                        {(a - shift, b): c for (a, b), c in out.coeffs.items()})
-    return out
+    """Squarefree parts of phi (variables ("x", "y")) in Q[x, y] with their
+    multiplicities.  Parts without y are dropped: after the shear such a
+    factor g(x) divides the y^d coefficient, whose constant term is
+    nonzero, so g(0) != 0 and g is a unit at the origin that carries no
+    branch."""
+    poly = sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator)
+         for e, c in phi.coeffs.items()},
+        _X, _Y, domain="QQ")
+    return [(MultiPoly(("x", "y"), {e: Fraction(int(c.p), int(c.q))
+                                    for e, c in part.terms()}), mult)
+            for part, mult in poly.sqf_list()[1] if part.degree(_Y) > 0]
 
 
 def puiseux_expand(phi: MultiPoly, T) -> PuiseuxExpansion:
-    """Branches of the germ of phi at the origin, truncated at x-order T.
+    """Branches of the germ of phi at the origin, truncated at x-order
+    T > 0.
 
-    The polynomial is sheared to genericity, squarefree-decomposed in y
-    over Q(x), and each part expanded by the polygon iteration with exact
+    The polynomial is sheared to genericity, split into squarefree parts
+    over Q[x, y], and each part expanded by the polygon iteration with exact
     number-field coefficients.  Every branch is certified by substituting
     it back into the expanded polynomial: the result must vanish to
     x-order > T (identically for exact branches).
     """
     T = Fraction(T)
+    if T <= 0:
+        raise DomainError(f"truncation order must be positive, got {T}")
     if phi.is_zero():
         raise ZeroPolynomialError("cannot expand the zero polynomial")
     if phi.constant_term() != 0:
@@ -520,7 +386,7 @@ class BranchImOrder:
     detail: str = ""
 
 
-def branch_im_order(branch: PuiseuxBranch, T=None) -> BranchImOrder:
+def branch_im_order(branch: PuiseuxBranch) -> BranchImOrder:
     """Largest imaginary-part order over the conjugacy class of the branch.
 
     The class consists of one series per embedding of the branch field.
@@ -533,7 +399,6 @@ def branch_im_order(branch: PuiseuxBranch, T=None) -> BranchImOrder:
     computed coefficients real stays undetermined at this truncation and
     the caller must raise T.
     """
-    T = Fraction(T) if T is not None else branch.truncation
     fld = branch.field
     minpoly = list(fld.minpoly)
     degree = fld.degree
@@ -595,8 +460,6 @@ class ExponentReport:
     shear: int
     isolated_real_zero: bool
     tau_exact: Fraction | None
-    tau_estimate: float | None = None
-    tau_stderr: float | None = None
 
     def to_json(self):
         out = {"d": format_fraction(self.d_value),
@@ -610,9 +473,6 @@ class ExponentReport:
         if self.tau_exact is not None:
             out["tau"] = {"status": "exact-equal-d",
                           "value": format_fraction(self.tau_exact)}
-        elif self.tau_estimate is not None:
-            out["tau"] = {"status": "estimated", "value": self.tau_estimate,
-                          "stderr": self.tau_stderr}
         else:
             out["tau"] = {"status": "unknown"}
         return out
@@ -658,86 +518,3 @@ def d_exponent(phi: MultiPoly, T=8) -> ExponentReport:
         d_value=d_val, branch_orders=orders, mirror_branch_orders=orders_m,
         m=expansion.m, mirror_m=mirror.m, shear=expansion.shear,
         isolated_real_zero=isolated, tau_exact=tau_exact)
-
-
-# -- separation-exponent estimator ---------------------------------------------------
-
-@dataclass
-class TauEstimate:
-    slope: float
-    stderr: float
-    shell_minima: list[tuple[float, float]]   # (radius, min proxy distance)
-    exact: Fraction | None
-    report: ExponentReport | None
-
-    def to_json(self):
-        out = {"slope": self.slope, "stderr": self.stderr,
-               "shells": self.shell_minima}
-        if self.exact is not None:
-            out["exact"] = format_fraction(self.exact)
-        return out
-
-
-def tau_estimate(phi: MultiPoly, shells: list[Fraction], samples: int = 16,
-                 T=8) -> TauEstimate:
-    """Regression estimate of the separation exponent between the complex
-    zero set and the real plane, for a germ with an isolated real zero.
-
-    On each shell |p| = r the proxy distance at a real sample point p is
-    the minimum coordinate distance from p to a root of either fiber
-    polynomial phi(p_x, .) or phi(., p_y); a root of a fiber lies on the
-    complex zero set, so the proxy is an upper bound for the true distance
-    up to the coordinate projection factor.  The separation exponent is a
-    worst-direction quantity, so the per-shell minimum over the samples is
-    what the log-log regression fits.  When the exact branch analysis
-    certifies the isolated zero, the exact exponent d(phi) is reported
-    alongside (the two must agree for isolated real zeros).
-    """
-    if len(shells) < 2 or samples < 4:
-        raise DegenerateRegression("need at least 2 shells and 4 samples")
-    phi = phi.with_vars(("x", "y"))
-    report = None
-    exact = None
-    try:
-        report = d_exponent(phi, T)
-        if report.isolated_real_zero:
-            exact = report.d_value
-    except TruncationInsufficient:
-        pass
-
-    ydeg = phi.degree("y")
-    xdeg = phi.degree("x")
-    logs_r, logs_d = [], []
-    shell_minima = []
-    for r in shells:
-        r = float(r)
-        best = None
-        for s in range(samples):
-            angle = 2 * math.pi * s / samples
-            px, py = r * math.cos(angle), r * math.sin(angle)
-            cand = []
-            ycoeffs = [float(phi.coefficient("y", p).eval({"x": Fraction(px).limit_denominator(10**12)}))
-                       for p in range(ydeg + 1)]
-            cand.extend(abs(py - z) for z in np.roots(list(reversed(ycoeffs)))
-                        if not math.isnan(abs(z)))
-            xcoeffs = [float(phi.coefficient("x", p).eval({"y": Fraction(py).limit_denominator(10**12)}))
-                       for p in range(xdeg + 1)]
-            cand.extend(abs(px - z) for z in np.roots(list(reversed(xcoeffs)))
-                        if not math.isnan(abs(z)))
-            if not cand:
-                continue
-            proxy = min(cand)
-            if proxy > 0 and (best is None or proxy < best):
-                best = proxy
-        if best is None:
-            raise DegenerateRegression(f"no usable samples on shell {r}")
-        shell_minima.append((r, best))
-        logs_r.append(math.log(r))
-        logs_d.append(math.log(best))
-    coeffs, residuals, *_ = np.polyfit(logs_r, logs_d, 1, full=True)
-    slope = float(coeffs[0])
-    n = len(logs_r)
-    resid = float(residuals[0]) if len(residuals) else 0.0
-    var_x = sum((lx - sum(logs_r) / n) ** 2 for lx in logs_r)
-    stderr = math.sqrt(resid / max(n - 2, 1) / var_x) if var_x else float("inf")
-    return TauEstimate(slope, stderr, shell_minima, exact, report)

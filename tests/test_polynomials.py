@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qal.errors import QalSyntaxError
-from qal.polynomials import (MultiPoly, RatFunc, parse_polynomial, udivmod,
-                             ugcd, umul, uadd)
+from qal.polynomials import (MultiPoly, parse_polynomial, udivmod, ugcd,
+                             umul, uadd)
 from qal.rationals import GaussianRational
 
 
@@ -104,31 +104,3 @@ class TestUnivariateHelpers:
         b = umul([Fraction(-1), Fraction(1)], [Fraction(-3), Fraction(1)])
         assert ugcd(a, b) == [Fraction(-1), Fraction(1)]
 
-
-class TestRatFunc:
-    def test_normalization(self):
-        # (x^2 - 1)/(x - 1) reduces to x + 1
-        f = RatFunc([Fraction(-1), Fraction(0), Fraction(1)],
-                    [Fraction(-1), Fraction(1)])
-        assert f.num == [Fraction(1), Fraction(1)]
-        assert f.den == [Fraction(1)]
-
-    def test_field_operations(self):
-        x = RatFunc.x()
-        f = 1 / (x + 1) + 1 / (x - 1)
-        # = 2x / (x^2 - 1)
-        assert f == RatFunc([Fraction(0), Fraction(2)],
-                            [Fraction(-1), Fraction(0), Fraction(1)])
-
-    def test_sign_near_zero(self):
-        x = RatFunc.x()
-        assert x.sign_near_zero("plus") == 1
-        assert x.sign_near_zero("minus") == -1
-        assert (x * x).sign_near_zero("minus") == 1
-        assert (-(x * x * x) / (1 + x)).sign_near_zero("minus") == 1
-        assert RatFunc(5).sign_near_zero("minus") == 1
-
-    def test_order_at_zero(self):
-        x = RatFunc.x()
-        assert (x * x / (1 + x)).order_at_zero() == 2
-        assert (1 / x).order_at_zero() == -1
