@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import (CertificationError, DomainError, SelectionFailure,
                      UndecidableAtCap, UnsupportedSequenceError)
-from .intervals import RI, PRECISION_CAP
+from .intervals import PRECISION_CAP
 from .rationals import factorial, format_fraction
 from .sequences import CarlemanSequence
 
@@ -351,25 +351,42 @@ class SobolevRecord:
     right_ok: bool             # ||u^(j)||_inf <= sqrt 2 (||u^(j)||_2 + ||u^(j+1)||_2)
 
 
-def _l2_sq(u: Vec) -> Fraction:
-    # integral over (-1,1) of u^2, exact
-    sq = [Fraction(0)] * (2 * len(u) - 1) if u else []
-    for i, ci in enumerate(u):
-        for j, cj in enumerate(u):
-            sq[i + j] += ci * cj
-    total = Fraction(0)
-    for p, c in enumerate(sq):
-        if p % 2 == 0:
-            total += c * Fraction(2, p + 1)
-    return total
+def _sq_integral_numerator(U: list[int], q: int) -> int:
+    """q times the integral over (-1, 1) of U^2, for an integer polynomial
+    U and an odd q divisible by every odd number up to 2 deg U + 1.
+
+    Only the even powers of U^2 contribute, x^p integrating to 2/(p + 1).
+    """
+    total = 0
+    for a, ca in enumerate(U):
+        if ca:
+            for b in range(a % 2, len(U), 2):
+                total += ca * U[b] * (q // (a + b + 1))
+    return 2 * total
 
 
-def _box_eval(u: Vec, lo: Fraction, hi: Fraction) -> RI:
-    box = RI(lo, hi)
-    acc = RI.point(0)
-    for c in reversed(u):
-        acc = acc * box + RI.point(c)
-    return acc
+def _box_sup_numerator(U: list[int], pieces: int) -> int:
+    """N^m times the largest |.| of the interval Horner enclosures of the
+    integer polynomial U (degree m) on the N = pieces boxes
+    [(2i - N)/N, (2i + 2 - N)/N] of (-1, 1), in integers.
+
+    Through Horner the box enclosure after k steps is [lo, hi] / N^k: each
+    step takes the extremes of the four endpoint products, which is exact
+    interval multiplication, and adds the next coefficient over N^(k+1).
+    """
+    N = pieces
+    top = U[-1]
+    scaled = [c * N**(k + 1) for k, c in enumerate(reversed(U[:-1]))]
+    best = 0
+    for a in range(-N, N, 2):
+        b = a + 2
+        lo = hi = top
+        for c in scaled:
+            ps = (lo * a, lo * b, hi * a, hi * b)
+            lo = min(ps) + c
+            hi = max(ps) + c
+        best = max(best, -lo, hi)
+    return best
 
 
 def _sqrt_lower(x: Fraction, bits: int) -> Fraction:
@@ -398,25 +415,32 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
     above by interval evaluation on a refined subdivision and from below
     by exact point evaluation on dyadic grids; both inequalities are
     checked in squared form so that sqrt 2 never needs to be approximated
-    on its own.  Both bounds are computed for U = L u^(j), where L is the
-    positive lcm of the denominators of u^(j), and divided by L once at
-    the end: exact arithmetic scales by L exactly, so the certificate and
-    the returned Fractions are those of the unscaled computation.
+    on its own.  All of this work is done in integers on U = L u^(j),
+    where L is the positive lcm of the denominators of u^(j): the L2
+    integrals of U and U' over one common odd denominator, the grid
+    values and the interval Horner boxes as integer numerators over
+    powers of the grid size.  Each bound is divided by L (the squares by
+    L^2) once at the end, so the certificate and the returned Fractions
+    are exactly those of the same computation on u^(j) in Fractions.
+    Raises DomainError for a negative order j.
     """
-    u = [Fraction(c) for c in u]
-    du = poly_derivative(u, j)
-    du_next = poly_derivative(u, j + 1)
-    A = _l2_sq(du)       # ||u^(j)||_2^2
-    B = _l2_sq(du_next)  # ||u^(j+1)||_2^2
-
+    if j < 0:
+        raise DomainError(f"derivative order must be >= 0, got {j}")
+    du = poly_derivative([Fraction(c) for c in u], j)
     if not any(du):
         zero = Fraction(0)
-        return SobolevRecord(j, A, B, zero, zero, True, True)
+        return SobolevRecord(j, zero, zero, zero, zero, True, True)
 
     L = math.lcm(*(c.denominator for c in du))
     U = [c.numerator * (L // c.denominator) for c in du]
     L2 = L * L
     m = len(U) - 1
+
+    # ||u^(j)||_2^2 and ||u^(j+1)||_2^2 over the common denominator q L^2
+    q = math.lcm(*range(1, 2 * m + 2, 2))
+    dU = [k * c for k, c in enumerate(U)][1:]  # L u^(j+1)
+    A = Fraction(_sq_integral_numerator(U, q), q * L2)
+    B = Fraction(_sq_integral_numerator(dU, q), q * L2)
 
     # lower bound: exact evaluation on dyadic grids until the witness
     # certifies  sup^2 >= A/2; depth d > 0 adds only the odd numerators,
@@ -442,14 +466,8 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
     bits = 64
     pieces = 8
     right_ok = False
-    sup_upper = Fraction(0)
     while True:
-        sup_upper = Fraction(0)
-        for i in range(pieces):
-            lo = Fraction(-1) + Fraction(2 * i, pieces)
-            hi = Fraction(-1) + Fraction(2 * (i + 1), pieces)
-            box = _box_eval(U, lo, hi).abs()
-            sup_upper = max(sup_upper, box.hi)
+        sup_upper = Fraction(_box_sup_numerator(U, pieces), pieces**m)
         # sup <= sqrt2 (sqrt A + sqrt B)  <=>  sup^2 <= 2 (A + B + 2 sqrt(AB))
         rhs_lower = 2 * (A + B + 2 * _sqrt_lower(A * B, bits))
         if sup_upper**2 <= rhs_lower * L2:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from qal import hilbert
 from qal.errors import (CertificationError, DomainError, SelectionFailure,
                         UndecidableAtCap, UnsupportedSequenceError)
-from qal.hilbert import (build_model, divergence_demo, lacunary_select,
-                         ldl_decompose, minimal_interpolant, omega_table,
-                         poly_derivative, poly_eval, representer, sobolev_check)
-from qal.intervals import PRECISION_CAP
+from qal.hilbert import (SobolevRecord, build_model, divergence_demo,
+                         lacunary_select, ldl_decompose, minimal_interpolant,
+                         omega_table, poly_derivative, poly_eval, representer,
+                         sobolev_check)
+from qal.intervals import PRECISION_CAP, RI
 from qal.polynomials import umul
 from qal.rationals import factorial
 from qal.sequences import analytic, gevrey, loggevrey, qgevrey
@@ -361,15 +363,44 @@ class TestSobolev:
         assert poly_derivative([Fraction(1), Fraction(2), Fraction(3)], 1) == \
             [Fraction(2), Fraction(6)]
 
+    @pytest.mark.parametrize("j", [-1, -3])
+    def test_negative_order_is_a_domain_error(self, j):
+        # poly_derivative(u, -1) is u itself, which would certify ||u|| twice
+        with pytest.raises(DomainError):
+            sobolev_check([1, 2], j)
 
-def _unscaled_sobolev_sups(u, j):
-    """The sup-norm loops of sobolev_check run directly on u^(j), with a
-    full dyadic grid at every depth: the reference for the scaled loops."""
+
+def _l2_sq(u):
+    # integral over (-1,1) of u^2, exact
+    sq = [Fraction(0)] * (2 * len(u) - 1) if u else []
+    for i, ci in enumerate(u):
+        for j, cj in enumerate(u):
+            sq[i + j] += ci * cj
+    total = Fraction(0)
+    for p, c in enumerate(sq):
+        if p % 2 == 0:
+            total += c * Fraction(2, p + 1)
+    return total
+
+
+def _box_eval(u, lo, hi):
+    box = RI(lo, hi)
+    acc = RI.point(0)
+    for c in reversed(u):
+        acc = acc * box + RI.point(c)
+    return acc
+
+
+def _unscaled_sobolev(u, j):
+    """sobolev_check computed directly on u^(j) in Fractions: the L2 norms
+    by Fraction convolution, the sup-norm upper bound by Fraction-endpoint
+    interval Horner on every piece, and the lower bound on a full dyadic
+    grid at every depth.  The reference for the integer computation."""
     du = poly_derivative([Fraction(c) for c in u], j)
-    A = hilbert._l2_sq(du)
-    B = hilbert._l2_sq(poly_derivative([Fraction(c) for c in u], j + 1))
+    A = _l2_sq(du)
+    B = _l2_sq(poly_derivative([Fraction(c) for c in u], j + 1))
     if not any(du):
-        return Fraction(0), Fraction(0), True, True
+        return SobolevRecord(j, A, B, Fraction(0), Fraction(0), True, True)
     target = A / 2
     sup_lower = Fraction(0)
     depth = 0
@@ -390,7 +421,7 @@ def _unscaled_sobolev_sups(u, j):
         for i in range(pieces):
             lo = Fraction(-1) + Fraction(2 * i, pieces)
             hi = Fraction(-1) + Fraction(2 * (i + 1), pieces)
-            sup_upper = max(sup_upper, hilbert._box_eval(du, lo, hi).abs().hi)
+            sup_upper = max(sup_upper, _box_eval(du, lo, hi).abs().hi)
         rhs_lower = 2 * (A + B + 2 * hilbert._sqrt_lower(A * B, bits))
         if sup_upper**2 <= rhs_lower:
             right_ok = True
@@ -399,7 +430,7 @@ def _unscaled_sobolev_sups(u, j):
             break
         pieces *= 2
         bits *= 2
-    return sup_lower, sup_upper, left_ok, right_ok
+    return SobolevRecord(j, A, B, sup_lower, sup_upper, left_ok, right_ok)
 
 
 _big_rationals = st.builds(
@@ -421,10 +452,35 @@ class TestSobolevScaledExact:
            st.sampled_from(_GRID_ZEROS), st.sampled_from([0, 1, 2]))
     def test_common_denominator_gives_the_unscaled_fractions(self, p, zeros, j):
         u = umul(p, zeros)
-        ref = _unscaled_sobolev_sups(u, j)
-        if not (ref[2] and ref[3]):
+        ref = _unscaled_sobolev(u, j)
+        if not (ref.left_ok and ref.right_ok):
             with pytest.raises(UndecidableAtCap):
                 sobolev_check(u, j)
             return
         rec = sobolev_check(u, j)
-        assert (rec.sup_lower, rec.sup_upper, rec.left_ok, rec.right_ok) == ref
+        assert rec == ref  # every field, l2_sq and l2_next_sq included
+
+
+# the interpolation data of the exact-rational benchmark workload
+INTERP_DATA = (Fraction(1, 2), Fraction(-3, 5), Fraction(7, 9), Fraction(4, 3),
+               Fraction(-2, 7))
+_WORKLOAD_SEQUENCES = {"analytic": analytic, "gevrey(1)": lambda: gevrey(1),
+                       "gevrey(2)": lambda: gevrey(2), "qgevrey(2)": lambda: qgevrey(2),
+                       "qgevrey(3/2)": lambda: qgevrey(Fraction(3, 2))}
+
+
+@functools.cache
+def _workload_interpolant(name, sign):
+    # degree 12, with 142- to 1,150-bit denominators: past the Hypothesis sizes
+    model = build_model(_WORKLOAD_SEQUENCES[name](), 12)
+    return tuple(minimal_interpolant(model, [sign * b for b in INTERP_DATA]).coeffs)
+
+
+class TestSobolevWorkloadInterpolants:
+    @pytest.mark.parametrize("j", [0, 2])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("name", list(_WORKLOAD_SEQUENCES))
+    def test_every_field_equals_the_fraction_reference(self, name, sign, j):
+        u = _workload_interpolant(name, sign)
+        assert len(u) == 13
+        assert sobolev_check(u, j) == _unscaled_sobolev(u, j)
