@@ -8,12 +8,24 @@ is exact Fraction arithmetic mod m.  Enclosing boxes for embedded values
 come from plain interval Horner evaluation over the rectangle, so they
 are exact outward enclosures with no rounding step anywhere.
 
-Factorization over an extension uses Trager's norm method: shift by an
-integer multiple of the generator until the norm (a resultant, computed
-over Q) is squarefree, factor the norm over Q, and pull each factor back
-with a gcd over the field.  For an irreducible polynomial the squarefree
-norm is itself irreducible and serves directly as the minimal polynomial
-of a primitive element of the extended field.
+Every decision that compares such boxes with root rectangles (which
+factor of a characteristic polynomial vanishes at an element, which root
+of its minimal polynomial the element is, whether a candidate generator
+lands on the chosen root) runs in one capped loop, ``_refine_until``: it
+halves the rectangles of the fields involved while the test is undecided
+and raises ExtensionFailure after ``_REFINE_CAP`` rounds.  Realness is
+exact: a box whose imaginary part excludes 0 proves a non-real value,
+and otherwise the value is identified as a root of its minimal
+polynomial, whose realness sympy's root isolation decides.
+
+Norms over Q are resultants Res_t(m(t), f(t, z)), computed by one
+helper: the characteristic polynomial of an element a is the norm of
+z - a.  Factorization over an extension uses Trager's norm method: shift
+by an integer multiple of the generator until the norm is squarefree,
+factor the norm over Q, and pull each factor back with a gcd over the
+field.  For an irreducible polynomial the squarefree norm is itself
+irreducible and serves directly as the minimal polynomial of a primitive
+element of the extended field.
 """
 
 from __future__ import annotations
@@ -24,9 +36,10 @@ from fractions import Fraction
 import sympy
 from sympy import CRootOf, Poly, Symbol
 
-from .errors import ExtensionFailure
+from .errors import DomainError, ExtensionFailure
 from .intervals import CI, RI
-from .polynomials import udeg, uderiv, udivmod, ugcd, umul, umonic, usub, utrim
+from .polynomials import (uadd, udeg, uderiv, udivmod, ugcd, umul, umonic, usub,
+                          utrim)
 
 _T = Symbol("_qal_t")
 _Z = Symbol("_qal_z")
@@ -57,6 +70,34 @@ def _mpq_to_fraction(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
 
 
+def _eval_box(coeffs, box: CI) -> CI:
+    """Horner enclosure of sum coeffs[i] * z^i over the box z."""
+    acc = CI(RI.point(0), RI.point(0))
+    for c in reversed(coeffs):
+        acc = acc * box + CI(RI.point(c), RI.point(0))
+    return acc
+
+
+def _meets(box: CI, rect) -> bool:
+    """Whether the box meets the rectangle (re lo, re hi, im lo, im hi)."""
+    ax, bx, ay, by = rect
+    return not (box.re.hi < ax or bx < box.re.lo
+                or box.im.hi < ay or by < box.im.lo)
+
+
+def _refine_until(test, fields, what: str):
+    """The first decision (anything but None) of test(), halving the root
+    rectangles of the given fields after each undecided round; raises
+    ExtensionFailure when _REFINE_CAP rounds leave it undecided."""
+    for _ in range(_REFINE_CAP):
+        verdict = test()
+        if verdict is not None:
+            return verdict
+        for field in fields:
+            field.refine()
+    raise ExtensionFailure(f"could not {what} in {_REFINE_CAP} refinements")
+
+
 class NumberField:
     """Q(gamma) for a chosen root gamma of a monic irreducible m over Q."""
 
@@ -65,7 +106,7 @@ class NumberField:
         self.minpoly = tuple(minpoly)
         self.degree = udeg(minpoly)
         if self.degree < 1:
-            raise ValueError("minimal polynomial must have positive degree")
+            raise DomainError("minimal polynomial must have positive degree")
         if self.degree == 1:
             # the rationals; gamma = -c0 is rational
             self.root = None
@@ -74,7 +115,7 @@ class NumberField:
             self._rect = (gamma, gamma, Fraction(0), Fraction(0))
         else:
             if root_index is None:
-                raise ValueError("extension field needs a root index")
+                raise DomainError("extension field needs a root index")
             self.root_index = root_index
             self.root = CRootOf(_to_sympy_poly(minpoly, _T).as_expr(), root_index)
             self._interval = self.root._get_interval()
@@ -190,7 +231,7 @@ class FieldElement:
                 return self.field.element(other.rep[0])
             if self.field.degree == 1:
                 return NotImplemented
-            raise ValueError("elements of different fields")
+            raise DomainError("elements of different fields")
         if isinstance(other, (int, Fraction)):
             return self.field.element(other)
         return NotImplemented
@@ -234,7 +275,7 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         if not self:
-            raise ZeroDivisionError("inverse of zero field element")
+            raise DomainError("inverse of zero field element")
         # extended Euclid in Q[t]: u * rep + v * m = gcd = const
         a = utrim(list(self.rep))
         b = list(self.field.minpoly)
@@ -276,15 +317,11 @@ class FieldElement:
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError("element is not rational")
+            raise DomainError("element is not rational")
         return self.rep[0]
 
     def box(self) -> CI:
-        gb = self.field.gamma_box()
-        acc = CI(RI.point(0), RI.point(0))
-        for c in reversed(self.rep):
-            acc = acc * gb + CI(RI.point(c), RI.point(0))
-        return acc
+        return _eval_box(self.rep, self.field.gamma_box())
 
     def lift(self) -> list[Fraction]:
         """Representative polynomial coefficients in Q[t]."""
@@ -300,38 +337,26 @@ class FieldElement:
 def value_minpoly(a: FieldElement) -> list[Fraction]:
     """Minimal polynomial over Q of the embedded value of a.
 
-    The characteristic polynomial Res_t(m(t), z - rep(t)) is a power of
-    the minimal polynomial; the radical is extracted by factoring.
+    The characteristic polynomial, the norm of z - a, is a power of the
+    minimal polynomial; the radical is extracted by factoring.
     """
     if a.is_rational():
         return [-a.rep[0], Fraction(1)]
-    m = _to_sympy_poly(list(a.field.minpoly), _T)
-    rep = _to_sympy_poly(a.lift(), _T)
-    char = sympy.resultant(m.as_expr(), _Z - rep.as_expr(), _T)
-    dense = _from_sympy_poly(Poly(char, _Z))
-    factors = factor_rational_poly(dense)
+    factors = [f for f, _ in factor_rational_poly(_norm(a.field, [-a, a.field.one()]))]
     if len(factors) == 1:
-        return factors[0][0]
+        return factors[0]
+
     # identify the factor vanishing at the embedded value by exclusion
-    candidates = [f for f, _ in factors]
-    for _ in range(_REFINE_CAP):
+    def vanishing():
         box = a.box()
         alive = []
-        for f in candidates:
+        for f in factors:
             val = _eval_box(f, box)
             if not (val.re.excludes_zero() or val.im.excludes_zero()):
                 alive.append(f)
-        if len(alive) == 1:
-            return alive[0]
-        a.field.refine()
-    raise ExtensionFailure("could not isolate the minimal polynomial factor")
+        return alive[0] if len(alive) == 1 else None
 
-
-def _eval_box(coeffs: list[Fraction], box: CI) -> CI:
-    acc = CI(RI.point(0), RI.point(0))
-    for c in reversed(coeffs):
-        acc = acc * box + CI(RI.point(c), RI.point(0))
-    return acc
+    return _refine_until(vanishing, [a.field], "isolate the minimal polynomial factor")
 
 
 def identify_root(a: FieldElement) -> tuple[list[Fraction], int]:
@@ -341,61 +366,26 @@ def identify_root(a: FieldElement) -> tuple[list[Fraction], int]:
     h = value_minpoly(a)
     if udeg(h) == 1:
         return h, 0
-    hp = _to_sympy_poly(h, _T)
-    roots = [CRootOf(hp.as_expr(), i) for i in range(udeg(h))]
-    intervals = [r._get_interval() for r in roots]
+    roots = [NumberField(h, root_index=i) for i in range(udeg(h))]
 
-    def rect(i):
-        if roots[i].is_real:
-            return (_mpq_to_fraction(intervals[i].a),
-                    _mpq_to_fraction(intervals[i].b),
-                    Fraction(0), Fraction(0))
-        return (_mpq_to_fraction(intervals[i].ax),
-                _mpq_to_fraction(intervals[i].bx),
-                _mpq_to_fraction(intervals[i].ay),
-                _mpq_to_fraction(intervals[i].by))
-
-    for _ in range(_REFINE_CAP):
+    def meeting():
         box = a.box()
-        alive = []
-        for i in range(len(roots)):
-            ax, bx, ay, by = rect(i)
-            if box.re.hi < ax or bx < box.re.lo or box.im.hi < ay or by < box.im.lo:
-                continue
-            alive.append(i)
-        if len(alive) == 1:
-            return h, alive[0]
-        a.field.refine()
-        intervals = [iv.refine() for iv in intervals]
-    raise ExtensionFailure("could not identify the embedded root")
+        alive = [i for i, r in enumerate(roots) if _meets(box, r._rect)]
+        return alive[0] if len(alive) == 1 else None
+
+    return h, _refine_until(meeting, [a.field, *roots], "identify the embedded root")
 
 
 def is_real_certified(a: FieldElement) -> bool:
     """Exact realness of the embedded value of a."""
     if a.field.is_real or a.is_rational():
         return True
-    for _ in range(8):
-        if a.box().im.excludes_zero():
-            return False
-        a.field.refine()
+    if a.box().im.excludes_zero():
+        return False
     h, idx = identify_root(a)
     if udeg(h) == 1:
         return True
     return bool(CRootOf(_to_sympy_poly(h, _T).as_expr(), idx).is_real)
-
-
-def im_excludes_zero(a: FieldElement) -> bool | None:
-    """Certified nonzero imaginary part (True), certified real (False),
-    or None when the element could not be decided within the cap."""
-    if a.field.is_real or a.is_rational():
-        return False
-    for _ in range(_REFINE_CAP):
-        if a.box().im.excludes_zero():
-            return True
-        if is_real_certified(a):
-            return False
-        a.field.refine()
-    return None
 
 
 # -- factorization over a field ---------------------------------------------------
@@ -440,12 +430,10 @@ def _factor_squarefree(field: NumberField, f: list[FieldElement]) \
         return [[field.element(c) for c in fac]
                 for fac, _ in factor_rational_poly(rational)]
     shift, norm = _squarefree_norm(field, f)
-    factors = factor_rational_poly(norm)
-    gamma = field.generator()
+    offset = field.element(shift) * field.generator()
     out = []
-    for n_i, _ in factors:
-        ni_shifted = _compose_shift(field, n_i, gamma, shift)
-        g = ugcd(f, ni_shifted)
+    for n_i, _ in factor_rational_poly(norm):
+        g = ugcd(f, _shift([field.element(c) for c in n_i], offset))
         if udeg(g) >= 1:
             out.append(umonic(g))
     total = sum(udeg(g) for g in out)
@@ -454,51 +442,35 @@ def _factor_squarefree(field: NumberField, f: list[FieldElement]) \
     return out
 
 
+def _norm(field: NumberField, f: list[FieldElement]) -> list[Fraction]:
+    """The norm Res_t(m(t), f(t, z)) over Q of a polynomial f over the
+    field, each coefficient lifted to its representative in Q[t]."""
+    m = _to_sympy_poly(list(field.minpoly), _T)
+    acc = sympy.Integer(0)
+    for i, c in enumerate(f):
+        rep = _to_sympy_poly(c.lift() or [Fraction(0)], _T).as_expr()
+        acc = acc + rep * _Z**i
+    return _from_sympy_poly(Poly(sympy.resultant(m.as_expr(), acc, _T), _Z))
+
+
 def _squarefree_norm(field: NumberField, f: list[FieldElement]) \
         -> tuple[int, list[Fraction]]:
     """Find integer s with squarefree norm of f(z - s*gamma); return
     (s, norm)."""
-    m = _to_sympy_poly(list(field.minpoly), _T)
+    gamma = field.generator()
     for s in range(0, 40):
-        shifted = _shift_poly(field, f, s)
-        expr = Fraction(0)
-        zpow = sympy.Integer(1)
-        acc = sympy.Integer(0)
-        for i, c in enumerate(shifted):
-            rep = _to_sympy_poly(c.lift() or [Fraction(0)], _T).as_expr()
-            acc = acc + rep * _Z**i
-        norm = sympy.resultant(m.as_expr(), acc, _T)
-        dense = _from_sympy_poly(Poly(norm, _Z))
-        der = uderiv(dense)
-        if udeg(ugcd(dense, der)) == 0:
-            return s, dense
+        norm = _norm(field, _shift(f, field.element(-s) * gamma))
+        if udeg(ugcd(norm, uderiv(norm))) == 0:
+            return s, norm
     raise ExtensionFailure("no squarefree norm found within the shift range")
 
 
-def _shift_poly(field: NumberField, f: list[FieldElement], s: int) \
-        -> list[FieldElement]:
-    """f(z - s*gamma) by Horner substitution."""
-    gamma = field.generator()
-    offset = field.element(-s) * gamma
+def _shift(f: list[FieldElement], offset: FieldElement) -> list[FieldElement]:
+    """f(z + offset) by Horner substitution."""
     out = [f[-1]]
     for c in reversed(f[:-1]):
         # out * (z + offset) + c
-        new = [field.zero()] + out
-        for i in range(len(out)):
-            new[i] = new[i] + out[i] * offset
-        new[0] = new[0] + c
-        out = new
-    return out
-
-
-def _compose_shift(field: NumberField, rational_poly: list[Fraction],
-                   gamma: FieldElement, s: int) -> list[FieldElement]:
-    """rational_poly(z + s*gamma) over the field."""
-    f = [field.element(c) for c in rational_poly]
-    out = [f[-1]]
-    offset = field.element(s) * gamma
-    for c in reversed(f[:-1]):
-        new = [field.zero()] + out
+        new = [offset.field.zero()] + out
         for i in range(len(out)):
             new[i] = new[i] + out[i] * offset
         new[0] = new[0] + c
@@ -564,75 +536,29 @@ def _gamma_inside(L: NumberField, K: NumberField, h: list[FieldElement],
     """Inside L = Q(delta), find gamma as the unique common root of
     m_K(t) and h~(t, delta - s t); return None if delta is incompatible
     with K's chosen embedding."""
-    # build h~(t, delta - s t) as a polynomial in t over L
-    delta = L.generator()
-    minus_s = L.element(-s)
-    # delta - s*t has t-coefficients [delta, -s]
-    lin = [delta, minus_s]
-    acc = [L.zero()]
-    # Horner in z: h = sum c_i z^i with c_i in K, lift c_i to Q[t] -> L[t]
+    # Horner in z: h = sum c_i z^i with c_i in K, each lifted to Q[t] -> L[t],
+    # and z = delta - s*t, the polynomial in t with coefficients [delta, -s]
+    lin = [L.generator(), L.element(-s)]
+    acc = []
     for c in reversed(h):
-        acc = _poly_mul_L(acc, lin, L)
-        lifted = c.lift() or [Fraction(0)]
-        base = [L.element(q) for q in lifted]  # polynomial in t with L-coeffs
-        acc = _poly_add_L(acc, base, L)
-    m_in_L = [L.element(q) for q in K.minpoly]
-    g = ugcd(acc, m_in_L)
+        acc = uadd(umul(acc, lin), [L.element(q) for q in c.lift() or [Fraction(0)]])
+    g = ugcd(acc, [L.element(q) for q in K.minpoly])
     if udeg(g) != 1:
         return None
     gamma_cand = -(g[0] / g[1])
-    # certify that gamma_cand embeds onto K's chosen root
-    for _ in range(_REFINE_CAP):
-        cb = gamma_cand.box()
-        kb = K.gamma_box()
-        if cb.re.hi < kb.re.lo or kb.re.hi < cb.re.lo \
-                or cb.im.hi < kb.im.lo or kb.im.hi < cb.im.lo:
-            return None
-        # both boxes contain roots of m_K; disjointness from all other
-        # roots of m_K certifies equality
-        others = _other_root_rects(K)
-        inside_unique = all(cb.re.hi < ax or bx < cb.re.lo
-                            or cb.im.hi < ay or by < cb.im.lo
-                            for ax, bx, ay, by in others)
-        if inside_unique:
-            return gamma_cand
-        L.refine()
-        K.refine()
-    raise ExtensionFailure("could not certify the embedded generator")
+    # both boxes contain roots of m_K; disjointness from all other roots of
+    # m_K certifies equality
+    others = [NumberField(K.minpoly, root_index=i)._rect
+              for i in range(K.degree) if i != K.root_index]
 
+    def lands_on_gamma():
+        box = gamma_cand.box()
+        if not _meets(box, K._rect):
+            return False
+        if not any(_meets(box, rect) for rect in others):
+            return True
+        return None
 
-def _other_root_rects(K: NumberField):
-    p = _to_sympy_poly(list(K.minpoly), _T)
-    out = []
-    for i in range(K.degree):
-        if i == K.root_index:
-            continue
-        r = CRootOf(p.as_expr(), i)
-        iv = r._get_interval()
-        if r.is_real:
-            out.append((_mpq_to_fraction(iv.a), _mpq_to_fraction(iv.b),
-                        Fraction(0), Fraction(0)))
-        else:
-            out.append((_mpq_to_fraction(iv.ax), _mpq_to_fraction(iv.bx),
-                        _mpq_to_fraction(iv.ay), _mpq_to_fraction(iv.by)))
-    return out
-
-
-def _poly_mul_L(p, q, L):
-    if not p or not q:
-        return []
-    out = [L.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return utrim(out)
-
-
-def _poly_add_L(p, q, L):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else L.zero()
-        b = q[i] if i < len(q) else L.zero()
-        out.append(a + b)
-    return utrim(out)
+    if _refine_until(lands_on_gamma, [L, K], "certify the embedded generator"):
+        return gamma_cand
+    return None

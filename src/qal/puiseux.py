@@ -32,7 +32,7 @@ from fractions import Fraction
 import sympy
 
 from .algebraic import (QQ, FieldElement, NumberField, extend_field,
-                        factor_over_field, im_excludes_zero)
+                        factor_over_field, is_real_certified)
 from .errors import (DomainError, ExhaustedTrials, TruncationInsufficient,
                      ZeroPolynomialError)
 from .polynomials import MultiPoly, udeg, utrim
@@ -130,18 +130,17 @@ class _Work:
         """x^-nu * psi(x, x^mu (c + y)) where nu is the minimal resulting
         x-exponent (the segment value)."""
         field = self.field
+        cpowers = [field.one()]
+        for _ in range(self.ydegree()):
+            cpowers.append(cpowers[-1] * c)
+        # row b: comb(b, i) c^(b-i), the y^i coefficient of (c + y)^b
+        binomial_rows = [[field.element([math.comb(b, i) * q for q in cpowers[b - i].rep])
+                          for i in range(b + 1)] for b in range(len(cpowers))]
         out: dict[Term, FieldElement] = {}
         for (a, b), coef in self.terms.items():
-            # (c + y)^b expanded by binomials
-            binom = 1
-            power = field.one()
-            cpowers = [field.one()]
-            for _ in range(b):
-                cpowers.append(cpowers[-1] * c)
-            for i in range(b + 1):
-                binom = math.comb(b, i)
+            for i, binom_c in enumerate(binomial_rows[b]):
                 key = (a + mu * b, i)
-                val = coef * field.element(binom) * cpowers[b - i]
+                val = coef * binom_c
                 if key in out:
                     out[key] = out[key] + val
                 else:
@@ -236,11 +235,11 @@ def shear_to_generic(phi: MultiPoly) -> tuple[MultiPoly, int]:
     iy = vars_all.index("y")
     target = tuple(d if n == iy else 0 for n in range(len(vars_all)))
     candidates = [0]
-    for k in range(1, 2 * d * d + 2):
+    for k in range(1, d * d + 1):
         candidates.extend([k, -k])
     xv = MultiPoly.variable("x", vars_all)
     yv = MultiPoly.variable("y", vars_all)
-    for c in candidates[:2 * d * d + 1]:
+    for c in candidates:
         sheared = phi.substitute("x", xv + c * yv) if c else phi
         sheared = sheared.with_vars(vars_all)
         if sheared.coeffs.get(target, 0) != 0:
@@ -415,29 +414,18 @@ def branch_im_order(branch: PuiseuxBranch) -> BranchImOrder:
         embedded = NumberField(minpoly, root_index=idx)
         if embedded.is_real:
             continue  # a real series; contributes 1/m, folded in below
-        d_here = None
-        all_real = True
-        for e, coef in branch.terms:
-            a = embedded.element(list(coef.rep))
-            verdict = im_excludes_zero(a)
-            if verdict is True:
-                d_here = e
-                all_real = False
-                break
-            if verdict is None:
-                undetermined = True
-                all_real = False
-                break
+        d_here = next((e for e, coef in branch.terms
+                       if not is_real_certified(embedded.element(list(coef.rep)))),
+                      None)
         if d_here is not None:
             values.append(d_here)
             detail.append(f"embedding {idx}: first imaginary exponent {d_here}")
-        elif all_real:
-            if branch.exact:
-                # terminating series, every coefficient certified real
-                real_member = True
-                detail.append(f"embedding {idx}: exact real series")
-            else:
-                undetermined = True
+        elif branch.exact:
+            # terminating series, every coefficient certified real
+            real_member = True
+            detail.append(f"embedding {idx}: exact real series")
+        else:
+            undetermined = True
     if undetermined:
         return BranchImOrder(False, None, real_member,
                              "realness of a truncated series is open; raise T")

@@ -6,7 +6,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from qal.algebraic import (QQ, NumberField, extend_field, factor_over_field,
-                           im_excludes_zero, is_real_certified)
+                           is_real_certified)
+from qal.errors import DomainError, ExtensionFailure
 
 Z = sympy.Symbol("z")
 QI = NumberField([1, 0, 1], root_index=1)          # Q(i), generator +i
@@ -139,9 +140,7 @@ def test_embedded_i_stays_in_the_upper_half_plane():
 def test_realness_of_sqrt2_and_i():
     sqrt2, i = QSQRT2.generator(), QI.generator()
     assert is_real_certified(sqrt2)
-    assert im_excludes_zero(sqrt2) is False
     assert not is_real_certified(i)
-    assert im_excludes_zero(i) is True
 
 
 def test_realness_inside_a_nonreal_field():
@@ -150,6 +149,44 @@ def test_realness_inside_a_nonreal_field():
     gamma = K.generator()
     assert gamma.box().im.lo > 0
     assert not is_real_certified(gamma)
-    assert im_excludes_zero(gamma) is True
     assert is_real_certified(gamma * gamma)
-    assert im_excludes_zero(gamma * gamma) is False
+
+
+QUARTIC = NumberField([-2, 0, 0, 0, 1], root_index=3)   # Q(i 2^(1/4))
+_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_RATIONAL, min_size=4, max_size=4))
+def test_realness_in_the_quartic_field(c):
+    # with gamma = i 2^(1/4): gamma^2 = -sqrt 2 is real, gamma and
+    # gamma^3 = -i 2^(3/4) are purely imaginary, and 2^(1/4), 2^(3/4) are
+    # independent over Q, so the value is real iff c1 = c3 = 0; a real
+    # value never gets a box clear of the real axis, so it is decided by
+    # identifying its root exactly
+    assert is_real_certified(QUARTIC.element(c)) == (c[1] == 0 and c[3] == 0)
+
+
+def test_refinement_is_capped(monkeypatch):
+    # without refinement the box of gamma^2 = -sqrt 2 keeps meeting both
+    # root rectangles of z^2 - 2, so the identification must give up at
+    # the cap with a coded error
+    gamma = NumberField([-2, 0, 0, 0, 1], root_index=3).generator()
+    monkeypatch.setattr(NumberField, "refine", lambda self: None)
+    with pytest.raises(ExtensionFailure) as info:
+        is_real_certified(gamma * gamma)
+    assert info.value.code == "extension-failure"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: NumberField([3]),
+    lambda: NumberField([-2, 0, 1]),
+    lambda: QI.generator() + QSQRT2.generator(),
+    lambda: QI.zero().inverse(),
+    lambda: QI.generator().as_fraction(),
+], ids=["constant-minpoly", "no-root-index", "different-fields",
+        "inverse-of-zero", "irrational-as-fraction"])
+def test_domain_errors(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert info.value.code == "domain-error"
