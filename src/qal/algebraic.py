@@ -18,28 +18,29 @@ exact: a box whose imaginary part excludes 0 proves a non-real value,
 and otherwise the value is identified as a root of its minimal
 polynomial, whose realness sympy's root isolation decides.
 
-Norms over Q are resultants Res_t(m(t), f(t, z)), computed by one
-helper: the characteristic polynomial of an element a is the norm of
-z - a.  Factorization over an extension uses Trager's norm method: shift
-by an integer multiple of the generator until the norm is squarefree,
-factor the norm over Q, and pull each factor back with a gcd over the
-field.  For an irreducible polynomial the squarefree norm is itself
-irreducible and serves directly as the minimal polynomial of a primitive
-element of the extended field.
+Polynomial algorithms over a field (factorization, norms over Q, gcds,
+inverses) run in sympy's algebraic field QQ<gamma>, built lazily from the
+chosen root; its generator is gamma, so an element's coefficient tuple is
+its sympy representation reversed.  Factorization over an extension is
+sympy's implementation of Trager's norm method; the squarefree norm of an
+irreducible polynomial (sympy's ``sqf_norm``) is itself irreducible and serves
+directly as the minimal polynomial of a primitive element of the
+extended field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import sympy
 from sympy import CRootOf, Poly, Symbol
+from sympy.polys.sqfreetools import dup_sqf_norm
 
 from .errors import DomainError, ExtensionFailure
 from .intervals import CI, RI
-from .polynomials import (uadd, udeg, uderiv, udivmod, ugcd, umul, umonic, usub,
-                          utrim)
+from .polynomials import uadd, udeg, umul, umonic, utrim
 
 _T = Symbol("_qal_t")
 _Z = Symbol("_qal_z")
@@ -47,27 +48,19 @@ _Z = Symbol("_qal_z")
 _REFINE_CAP = 80  # rectangle halvings before giving up a certification
 
 
-def _to_sympy_poly(coeffs: list[Fraction], sym) -> Poly:
-    return Poly([sympy.Rational(c.numerator, c.denominator)
-                 for c in reversed(coeffs)], sym, domain="QQ")
+def fraction_to_qq(c: Fraction):
+    """A Fraction as an element of sympy's QQ domain."""
+    return sympy.QQ(c.numerator, c.denominator)
 
 
-def _from_sympy_poly(p: Poly) -> list[Fraction]:
-    return [Fraction(c.p, c.q) for c in reversed(p.all_coeffs())]
-
-
-def factor_rational_poly(coeffs: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Monic irreducible factors over Q with multiplicities."""
-    _, factors = _to_sympy_poly(coeffs, _Z).factor_list()
-    out = []
-    for f, mult in factors:
-        dense = _from_sympy_poly(f)
-        out.append((umonic(dense), int(mult)))
-    return out
-
-
-def _mpq_to_fraction(q) -> Fraction:
+def qq_to_fraction(q) -> Fraction:
+    """A sympy rational (a QQ domain element or a Rational) as a Fraction."""
     return Fraction(int(q.numerator), int(q.denominator))
+
+
+def _to_sympy_poly(coeffs: list[Fraction], sym) -> Poly:
+    return Poly.from_list([fraction_to_qq(c) for c in reversed(coeffs)], sym,
+                          domain=sympy.QQ)
 
 
 def _eval_box(coeffs, box: CI) -> CI:
@@ -114,11 +107,19 @@ class NumberField:
             gamma = -minpoly[0]
             self._rect = (gamma, gamma, Fraction(0), Fraction(0))
         else:
-            if root_index is None:
-                raise DomainError("extension field needs a root index")
+            if not (isinstance(root_index, int) and 0 <= root_index < self.degree):
+                raise DomainError("extension field needs a root index in "
+                                  f"0..{self.degree - 1}, got {root_index!r}")
+            m = _to_sympy_poly(minpoly, _T)
+            if not m.is_irreducible:
+                raise DomainError("minimal polynomial is reducible over Q")
             self.root_index = root_index
-            self.root = CRootOf(_to_sympy_poly(minpoly, _T).as_expr(), root_index)
-            self._interval = self.root._get_interval()
+            self.root = CRootOf(m.as_expr(), root_index)
+            # CRootOf may return c * CRootOf(m(c t) / c^degree, i) with an
+            # integer c > 0; the rectangle of gamma is c times that root's
+            scale, root = self.root.as_coeff_Mul()
+            self._scale = qq_to_fraction(scale)
+            self._interval = root._get_interval()
             self._rect = self._rect_from_interval()
         # reduction table for t^degree .. t^(2 degree - 2)
         self._reduction = self._build_reduction()
@@ -140,12 +141,12 @@ class NumberField:
         return rows
 
     def _rect_from_interval(self):
-        iv = self._interval
+        iv, c = self._interval, self._scale
         if self.root.is_real:
-            a, b = _mpq_to_fraction(iv.a), _mpq_to_fraction(iv.b)
-            return (a, b, Fraction(0), Fraction(0))
-        return (_mpq_to_fraction(iv.ax), _mpq_to_fraction(iv.bx),
-                _mpq_to_fraction(iv.ay), _mpq_to_fraction(iv.by))
+            return (c * qq_to_fraction(iv.a), c * qq_to_fraction(iv.b),
+                    Fraction(0), Fraction(0))
+        return (c * qq_to_fraction(iv.ax), c * qq_to_fraction(iv.bx),
+                c * qq_to_fraction(iv.ay), c * qq_to_fraction(iv.by))
 
     def refine(self):
         if self.root is not None:
@@ -165,6 +166,31 @@ class NumberField:
     def gamma_box(self) -> CI:
         a, b, c, d = self._rect
         return CI(RI(a, b), RI(c, d))
+
+    @cached_property
+    def _domain(self):
+        """sympy's QQ, or its algebraic field QQ<gamma> generated by the
+        chosen root: an element's coefficient tuple, reversed, is its
+        representation there."""
+        if self.degree == 1:
+            return sympy.QQ
+        K = sympy.QQ.algebraic_field(self.root)
+        # sympy keeps the modulus primitive over Z rather than monic
+        if tuple(umonic([qq_to_fraction(c) for c in reversed(K.mod.to_list())])) \
+                != self.minpoly:
+            raise ExtensionFailure("sympy's field is not generated by the chosen root")
+        return K
+
+    def _to_domain(self, a: "FieldElement"):
+        """The element a of this field as an element of ``_domain``."""
+        if self.degree == 1:
+            return fraction_to_qq(a.rep[0])
+        return self._domain.new([fraction_to_qq(c) for c in reversed(a.rep)])
+
+    def _from_domain(self, x) -> "FieldElement":
+        """An element of ``_domain`` as an element of this field."""
+        coeffs = [x] if self.degree == 1 else x.to_list()
+        return self.element([qq_to_fraction(c) for c in reversed(coeffs)])
 
     # -- elements --------------------------------------------------------
 
@@ -276,17 +302,8 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if not self:
             raise DomainError("inverse of zero field element")
-        # extended Euclid in Q[t]: u * rep + v * m = gcd = const
-        a = utrim(list(self.rep))
-        b = list(self.field.minpoly)
-        s0, s1 = [Fraction(1)], []
-        while b:
-            q, r = udivmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, usub(s0, umul(q, s1))
-        lead = a[-1]
-        inv = [c / lead for c in s0]
-        return FieldElement(self.field, self.field._reduce(inv))
+        field = self.field
+        return field._from_domain(field._domain.one / field._to_domain(self))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -342,7 +359,8 @@ def value_minpoly(a: FieldElement) -> list[Fraction]:
     """
     if a.is_rational():
         return [-a.rep[0], Fraction(1)]
-    factors = [f for f, _ in factor_rational_poly(_norm(a.field, [-a, a.field.one()]))]
+    norm = _from_poly(QQ, _poly(a.field, [-a, a.field.one()]).norm())
+    factors = [[c.as_fraction() for c in f] for f, _ in factor_over_field(QQ, norm)]
     if len(factors) == 1:
         return factors[0]
 
@@ -388,94 +406,26 @@ def is_real_certified(a: FieldElement) -> bool:
     return bool(CRootOf(_to_sympy_poly(h, _T).as_expr(), idx).is_real)
 
 
-# -- factorization over a field ---------------------------------------------------
+# -- polynomials over a field -------------------------------------------------------
 
 
-def squarefree_decomposition(field: NumberField, f: list[FieldElement]) \
-        -> list[tuple[list[FieldElement], int]]:
-    """Yun-style squarefree decomposition over the field (char 0)."""
-    f = utrim(list(f))
-    out = []
-    g = ugcd(f, uderiv(f))
-    w = udivmod(f, g)[0]
-    mult = 1
-    while udeg(w) > 0:
-        y = ugcd(w, g)
-        part = udivmod(w, y)[0]
-        if udeg(part) > 0:
-            out.append((part, mult))
-        w = y
-        g = udivmod(g, y)[0]
-        mult += 1
-    return out
+def _poly(field: NumberField, f: list[FieldElement]) -> Poly:
+    """f, a dense coefficient list over the field, as a sympy Poly over
+    the field's sympy domain."""
+    return Poly.from_list([field._to_domain(c) for c in reversed(f)], _Z,
+                          domain=field._domain)
+
+
+def _from_poly(field: NumberField, p: Poly) -> list[FieldElement]:
+    return [field._from_domain(c) for c in reversed(p.rep.to_list())]
 
 
 def factor_over_field(field: NumberField, f: list[FieldElement]) \
         -> list[tuple[list[FieldElement], int]]:
-    """Monic irreducible factors of f over the field, with multiplicities."""
-    out = []
-    for part, mult in squarefree_decomposition(field, f):
-        for factor in _factor_squarefree(field, part):
-            out.append((factor, mult))
-    return out
-
-
-def _factor_squarefree(field: NumberField, f: list[FieldElement]) \
-        -> list[list[FieldElement]]:
-    f = umonic(f)
-    if udeg(f) == 1:
-        return [f]
-    if field.degree == 1:
-        rational = [c.as_fraction() for c in f]
-        return [[field.element(c) for c in fac]
-                for fac, _ in factor_rational_poly(rational)]
-    shift, norm = _squarefree_norm(field, f)
-    offset = field.element(shift) * field.generator()
-    out = []
-    for n_i, _ in factor_rational_poly(norm):
-        g = ugcd(f, _shift([field.element(c) for c in n_i], offset))
-        if udeg(g) >= 1:
-            out.append(umonic(g))
-    total = sum(udeg(g) for g in out)
-    if total != udeg(f):
-        raise ExtensionFailure("norm factorization lost degree")
-    return out
-
-
-def _norm(field: NumberField, f: list[FieldElement]) -> list[Fraction]:
-    """The norm Res_t(m(t), f(t, z)) over Q of a polynomial f over the
-    field, each coefficient lifted to its representative in Q[t]."""
-    m = _to_sympy_poly(list(field.minpoly), _T)
-    acc = sympy.Integer(0)
-    for i, c in enumerate(f):
-        rep = _to_sympy_poly(c.lift() or [Fraction(0)], _T).as_expr()
-        acc = acc + rep * _Z**i
-    return _from_sympy_poly(Poly(sympy.resultant(m.as_expr(), acc, _T), _Z))
-
-
-def _squarefree_norm(field: NumberField, f: list[FieldElement]) \
-        -> tuple[int, list[Fraction]]:
-    """Find integer s with squarefree norm of f(z - s*gamma); return
-    (s, norm)."""
-    gamma = field.generator()
-    for s in range(0, 40):
-        norm = _norm(field, _shift(f, field.element(-s) * gamma))
-        if udeg(ugcd(norm, uderiv(norm))) == 0:
-            return s, norm
-    raise ExtensionFailure("no squarefree norm found within the shift range")
-
-
-def _shift(f: list[FieldElement], offset: FieldElement) -> list[FieldElement]:
-    """f(z + offset) by Horner substitution."""
-    out = [f[-1]]
-    for c in reversed(f[:-1]):
-        # out * (z + offset) + c
-        new = [offset.field.zero()] + out
-        for i in range(len(out)):
-            new[i] = new[i] + out[i] * offset
-        new[0] = new[0] + c
-        out = new
-    return out
+    """Monic irreducible factors of f over the field, with multiplicities,
+    in the order of sympy's ``factor_list``."""
+    _, factors = _poly(field, f).factor_list()
+    return [(_from_poly(field, g.monic()), int(mult)) for g, mult in factors]
 
 
 @dataclass
@@ -506,7 +456,9 @@ def extend_field(field: NumberField, h: list[FieldElement]) -> Extension:
         return Extension(L, lambda a, L=L: L.element(a.as_fraction()),
                          L.generator())
 
-    s, norm = _squarefree_norm(field, h)
+    # the norm of h(z - s*gamma), squarefree for the first s = 0, 1, 2, ...
+    s, _, norm = dup_sqf_norm(_poly(field, h).rep.to_list(), field._domain)
+    norm = [qq_to_fraction(c) for c in reversed(norm)]
     candidates = list(range(udeg(norm)))
     chosen = None
     gamma_rep = None
@@ -542,10 +494,10 @@ def _gamma_inside(L: NumberField, K: NumberField, h: list[FieldElement],
     acc = []
     for c in reversed(h):
         acc = uadd(umul(acc, lin), [L.element(q) for q in c.lift() or [Fraction(0)]])
-    g = ugcd(acc, [L.element(q) for q in K.minpoly])
-    if udeg(g) != 1:
+    g = _poly(L, acc).gcd(_poly(L, [L.element(q) for q in K.minpoly]))
+    if g.degree() != 1:
         return None
-    gamma_cand = -(g[0] / g[1])
+    gamma_cand = -_from_poly(L, g.monic())[0]
     # both boxes contain roots of m_K; disjointness from all other roots of
     # m_K certifies equality
     others = [NumberField(K.minpoly, root_index=i)._rect

@@ -3,9 +3,9 @@
 Multivariate polynomials carry exact rational (or Gaussian rational)
 coefficients in a sparse exponent-vector map with a canonical variable
 ordering (x before y; numbered variables x1, x2, ... by index).  The
-dense univariate helpers operate on plain coefficient lists; the ring
-operations (add, multiply) work over any coefficient type, division and
-gcd over a field.
+dense univariate helpers are the ring operations (add, subtract,
+multiply) on plain coefficient lists over any coefficient type; division
+and gcds over a field are sympy's (see ``qal.algebraic``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import QalSyntaxError, ZeroPolynomialError
+from .errors import DomainError, QalSyntaxError, ZeroPolynomialError
 
 Exponents = tuple[int, ...]
 
@@ -51,7 +51,7 @@ class MultiPoly:
         vars = vars or (name,)
         exps = tuple(1 if v == name else 0 for v in vars)
         if name not in vars:
-            raise ValueError(f"{name} not among {vars}")
+            raise DomainError(f"{name} not among {vars}")
         return MultiPoly(vars, {exps: Fraction(1)})
 
     def with_vars(self, vars: tuple[str, ...]) -> "MultiPoly":
@@ -115,7 +115,7 @@ class MultiPoly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power of a polynomial")
+            raise DomainError("negative power of a polynomial")
         out = MultiPoly.constant(1, self.vars)
         base = self
         while n:
@@ -406,42 +406,8 @@ def umul(p: list, q: list) -> list:
     return utrim(out)
 
 
-def udivmod(p: list, q: list) -> tuple[list, list]:
-    """Exact division with remainder over a field."""
-    q = utrim(list(q))
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = utrim(list(p))
-    lead = q[-1]
-    quot = [0] * max(0, len(rem) - len(q) + 1)
-    while len(rem) >= len(q):
-        if not rem[-1]:
-            rem.pop()
-            continue
-        shift = len(rem) - len(q)
-        factor = rem[-1] / lead
-        quot[shift] = factor
-        for i in range(len(q) - 1):
-            rem[shift + i] = rem[shift + i] - factor * q[i]
-        rem.pop()
-    return utrim(quot), utrim(rem)
-
-
-def uderiv(p: list) -> list:
-    return utrim([c * (i + 1) for i, c in enumerate(p[1:])])
-
-
 def umonic(p: list) -> list:
     if not p:
         return p
     lead = p[-1]
     return [c / lead for c in p]
-
-
-def ugcd(p: list, q: list) -> list:
-    """Monic gcd over a field via the Euclidean algorithm."""
-    a, b = list(p), list(q)
-    while b:
-        a, b = b, udivmod(a, b)[1]
-    return umonic(a)
-

@@ -32,7 +32,8 @@ from fractions import Fraction
 import sympy
 
 from .algebraic import (QQ, FieldElement, NumberField, extend_field,
-                        factor_over_field, is_real_certified)
+                        factor_over_field, fraction_to_qq, is_real_certified,
+                        qq_to_fraction)
 from .errors import (DomainError, ExhaustedTrials, TruncationInsufficient,
                      ZeroPolynomialError)
 from .polynomials import MultiPoly, udeg, utrim
@@ -253,12 +254,10 @@ def _squarefree_parts_in_y(phi: MultiPoly) -> list[tuple[MultiPoly, int]]:
     factor g(x) divides the y^d coefficient, whose constant term is
     nonzero, so g(0) != 0 and g is a unit at the origin that carries no
     branch."""
-    poly = sympy.Poly.from_dict(
-        {e: sympy.Rational(c.numerator, c.denominator)
-         for e, c in phi.coeffs.items()},
-        _X, _Y, domain="QQ")
-    return [(MultiPoly(("x", "y"), {e: Fraction(int(c.p), int(c.q))
-                                    for e, c in part.terms()}), mult)
+    poly = sympy.Poly.from_dict({e: fraction_to_qq(c) for e, c in phi.coeffs.items()},
+                                _X, _Y, domain=sympy.QQ)
+    return [(MultiPoly(("x", "y"), {e: qq_to_fraction(c)
+                                    for e, c in part.as_dict(native=True).items()}), mult)
             for part, mult in poly.sqf_list()[1] if part.degree(_Y) > 0]
 
 

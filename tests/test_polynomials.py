@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qal.errors import QalSyntaxError
-from qal.polynomials import (MultiPoly, parse_polynomial, udivmod, ugcd,
-                             umul, uadd)
+from qal.errors import DomainError, QalSyntaxError
+from qal.polynomials import MultiPoly, parse_polynomial
 from qal.rationals import GaussianRational
 
 
@@ -81,26 +80,19 @@ class TestMultiPoly:
     def test_derivative(self):
         assert P("x^3 + x*y").derivative("x") == P("3*x^2 + y")
 
+    @pytest.mark.parametrize("call", [
+        lambda: MultiPoly.variable("z", ("x", "y")),
+        lambda: P("x + y") ** -1,
+    ], ids=["variable-outside-vars", "negative-power"])
+    def test_domain_errors(self, call):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert info.value.code == "domain-error"
+
     def test_gaussian_coefficients(self):
         i = GaussianRational(0, 1)
         poly = MultiPoly(("z",), {(1,): i, (0,): GaussianRational(1)})
         sq = poly * poly
         assert sq.coeffs[(2,)] == GaussianRational(-1)
         assert sq.coeffs[(1,)] == GaussianRational(0, 2)
-
-
-class TestUnivariateHelpers:
-    def test_divmod_exact(self):
-        # (x^2+1)(x+2) + 3 divided by x^2+1
-        p = uadd(umul([Fraction(1), Fraction(0), Fraction(1)],
-                      [Fraction(2), Fraction(1)]), [Fraction(3)])
-        q, r = udivmod(p, [Fraction(1), Fraction(0), Fraction(1)])
-        assert q == [Fraction(2), Fraction(1)]
-        assert r == [Fraction(3)]
-
-    def test_gcd(self):
-        # gcd((x-1)(x+2), (x-1)(x-3)) = x - 1 (monic)
-        a = umul([Fraction(-1), Fraction(1)], [Fraction(2), Fraction(1)])
-        b = umul([Fraction(-1), Fraction(1)], [Fraction(-3), Fraction(1)])
-        assert ugcd(a, b) == [Fraction(-1), Fraction(1)]
 
