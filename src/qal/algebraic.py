@@ -3,10 +3,13 @@
 A field is Q[t]/(m(t)) for a monic irreducible m over Q together with a
 chosen root of m, tracked by an exact isolating rectangle with rational
 corners (sympy's root isolation does the exact root counting; rectangles
-only ever shrink).  Elements are dense coefficient tuples; all arithmetic
-is exact Fraction arithmetic mod m.  Enclosing boxes for embedded values
-come from plain interval Horner evaluation over the rectangle, so they
-are exact outward enclosures with no rounding step anywhere.
+only ever shrink).  An element is held as an element of sympy's algebraic
+field QQ<gamma>, built lazily from the chosen root (a QQ rational when the
+field has degree 1), so all field arithmetic is sympy's exact arithmetic
+mod m; its dense Fraction coefficient tuple ``rep`` is read off that
+representation.  Enclosing boxes for embedded values come from plain
+interval Horner evaluation over the rectangle, so they are exact outward
+enclosures with no rounding step anywhere.
 
 Every decision that compares such boxes with root rectangles (which
 factor of a characteristic polynomial vanishes at an element, which root
@@ -18,14 +21,13 @@ exact: a box whose imaginary part excludes 0 proves a non-real value,
 and otherwise the value is identified as a root of its minimal
 polynomial, whose realness sympy's root isolation decides.
 
-Polynomial algorithms over a field (factorization, norms over Q, gcds,
-inverses) run in sympy's algebraic field QQ<gamma>, built lazily from the
-chosen root; its generator is gamma, so an element's coefficient tuple is
-its sympy representation reversed.  Factorization over an extension is
-sympy's implementation of Trager's norm method; the squarefree norm of an
-irreducible polynomial (sympy's ``sqf_norm``) is itself irreducible and serves
-directly as the minimal polynomial of a primitive element of the
-extended field.
+Polynomial algorithms over a field (factorization, norms over Q, gcds)
+run in the same algebraic field; its generator is gamma, so an element's
+coefficient tuple is its sympy representation reversed.  Factorization
+over an extension is sympy's implementation of Trager's norm method; the
+squarefree norm of an irreducible polynomial (sympy's ``sqf_norm``) is
+itself irreducible and serves directly as the minimal polynomial of a
+primitive element of the extended field.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from functools import cached_property
 
 import sympy
 from sympy import CRootOf, Poly, Symbol
+from sympy.polys.densearith import dup_rem
+from sympy.polys.densebasic import dup_strip
 from sympy.polys.sqfreetools import dup_sqf_norm
 
 from .errors import DomainError, ExtensionFailure
@@ -100,6 +104,7 @@ class NumberField:
         self.degree = udeg(minpoly)
         if self.degree < 1:
             raise DomainError("minimal polynomial must have positive degree")
+        self._modulus = [fraction_to_qq(c) for c in reversed(minpoly)]
         if self.degree == 1:
             # the rationals; gamma = -c0 is rational
             self.root = None
@@ -121,24 +126,6 @@ class NumberField:
             self._scale = qq_to_fraction(scale)
             self._interval = root._get_interval()
             self._rect = self._rect_from_interval()
-        # reduction table for t^degree .. t^(2 degree - 2)
-        self._reduction = self._build_reduction()
-
-    def _build_reduction(self):
-        g = self.degree
-        rows = []
-        current = [-c for c in self.minpoly[:g]]  # t^g mod m
-        rows.append(list(current))
-        for _ in range(g - 2):
-            shifted = [Fraction(0)] + current
-            if len(shifted) > g:
-                top = shifted[g]
-                shifted = shifted[:g]
-                for i in range(g):
-                    shifted[i] += top * rows[0][i]
-            current = shifted
-            rows.append(list(current))
-        return rows
 
     def _rect_from_interval(self):
         iv, c = self._interval, self._scale
@@ -170,8 +157,7 @@ class NumberField:
     @cached_property
     def _domain(self):
         """sympy's QQ, or its algebraic field QQ<gamma> generated by the
-        chosen root: an element's coefficient tuple, reversed, is its
-        representation there."""
+        chosen root: the domain the elements of this field live in."""
         if self.degree == 1:
             return sympy.QQ
         K = sympy.QQ.algebraic_field(self.root)
@@ -181,27 +167,19 @@ class NumberField:
             raise ExtensionFailure("sympy's field is not generated by the chosen root")
         return K
 
-    def _to_domain(self, a: "FieldElement"):
-        """The element a of this field as an element of ``_domain``."""
-        if self.degree == 1:
-            return fraction_to_qq(a.rep[0])
-        return self._domain.new([fraction_to_qq(c) for c in reversed(a.rep)])
-
-    def _from_domain(self, x) -> "FieldElement":
-        """An element of ``_domain`` as an element of this field."""
-        coeffs = [x] if self.degree == 1 else x.to_list()
-        return self.element([qq_to_fraction(c) for c in reversed(coeffs)])
-
     # -- elements --------------------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
-        g = self.degree
+        """The element sum coeffs[i] gamma^i, or a rational scalar; a list
+        longer than the degree is reduced modulo the minimal polynomial."""
         if isinstance(coeffs, (int, Fraction)):
-            vec = [Fraction(coeffs)] + [Fraction(0)] * (g - 1)
-        else:
-            vec = [Fraction(c) for c in coeffs]
-            vec += [Fraction(0)] * (g - len(vec))
-        return FieldElement(self, tuple(vec[:g]))
+            coeffs = [coeffs]
+        rep = dup_strip([fraction_to_qq(Fraction(c)) for c in reversed(coeffs)])
+        if len(rep) > self.degree:
+            rep = dup_rem(rep, self._modulus, sympy.QQ)
+        if self.degree == 1:
+            return FieldElement(self, rep[0] if rep else sympy.QQ.zero)
+        return FieldElement(self, self._domain.new(rep))
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -210,20 +188,7 @@ class NumberField:
         return self.element(1)
 
     def generator(self) -> "FieldElement":
-        if self.degree == 1:
-            return self.element(-self.minpoly[0])
         return self.element([0, 1])
-
-    def _reduce(self, vec: list[Fraction]) -> tuple[Fraction, ...]:
-        g = self.degree
-        out = list(vec[:g]) + [Fraction(0)] * max(0, g - len(vec))
-        for p in range(len(vec) - 1, g - 1, -1):
-            c = vec[p]
-            if c:
-                row = self._reduction[p - g]
-                for i in range(g):
-                    out[i] += c * row[i]
-        return tuple(out[:g])
 
     def __eq__(self, other):
         return (isinstance(other, NumberField)
@@ -243,94 +208,98 @@ QQ = NumberField([Fraction(0), Fraction(1)])  # Q itself, gamma = 0
 
 
 class FieldElement:
-    __slots__ = ("field", "rep")
+    """An element of a number field, held as ``value``, an element of the
+    field's sympy domain; ``+ - * /``, equality and truth are sympy's."""
 
-    def __init__(self, field: NumberField, rep: tuple[Fraction, ...]):
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: NumberField, value):
         self.field = field
-        self.rep = rep
+        self.value = value
+
+    @property
+    def rep(self) -> tuple[Fraction, ...]:
+        """The coefficients of the element in 1, gamma, ..., gamma^(degree-1)."""
+        g = self.field.degree
+        coeffs = [self.value] if g == 1 else self.value.to_list()[::-1]
+        return tuple(map(qq_to_fraction, coeffs)) + (Fraction(0),) * (g - len(coeffs))
 
     def _coerce(self, other):
+        """other as an element of this field's sympy domain."""
         if isinstance(other, FieldElement):
             if other.field == self.field:
-                return other
+                return other.value
             if other.field.degree == 1:
-                return self.field.element(other.rep[0])
+                return self.field.element(other.rep[0]).value
             if self.field.degree == 1:
                 return NotImplemented
             raise DomainError("elements of different fields")
         if isinstance(other, (int, Fraction)):
-            return self.field.element(other)
+            return self.field.element(other).value
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElement(self.field,
-                            tuple(a + b for a, b in zip(self.rep, o.rep)))
+        return FieldElement(self.field, self.value + o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.rep))
+        return FieldElement(self.field, -self.value)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        return FieldElement(self.field, self.value - o)
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return FieldElement(self.field, o - self.value)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        g = self.field.degree
-        prod = [Fraction(0)] * (2 * g - 1)
-        for i, a in enumerate(self.rep):
-            if not a:
-                continue
-            for j, b in enumerate(o.rep):
-                if b:
-                    prod[i + j] += a * b
-        return FieldElement(self.field, self.field._reduce(prod))
+        return FieldElement(self.field, self.value * o)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        if not self:
-            raise DomainError("inverse of zero field element")
-        field = self.field
-        return field._from_domain(field._domain.one / field._to_domain(self))
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self * o.inverse()
+        if not o:
+            raise DomainError("division by zero field element")
+        return FieldElement(self.field, self.value / o)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return o * self.inverse()
+        return FieldElement(self.field, o) / self
+
+    def inverse(self) -> "FieldElement":
+        return self.field.one() / self
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.rep == o.rep
+        return self.value == o
 
     def __hash__(self):
         return hash((self.field, self.rep))
 
     def __bool__(self):
-        return any(self.rep)
+        return bool(self.value)
 
     def is_rational(self) -> bool:
-        return not any(self.rep[1:])
+        return self.field.degree == 1 or self.value.is_ground
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -412,12 +381,11 @@ def is_real_certified(a: FieldElement) -> bool:
 def _poly(field: NumberField, f: list[FieldElement]) -> Poly:
     """f, a dense coefficient list over the field, as a sympy Poly over
     the field's sympy domain."""
-    return Poly.from_list([field._to_domain(c) for c in reversed(f)], _Z,
-                          domain=field._domain)
+    return Poly.from_list([c.value for c in reversed(f)], _Z, domain=field._domain)
 
 
 def _from_poly(field: NumberField, p: Poly) -> list[FieldElement]:
-    return [field._from_domain(c) for c in reversed(p.rep.to_list())]
+    return [FieldElement(field, c) for c in reversed(p.rep.to_list())]
 
 
 def factor_over_field(field: NumberField, f: list[FieldElement]) \

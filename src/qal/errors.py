@@ -73,14 +73,6 @@ class ExhaustedTrials(QalError):
     code = "exhausted-trials"
 
 
-class DegenerateRegression(QalError):
-    code = "degenerate-regression"
-
-
-class InconsistentFacts(QalError):
-    code = "inconsistent-facts"
-
-
 class InconclusiveInput(QalError):
     code = "inconclusive-input"
 

@@ -1,6 +1,6 @@
 """Polynomial arithmetic: sparse multivariate and dense univariate.
 
-Multivariate polynomials carry exact rational (or Gaussian rational)
+Multivariate polynomials carry exact rational (or number-field)
 coefficients in a sparse exponent-vector map with a canonical variable
 ordering (x before y; numbered variables x1, x2, ... by index).  The
 dense univariate helpers are the ring operations (add, subtract,

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
+from sympy.polys.densetools import dup_shift
 
 from .algebraic import (QQ, FieldElement, NumberField, extend_field,
                         factor_over_field, fraction_to_qq, is_real_certified,
@@ -129,24 +130,23 @@ class _Work:
 
     def substitute_and_strip(self, mu: Fraction, c: FieldElement) -> "_Work":
         """x^-nu * psi(x, x^mu (c + y)) where nu is the minimal resulting
-        x-exponent (the segment value)."""
+        x-exponent (the segment value).
+
+        The terms with a + mu*b = s form a polynomial P_s(y), whose image
+        is x^s P_s(c + y): one Taylor shift per s over the field's sympy
+        domain."""
         field = self.field
-        cpowers = [field.one()]
-        for _ in range(self.ydegree()):
-            cpowers.append(cpowers[-1] * c)
-        # row b: comb(b, i) c^(b-i), the y^i coefficient of (c + y)^b
-        binomial_rows = [[field.element([math.comb(b, i) * q for q in cpowers[b - i].rep])
-                          for i in range(b + 1)] for b in range(len(cpowers))]
-        out: dict[Term, FieldElement] = {}
+        rows: dict[Fraction, dict[int, object]] = {}
         for (a, b), coef in self.terms.items():
-            for i, binom_c in enumerate(binomial_rows[b]):
-                key = (a + mu * b, i)
-                val = coef * binom_c
-                if key in out:
-                    out[key] = out[key] + val
-                else:
-                    out[key] = val
-        out = {k: v for k, v in out.items() if v}
+            rows.setdefault(a + mu * b, {})[b] = coef.value
+        zero = field._domain.zero
+        out: dict[Term, FieldElement] = {}
+        for s, row in rows.items():
+            dense = [row.get(b, zero) for b in range(max(row), -1, -1)]
+            shifted = dup_shift(dense, c.value, field._domain)
+            for i, v in enumerate(reversed(shifted)):
+                if v:
+                    out[(s, i)] = FieldElement(field, v)
         nu = min(a for a, _ in out)
         return _Work(field, {(a - nu, b): v for (a, b), v in out.items()})
 

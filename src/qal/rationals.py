@@ -1,4 +1,4 @@
-"""Exact rational helpers: parsing, integer roots, Gaussian rationals.
+"""Exact rational helpers: parsing, formatting, integer roots and power bounds.
 
 Everything here is pure integer/Fraction arithmetic; no rounding occurs
 except in the explicitly directed root-bound functions, which always
@@ -165,89 +165,3 @@ def compare_power_products(left: list[tuple[Fraction, Fraction]],
             raise ValueError("bases must be positive")
         rv *= b ** int(e * denom)
     return (lv > rv) - (lv < rv)
-
-
-class GaussianRational:
-    """Element of Q(i) with exact Fraction components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    @staticmethod
-    def _coerce(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational((self.re * o.re + self.im * o.im) / n,
-                                (self.im * o.re - self.re * o.im) / n)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return format_fraction(self.re)
-        if self.re == 0:
-            return f"{format_fraction(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{format_fraction(self.re)}{sign}{format_fraction(abs(self.im))}*i"

@@ -453,13 +453,6 @@ def _compare_scan(M: CarlemanSequence, N: CarlemanSequence,
     return certify(attempt, lambda: f"{pending} undecided", UndecidableAtCap)
 
 
-def _compare_values(M: CarlemanSequence, lhs: list[tuple[int, int]],
-                    N: CarlemanSequence, rhs: list[tuple[int, int]],
-                    what: str) -> int:
-    """Compare prod M_j^p (lhs) against prod N_j^p (rhs): -1, 0 or 1."""
-    return _compare_scan(M, N, [(lhs, rhs, what)])[0]
-
-
 def _first_violation(M: CarlemanSequence,
                      comparisons: list[tuple[list, list, str]]) -> int | None:
     """Index of the first comparison of M's values decided '>', or None."""

@@ -237,6 +237,58 @@ def test_inverse(field, c):
         assert a / a == 1
 
 
+# fields of degree 2 to 6 (NumberField rejects a reducible t^6 + t + 1)
+ARITHMETIC_FIELDS = [QSQRT2, QI, QCBRT2, NumberField([1, 0, 0, 0, 16], root_index=0),
+                     QUARTIC, NumberField([1, 1, 0, 0, 0, 0, 1], root_index=2)]
+_T = sympy.Symbol("t")
+
+
+def _qq_poly(coeffs):
+    """A Fraction coefficient list, lowest degree first, as a Poly over QQ."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)] or [0], _T, domain=sympy.QQ)
+
+
+def _rep(poly, degree):
+    """The coefficients of a Poly over QQ, lowest first, padded to degree."""
+    coeffs = [Fraction(int(q.p), int(q.q)) for q in reversed(poly.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (degree - len(coeffs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ARITHMETIC_FIELDS),
+       st.lists(_RATIONAL, min_size=6, max_size=6),
+       st.lists(_RATIONAL, min_size=6, max_size=6), st.integers(0, 3))
+def test_arithmetic_is_polynomial_arithmetic_mod_the_minimal_polynomial(field, c, d, pad):
+    g = field.degree
+    a, b = field.element(c[:g]), field.element(d[:g])
+    m = _qq_poly(list(field.minpoly))
+    pa, pb = _qq_poly(a.lift()), _qq_poly(b.lift())
+    assert (a * b).rep == _rep((pa * pb).rem(m), g)
+    assert (a + b).rep == _rep(pa + pb, g)
+    assert (a - b).rep == _rep(pa - pb, g)
+    for x in (a, b, a * b, a - a):
+        assert len(x.rep) == g
+    padded = field.element(c[:g] + [0] * pad)
+    assert padded == a and hash(padded) == hash(a)
+    assert (a == b) == (c[:g] == d[:g])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, *ARITHMETIC_FIELDS]),
+       st.lists(_RATIONAL, min_size=1, max_size=14))
+@example(QSQRT2, [0, 0, 1])   # gamma^2 = 2, not 0
+def test_element_is_the_value_at_the_generator(field, p):
+    # a list of any length stands for p(gamma), reduced mod the minimal polynomial
+    value = field.zero()
+    for q in reversed(p):
+        value = value * field.generator() + q
+    x = field.element(p)
+    assert x == value and hash(x) == hash(value)
+    assert len(x.rep) == field.degree
+    assert x.rep == _rep(_qq_poly(p).rem(_qq_poly(list(field.minpoly))), field.degree)
+
+
 def test_refinement_is_capped(monkeypatch):
     # without refinement the box of gamma^2 = -sqrt 2 keeps meeting both
     # root rectangles of z^2 - 2, so the identification must give up at

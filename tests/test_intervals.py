@@ -266,7 +266,7 @@ class TestCertify:
         monkeypatch.setattr(RI, "cmp", lambda self, other: None)
         M = loggevrey(1)
         with pytest.raises(UndecidableAtCap) as info:
-            sequences._compare_values(M, [(2, 1)], M, [(3, 1)], "M_2 against M_3")
+            sequences._compare_scan(M, M, [([(2, 1)], [(3, 1)], "M_2 against M_3")])
         assert seen == [3000, 3000, 4096, 4096]
         assert info.value.code == "undecidable-at-cap"
         assert "M_2 against M_3" in str(info.value)

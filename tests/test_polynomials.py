@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from qal.algebraic import NumberField
 from qal.errors import DomainError, QalSyntaxError
 from qal.polynomials import MultiPoly, parse_polynomial
-from qal.rationals import GaussianRational
 
 
 def P(text):
@@ -90,9 +90,12 @@ class TestMultiPoly:
         assert info.value.code == "domain-error"
 
     def test_gaussian_coefficients(self):
-        i = GaussianRational(0, 1)
-        poly = MultiPoly(("z",), {(1,): i, (0,): GaussianRational(1)})
+        # (i z + 1)^2 = -z^2 + 2i z + 1 over Q(i)
+        QI = NumberField([1, 0, 1], root_index=1)
+        i = QI.generator()
+        poly = MultiPoly(("z",), {(1,): i, (0,): QI.one()})
         sq = poly * poly
-        assert sq.coeffs[(2,)] == GaussianRational(-1)
-        assert sq.coeffs[(1,)] == GaussianRational(0, 2)
+        assert sq.coeffs[(2,)] == QI.element(-1)
+        assert sq.coeffs[(1,)] == QI.element([0, 2])
+        assert sq.coeffs[(0,)] == QI.one()
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -32,6 +34,49 @@ GERMS = [
     ("y^3 - x^4", Fraction(4, 3)),
     ("(1+y)*(y^2-x^5)", Fraction(5, 2)),
 ]
+
+# SHA-256 of the sorted-key JSON of puiseux_expand(g, T) and d_exponent(g, T)
+# for each germ of GERMS at T = 4 and 6, frozen from the hand-written
+# Fraction-tuple field arithmetic that sympy's field elements replaced; a
+# change to any branch, coefficient, order or JSON key changes the digest
+OUTPUT_DIGESTS = {
+    ("y^2 + x^4", 4): "51d945559eaa97e9d1fc165661b1cb3c6d56886fda5139dc63632a422183b9e0",
+    ("x^2 + y^4", 4): "4e5860bad150265318bbfe3e1b194f8d250b1003c17e1817c7d2bce87d8c5dd8",
+    ("y^2 + x^6", 4): "746ffe36880fb5cf680f256dff000166bf9a348d1b2dbab80308291b0b36f090",
+    ("y^3 + x^2*y + x^5", 4): "b701122aeb1f4bb42be7d6182e0b93e1515a79c012473770952ac2603f883656",
+    ("(y - x^2)^2 + x^6", 4): "901635ace62979648c09544d3219905db7e644521b8976529e6eb77c74fba0dc",
+    ("(y^2-x^3)^2 - 4*x^5*y - x^7", 4): "19d6b020c8d2dd33a3fffc90b49f2df39dfb80f93f9d80ec7cf5e0deeed7ad7b",
+    ("y^2 - x^3", 4): "0b54cfc38bce93853a3f55b87365088ad852ce46476c076120c49275481a0151",
+    ("(y-x)^2*(y+x)^3*(y^2+x^4)", 4): "7b12d4219a8cb0962aed3ad07e22f08a6b4bee8c70fadbe11bf321ab1de95ed3",
+    ("x*(y^2 - x^3)", 4): "bf5c7404c835874c68f3edeb310fe792f3a2f6c6eb9da2b12d84f7ddb3db1f4d",
+    ("(y^2+x^4)^2", 4): "36d99f591f7c355148fae498928d74ad9bad428d6e93152003e8a746a4472476",
+    ("(y-x^2)^3 + x^7", 4): "ac4f24f25ed6eab411fc3afc61fb9edb6ccd294b636b304d6bd8d24ea6c62887",
+    ("y^3 - x^4", 4): "483a7b617100d5a419e2b33053d751005e13cf93bfd2cbe05972636bd3467475",
+    ("(1+y)*(y^2-x^5)", 4): "34b8cd5646ee481f5eaa1e4e3664173de0589921d83035c610480e37957b7278",
+    ("y^2 + x^4", 6): "9fc63b2ee96c84527f83fd3cb16d1f6d1f478709968db573ebc7af5844fd818f",
+    ("x^2 + y^4", 6): "883b263c4dd4b4c9e1d803a856a074983be98531976e29841248de44b0685890",
+    ("y^2 + x^6", 6): "ceb3bd36dc13c4f571d737f227cbd2200caef3f6d75722dbc2a212471eaa621d",
+    ("y^3 + x^2*y + x^5", 6): "bfd724cca4f22efbf330b7beb86ba5d1cae76011698a23e8bc5cc206d5ed1fbf",
+    ("(y - x^2)^2 + x^6", 6): "f9e2ce9f452e407adba8d6a9741f0d576a06c1e6d49a52b7efa99978fc86b1a5",
+    ("(y^2-x^3)^2 - 4*x^5*y - x^7", 6): "146c69488c1885ab0377b5b707df8ba8e94a0cc077819cfffd593abbe4d6b568",
+    ("y^2 - x^3", 6): "d90adc0ac116b2a935781860d719ab9d28c42054f0f3ae839fadd5948c179b42",
+    ("(y-x)^2*(y+x)^3*(y^2+x^4)", 6): "1415e678100fdd07252ad2b87ba223a4a3be5346e3e394272675e3cdb44d26a4",
+    ("x*(y^2 - x^3)", 6): "1ef9b72c1b4a9788a81edec3c081847cc82284f393c200fe0e68d070f9fb4260",
+    ("(y^2+x^4)^2", 6): "6895bf96e7a758fe6c7964d1418e3b06e3dd7f879f1e03e2b9caf795161afbba",
+    ("(y-x^2)^3 + x^7", 6): "0da9cf1ba9f7023306ead6a49f8d2a2dc6d7e861e4580f1166ed1ddf778e73b5",
+    ("y^3 - x^4", 6): "a2c5c5153499b671a3dd156d19a53bf1c6377038cf0cce2b1b9d308778d4efb1",
+    ("(1+y)*(y^2-x^5)", 6): "8050fb3df3b353a93ea6e6bde6a51d8e5e6595a24c3b366dba7ae68b8cbd1431",
+}
+
+
+@pytest.mark.parametrize("text, T", list(OUTPUT_DIGESTS))
+def test_output_is_unchanged(text, T):
+    phi = parse_polynomial(text)
+    doc = {"expand": puiseux_expand(phi, T).to_json(),
+           "d_exponent": d_exponent(phi, T).to_json()}
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == OUTPUT_DIGESTS[(text, T)]
+
 
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
