@@ -390,8 +390,13 @@ def _box_sup_numerator(U: list[int], pieces: int) -> int:
 
 
 def _sqrt_lower(x: Fraction, bits: int) -> Fraction:
-    from .rationals import root_bounds
-    return root_bounds(x, 2, bits)[0]
+    """The lower end of ``rationals.root_bounds(x, 2, bits)`` for x >= 0:
+    floor(sqrt(x) * den * 2^s) / (den * 2^s), s = bits + len(den)."""
+    if x == 0:
+        return Fraction(0)
+    num, den = x.numerator, x.denominator
+    shift = bits + den.bit_length()
+    return Fraction(math.isqrt((num * den) << (2 * shift)), den << shift)
 
 
 def _grid_numerator(U: list[int], i: int, n: int) -> int:

@@ -7,10 +7,20 @@ non-point result that has more than 2p bits (numerator plus denominator)
 outward to a p-bit mantissa times a power of two: lower endpoints down,
 upper endpoints up.  Point results are never rounded, so exact rational
 data stay exact, while the endpoints of irrational quantities no longer
-grow without bound (ball/dyadic arithmetic as in Arb).  Transcendental
-functions go through mpmath's interval context at a requested bit
-precision and come back as exact dyadic endpoints, so the enclosure
-property is preserved end to end.
+grow without bound (ball/dyadic arithmetic as in Arb).
+
+The kernel forms only the endpoints it keeps, with the same bits as the
+general formulas.  A product of two nonnegative intervals is
+[lo*lo', hi*hi'], the sign case of Moore's interval product; any other
+product takes the min and max of the four endpoint products.  A power of
+a point is its exact power.  A power of a nonnegative interval runs the
+square-and-multiply chain on each endpoint alone, rounding every step as
+the interval chain rounds it; other bases run the interval chain.
+
+Transcendental functions go through mpmath's interval context at a
+requested bit precision and come back as exact dyadic endpoints, so the
+enclosure property is preserved end to end.  Cosine and sine of one
+argument come from one mpmath evaluation (:func:`iv_cos_sin`).
 
 :func:`certify` runs a certification step at escalating precision: from
 ``QAL_PRECISION_BITS`` (environment variable, default 256 bits), doubling
@@ -27,7 +37,7 @@ from typing import Callable, TypeVar
 import mpmath.libmp as _libmp
 from mpmath import iv as _iv
 
-from .errors import CertificationError
+from .errors import CertificationError, DomainError
 from .rationals import pow_bounds
 
 PRECISION_CAP = 4096
@@ -63,16 +73,52 @@ def _floor_dyadic(q: Fraction, p: int) -> Fraction:
     return Fraction((n // (d << -s)) << -s)
 
 
+def _round_down(q: Fraction, p: int) -> Fraction:
+    """q, or q rounded down to p bits when it has more than 2p bits."""
+    if q.numerator.bit_length() + q.denominator.bit_length() > 2 * p:
+        return _floor_dyadic(q, p)
+    return q
+
+
+def _round_up(q: Fraction, p: int) -> Fraction:
+    """q, or q rounded up to p bits when it has more than 2p bits."""
+    if q.numerator.bit_length() + q.denominator.bit_length() > 2 * p:
+        return -_floor_dyadic(-q, p)
+    return q
+
+
+def _interval(lo: Fraction, hi: Fraction) -> "RI":
+    """RI(lo, hi) for Fraction endpoints, which are not converted again."""
+    if lo > hi:
+        raise DomainError(f"empty interval [{lo}, {hi}]")
+    out = object.__new__(RI)
+    out.lo = lo
+    out.hi = hi
+    return out
+
+
 def _outward(lo: Fraction, hi: Fraction) -> "RI":
     """RI(lo, hi), with long endpoints of a non-point result rounded outward
     to the working precision when one is set."""
     p = _WORKING.get()
     if p is not None and lo != hi:
-        if lo.numerator.bit_length() + lo.denominator.bit_length() > 2 * p:
-            lo = _floor_dyadic(lo, p)
-        if hi.numerator.bit_length() + hi.denominator.bit_length() > 2 * p:
-            hi = -_floor_dyadic(-hi, p)
-    return RI(lo, hi)
+        lo = _round_down(lo, p)
+        hi = _round_up(hi, p)
+    return _interval(lo, hi)
+
+
+def _pow_endpoint(x: Fraction, n: int, p: int, rnd) -> Fraction:
+    """x^n for n >= 1 by the square-and-multiply chain of :meth:`RI.__pow__`,
+    with every step rounded by ``rnd`` at precision p: one endpoint of the
+    power of a nonnegative non-point interval, whose chain stays non-point."""
+    out = None
+    while True:
+        if n & 1:
+            out = rnd(x, p) if out is None else rnd(out * x, p)
+        n >>= 1
+        if not n:
+            return out
+        x = rnd(x * x, p)
 
 
 class RI:
@@ -90,7 +136,7 @@ class RI:
         lo = Fraction(lo)
         hi = lo if hi is None else Fraction(hi)
         if lo > hi:
-            raise ValueError(f"empty interval [{lo}, {hi}]")
+            raise DomainError(f"empty interval [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
 
@@ -111,7 +157,7 @@ class RI:
     __radd__ = __add__
 
     def __neg__(self):
-        return RI(-self.hi, -self.lo)
+        return _interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
         return self + (-RI.of(other))
@@ -121,6 +167,8 @@ class RI:
 
     def __mul__(self, other):
         o = RI.of(other)
+        if self.lo.numerator >= 0 and o.lo.numerator >= 0:
+            return _outward(self.lo * o.lo, self.hi * o.hi)
         ps = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return _outward(min(ps), max(ps))
 
@@ -129,7 +177,7 @@ class RI:
     def __truediv__(self, other):
         o = RI.of(other)
         if o.lo <= 0 <= o.hi:
-            raise ZeroDivisionError(f"divisor interval {o} contains 0")
+            raise DomainError(f"divisor interval {o} contains 0")
         inv = _outward(1 / o.hi, 1 / o.lo)
         return self * inv
 
@@ -143,6 +191,16 @@ class RI:
             return RI(1)
         if n < 0:
             return RI(1) / self**(-n)
+        lo, hi = self.lo, self.hi
+        if lo == hi:
+            p = lo**n
+            return _interval(p, p)
+        if lo.numerator >= 0:
+            p = _WORKING.get()
+            if p is None:
+                return _interval(lo**n, hi**n)
+            return _interval(_pow_endpoint(lo, n, p, _round_down),
+                             _pow_endpoint(hi, n, p, _round_up))
         # square-and-multiply; the first factor is rounded as RI(1) * base
         # would round it, and no square is formed past the top bit
         out, base = None, self
@@ -248,6 +306,8 @@ def certify(step: Callable[[int], _T | None], what: str | Callable[[], str],
 def _to_iv(x, bits: int):
     """Convert Fraction/int/RI to an mpmath interval enclosing it."""
     if isinstance(x, RI):
+        if x.lo == x.hi:
+            return _to_iv(x.lo, bits)
         lo = _to_iv(x.lo, bits)
         hi = _to_iv(x.hi, bits)
         return _iv.mpf([lo.a, hi.b])
@@ -257,8 +317,9 @@ def _to_iv(x, bits: int):
     return _iv.mpf(f.numerator) / _iv.mpf(f.denominator)
 
 
-def _from_iv(x) -> RI:
-    a_raw, b_raw = x._mpi_
+def _from_mpi(pair) -> RI:
+    """The RI with the endpoints of an mpmath interval's raw (a, b) pair."""
+    a_raw, b_raw = pair
     pa, qa = _libmp.to_rational(a_raw)
     pb, qb = _libmp.to_rational(b_raw)
     return RI(Fraction(pa, qa), Fraction(pb, qb))
@@ -274,20 +335,26 @@ def _with_prec(bits: int, fn):
 
 
 def iv_exp(x, bits: int) -> RI:
-    return _with_prec(bits, lambda: _from_iv(_iv.exp(_to_iv(x, bits))))
+    return _with_prec(bits, lambda: _from_mpi(_iv.exp(_to_iv(x, bits))._mpi_))
 
 
 def iv_log_shift_e(x, bits: int) -> RI:
     """log(x + e) as a certified interval."""
-    return _with_prec(bits, lambda: _from_iv(_iv.log(_to_iv(x, bits) + _iv.e)))
+    return _with_prec(bits, lambda: _from_mpi(_iv.log(_to_iv(x, bits) + _iv.e)._mpi_))
 
 
-def iv_sin(x, bits: int) -> RI:
-    return _with_prec(bits, lambda: _from_iv(_iv.sin(_to_iv(x, bits))))
+def iv_cos_sin(x, bits: int) -> tuple[RI, RI]:
+    """(cos x, sin x) from one conversion and one mpmath evaluation.
 
+    mpmath's ``iv.cos`` and ``iv.sin`` each run ``mpi_cos_sin`` and keep one
+    half, so this calls it once, at the precision they would use.
+    """
 
-def iv_cos(x, bits: int) -> RI:
-    return _with_prec(bits, lambda: _from_iv(_iv.cos(_to_iv(x, bits))))
+    def run():
+        c, s = _libmp.mpi_cos_sin(_to_iv(x, bits)._mpi_, _iv.prec)
+        return _from_mpi(c), _from_mpi(s)
+
+    return _with_prec(bits, run)
 
 
 def iv_pow(base, expo, bits: int) -> RI:
@@ -296,7 +363,7 @@ def iv_pow(base, expo, bits: int) -> RI:
     def run():
         b = _to_iv(base, bits)
         e = _to_iv(expo, bits)
-        return _from_iv(b**e)
+        return _from_mpi((b**e)._mpi_)
 
     return _with_prec(bits, run)
 
@@ -304,15 +371,18 @@ def iv_pow(base, expo, bits: int) -> RI:
 def ri_pow_frac(x: RI | Fraction, s: Fraction, bits: int) -> RI:
     """x^s for positive x and rational s, outward rounded."""
     if isinstance(x, RI):
-        if x.lo <= 0:
-            raise ValueError("ri_pow_frac needs a positive base interval")
-        los = pow_bounds(x.lo, s, bits)
-        his = pow_bounds(x.hi, s, bits)
-        if s >= 0:
-            return RI(los[0], his[1])
-        return RI(his[0], los[1])
-    lo, hi = pow_bounds(Fraction(x), s, bits)
-    return RI(lo, hi)
+        lo, hi = x.lo, x.hi
+    else:
+        lo = hi = Fraction(x)
+    if lo <= 0:
+        raise DomainError("ri_pow_frac needs a positive base")
+    los = pow_bounds(lo, s, bits)
+    if lo == hi:
+        return RI(*los)
+    his = pow_bounds(hi, s, bits)
+    if s >= 0:
+        return RI(los[0], his[1])
+    return RI(his[0], los[1])
 
 
 class CI:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, PrecisionFailure, TruncationInsufficient
-from .intervals import CI, RI, certify, default_bits, iv_cos, iv_sin
+from .intervals import CI, RI, certify, default_bits, iv_cos_sin
 from .rationals import factorial, falling, stirling2_row
 from .sequences import CarlemanSequence
 
@@ -153,17 +153,11 @@ def theta_eval(M: CarlemanSequence, x: Fraction, j: int, K: int,
     def attempt(bits: int) -> CI | None:
         approx = build_theta(M, K, bits)
         total = CI(RI.point(0), RI.point(0))
+        angle = 2 * x
         for k in range(K + 1):
             mag = approx.term_magnitude(k, j)
-            angle = 2 * x
-            # evaluate cos/sin of (2 m_k x); m_k interval feeds straight in
-            arg = approx.ms[k] * angle
-            if arg.is_point():
-                c = iv_cos(arg.lo, bits)
-                s = iv_sin(arg.lo, bits)
-            else:
-                c = iv_cos(arg, bits)
-                s = iv_sin(arg, bits)
+            # cos/sin of 2 m_k x; the m_k interval feeds straight in
+            c, s = iv_cos_sin(approx.ms[k] * angle, bits)
             total = total + CI(mag * c, mag * s)
         total = total.pad(approx.tail_bound(j))
         value = total.rotate_i(j % 4)

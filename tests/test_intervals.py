@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qal import intervals, sequences, theta
-from qal.errors import PrecisionFailure, UndecidableAtCap
-from qal.intervals import PRECISION_CAP, RI, certify, iv_pow
+from qal.errors import DomainError, PrecisionFailure, UndecidableAtCap
+from qal.intervals import PRECISION_CAP, RI, certify, iv_cos_sin, iv_pow, ri_pow_frac
 from qal.sequences import CarlemanSequence, gevrey, loggevrey
 
 
@@ -89,6 +89,21 @@ def intervals_(draw, point=None):
 
 
 precisions = st.sampled_from([8, 64, 256])
+
+
+@st.composite
+def signed_intervals(draw):
+    """A point, or a nonnegative, nonpositive or sign-mixed interval."""
+    kind = draw(st.sampled_from(["point", "nonnegative", "nonpositive", "mixed"]))
+    if kind == "point":
+        lo = draw(numbers)
+        return lo, lo
+    a, b = sorted((abs(draw(numbers)), abs(draw(numbers))))
+    if kind == "nonnegative":
+        return a, b
+    if kind == "nonpositive":
+        return -b, -a
+    return -a, b
 
 
 def _check_rounded(out: RI, p: int):
@@ -186,6 +201,26 @@ class TestOutwardRounding:
         out = RI(*a) ** n
         assert (out.lo, out.hi) == ref_pow(a, n)
 
+    @settings(max_examples=200, deadline=None)
+    @given(signed_intervals(), signed_intervals(), precisions)
+    def test_products_equal_the_four_product_reference_bit_for_bit(self, a, b, bits):
+        got, ref = at_precision(bits, lambda: (RI(*a) * RI(*b),
+                                               intervals._outward(*ref_mul(a, b))))
+        assert (got.lo, got.hi) == (ref.lo, ref.hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(OPS)), signed_intervals(), signed_intervals(),
+           st.integers(-4, 6), precisions)
+    def test_results_have_ordered_fraction_endpoints(self, op, a, b, n, bits):
+        fn = OPS[op][0]
+        if op == "/":
+            assume(not _has_zero(b))
+        if n < 0:
+            assume(not _has_zero(a))
+        for out in at_precision(bits, lambda: (fn(RI(*a), RI(*b)), RI(*a) ** n)):
+            assert type(out.lo) is Fraction and type(out.hi) is Fraction
+            assert out.lo <= out.hi
+
     def test_rounding_is_undone_after_certify(self):
         a = RI(Fraction(1, 3) ** 200, Fraction(1, 3) ** 199)
         b = RI(Fraction(2, 7) ** 150, Fraction(2, 7) ** 149)
@@ -194,6 +229,31 @@ class TestOutwardRounding:
         assert (exact.lo, exact.hi) == ref_mul((a.lo, a.hi), (b.lo, b.hi))
         assert rounded.lo < exact.lo and exact.hi < rounded.hi
         assert intervals._WORKING.get() is None
+
+
+class TestErrors:
+    def test_empty_interval(self):
+        with pytest.raises(DomainError) as info:
+            RI(2, 1)
+        assert info.value.code == "domain-error"
+
+    def test_empty_interval_on_the_rounding_path(self):
+        with pytest.raises(DomainError) as info:
+            intervals._outward(Fraction(2), Fraction(1))
+        assert info.value.code == "domain-error"
+
+    @pytest.mark.parametrize("divisor", [RI(-1, 1), RI(0, 1), RI(-1, 0), RI(0)])
+    def test_division_by_an_interval_that_contains_zero(self, divisor):
+        with pytest.raises(DomainError) as info:
+            RI(1, 2) / divisor
+        assert info.value.code == "domain-error"
+
+    @pytest.mark.parametrize("base", [RI(0, 1), RI(-2, 3), RI(-1), Fraction(0),
+                                      Fraction(-3, 2)])
+    def test_fractional_power_of_a_non_positive_base(self, base):
+        with pytest.raises(DomainError) as info:
+            ri_pow_frac(base, Fraction(1, 2), 64)
+        assert info.value.code == "domain-error"
 
 
 class TestCertify:
@@ -301,3 +361,30 @@ class TestBridge:
         assert out.rel_width() <= Fraction(1, 1 << 200)
         with mpmath.workprec(2000):
             assert _contains(out, mpmath.log(5 + mpmath.e) ** 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(Fraction, st.integers(-(1 << 90), 1 << 90), st.integers(1, 1 << 80)),
+           st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=8),
+                     st.builds(Fraction, st.integers(1, 1 << 20), st.just(1 << 100))),
+           st.sampled_from([8, 64, 256, 1000]))
+    def test_cos_sin_equal_mpmath_cos_and_sin(self, lo, width, bits):
+        def ref_iv(q: Fraction):
+            return mpmath.iv.mpf(q.numerator) / mpmath.iv.mpf(q.denominator)
+
+        def ref_ri(y) -> tuple[Fraction, Fraction]:
+            a, b = y._mpi_
+            return (Fraction(*mpmath.libmp.to_rational(a)),
+                    Fraction(*mpmath.libmp.to_rational(b)))
+
+        hi = lo + width
+        old = mpmath.iv.prec
+        mpmath.iv.prec = bits + 16
+        try:
+            y = mpmath.iv.mpf([ref_iv(lo).a, ref_iv(hi).b])
+            ref = ref_ri(mpmath.iv.cos(y)), ref_ri(mpmath.iv.sin(y))
+        finally:
+            mpmath.iv.prec = old
+        args = [RI(lo, hi)] + ([lo, RI(lo)] if width == 0 else [])
+        for x in args:
+            c, s = iv_cos_sin(x, bits)
+            assert ((c.lo, c.hi), (s.lo, s.hi)) == ref, x

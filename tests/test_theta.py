@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -5,10 +7,11 @@ import mpmath
 import pytest
 
 from qal import intervals
+from qal.division import nodiv_witness
 from qal.errors import DomainError
 from qal.intervals import default_bits
 from qal.rationals import factorial
-from qal.sequences import analytic, gevrey, qgevrey
+from qal.sequences import analytic, gevrey, loggevrey, qgevrey
 from qal.theta import (BorelExample, ThetaDerivative, borel_example_derivatives,
                        borel_example_eval, build_theta, theta_derivative_at_zero,
                        theta_eval)
@@ -214,3 +217,36 @@ class TestWorkingPrecision:
                 # the lower end is the exact partial sum, the width the exact tail
                 assert out.magnitude.lo == exact_partial_sum(M, j, K), (M, j)
                 assert out.magnitude.width() == build_theta(M, K).tail_bound(j), (M, j)
+
+
+# SHA-256 of the sorted-key JSON of each result, frozen from the interval
+# kernel that formed all four endpoint products of every product and ran
+# every power as an interval chain, with cos and sin from separate mpmath
+# calls; the kernel must reproduce every endpoint bit for bit.
+GOLDEN = [
+    pytest.param(lambda: theta_eval(gevrey(Fraction(1, 2)), Fraction(1, 3), 16, 32),
+                 "09799acb1d1e5cc60f72a64a2fba155d7bc33dace1106d831ac4c71a77fefc76",
+                 id="theta_eval gevrey(1/2) x=1/3 j=16 K=32"),
+    pytest.param(lambda: theta_eval(loggevrey(1), Fraction(2, 7), 8, 16),
+                 "52c103a394b0825ebf8d121b239f4f60452f48a604c3e2d9839a984d95662dd5",
+                 id="theta_eval loggevrey(1) x=2/7 j=8 K=16"),
+    pytest.param(lambda: theta_derivative_at_zero(loggevrey(1), 16, 24),
+                 "6764b928385a60f8d59296c815bc27a7332dda0aca6013ac241ff3d6e5022a49",
+                 id="theta_derivative_at_zero loggevrey(1) j=16 K=24"),
+    pytest.param(lambda: nodiv_witness(gevrey(Fraction(1, 2)), 4, 16),
+                 "2ef365d46d437f75a628b098310c72565e42f12cca8b862e2a7ed120a5373287",
+                 id="nodiv_witness gevrey(1/2) J=4 K=16"),
+    pytest.param(lambda: nodiv_witness(gevrey(Fraction(3, 2)), 4, 16),
+                 "aeb148db45cdb135533fec10c17fc08375eb825b727065dfddf1401375caaba7",
+                 id="nodiv_witness gevrey(3/2) J=4 K=16"),
+    pytest.param(lambda: nodiv_witness(loggevrey(1), 4, 16),
+                 "681eea94f37a75f00f131644f265dd3a521132597cf98423cad7364f72624ce1",
+                 id="nodiv_witness loggevrey(1) J=4 K=16"),
+]
+
+
+@pytest.mark.parametrize("run, digest", GOLDEN)
+def test_output_is_unchanged(monkeypatch, run, digest):
+    monkeypatch.delenv("QAL_PRECISION_BITS", raising=False)
+    text = json.dumps(run().to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
