@@ -327,6 +327,12 @@ class HyperbolicityReport:
                 "real_root_counts": self.real_root_counts}
 
 
+def _require_distinguished(phi) -> None:
+    if not isinstance(phi, DistinguishedPoly):
+        raise DomainError(f"expected a DistinguishedPoly, got {type(phi).__name__}; "
+                          "convert with DistinguishedPoly.from_multipoly")
+
+
 def hyperbolic_check_2d(phi: DistinguishedPoly,
                         side: str = "both") -> HyperbolicityReport:
     """Decide whether all roots of phi(x, .) are real for every x in a
@@ -341,6 +347,7 @@ def hyperbolic_check_2d(phi: DistinguishedPoly,
     multiplicity excess.  phi is hyperbolic iff on every requested side the
     count equals the squarefree degree.
     """
+    _require_distinguished(phi)
     if side not in ("both", "plus", "minus"):
         raise DomainError("side must be 'both', 'plus' or 'minus'")
     if len(_param_vars(phi)) > 1:
@@ -367,6 +374,7 @@ def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
     None.  A None result is NOT a hyperbolicity proof; it only reports
     that the grid found nothing.
     """
+    _require_distinguished(phi)
     radius = Fraction(radius)
     if radius <= 0 or resolution < 1:
         raise DomainError("grid needs a positive radius and resolution")

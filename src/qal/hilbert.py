@@ -12,8 +12,19 @@ form
     G[a][b] = sum_{j<=min(a,b)} w_j * a!/(a-j)! * b!/(b-j)! *
               (1 + (-1)^(a+b)) / (a + b - 2j + 1),
 
-its positive definiteness is certified by an LDL^T factorization with
-positive pivots, and all linear solves have exactly zero residual.
+and all linear solves have exactly zero residual.
+
+The interval is symmetric, so G[a][b] = 0 whenever a + b is odd: G is a
+row-and-column permutation of diag(G_even, G_odd), the Gram blocks of the
+even and of the odd monomials.  The model works on the two blocks only.
+Each block gets an exact LDL^T factorization, and positive pivots of both
+blocks certify that G is positive definite.  They are the pivots of the
+LDL^T of the full G as well, read in parity order: the full factor has
+L[r][i] = 0 whenever r + i is odd.  The representer of the derivative of
+order i at 0 lies in the block of the parity of i, and so does the
+minimal interpolant of data supported on that parity.  Every value this
+module returns is the one the dense computation gives; only the products
+with a structural zero are never formed.
 
 The model is deliberately a truncation: statements about the full space
 (such as the column limits of the omega table) appear here as exact
@@ -65,8 +76,10 @@ def ldl_decompose(G: Mat) -> tuple[Mat, Vec]:
 def ldl_solve(L: Mat, D: Vec, rhs: Vec) -> Vec:
     n = len(rhs)
     y = list(rhs)
-    for i in range(n):
-        for k in range(i):
+    # leading zeros of rhs stay zero in the forward solve and add nothing to later rows
+    first = next((i for i, c in enumerate(rhs) if c), n)
+    for i in range(first + 1, n):
+        for k in range(first, i):
             y[i] -= L[i][k] * y[k]
     for i in range(n):
         y[i] /= D[i]
@@ -74,6 +87,19 @@ def ldl_solve(L: Mat, D: Vec, rhs: Vec) -> Vec:
         for k in range(i + 1, n):
             y[i] -= L[k][i] * y[k]
     return y
+
+
+def _parity_solve(blocks: list[tuple[Mat, Vec]], rhs: Vec) -> Vec:
+    """Solve a system that is diag(blocks[0], blocks[1]) after sorting its
+    indices by parity: block p, given as its LDL^T factors, couples the
+    indices p, p + 2, ...  A block whose part of rhs is zero has the zero
+    solution and is not solved."""
+    out = [Fraction(0)] * len(rhs)
+    for p, (L, D) in enumerate(blocks):
+        part = rhs[p::2]
+        if any(part):
+            out[p::2] = ldl_solve(L, D, part)
+    return out
 
 
 def poly_derivative(u: Vec, times: int = 1) -> Vec:
@@ -96,17 +122,28 @@ class HilbertModel:
     degree: int
     weights: Vec
     gram: Mat
-    _ldl: tuple[Mat, Vec] = field(repr=False, default=None)
+    # per parity p, the Gram block of x^p, x^(p+2), ... and its LDL^T factors
+    _blocks: list[Mat] = field(repr=False, default=None)
+    _ldl: list[tuple[Mat, Vec]] = field(repr=False, default=None)
     # certified representers by order, filled by `representer`
     _reps: dict[int, Vec] = field(repr=False, compare=False, default_factory=dict)
 
+    def _padded(self, u: Vec) -> Vec:
+        n = self.degree + 1
+        if len(u) > n:
+            raise DomainError(f"{len(u)} coefficients exceed degree {self.degree}")
+        return list(u) + [Fraction(0)] * (n - len(u))
+
     def inner(self, u: Vec, v: Vec) -> Fraction:
-        """<u|v> via the Gram matrix; u, v in monomial coordinates."""
-        u = u + [Fraction(0)] * (self.degree + 1 - len(u))
-        v = v + [Fraction(0)] * (self.degree + 1 - len(v))
-        gv = [sum(row[b] * v[b] for b in range(self.degree + 1))
-              for row in self.gram]
-        return sum(u[a] * gv[a] for a in range(self.degree + 1))
+        """<u|v> via the Gram blocks; u, v in monomial coordinates of
+        degree at most D, otherwise DomainError."""
+        u, v = self._padded(u), self._padded(v)
+        total = Fraction(0)
+        for p, G in enumerate(self._blocks):
+            vp = v[p::2]
+            total += sum(c * sum(g * x for g, x in zip(row, vp))
+                         for c, row in zip(u[p::2], G))
+        return total
 
     def norm_sq(self, u: Vec) -> Fraction:
         return self.inner(u, u)
@@ -117,12 +154,18 @@ class HilbertModel:
         return factorial(i) * u[i]
 
     def solve(self, rhs: Vec) -> Vec:
-        L, D = self._ldl
-        return ldl_solve(L, D, rhs)
+        """G^-1 rhs, one parity block at a time."""
+        return _parity_solve(self._ldl, rhs)
 
 
 def build_model(M: CarlemanSequence, D: int) -> HilbertModel:
     """Exact Gram matrix of the monomial basis up to degree D.
+
+    Only the even block and the odd block of G are computed (the entries
+    of odd a + b vanish by the symmetry of (-1, 1)), each from integer
+    falling factorials a!/(a-j)!.  Both blocks are factored by
+    `ldl_decompose`; positive pivots of both certify that G is positive
+    definite, otherwise DomainError.
 
     The sequence must be rational valued on 0..D; the dynamic range of the
     weights (about (D! M_D)^2) rules floating point out entirely.
@@ -137,31 +180,43 @@ def build_model(M: CarlemanSequence, D: int) -> HilbertModel:
         mj = M.exact_value(j)
         weights.append(Fraction(1) / (factorial(j) * mj) ** 2)
     n = D + 1
-    G: Mat = [[Fraction(0)] * n for _ in range(n)]
+    falling = []  # falling[a][j] = a!/(a-j)!
     for a in range(n):
-        for b in range(a, n):
-            if (a + b) % 2 == 1:
-                continue  # odd-parity entries vanish by symmetry of (-1,1)
-            s = Fraction(0)
-            for j in range(min(a, b) + 1):
-                s += (weights[j]
-                      * Fraction(factorial(a), factorial(a - j))
-                      * Fraction(factorial(b), factorial(b - j))
-                      * Fraction(2, a + b - 2 * j + 1))
-            G[a][b] = G[b][a] = s
-    model = HilbertModel(M, D, weights, G)
-    model._ldl = ldl_decompose(G)  # also certifies SPD
+        row = [1]
+        for j in range(a):
+            row.append(row[-1] * (a - j))
+        falling.append(row)
+    G: Mat = [[Fraction(0)] * n for _ in range(n)]
+    blocks = []
+    for p in (0, 1):
+        degs = range(p, n, 2)
+        block: Mat = [[Fraction(0)] * len(degs) for _ in degs]
+        for s, a in enumerate(degs):
+            fa = falling[a]
+            for t in range(s, len(degs)):
+                b = degs[t]
+                fb = falling[b]
+                entry = Fraction(0)
+                for j in range(a + 1):
+                    entry += weights[j] * Fraction(2 * fa[j] * fb[j], a + b - 2 * j + 1)
+                block[s][t] = block[t][s] = G[a][b] = G[b][a] = entry
+        blocks.append(block)
+    model = HilbertModel(M, D, weights, G, blocks)
+    model._ldl = [ldl_decompose(block) for block in blocks]  # also certifies SPD
     return model
 
 
 def representer(model: HilbertModel, i: int) -> Vec:
     """The element e_i with <e_i|u> = u^(i)(0) for all u in the model.
 
-    Solves G r = i! * unit_i exactly and certifies the reproducing
-    identity on every basis monomial at once: <r|x^a> is the a-th entry of
-    G r, so the exact product G r must equal i! * unit_i, otherwise
-    CertificationError.  The certified solution is cached on the model;
-    callers get a copy.
+    e_i solves G r = i! * unit_i.  The right-hand side lies in the parity
+    block of i, so r is zero off that parity and only that block is solved.
+    The reproducing identity is certified on every basis monomial at once:
+    <r|x^a> is the a-th entry of G r, so the exact product G r must equal
+    i! * unit_i, otherwise CertificationError.  Rows of the other parity
+    meet only structural zeros of G or of r, so the check multiplies the
+    block of i with the part of r in it.  The certified solution is cached
+    on the model; callers get a copy.
     """
     if not 0 <= i <= model.degree:
         raise DomainError(f"representer order {i} outside 0..{model.degree}")
@@ -170,7 +225,9 @@ def representer(model: HilbertModel, i: int) -> Vec:
         rhs = [Fraction(0)] * (model.degree + 1)
         rhs[i] = Fraction(factorial(i))
         r = model.solve(rhs)
-        if [sum(g * c for g, c in zip(row, r)) for row in model.gram] != rhs:
+        p = i % 2
+        rp = r[p::2]
+        if [sum(g * c for g, c in zip(row, rp)) for row in model._blocks[p]] != rhs[p::2]:
             raise CertificationError("reproducing identity failed; Gram solve is wrong")
         model._reps[i] = r
     return list(r)
@@ -211,23 +268,29 @@ def minimal_interpolant(model: HilbertModel, b: Vec) -> MinimalInterpolant:
     return _interpolant(model, reps, r_ldl, [Fraction(x) for x in b])
 
 
-def _representer_system(model: HilbertModel, k: int) -> tuple[list[Vec], tuple[Mat, Vec]]:
-    """The first k representers and the LDL^T of R[i][j] = <e_i|e_j>."""
+def _representer_system(model: HilbertModel, k: int) -> tuple[list[Vec], list[tuple[Mat, Vec]]]:
+    """The first k representers and the LDL^T of the two parity blocks of
+    R[i][j] = <e_i|e_j> = e_j^(i)(0), which is zero when i + j is odd."""
     reps = [representer(model, j) for j in range(k)]
-    # R[i][j] = <e_i|e_j> = e_j^(i)(0), exact
-    R: Mat = [[model.deriv_at_zero(reps[j], i) for j in range(k)] for i in range(k)]
-    return reps, ldl_decompose(R)  # also certifies the representers independent
+    blocks = []
+    for p in (0, 1):
+        orders = range(p, k, 2)
+        R: Mat = [[model.deriv_at_zero(reps[j], i) for j in orders] for i in orders]
+        blocks.append(ldl_decompose(R))  # also certifies the representers independent
+    return reps, blocks
 
 
-def _interpolant(model: HilbertModel, reps: list[Vec], r_ldl: tuple[Mat, Vec],
+def _interpolant(model: HilbertModel, reps: list[Vec], r_ldl: list[tuple[Mat, Vec]],
                  b: Vec) -> MinimalInterpolant:
     """The minimal interpolant of data b from the factored representer system."""
     k = len(b)
-    xi = ldl_solve(*r_ldl, b)
+    xi = _parity_solve(r_ldl, b)
     coeffs = [Fraction(0)] * (model.degree + 1)
     for j in range(k):
-        for a in range(model.degree + 1):
-            coeffs[a] += xi[j] * reps[j][a]
+        if xi[j]:  # xi is zero on a parity block whose data are zero
+            # e_j is zero off the parity of j
+            for a in range(j % 2, model.degree + 1, 2):
+                coeffs[a] += xi[j] * reps[j][a]
     norm_sq = sum(xi[j] * b[j] for j in range(k))  # <g|g> = xi . (R xi) = xi . b
     out = MinimalInterpolant(model, k, b, coeffs, xi, norm_sq)
     if not out.constraints_hold():
@@ -239,23 +302,25 @@ def omega_table(model: HilbertModel, k: int) -> list[Fraction]:
     """The reconstruction weights omega_{j,k} = j! * u_{j,k}(1) for j < k,
     where u_{j,k} is the minimal interpolant of the j-th unit data vector.
 
-    The k representers are certified once (see `representer`) and R is
-    factored once, with positive pivots; every u_{j,k} is still checked
-    to meet its k derivative constraints exactly, otherwise
-    CertificationError.
+    The k representers are certified once (see `representer`) and the two
+    parity blocks of R are factored once, with positive pivots; u_{j,k}
+    lies in the parity block of j, and every u_{j,k} is still checked to
+    meet its k derivative constraints exactly, otherwise
+    CertificationError.  Raises DomainError unless 0 <= k <= D + 1.
 
     At k = D + 1 the constraints pin every coefficient, u_{j,k} = x^j / j!,
     and the whole column is exactly 1.
     """
-    if k > model.degree + 1:
-        raise DomainError("omega table needs k <= D + 1")
+    if not 0 <= k <= model.degree + 1:
+        raise DomainError(f"omega table needs 0 <= k <= D + 1, got k = {k}")
     reps, r_ldl = _representer_system(model, k)
     out = []
     for j in range(k):
         unit = [Fraction(0)] * k
         unit[j] = Fraction(1)
         u = _interpolant(model, reps, r_ldl, unit)
-        out.append(factorial(j) * u.value_at(Fraction(1)))
+        # u_{j,k}(1), summing the parity of j only: u_{j,k} lies in its block
+        out.append(factorial(j) * sum(u.coeffs[j % 2::2]))
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import QalSyntaxError
+from .errors import DomainError, QalSyntaxError
 
 _FACTORIALS = [1, 1]
 
@@ -67,7 +67,7 @@ def format_fraction(x: Fraction) -> str:
 def iroot(n: int, k: int) -> tuple[int, bool]:
     """Floor k-th root of n >= 0 plus a flag telling whether it is exact."""
     if n < 0 or k < 1:
-        raise ValueError("iroot expects n >= 0, k >= 1")
+        raise DomainError("iroot expects n >= 0, k >= 1")
     if n in (0, 1) or k == 1:
         return n, True
     if k == 2:
@@ -90,7 +90,7 @@ def root_bounds(x: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
     in absolute terms after denominator scaling.
     """
     if x < 0:
-        raise ValueError("root_bounds needs a nonnegative radicand")
+        raise DomainError("root_bounds needs a nonnegative radicand")
     if x == 0:
         return Fraction(0), Fraction(0)
     num, den = x.numerator, x.denominator
@@ -112,7 +112,7 @@ def pow_bounds(x: Fraction, s: Fraction, bits: int) -> tuple[Fraction, Fraction]
     power radicand.
     """
     if x <= 0:
-        raise ValueError("pow_bounds needs a positive base")
+        raise DomainError("pow_bounds needs a positive base")
     p, q = s.numerator, s.denominator
     xp = x**p  # exact Fraction, possibly huge
     if q == 1:
@@ -157,11 +157,11 @@ def compare_power_products(left: list[tuple[Fraction, Fraction]],
     lv = Fraction(1)
     for b, e in left:
         if b <= 0:
-            raise ValueError("bases must be positive")
+            raise DomainError("bases must be positive")
         lv *= b ** int(e * denom)
     rv = Fraction(1)
     for b, e in right:
         if b <= 0:
-            raise ValueError("bases must be positive")
+            raise DomainError("bases must be positive")
         rv *= b ** int(e * denom)
     return (lv > rv) - (lv < rv)

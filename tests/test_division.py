@@ -319,6 +319,18 @@ class TestFalsifyGrid:
         assert hyperbolic_falsify_grid(phi, Fraction(1), 2) is None
 
 
+class TestErrors:
+    def test_check_2d_rejects_a_plain_multipoly(self):
+        with pytest.raises(DomainError) as info:
+            hyperbolic_check_2d(P("y^2 - x^2"))
+        assert info.value.code == "domain-error"
+
+    def test_falsify_grid_rejects_a_plain_multipoly(self):
+        with pytest.raises(DomainError) as info:
+            hyperbolic_falsify_grid(P("y^2 + x1^2 + x2^2"), Fraction(1), 2)
+        assert info.value.code == "domain-error"
+
+
 class TestCertificationErrors:
     def test_failed_reexpansion_is_coded(self, monkeypatch):
         monkeypatch.setattr(MultiPoly, "__eq__", lambda self, other: False)

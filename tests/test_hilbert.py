@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import random
 import time
@@ -71,6 +72,17 @@ class TestRepresenter:
         # <e_1|x> = (x)'(0) = 1
         assert model.inner(e1, [Fraction(0), Fraction(1)]) == 1
 
+    def test_inner_rejects_coefficients_past_the_degree(self):
+        model = build_model(gevrey(1), 4)
+        with pytest.raises(DomainError) as err:
+            model.inner([1] * 7, [1])
+        assert err.value.code == "domain-error"
+        with pytest.raises(DomainError):
+            model.inner([1], [1] * 6)
+        with pytest.raises(DomainError):
+            model.norm_sq([Fraction(1)] * 6)
+        assert model.norm_sq([Fraction(1)] * 5) == model.inner([1] * 5, [1] * 5)
+
     def test_reproducing_identity_is_symmetric(self):
         model = build_model(gevrey(1), 6)
         reps = [representer(model, i) for i in range(7)]
@@ -92,17 +104,26 @@ class TestRepresenter:
                 assert got == factorial(i) * u[i]
 
 
-def _perturb_solves(monkeypatch, size=None):
-    """Make ldl_solve return a wrong last entry (only for systems of the
-    given size, when one is given)."""
-    real = hilbert.ldl_solve
+def _perturb_solves(monkeypatch, r_only=False):
+    """Make ldl_solve return a wrong last entry: for every system, or with
+    r_only for the parity blocks of R = (<e_i|e_j>) only, which are told
+    apart from the Gram blocks by their factors."""
+    real_solve = hilbert.ldl_solve
+    real_system = hilbert._representer_system
+    r_factors = []
+
+    def recording(model, k):
+        reps, blocks = real_system(model, k)
+        r_factors.extend(L for L, _ in blocks)
+        return reps, blocks
 
     def perturbed(L, D, rhs):
-        out = real(L, D, rhs)
-        if size is None or len(rhs) == size:
+        out = real_solve(L, D, rhs)
+        if not r_only or any(L is F for F in r_factors):
             out[-1] += Fraction(1, 10**9)
         return out
 
+    monkeypatch.setattr(hilbert, "_representer_system", recording)
     monkeypatch.setattr(hilbert, "ldl_solve", perturbed)
 
 
@@ -110,7 +131,7 @@ class TestCertificationErrors:
     def test_representer_rejects_wrong_solve(self, monkeypatch):
         model = build_model(gevrey(1), 6)
         _perturb_solves(monkeypatch)
-        with pytest.raises(CertificationError) as err:
+        with pytest.raises(CertificationError, match="reproducing identity") as err:
             representer(model, 2)
         assert err.value.code == "certification-error"
         assert isinstance(err.value, ArithmeticError)
@@ -118,16 +139,16 @@ class TestCertificationErrors:
     def test_omega_table_rejects_wrong_representer(self, monkeypatch):
         model = build_model(gevrey(1), 6)
         _perturb_solves(monkeypatch)
-        with pytest.raises(CertificationError) as err:
+        with pytest.raises(CertificationError, match="reproducing identity") as err:
             omega_table(model, 3)
         assert err.value.code == "certification-error"
 
     def test_omega_table_rejects_wrong_interpolant(self, monkeypatch):
-        # the representers are right; only the solves of R (size k) are off,
-        # so the constraint check of each interpolant must catch it
+        # the representers are right; only the solves of R are off, so the
+        # constraint check of each interpolant must catch it
         model = build_model(gevrey(1), 6)
-        _perturb_solves(monkeypatch, size=3)
-        with pytest.raises(CertificationError) as err:
+        _perturb_solves(monkeypatch, r_only=True)
+        with pytest.raises(CertificationError, match="interpolation constraints") as err:
             omega_table(model, 3)
         assert err.value.code == "certification-error"
 
@@ -137,7 +158,7 @@ class TestCertificationErrors:
         warm = build_model(gevrey(1), 6)
         omega_table(warm, 4)
         _perturb_solves(monkeypatch)
-        with pytest.raises(CertificationError):
+        with pytest.raises(CertificationError, match="reproducing identity"):
             representer(build_model(gevrey(1), 6), 1)
 
 
@@ -239,6 +260,12 @@ class TestOmegaTable:
             model = build_model(gevrey(1), D)
             assert omega_table(model, D + 1) == [Fraction(1)] * (D + 1)
 
+    @pytest.mark.parametrize("k", [-1, -4, 6])
+    def test_k_outside_0_to_d_plus_1_is_a_domain_error(self, k):
+        with pytest.raises(DomainError) as err:
+            omega_table(build_model(gevrey(1), 4), k)
+        assert err.value.code == "domain-error"
+
     def test_gevrey1_d8_k4_frozen_golden(self):
         # frozen from the independent symbolic-integration dense solve
         model = build_model(gevrey(1), 8)
@@ -264,8 +291,11 @@ class TestOmegaTable:
             assert g.value_at(Fraction(1)) == expected
 
     def test_gevrey1_d24_k12_in_time(self):
-        # one LDL of R and k certified representers; 11-13 s when every
-        # column re-solved and re-verified all k representers
+        # k certified representers, each solved and checked in one parity
+        # block, and one LDL of each parity block of R: 0.13-0.15 s on a
+        # shared 2-vCPU machine, against 0.18-0.23 s with dense solves of
+        # the whole G and R, and 11-13 s when every column re-solved and
+        # re-verified all k representers
         model = build_model(gevrey(1), 24)
         start = time.perf_counter()
         omegas = omega_table(model, 12)
@@ -484,3 +514,56 @@ class TestSobolevWorkloadInterpolants:
         u = _workload_interpolant(name, sign)
         assert len(u) == 13
         assert sobolev_check(u, j) == _unscaled_sobolev(u, j)
+
+
+# the lacunary schedules of the exact-rational benchmark workload
+_WORKLOAD_LACUNARY = {"analytic": [(1, 1), (2, 2), (5, 5)],
+                      "gevrey(1)": [(1, 1), (4, 2), (5, 5)],
+                      "gevrey(2)": [(1, 1), (4, 2), (5, 5)],
+                      "qgevrey(2)": [(1, 1), (2, 2), (5, 5)],
+                      "qgevrey(3/2)": [(1, 1), (2, 2), (5, 5)]}
+
+
+def _model_digest(name, D):
+    """SHA-256 of the reprs (types included) of the Gram matrix, the omega
+    column k = D // 2, the minimal interpolant of INTERP_DATA (coefficients
+    and norm) and the lacunary sums of the workload schedule."""
+    M = _WORKLOAD_SEQUENCES[name]()
+    model = build_model(M, D)
+    g = minimal_interpolant(model, list(INTERP_DATA))
+    parts = (model.gram, omega_table(model, D // 2), g.coeffs, g.norm_sq,
+             lacunary_select(M, _WORKLOAD_LACUNARY[name]).sums)
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# frozen from the dense computation (one LDL^T of the whole Gram matrix and
+# of the whole R), before the model was split by parity
+MODEL_DIGESTS = {
+    ('analytic', 8): "92bc600b391be1304ab77bdaba0f437637ec7c328185ea8b128e64b9c7b090e9",
+    ('analytic', 12): "3fc386f643bdf21e71b42d80813334e1f79dad9cbadeafeb7f1466f8803dd07d",
+    ('gevrey(1)', 8): "a047a4096ad708570908f10e51d27d51d64c445f8fab99d48ff8d3a80bdac216",
+    ('gevrey(1)', 12): "a0b88b6e400e6152bc82656a739b718adcb740271b4dc43daff69339eb0b2b58",
+    ('gevrey(2)', 8): "cb1fadd91f70b01cb48a6c6f81b6d805fea49058f0e74bc8f76bbf78ce000800",
+    ('gevrey(2)', 12): "5a1c09ddd96a08a33fa1fdf5d4faa06d9e8c47412560e632d8efc770c5eeedf8",
+    ('qgevrey(2)', 8): "b54484853ae81c00caec962895f80f3fb650c8a5a71004685b419ad158aa880e",
+    ('qgevrey(2)', 12): "93483b9e298c6ddbaa54de3848dd0a2e5a85a0d0415a57c621a84eeed7ec9fb3",
+    ('qgevrey(3/2)', 8): "696cfa497c4fef8470d7d0ca470e515ef5a06bb13db434235f63eaaadc4b1ad1",
+    ('qgevrey(3/2)', 12): "1d9248a744225905d54cbc4ef529dae0e67c41054d6586129c0db83ede2e383c",
+    ('gevrey(1)', 16): "76dd0e62508c6e5ce0be4491d6ec065e4ea5e67a58d991f1a1dc5a9194dc9aad",
+}
+
+
+class TestParitySplit:
+    @pytest.mark.parametrize("name, D", list(MODEL_DIGESTS))
+    def test_results_equal_the_dense_computation(self, name, D):
+        assert _model_digest(name, D) == MODEL_DIGESTS[name, D]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["analytic", "gevrey(1)", "qgevrey(2)"]), st.integers(1, 14))
+    def test_representers_and_pivots_follow_the_parity(self, name, D):
+        model = build_model(_WORKLOAD_SEQUENCES[name](), D)
+        for i in range(D + 1):
+            r = representer(model, i)
+            assert all(r[a] == 0 for a in range(1 - i % 2, D + 1, 2))
+        _, pivots = ldl_decompose(model.gram)
+        assert [d for _, d in model._ldl] == [pivots[0::2], pivots[1::2]]
