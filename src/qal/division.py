@@ -21,6 +21,12 @@ Algorithms in Real Algebraic Geometry, ch. 8-9).  The chain works on plain
 Python ints in dense lists: sympy's polynomial rings would do the same job
 but importing them more than doubles the resident memory and adds a few
 tenths of a second to the import of every module that imports this one.
+
+The grid falsifier forms no Fraction per point: all its fibres are taken
+over one positive common denominator L, fixed once for the grid, so each
+fibre is L phi(y) at the point, a list of ints for the same chain.  A
+positive factor changes neither the roots nor their multiplicities, so the
+counts and the multiplicity excess are those of phi(y) there.
 """
 
 from __future__ import annotations
@@ -74,12 +80,13 @@ def euclid_divide(P: MultiPoly, F: MultiPoly, var: str) -> tuple[MultiPoly, Mult
                 work[shift + i] = work[shift + i] - top * f_coeffs[i]
         work.pop()
 
+    at = vars_all.index(var)
+
     def assemble(coeff_list):
-        out = MultiPoly(vars_all)
-        xv = MultiPoly.variable(var, vars_all)
-        for p, c in enumerate(coeff_list):
-            out = out + c.with_vars(vars_all) * xv**p
-        return out
+        # every coefficient lies in `rest`: var^p only inserts p into its exponents
+        return MultiPoly(vars_all, {exps[:at] + (p,) + exps[at:]: c
+                                    for p, poly in enumerate(coeff_list)
+                                    for exps, c in poly.coeffs.items()})
 
     G = assemble(quot)
     H = assemble(work)
@@ -148,15 +155,22 @@ def specialize_division(P: MultiPoly, phi: DistinguishedPoly,
     """Divide P(z) by phi via the generic divisor: first the symbolic
     division by z^d + mu1 z^(d-1) + ..., then the exact substitution
     mu_j := a_j(x').  The specialized identity is re-verified by expansion.
+    var must not be a variable of phi's coefficients (DomainError).
     """
+    phi_poly = phi.to_multipoly()
+    if phi.var != var and var in phi_poly.vars:
+        raise DomainError(f"the division variable {var} is a variable of "
+                          "phi's coefficients")
     d = phi.d
     F = generic_divisor(d, var)
     G, H = euclid_divide(P, F, var)
     for j in range(1, d + 1):
         G = G.substitute(f"mu{j}", phi.a[j - 1])
         H = H.substitute(f"mu{j}", phi.a[j - 1])
-    phi_poly = phi.to_multipoly().substitute(phi.var, MultiPoly.variable(var)) \
-        if phi.var != var else phi.to_multipoly()
+    if phi.var != var:
+        renamed = tuple(var if v == phi.var else v for v in phi_poly.vars)
+        phi_poly = MultiPoly(renamed, phi_poly.coeffs).with_vars(
+            tuple(sorted(renamed, key=_var_key)))
     if phi_poly * G + H != P.with_vars(tuple(sorted(set(P.vars) | set(phi_poly.vars),
                                                     key=_var_key))):
         raise CertificationError("specialized division identity failed")
@@ -370,34 +384,54 @@ def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
     fiber has a non-real root, decided exactly by the same integer chain
     with constant coefficients.
 
-    Returns the first counterexample point in deterministic scan order, or
-    None.  A None result is NOT a hyperbolicity proof; it only reports
-    that the grid found nothing.
+    The grid is step * (i_1, ..., i_n) with step = radius / resolution and
+    |i_v| <= resolution.  A term c x^e of a coefficient a_j is
+    c step^|e| i^e there, so every c step^|e| is scaled once by the
+    positive lcm L of their denominators into an integer; at each point
+    the fiber is then L phi(y) evaluated on the integer index vector, a
+    list of ints with leading coefficient L.  A positive constant factor
+    changes neither the roots nor their multiplicities, so the counts and
+    the multiplicity excess are those of phi(y) at the point.
+
+    Returns the first counterexample point {v: i_v * step} (variables in
+    sorted order) in deterministic scan order, the first variable running
+    fastest, or None.  A None result is NOT a hyperbolicity proof; it only
+    reports that the grid found nothing.
     """
     _require_distinguished(phi)
     radius = Fraction(radius)
     if radius <= 0 or resolution < 1:
         raise DomainError("grid needs a positive radius and resolution")
     params = sorted(set(v for aj in phi.a for v in aj.vars))
-    steps = [Fraction(i, resolution) * radius
-             for i in range(-resolution, resolution + 1)]
+    step = radius / resolution
+    scaled = [[(c * step ** sum(exps),
+                [(params.index(v), e) for v, e in zip(aj.vars, exps) if e])
+               for exps, c in aj.coeffs.items()]
+              for aj in reversed(phi.a)]
+    L = lcm(*(c.denominator for terms in scaled for c, _ in terms))
+    rows = [[((c * L).numerator, powers) for c, powers in terms] for terms in scaled]
 
     def points(index):
         if index == len(params):
-            yield {}
+            yield ()
             return
         for rest in points(index + 1):
-            for s in steps:
-                out = dict(rest)
-                out[params[index]] = s
-                yield out
+            for i in range(-resolution, resolution + 1):
+                yield (i,) + rest
 
-    for assignment in points(0):
-        fiber = [[a.eval(assignment)] if a else [] for a in reversed(phi.a)] + [[1]]
+    for point in points(0):
+        fiber = []
+        for terms in rows:
+            value = 0
+            for n, powers in terms:
+                for k, e in powers:
+                    n *= point[k] ** e
+                value += n
+            fiber.append([value] if value else [])
         # a constant has the same sign on both sides
-        excess, counts = _sturm_counts(_cleared(fiber), ("plus",))
+        excess, counts = _sturm_counts(fiber + [[L]], ("plus",))
         if counts["plus"] != phi.d - excess:
-            return {v: assignment[v] for v in params}
+            return {v: i * step for v, i in zip(params, point)}
     return None
 
 

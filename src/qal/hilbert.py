@@ -149,6 +149,7 @@ class HilbertModel:
         return self.inner(u, u)
 
     def deriv_at_zero(self, u: Vec, i: int) -> Fraction:
+        """u^(i)(0) = i! u_i; a negative order is a DomainError."""
         if i >= len(u):
             return Fraction(0)
         return factorial(i) * u[i]
@@ -170,8 +171,8 @@ def build_model(M: CarlemanSequence, D: int) -> HilbertModel:
     The sequence must be rational valued on 0..D; the dynamic range of the
     weights (about (D! M_D)^2) rules floating point out entirely.
     """
-    if D < 1:
-        raise DomainError("degree must be >= 1")
+    if isinstance(D, bool) or not isinstance(D, int) or D < 1:
+        raise DomainError(f"degree must be an integer >= 1, got {D!r}")
     if not M.is_rational_valued():
         raise UnsupportedSequenceError(
             "the Gram model needs exact rational sequence values")

@@ -104,12 +104,7 @@ class MultiPoly:
             return MultiPoly(self.vars,
                              {e: c * other for e, c in self.coeffs.items()})
         a, b = MultiPoly._aligned(self, other)
-        out: dict[Exponents, object] = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(a.vars, out)
+        return MultiPoly(a.vars, _dict_product(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
@@ -193,21 +188,36 @@ class MultiPoly:
         return total
 
     def substitute(self, var: str, replacement: "MultiPoly") -> "MultiPoly":
-        """Substitute a polynomial for one variable."""
+        """Substitute a polynomial for one variable.
+
+        One pass groups the terms by their power of var into plain dicts,
+        already reindexed onto the result's variables; replacement^1 ..
+        replacement^p (p the top power of var) are formed once by
+        successive products, and every term times the power it needs is
+        accumulated into one dict.  Beyond forming the powers, the cost is
+        one coefficient product per pair (term, term of its power).
+        """
+        if var not in self.vars:
+            raise DomainError(f"{var} not among {self.vars}")
         i = self.vars.index(var)
-        rest = tuple(v for v in self.vars if v != var)
-        merged = tuple(sorted(set(rest) | set(replacement.vars), key=_var_key))
-        out = MultiPoly(merged)
-        by_power: dict[int, MultiPoly] = {}
+        merged = tuple(sorted((set(self.vars) - {var}) | set(replacement.vars),
+                              key=_var_key))
+        slots = [merged.index(v) if n != i else None for n, v in enumerate(self.vars)]
+        by_power: dict[int, dict[Exponents, object]] = {}
         for exps, c in self.coeffs.items():
-            key = tuple(e for n, e in enumerate(exps) if n != i)
-            p = exps[i]
-            by_power.setdefault(p, MultiPoly(rest))
-            by_power[p] = by_power[p] + MultiPoly(rest, {key: c})
-        rep = replacement.with_vars(merged)
-        for p, coeff_poly in by_power.items():
-            out = out + coeff_poly.with_vars(merged) * rep**p
-        return out
+            key = [0] * len(merged)
+            for slot, e in zip(slots, exps):
+                if slot is not None:
+                    key[slot] = e
+            by_power.setdefault(exps[i], {})[tuple(key)] = c
+        rep = replacement.with_vars(merged).coeffs
+        powers = [{(0,) * len(merged): Fraction(1)}]
+        for _ in range(max(by_power, default=0)):
+            powers.append(_dict_product(powers[-1], rep))
+        out: dict[Exponents, object] = {}
+        for p, terms in by_power.items():
+            _accumulate_product(out, terms, powers[p])
+        return MultiPoly(merged, out)
 
     def derivative(self, var: str) -> "MultiPoly":
         i = self.vars.index(var)
@@ -247,6 +257,20 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+def _accumulate_product(out: dict, a: dict, b: dict) -> None:
+    """Add the product of two exponent -> coefficient maps into out."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(int.__add__, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+
+
+def _dict_product(a: dict, b: dict) -> dict:
+    out: dict[Exponents, object] = {}
+    _accumulate_product(out, a, b)
+    return out
 
 
 def _coeff_str(c) -> str:

@@ -16,6 +16,8 @@ _FACTORIALS = [1, 1]
 
 
 def factorial(n: int) -> int:
+    if n < 0:
+        raise DomainError(f"factorial of the negative integer {n}")
     while len(_FACTORIALS) <= n:
         _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
     return _FACTORIALS[n]

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -25,6 +27,19 @@ def P(text):
 
 def dist(text, var="y"):
     return DistinguishedPoly.from_multipoly(P(text), var)
+
+
+_COEFFS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _polys(vars, constant=True, top=2):
+    """Polynomials in vars with up to four terms, each exponent at most top
+    (the zero polynomial included); constant=False leaves out the constant
+    term."""
+    exps = st.tuples(*(st.integers(0, top) for _ in vars))
+    if not constant:
+        exps = exps.filter(any)
+    return st.dictionaries(exps, _COEFFS, max_size=4).map(lambda c: MultiPoly(vars, c))
 
 
 class TestEuclidDivide:
@@ -109,6 +124,32 @@ class TestSpecializeDivision:
                               for i, h in enumerate(hs)),
                              MultiPoly(("x", "z")))
             assert recomposed == H2.with_vars(("x", "z"))
+
+    def test_division_variable_among_the_coefficients_is_rejected(self):
+        # z would be both the division variable and a parameter of phi
+        phi = DistinguishedPoly("y", 2, [MultiPoly(("x",)), P("z^2 + x")])
+        with pytest.raises(DomainError) as info:
+            specialize_division(P("z^3"), phi, "z")
+        assert info.value.code == "domain-error"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_specialized_identity_on_random_inputs(self, data):
+        params = data.draw(st.sampled_from([("x",), ("x1", "x2")]))
+        d = data.draw(st.integers(1, 4))
+        phi = DistinguishedPoly("y", d, [data.draw(_polys(params, constant=False))
+                                         for _ in range(d)])
+        Ppoly = data.draw(_polys(params + ("z",), top=7))
+        G, hs = specialize_division(Ppoly, phi, "z")
+        z = MultiPoly.variable("z")
+        phi_z = z ** d + sum((aj * z ** (d - 1 - j) for j, aj in enumerate(phi.a)),
+                             MultiPoly(()))
+        assert len(hs) == d and all("z" not in h.vars for h in hs)
+        H = sum((h * z ** j for j, h in enumerate(hs)), MultiPoly(()))
+        assert phi_z * G + H == Ppoly
+        # the division is unique: it equals the direct division by phi(z)
+        G2, H2 = euclid_divide(Ppoly, phi_z, "z")
+        assert (G, H) == (G2, H2)
 
 
 class TestRegularity:
@@ -317,6 +358,162 @@ class TestFalsifyGrid:
     def test_degree_one(self):
         phi = DistinguishedPoly("y", 1, [P("x1 + x2")])
         assert hyperbolic_falsify_grid(phi, Fraction(1), 2) is None
+
+
+def _grid_reference(phi, radius, resolution):
+    """The first point of the grid, the first variable running fastest,
+    whose fibre has fewer distinct real roots than distinct roots, counted
+    by sympy over Q."""
+    y = sympy.Symbol("y")
+    params = sorted({v for aj in phi.a for v in aj.vars})
+    steps = [Fraction(i, resolution) * radius for i in range(-resolution, resolution + 1)]
+    for point in itertools.product(steps, repeat=len(params)):
+        assignment = dict(zip(params, reversed(point)))
+        coeffs = [Fraction(1)] + [Fraction(aj.eval(assignment)) for aj in phi.a]
+        fibre = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], y)
+        sqf = fibre.sqf_part()
+        if sqf.count_roots() != sqf.degree():
+            return assignment
+    return None
+
+
+@st.composite
+def _grid_cases(draw):
+    """A distinguished polynomial in y over 0, 2 or 3 parameters (y^d for 0),
+    either a product of real linear branches, hyperbolic everywhere, or
+    with random coefficients; a grid radius and resolution."""
+    params = draw(st.sampled_from([(), ("x1", "x2"), ("x1", "x2", "x3")]))
+    d = draw(st.integers(1, 4))
+    if params and draw(st.booleans()):
+        linear = st.tuples(*(_COEFFS for _ in params))
+        phi = MultiPoly.constant(1, ("y",))
+        for _ in range(d):
+            form = MultiPoly(params, {tuple(int(i == k) for i in range(len(params))): c
+                                      for k, c in enumerate(draw(linear))})
+            phi = phi * (P("y") - form)
+        phi = DistinguishedPoly.from_multipoly(phi, "y")
+    else:
+        phi = DistinguishedPoly("y", d, [draw(_polys(params, constant=False))
+                                         for _ in range(d)])
+    radius = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    return phi, radius, draw(st.integers(1, 2))
+
+
+class TestFalsifyGridReference:
+    @settings(max_examples=40, deadline=None)
+    @given(_grid_cases())
+    def test_hit_equals_the_sympy_reference(self, case):
+        phi, radius, resolution = case
+        hit = hyperbolic_falsify_grid(phi, radius, resolution)
+        expected = _grid_reference(phi, radius, resolution)
+        assert hit == expected
+        if hit is not None:
+            assert list(hit) == list(expected)
+            assert all(type(v) is Fraction for v in hit.values())
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_no_parameters(self, d):
+        phi = DistinguishedPoly("y", d, [MultiPoly(()) for _ in range(d)])
+        assert hyperbolic_falsify_grid(phi, Fraction(1), 2) is None
+        assert _grid_reference(phi, Fraction(1), 2) is None
+
+
+def _poly_data(p):
+    return p.vars, sorted(p.coeffs.items())
+
+
+def _division_digest(p_text, phi_text):
+    """SHA-256 of the reprs (types included) of euclid_divide by the generic
+    divisor and of specialize_division by phi, both in z."""
+    Ppoly, phi = P(p_text), dist(phi_text)
+    G, H = euclid_divide(Ppoly, generic_divisor(phi.d, "z"), "z")
+    Gs, hs = specialize_division(Ppoly, phi)
+    parts = (_poly_data(G), _poly_data(H), _poly_data(Gs), [_poly_data(h) for h in hs])
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# the hyperbolicity benchmark's division inputs at seeds 4242, 7 and 1, and
+# two with rational coefficients in two parameters
+DIVISION_CASES = {
+    "4242 d=2": ("-2*x*z^4 + z^5 - 4*x^2*z^2 - 5*z^3 + 3*x*z + 2",
+                 "x^4 - x^3 - 2*x^2*y - 2*x^2 + x*y + y^2"),
+    "4242 d=3": ("3*x^2*z^5 + z^6 - 2*x*z^4 - 4*x^2*z^2 - 5*z^3 - 3*x*z + 2",
+                 "x^6 + 4*x^5 - x^4*y + x^4 - 6*x^3*y - x^2*y^2 - 6*x^3 - 5*x^2*y"
+                 " + 2*x*y^2 + y^3"),
+    "4242 d=4": ("3*x^2*z^5 + z^7 + 4*z^6 - 2*x*z^4 - 4*x^2*z^2 - 5*z^3 + 3*x*z + 2",
+                 "-2*x^8 - 9*x^7 + 3*x^6*y - 6*x^6 + 17*x^5*y + x^4*y^2 + 11*x^5"
+                 " + 17*x^4*y - 9*x^3*y^2 - 3*x^2*y^3 + 6*x^4 - x^3*y - 7*x^2*y^2"
+                 " + x*y^3 + y^4"),
+    "7 d=2": ("-2*x*z^4 + z^5 - 4*x^2*z^2 - 5*z^3 - 3*x*z - 2",
+              "x^4 - x^3 - 2*x^2*y - 2*x^2 + x*y + y^2"),
+    "7 d=4": ("-3*x^2*z^5 + z^7 + 4*z^6 + 2*x*z^4 + 4*x^2*z^2 - 5*z^3 + 3*x*z - 2",
+              "-2*x^8 - 9*x^7 + 3*x^6*y - 6*x^6 + 17*x^5*y + x^4*y^2 + 11*x^5"
+              " + 17*x^4*y - 9*x^3*y^2 - 3*x^2*y^3 + 6*x^4 - x^3*y - 7*x^2*y^2"
+              " + x*y^3 + y^4"),
+    "1 d=3": ("-3*x^2*z^5 + z^6 + 2*x*z^4 + 4*x^2*z^2 - 5*z^3 - 3*x*z - 2",
+              "x^6 + 4*x^5 - x^4*y + x^4 - 6*x^3*y - x^2*y^2 - 6*x^3 - 5*x^2*y"
+              " + 2*x*y^2 + y^3"),
+    "rational d=2": ("1/2*x1*z^4 - 2/3*x2*z^2 + z + 5/7",
+                     "y^2 + 1/2*x1*y - x2^3"),
+    "rational d=3": ("z^6 - 3/4*x1^2*x2*z^3 + 1/5*z - x2",
+                     "y^3 - 1/3*x1*x2*y^2 + 2*x2^2*y + 3/2*x1^3"),
+}
+
+# frozen before the division was given its linear-cost substitution and
+# assembly: the outputs are byte-identical
+DIVISION_DIGESTS = {
+    '4242 d=2': "08c5e902c3c0be33e7bec593ff6cb86cbf50088df63d11841aaedf3d1b477859",
+    '4242 d=3': "c5ff5ffe58efc4b6a456bfd4807a6f728379e3d808f9bbeba0f679f9901a5338",
+    '4242 d=4': "b92f3782908902c9ee3658499afdbaf14c63460ab056bd1881f3a7d89f6ea6ba",
+    '7 d=2': "1d83e5a0e469502fdbb8b5b35303a2bb353e52450de52aeeed3a9e481ced588b",
+    '7 d=4': "6079107f6e384331446555805cdf2eb90f4e4f59d8402f5b7ef9691131e8f9dc",
+    '1 d=3': "d7e5e5a243012f2dd66fa45c5e6bba803b2e415425306e41f0a3b38553bcee81",
+    'rational d=2': "eb8e41b8c97244f487dd20b1d208ca02c24e3f3494e60b68f89a4f48a520c2ba",
+    'rational d=3': "f27289db488990c0b27edca8ddddaf92e29aaa97c0d7d30f564454a0764360f8",
+}
+
+# the hyperbolicity benchmark's grid inputs at seeds 4242 and 7 (radius 1/2),
+# and four with rational coefficients or another radius
+GRID_CASES = {
+    "4242 sos 2": ("3*x1^2 + x2^2 + y^2", Fraction(1, 2), 3),
+    "4242 lin 2": ("-4*x1*x2 - 2*x1*y + 2*x2*y + y^2", Fraction(1, 2), 3),
+    "4242 sos 3": ("2*x1^2 + x2^2 + 3*x3^2 + y^2", Fraction(1, 2), 2),
+    "4242 lin 3": ("-4*x1*x2*x3 + 2*x1*x2*y - 2*x1*x3*y + x1*y^2 - 4*x2*x3*y"
+                   " + 2*x2*y^2 - 2*x3*y^2 + y^3", Fraction(1, 2), 2),
+    "7 lin 2": ("-2*x1*x2 + 2*x1*y - x2*y + y^2", Fraction(1, 2), 3),
+    "7 lin 3": ("8*x1*x2*x3 + 4*x1*x2*y - 4*x1*x3*y - 2*x1*y^2 - 4*x2*x3*y"
+                " - 2*x2*y^2 + 2*x3*y^2 + y^3", Fraction(1, 2), 2),
+    "late hit": ("y^2 - 1/3*x1^2 - x1*x2^3", Fraction(3, 5), 3),
+    "cubic hit": ("y^3 - (x1^2 + x2^2 + x3^2)*y + 3/7*x3^3 + x1*x2*x3", Fraction(2, 3), 2),
+    "rational miss": ("y^2 + 2/3*x1*x2*x3 - x1^2 - 1/4*x2^2", Fraction(2, 3), 2),
+    "no parameters": ("y^3", Fraction(1), 2),
+}
+
+# frozen with the Fraction evaluation of every grid point
+GRID_RESULTS = {
+    '4242 sos 2': {'x1': Fraction(-1, 2), 'x2': Fraction(-1, 2)},
+    '4242 lin 2': None,
+    '4242 sos 3': {'x1': Fraction(-1, 2), 'x2': Fraction(-1, 2), 'x3': Fraction(-1, 2)},
+    '4242 lin 3': None,
+    '7 lin 2': None,
+    '7 lin 3': None,
+    'late hit': {'x1': Fraction(1, 5), 'x2': Fraction(-3, 5)},
+    'cubic hit': {'x1': Fraction(0, 1), 'x2': Fraction(0, 1), 'x3': Fraction(-2, 3)},
+    'rational miss': None,
+    'no parameters': None,
+}
+
+
+class TestFrozenOutputs:
+    @pytest.mark.parametrize("name", list(DIVISION_CASES))
+    def test_division_outputs_are_unchanged(self, name):
+        assert _division_digest(*DIVISION_CASES[name]) == DIVISION_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(GRID_CASES))
+    def test_grid_results_are_unchanged(self, name):
+        text, radius, resolution = GRID_CASES[name]
+        hit = hyperbolic_falsify_grid(dist(text), radius, resolution)
+        assert repr(hit) == repr(GRID_RESULTS[name])
 
 
 class TestErrors:

@@ -59,6 +59,12 @@ class TestBuildModel:
         with pytest.raises(UnsupportedSequenceError):
             build_model(loggevrey(1), 3)
 
+    @pytest.mark.parametrize("D", [2.5, Fraction(3), True, "4", 0])
+    def test_degree_must_be_a_positive_integer(self, D):
+        with pytest.raises(DomainError) as info:
+            build_model(gevrey(1), D)
+        assert info.value.code == "domain-error"
+
 
 class TestRepresenter:
     def test_analytic_d1_constant(self):
@@ -82,6 +88,13 @@ class TestRepresenter:
         with pytest.raises(DomainError):
             model.norm_sq([Fraction(1)] * 6)
         assert model.norm_sq([Fraction(1)] * 5) == model.inner([1] * 5, [1] * 5)
+
+    def test_derivative_of_negative_order_is_a_domain_error(self):
+        model = build_model(gevrey(1), 4)
+        assert model.deriv_at_zero([1, 2, 3], 2) == 6
+        with pytest.raises(DomainError) as info:
+            model.deriv_at_zero([1, 2, 3], -1)
+        assert info.value.code == "domain-error"
 
     def test_reproducing_identity_is_symmetric(self):
         model = build_model(gevrey(1), 6)

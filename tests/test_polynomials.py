@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qal.algebraic import NumberField
 from qal.errors import DomainError, QalSyntaxError
-from qal.polynomials import MultiPoly, parse_polynomial
+from qal.polynomials import MultiPoly, _var_key, parse_polynomial
 
 
 def P(text):
@@ -66,6 +67,30 @@ class TestMultiPoly:
         shifted = phi.substitute("x", -P("y") ** 2)
         assert shifted.is_zero()
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_substitution_commutes_with_evaluation(self, data):
+        names = ["x", "y", "x1", "x2"]
+        coeffs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+        def poly(vars):
+            exps = st.tuples(*(st.integers(0, 3) for _ in vars))
+            return MultiPoly(vars, data.draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+        def some_vars(min_size):
+            chosen = data.draw(st.lists(st.sampled_from(names), min_size=min_size,
+                                        unique=True))
+            return tuple(sorted(chosen, key=_var_key))
+
+        p = poly(some_vars(1))        # empty coefficients: the zero polynomial
+        v = data.draw(st.sampled_from(p.vars))
+        r = poly(some_vars(0))        # may involve v itself
+        pt = {name: data.draw(coeffs) for name in names}
+        out = p.substitute(v, r)
+        rest = {w for w in p.vars if w != v}
+        assert out.vars == tuple(sorted(rest | set(r.vars), key=_var_key))
+        assert out.eval(pt) == p.eval({**pt, v: r.eval(pt)})
+
     def test_order_and_degrees(self):
         poly = P("y^2 + x^3")
         assert poly.order() == 2
@@ -83,7 +108,8 @@ class TestMultiPoly:
     @pytest.mark.parametrize("call", [
         lambda: MultiPoly.variable("z", ("x", "y")),
         lambda: P("x + y") ** -1,
-    ], ids=["variable-outside-vars", "negative-power"])
+        lambda: P("x + y").substitute("z", P("x")),
+    ], ids=["variable-outside-vars", "negative-power", "substitute-outside-vars"])
     def test_domain_errors(self, call):
         with pytest.raises(DomainError) as info:
             call()

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qal.errors import DomainError
-from qal.rationals import compare_power_products, iroot, pow_bounds, root_bounds
+from qal.rationals import (compare_power_products, factorial, iroot, pow_bounds,
+                           root_bounds)
 
 
 class TestErrors:
@@ -32,4 +33,12 @@ class TestErrors:
     def test_compare_power_products_non_positive_right_base(self):
         with pytest.raises(DomainError) as info:
             compare_power_products([(Fraction(2), Fraction(1))], [(Fraction(-3), Fraction(1, 2))])
+        assert info.value.code == "domain-error"
+
+    @pytest.mark.parametrize("n", [-1, -6])
+    def test_factorial_of_a_negative_integer(self, n):
+        # the cache is filled first: a negative index used to count from its end
+        assert factorial(5) == 120
+        with pytest.raises(DomainError) as info:
+            factorial(n)
         assert info.value.code == "domain-error"
