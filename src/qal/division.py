@@ -9,6 +9,19 @@ variables, and the two computable witnesses tied to division failures: the
 even-part Taylor coefficients of the extremal function theta and the
 flat-function derivative table for Gevrey weights.
 
+The division runs on integers from input to output; only the returned
+coefficients are Fractions.  :func:`euclid_divide` clears the denominators
+of P and of the monic divisor F once (P = P_Z / L_P, F = F_Z / L_F) and
+pseudo-divides L_F^e P_Z by F_Z, e = deg P - deg F + 1, which is plain
+integer division for the generic divisor (L_F = 1); G and H come out over
+the one scale S = L_P L_F^e.  :func:`specialize_division` scales that G
+and H and the coefficients a_j to integers and substitutes every mu_j in
+one pass, each product of powers of the a_j formed once.  Each function
+re-verifies its identity by expansion, as a comparison of the integer
+polynomials the returned Fractions are made from: F_Z Q + R = L_F^e P_Z
+in :func:`euclid_divide`, phi G + H = P (scaled) in
+:func:`specialize_division`.
+
 The hyperbolicity decision rests on the observation that the sign of a
 nonzero polynomial near 0+ or 0- is read off from its lowest-order term, so
 "all roots real for every x' in a punctured neighborhood" is decidable
@@ -24,22 +37,27 @@ tenths of a second to the import of every module that imports this one.
 
 The grid falsifier forms no Fraction per point: all its fibres are taken
 over one positive common denominator L, fixed once for the grid, so each
-fibre is L phi(y) at the point, a list of ints for the same chain.  A
-positive factor changes neither the roots nor their multiplicities, so the
-counts and the multiplicity excess are those of phi(y) there.
+fibre is L phi(y) at the point, a list of ints.  The same chain routine
+counts it with the coefficient ring Z in place of Z[x]: plain int
+products, exact quotients and one sign.  A positive factor changes neither
+the roots nor their multiplicities, so the counts and the multiplicity
+excess are those of phi(y) there.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Any, Callable, NamedTuple
 
 from .errors import (ArityMismatchError, CertificationError,
                      ChainDegenerationError, DomainError, NonMonicDivisorError,
                      PrecisionFailure, ZeroPolynomialError)
 from .intervals import RI, certify, default_bits, iv_exp, ri_pow_frac
-from .polynomials import MultiPoly, _var_key, umul, usub, utrim
+from .polynomials import (MultiPoly, _accumulate_product, _var_key, umul,
+                          usub, utrim)
 from .rationals import factorial, format_fraction
 from .sequences import CarlemanSequence
 from .theta import _magnitude_at_zero, build_theta
@@ -47,65 +65,114 @@ from .theta import _magnitude_at_zero, build_theta
 
 # -- Euclidean division ----------------------------------------------------------
 
+def _denominator(poly: MultiPoly) -> int:
+    """The positive lcm of the denominators of poly's rational coefficients."""
+    return lcm(*(c.denominator for c in poly.coeffs.values()))
+
+
+def _scaled(coeffs: dict, scale: int) -> dict:
+    """The integers scale * c of rational coefficients c; scale must clear
+    every denominator."""
+    return {e: c.numerator * (scale // c.denominator) for e, c in coeffs.items()}
+
+
+def _over(coeffs: dict, scale: int) -> dict:
+    """The Fractions c / scale of integer coefficients c."""
+    return {e: Fraction(c, scale) for e, c in coeffs.items()}
+
+
+def _rows(poly: MultiPoly, rest: tuple[str, ...], var: str) -> list[dict]:
+    """The coefficients of poly as a dense list in var, constant term
+    first; entry p maps exponents over rest to the coefficient of var^p."""
+    slots = [None if v == var else rest.index(v) for v in poly.vars]
+    rows: list[dict] = []
+    for exps, c in poly.coeffs.items():
+        key = [0] * len(rest)
+        power = 0
+        for slot, e in zip(slots, exps):
+            if slot is None:
+                power = e
+            else:
+                key[slot] = e
+        while len(rows) <= power:
+            rows.append({})
+        rows[power][tuple(key)] = c
+    return rows
+
+
 def euclid_divide(P: MultiPoly, F: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
     """Divide P by F along var: P = F*G + H with deg_var H < deg_var F.
 
     F must be monic in var with a constant leading coefficient; the
     remaining variables ride along symbolically in the coefficient ring,
-    where monic division needs no coefficient inversion.  The identity is
-    re-verified by expansion before returning.
+    where monic division needs no coefficient inversion.
+
+    The division runs on integers.  Let L_P and L_F be the positive lcms
+    of the denominators of P and of F, so P = P_Z / L_P and F = F_Z / L_F
+    with P_Z and F_Z integral, and the leading coefficient of F_Z is the
+    constant L_F.  With d = deg_var F and e = deg_var P - d + 1 (0 when
+    deg_var P < d), the pseudo-division L_F^e P_Z = F_Z Q + R is exact
+    over the integers: each of its e steps divides a top coefficient that
+    still carries a factor L_F by L_F.  With the scale S = L_P L_F^e,
+    G = L_F Q / S and H = R / S.  For the generic divisor L_F = 1 and this
+    is plain integer division.  The identity F_Z Q + R = L_F^e P_Z is
+    re-verified by expansion, as a comparison of integer polynomials,
+    before the Fractions are formed.
     """
     vars_all = tuple(sorted(set(P.vars) | set(F.vars) | {var},
                             key=_var_key))
-    P = P.with_vars(vars_all)
-    F = F.with_vars(vars_all)
-    d = F.degree(var)
+    rest = tuple(v for v in vars_all if v != var)
+    L_P, L_F = _denominator(P), _denominator(F)
+    f_rows = [_scaled(row, L_F) for row in _rows(F, rest, var)]
+    d = len(f_rows) - 1
     if d < 0:
         raise NonMonicDivisorError("cannot divide by the zero polynomial")
-    lead = F.coefficient(var, d)
-    if not (lead.total_degree() == 0 and lead.constant_term() == 1):
+    if f_rows[d] != {(0,) * len(rest): L_F}:
         raise NonMonicDivisorError(f"divisor is not monic in {var}")
 
-    rest = tuple(v for v in vars_all if v != var)
-    p_coeffs = [c for c in P.as_univariate(var)]
-    f_coeffs = [c for c in F.as_univariate(var)]
-    quot: list[MultiPoly] = [MultiPoly(rest) for _ in range(max(0, len(p_coeffs) - d))]
-    work = list(p_coeffs)
+    p_rows = [_scaled(row, L_P) for row in _rows(P, rest, var)]
+    e = max(0, len(p_rows) - d)
+    lift = L_F ** e
+    work = [{k: c * lift for k, c in row.items()} for row in p_rows]
+    quot: list[dict] = [{} for _ in range(e)]
     while len(work) > d:
-        top = work[-1]
-        shift = len(work) - 1 - d
-        if top:
-            quot[shift] = quot[shift] + top
-            for i in range(d + 1):
-                work[shift + i] = work[shift + i] - top * f_coeffs[i]
-        work.pop()
+        top = work.pop()
+        shift = len(work) - d
+        # exact: the top coefficient still carries a factor L_F
+        quot[shift] = {k: c // L_F for k, c in top.items() if c}
+        minus = {k: -c for k, c in quot[shift].items()}
+        for i in range(d):
+            _accumulate_product(work[shift + i], minus, f_rows[i])
 
     at = vars_all.index(var)
 
-    def assemble(coeff_list):
+    def assemble(rows):
         # every coefficient lies in `rest`: var^p only inserts p into its exponents
         return MultiPoly(vars_all, {exps[:at] + (p,) + exps[at:]: c
-                                    for p, poly in enumerate(coeff_list)
-                                    for exps, c in poly.coeffs.items()})
+                                    for p, row in enumerate(rows)
+                                    for exps, c in row.items()})
 
-    G = assemble(quot)
-    H = assemble(work)
-    if F * G + H != P:
+    Q, R = assemble(quot), assemble(work)
+    if assemble(f_rows) * Q + R != assemble(p_rows) * lift:
         raise CertificationError("division identity failed to re-expand")
-    if H and H.degree(var) >= d:
+    if R and R.degree(var) >= d:
         raise CertificationError("remainder degree not reduced")
-    return G, H
+    # G = L_F Q / S with S = L_P L_F^e; Q is zero when e = 0
+    return (MultiPoly(vars_all, _over(Q.coeffs, L_P * L_F ** max(e - 1, 0))),
+            MultiPoly(vars_all, _over(R.coeffs, L_P * lift)))
 
 
 def generic_divisor(d: int, var: str = "z") -> MultiPoly:
     """The generic monic polynomial z^d + mu1 z^(d-1) + ... + mud."""
     mus = tuple(f"mu{i}" for i in range(1, d + 1))
     vars_all = tuple(sorted(mus)) + (var,)
-    out = MultiPoly.variable(var, vars_all) ** d
+    terms = {(0,) * d + (d,): Fraction(1)}
     for i in range(1, d + 1):
-        out = out + MultiPoly.variable(f"mu{i}", vars_all) \
-            * MultiPoly.variable(var, vars_all) ** (d - i)
-    return out
+        exps = [0] * (d + 1)
+        exps[vars_all.index(f"mu{i}")] = 1
+        exps[d] = d - i
+        terms[tuple(exps)] = Fraction(1)
+    return MultiPoly(vars_all, terms)
 
 
 @dataclass
@@ -140,43 +207,74 @@ class DistinguishedPoly:
         coeffs = [phi.coefficient(var, d - j) for j in range(1, d + 1)]
         return DistinguishedPoly(var, d, coeffs)
 
-    def to_multipoly(self) -> MultiPoly:
-        vars_all = tuple(sorted(set(v for aj in self.a for v in aj.vars) | {self.var},
-                                key=_var_key))
-        out = MultiPoly.variable(self.var, vars_all) ** self.d
-        for j, aj in enumerate(self.a):
-            out = out + aj.with_vars(vars_all) \
-                * MultiPoly.variable(self.var, vars_all) ** (self.d - 1 - j)
-        return out
-
 
 def specialize_division(P: MultiPoly, phi: DistinguishedPoly,
                         var: str = "z") -> tuple[MultiPoly, list[MultiPoly]]:
     """Divide P(z) by phi via the generic divisor: first the symbolic
     division by z^d + mu1 z^(d-1) + ..., then the exact substitution
-    mu_j := a_j(x').  The specialized identity is re-verified by expansion.
-    var must not be a variable of phi's coefficients (DomainError).
+    mu_j := a_j(x').  var must not be a variable of phi's coefficients
+    (DomainError).
+
+    The substitution runs on integers.  G and H come from
+    :func:`euclid_divide` (which checks the generic identity); with D the
+    lcm of their denominators, D G and D H are integral.  With L_a the
+    lcm of the denominators of the a_j, A_j = L_a a_j is integral, and N
+    is the largest total degree of a term of G or H in the mu_j.  A term
+    c mu^alpha of D G or D H becomes c L_a^(N - |alpha|) prod_j A_j^alpha_j,
+    all mu_j in one pass (:meth:`MultiPoly.substitute`), which gives the
+    integral G' = D L_a^N G(a) and H' = D L_a^N H(a).  The specialized
+    identity phi G(a) + H(a) = P is re-verified by expansion, as the
+    comparison L_P (phi_Z G' + L_a H') = D L_a^(N+1) P_Z of integer
+    polynomials, where phi_Z = L_a phi(z) and P_Z = L_P P; then G(a) and
+    the parts of H(a) are returned over the scale D L_a^N.
     """
-    phi_poly = phi.to_multipoly()
-    if phi.var != var and var in phi_poly.vars:
+    if phi.var != var and any(var in aj.vars for aj in phi.a):
         raise DomainError(f"the division variable {var} is a variable of "
                           "phi's coefficients")
     d = phi.d
-    F = generic_divisor(d, var)
-    G, H = euclid_divide(P, F, var)
-    for j in range(1, d + 1):
-        G = G.substitute(f"mu{j}", phi.a[j - 1])
-        H = H.substitute(f"mu{j}", phi.a[j - 1])
-    if phi.var != var:
-        renamed = tuple(var if v == phi.var else v for v in phi_poly.vars)
-        phi_poly = MultiPoly(renamed, phi_poly.coeffs).with_vars(
-            tuple(sorted(renamed, key=_var_key)))
-    if phi_poly * G + H != P.with_vars(tuple(sorted(set(P.vars) | set(phi_poly.vars),
-                                                    key=_var_key))):
+    G, H = euclid_divide(P, generic_divisor(d, var), var)
+    D = lcm(_denominator(G), _denominator(H))
+    L_a = lcm(*(_denominator(aj) for aj in phi.a))
+    A = [MultiPoly(aj.vars, _scaled(aj.coeffs, L_a)) for aj in phi.a]
+    mus = {f"mu{j}": Aj for j, Aj in enumerate(A, 1)}
+
+    def mu_degrees(poly: MultiPoly) -> dict:
+        at = [i for i, v in enumerate(poly.vars) if v in mus]
+        return {exps: sum(exps[i] for i in at) for exps in poly.coeffs}
+
+    degrees = [mu_degrees(G), mu_degrees(H)]
+    N = max((n for ds in degrees for n in ds.values()), default=0)
+    lifts = [L_a ** k for k in range(N + 1)]
+
+    def specialized(poly: MultiPoly, degree: dict) -> MultiPoly:
+        lifted = {exps: c * lifts[N - degree[exps]]
+                  for exps, c in _scaled(poly.coeffs, D).items()}
+        return MultiPoly(poly.vars, lifted).substitute(mus)
+
+    G, H = specialized(G, degrees[0]), specialized(H, degrees[1])
+
+    def z_power(k: int) -> MultiPoly:
+        return MultiPoly(G.vars, {tuple(k if v == var else 0 for v in G.vars): 1})
+
+    phi_z = sum((Aj * z_power(d - j) for j, Aj in enumerate(A, 1)), z_power(d) * L_a)
+    L_P = _denominator(P)
+    if (phi_z * G + H * L_a) * L_P \
+            != MultiPoly(P.vars, _scaled(P.coeffs, L_P)) * (D * L_a ** (N + 1)):
         raise CertificationError("specialized division identity failed")
-    h_parts = [H.coefficient(var, j) if (H and H.degree(var) >= j) else MultiPoly(())
-               for j in range(d)]
-    return G, h_parts
+    top = H.degree(var)
+    if top >= d:
+        raise CertificationError("specialized remainder degree not reduced")
+    # the parts of H by the power of var, in one pass; a part above H's
+    # degree (every part when H = 0) is MultiPoly(())
+    scale = D * lifts[N]
+    at = H.vars.index(var)
+    parts: list[dict] = [{} for _ in range(top + 1)]
+    for exps, c in H.coeffs.items():
+        parts[exps[at]][exps[:at] + exps[at + 1:]] = Fraction(c, scale)
+    rest = H.vars[:at] + H.vars[at + 1:]
+    h_parts = [MultiPoly(rest, part) for part in parts] \
+        + [MultiPoly(()) for _ in range(top + 1, d)]
+    return MultiPoly(G.vars, _over(G.coeffs, scale)), h_parts
 
 
 def regular_order(phi: MultiPoly, var: str) -> int | None:
@@ -209,10 +307,11 @@ def strictly_regular_check(F: MultiPoly, d: int, var: str) -> bool:
 
 # -- hyperbolicity ----------------------------------------------------------------
 #
-# A polynomial in the main variable over Z[x] is a dense list, constant term
-# first, of elements of Z[x]; an element of Z[x] is a dense list of ints with
-# no trailing zero, and [] is zero.  A fibre at a grid point is the case where
-# every element has degree 0.
+# A polynomial in the main variable is a dense list, constant term first, of
+# elements of its coefficient ring: Z[x] for the exact decision, where an
+# element is a dense list of ints with no trailing zero and [] is zero, or Z
+# for a fibre at a grid point, where an element is an int.  One chain routine
+# serves both; a _Ring gives it the ring's operations.
 
 def _param_vars(phi: DistinguishedPoly) -> set[str]:
     """The parameter variables that occur in some coefficient of phi."""
@@ -220,19 +319,13 @@ def _param_vars(phi: DistinguishedPoly) -> set[str]:
             for v, e in zip(aj.vars, exps) if e}
 
 
-def _dense_in_param(a: MultiPoly) -> list:
-    """Dense coefficients of a polynomial in at most one occurring variable."""
+def _dense_in_param(a: MultiPoly, scale: int) -> list[int]:
+    """scale * a as a dense list of ints, for a polynomial in at most one
+    occurring variable whose denominators scale clears."""
     row = [0] * (a.total_degree() + 1)
-    for exps, c in a.coeffs.items():
+    for exps, c in _scaled(a.coeffs, scale).items():
         row[sum(exps)] += c
-    return row
-
-
-def _cleared(rows: list[list]) -> list[list[int]]:
-    """A polynomial over Q[x], given as dense rows, times the positive lcm of
-    its denominators: an element of Z[x][y] with the same roots."""
-    scale = lcm(*(Fraction(c).denominator for row in rows for c in row))
-    return [utrim([(Fraction(c) * scale).numerator for c in row]) for row in rows]
+    return utrim(row)
 
 
 def _zx_sign(a: list[int], side: str) -> int:
@@ -241,13 +334,6 @@ def _zx_sign(a: list[int], side: str) -> int:
     k = next(i for i, c in enumerate(a) if c)
     s = 1 if a[k] > 0 else -1
     return -s if side == "minus" and k % 2 else s
-
-
-def _zx_pow(a: list[int], e: int) -> list[int]:
-    out = [1]
-    for _ in range(e):
-        out = umul(out, a)
-    return out
 
 
 def _zx_exquo(a: list[int], b: list[int]) -> list[int]:
@@ -269,16 +355,49 @@ def _zx_exquo(a: list[int], b: list[int]) -> list[int]:
     return quot
 
 
-def _prem(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B in Z[x][y]."""
+def _z_exquo(a: int, b: int) -> int:
+    """The quotient a / b in Z, exact as in :func:`_zx_exquo`."""
+    q, r = divmod(a, b)
+    if r:
+        raise ChainDegenerationError("inexact division in the Sturm chain")
+    return q
+
+
+class _Ring(NamedTuple):
+    """The operations the chain needs from its coefficient ring: the image
+    of an integer, product, difference, exact quotient, and the sign of a
+    nonzero element on a side of 0."""
+
+    of: Callable[[int], Any]
+    mul: Callable[[Any, Any], Any]
+    sub: Callable[[Any, Any], Any]
+    exquo: Callable[[Any, Any], Any]
+    sign: Callable[[Any, str], int]
+
+
+_ZX = _Ring(lambda k: [k] if k else [], umul, usub, _zx_exquo, _zx_sign)
+# a constant has the same sign on both sides of 0
+_Z = _Ring(int, operator.mul, operator.sub, _z_exquo, lambda a, side: 1 if a > 0 else -1)
+
+
+def _ring_pow(ring: _Ring, a, e: int):
+    out = ring.of(1)
+    for _ in range(e):
+        out = ring.mul(out, a)
+    return out
+
+
+def _prem(A: list, B: list, ring: _Ring) -> list:
+    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B."""
+    mul, sub = ring.mul, ring.sub
     lead, n = B[-1], len(B)
     rem = list(A)
     for shift in range(len(A) - n, -1, -1):
         top = rem.pop()
-        rem = [umul(lead, c) for c in rem]
+        rem = [mul(lead, c) for c in rem]
         if top:
             for i in range(n - 1):
-                rem[shift + i] = usub(rem[shift + i], umul(top, B[i]))
+                rem[shift + i] = sub(rem[shift + i], mul(top, B[i]))
     return utrim(rem)
 
 
@@ -286,44 +405,54 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_counts(p: list[list[int]], sides: tuple[str, ...]) -> tuple[int, dict]:
+def _sturm_counts(p: list, sides: tuple[str, ...], ring: _Ring) -> tuple[int, dict]:
     """The y-degree of gcd(p, dp/dy), and for each side the number of
-    distinct real roots of p(x, .) for every x near 0 on that side; p has a
-    positive constant leading coefficient.
+    distinct real roots of p(x, .) for every x near 0 on that side; the
+    coefficients of p lie in ring, and its leading one is a positive
+    constant.
 
-    One subresultant PRS of (p, dp/dy) over Z[x] (Brown; Cohen, Algorithm
-    3.3.1): R_(i+1) = prem(R_(i-1), R_i) / (g h^delta), each division exact.
-    Over Q(x), R_i = m_i S_i, where S is the Sturm chain
-    S_(i+1) = -rem(S_(i-1), S_i).  As prem(R_(i-1), R_i) equals
+    One subresultant PRS of (p, dp/dy) over the ring (Brown; Cohen,
+    Algorithm 3.3.1): R_(i+1) = prem(R_(i-1), R_i) / (g h^delta), each
+    division exact.  Over the fraction field, R_i = m_i S_i, where S is the
+    Sturm chain S_(i+1) = -rem(S_(i-1), S_i).  As prem(R_(i-1), R_i) equals
     -lc(R_i)^(delta+1) m_(i-1) S_(i+1), the multiplier is
     m_(i+1) = -lc(R_i)^(delta+1) m_(i-1) / (g h^delta), and its sign on a
     side is the product of the signs of its factors there.  The last
     element is gcd(p, dp/dy), and the chain counts distinct roots whether or
     not p is squarefree.
     """
-    dp = [[k * c for c in p[k]] for k in range(1, len(p))]
+    mul, exquo, sign = ring.mul, ring.exquo, ring.sign
+    dp = [mul(ring.of(k), p[k]) for k in range(1, len(p))]
     ones = dict.fromkeys(sides, 1)
     chain = [(p, ones), (dp, ones)]   # p = L S_0 and dp/dy = L S_1 with L > 0
-    g = h = [1]
+    g = h = ring.of(1)
     while True:
         (A, m_a), (B, _) = chain[-2:]
-        R = _prem(A, B)
+        R = _prem(A, B, ring)
         if not R:
             break
         delta = len(A) - len(B)
-        beta = umul(g, _zx_pow(h, delta))
-        m_r = {s: -m_a[s] * _zx_sign(B[-1], s) ** (delta + 1) * _zx_sign(beta, s)
+        beta = mul(g, _ring_pow(ring, h, delta))
+        m_r = {s: -m_a[s] * sign(B[-1], s) ** (delta + 1) * sign(beta, s)
                for s in sides}
-        chain.append(([_zx_exquo(c, beta) for c in R], m_r))
+        chain.append(([exquo(c, beta) for c in R], m_r))
         g = B[-1]
-        h = g if delta == 1 else _zx_exquo(_zx_pow(g, delta), _zx_pow(h, delta - 1))
+        h = g if delta == 1 else exquo(_ring_pow(ring, g, delta),
+                                       _ring_pow(ring, h, delta - 1))
 
     counts = {}
     for s in sides:
-        at_plus = [_zx_sign(R[-1], s) * m[s] for R, m in chain]
+        at_plus = [sign(R[-1], s) * m[s] for R, m in chain]
         at_minus = [sg * (-1) ** (len(R) - 1) for sg, (R, _) in zip(at_plus, chain)]
         counts[s] = _variations(at_minus) - _variations(at_plus)
     return len(chain[-1][0]) - 1, counts
+
+
+def _fibre_counts(p: list[int]) -> tuple[int, int]:
+    """The degree of gcd(p, p') and the number of distinct real roots of p
+    in Z[y], a dense list of ints with a positive leading coefficient."""
+    excess, counts = _sturm_counts(p, ("plus",), _Z)
+    return excess, counts["plus"]
 
 
 @dataclass
@@ -367,9 +496,11 @@ def hyperbolic_check_2d(phi: DistinguishedPoly,
     if len(_param_vars(phi)) > 1:
         raise DomainError("the exact decision applies to one parameter "
                           "variable; use hyperbolic_falsify_grid for more")
-    rows = [_dense_in_param(aj) for aj in reversed(phi.a)] + [[1]]
+    # phi times the positive lcm L of its denominators: the same roots, in Z[x][y]
+    L = lcm(*(_denominator(aj) for aj in phi.a))
+    rows = [_dense_in_param(aj, L) for aj in reversed(phi.a)] + [[L]]
     sides = ("plus", "minus") if side == "both" else (side,)
-    excess, counts = _sturm_counts(_cleared(rows), sides)
+    excess, counts = _sturm_counts(rows, sides, _ZX)
     sf_deg = phi.d - excess
     bad = [s for s in sides if counts[s] != sf_deg]
     if not bad:
@@ -399,9 +530,11 @@ def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
     reports that the grid found nothing.
     """
     _require_distinguished(phi)
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
+        raise DomainError(f"grid resolution must be an integer >= 1, got {resolution!r}")
     radius = Fraction(radius)
-    if radius <= 0 or resolution < 1:
-        raise DomainError("grid needs a positive radius and resolution")
+    if radius <= 0:
+        raise DomainError("grid needs a positive radius")
     params = sorted(set(v for aj in phi.a for v in aj.vars))
     step = radius / resolution
     scaled = [[(c * step ** sum(exps),
@@ -427,10 +560,9 @@ def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
                 for k, e in powers:
                     n *= point[k] ** e
                 value += n
-            fiber.append([value] if value else [])
-        # a constant has the same sign on both sides
-        excess, counts = _sturm_counts(fiber + [[L]], ("plus",))
-        if counts["plus"] != phi.d - excess:
+            fiber.append(value)
+        excess, count = _fibre_counts(fiber + [L])
+        if count != phi.d - excess:
             return {v: i * step for v, i in zip(params, point)}
     return None
 
@@ -470,8 +602,9 @@ def nodiv_witness(M: CarlemanSequence, J: int, K: int) -> NoDivWitness:
     symbolically.
 
     The table runs on :func:`certify`: each attempt builds one theta
-    approximation and one list M_0..M_{2J} and reads every order from them,
-    and an attempt that cannot certify some c_j >= M_{2j} escalates.
+    approximation and reads every order, and the intervals M_0..M_{2J}
+    that approximation holds, from it; an attempt that cannot certify
+    some c_j >= M_{2j} escalates.
     """
     if J < 1 or K < 2 * J + 8:
         raise DomainError("need J >= 1 and K >= 2J + 8")
@@ -480,7 +613,7 @@ def nodiv_witness(M: CarlemanSequence, J: int, K: int) -> NoDivWitness:
     def attempt(bits: int):
         nonlocal failed
         approx = build_theta(M, K, bits)
-        values = [M.interval_value(i, bits) for i in range(2 * J + 1)]
+        values = approx.values       # M_0 .. M_{K+2}, and K > 2J
         cvals = []
         for j in range(J + 1):
             c = _magnitude_at_zero(approx, 2 * j) * RI.point(Fraction(1, factorial(2 * j)))

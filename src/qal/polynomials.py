@@ -168,11 +168,6 @@ class MultiPoly:
                 out[key] = out.get(key, 0) + c
         return MultiPoly(rest, out)
 
-    def as_univariate(self, var: str) -> list["MultiPoly"]:
-        """Dense coefficient list in var, entries in the remaining vars."""
-        d = self.degree(var)
-        return [self.coefficient(var, p) for p in range(d + 1)]
-
     def constant_term(self):
         return self.coeffs.get((0,) * len(self.vars), Fraction(0))
 
@@ -187,36 +182,55 @@ class MultiPoly:
             total = total + term
         return total
 
-    def substitute(self, var: str, replacement: "MultiPoly") -> "MultiPoly":
-        """Substitute a polynomial for one variable.
+    def substitute(self, replacements: dict[str, "MultiPoly"]) -> "MultiPoly":
+        """Substitute polynomials for several variables at once, given as
+        {variable: replacement}; a replacement may involve any variable,
+        substituted ones included, and is not substituted into itself.
 
-        One pass groups the terms by their power of var into plain dicts,
-        already reindexed onto the result's variables; replacement^1 ..
-        replacement^p (p the top power of var) are formed once by
-        successive products, and every term times the power it needs is
-        accumulated into one dict.  Beyond forming the powers, the cost is
-        one coefficient product per pair (term, term of its power).
+        One pass groups the terms by their exponents alpha in the
+        substituted variables into plain dicts, already reindexed onto the
+        result's variables.  Each product prod_v replacement_v^alpha_v that
+        some term needs is formed once, as one product of the smaller one
+        with a single alpha_v lowered by one, and every term times the
+        product it needs is accumulated into one dict.  Beyond forming the
+        products, the cost is one coefficient product per pair (term, term
+        of its product); the terms with alpha = 0 are copied.
         """
-        if var not in self.vars:
-            raise DomainError(f"{var} not among {self.vars}")
-        i = self.vars.index(var)
-        merged = tuple(sorted((set(self.vars) - {var}) | set(replacement.vars),
-                              key=_var_key))
-        slots = [merged.index(v) if n != i else None for n, v in enumerate(self.vars)]
-        by_power: dict[int, dict[Exponents, object]] = {}
+        for var in replacements:
+            if var not in self.vars:
+                raise DomainError(f"{var} not among {self.vars}")
+        subs = [i for i, v in enumerate(self.vars) if v in replacements]
+        merged = tuple(sorted(set(self.vars).difference(replacements).union(
+            *(r.vars for r in replacements.values())), key=_var_key))
+        slots = [None if v in replacements else merged.index(v) for v in self.vars]
+        by_alpha: dict[Exponents, dict[Exponents, object]] = {}
         for exps, c in self.coeffs.items():
             key = [0] * len(merged)
             for slot, e in zip(slots, exps):
                 if slot is not None:
                     key[slot] = e
-            by_power.setdefault(exps[i], {})[tuple(key)] = c
-        rep = replacement.with_vars(merged).coeffs
-        powers = [{(0,) * len(merged): Fraction(1)}]
-        for _ in range(max(by_power, default=0)):
-            powers.append(_dict_product(powers[-1], rep))
-        out: dict[Exponents, object] = {}
-        for p, terms in by_power.items():
-            _accumulate_product(out, terms, powers[p])
+            by_alpha.setdefault(tuple(exps[i] for i in subs), {})[tuple(key)] = c
+        reps = [replacements[self.vars[i]].with_vars(merged).coeffs for i in subs]
+        zero = (0,) * len(subs)
+        products: dict[Exponents, dict | None] = {zero: None}
+
+        def product(alpha: Exponents) -> dict:
+            # walk down to a product already formed, lowering the last
+            # nonzero exponent each step, then form the ones above it
+            steps = []
+            while alpha not in products:
+                k = max(k for k, e in enumerate(alpha) if e)
+                steps.append((alpha, k))
+                alpha = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
+            below = products[alpha]
+            for alpha, k in reversed(steps):
+                below = reps[k] if below is None else _dict_product(below, reps[k])
+                products[alpha] = below
+            return below
+
+        out: dict[Exponents, object] = dict(by_alpha.pop(zero, {}))
+        for alpha, terms in by_alpha.items():
+            _accumulate_product(out, terms, product(alpha))
         return MultiPoly(merged, out)
 
     def derivative(self, var: str) -> "MultiPoly":

@@ -241,7 +241,7 @@ def shear_to_generic(phi: MultiPoly) -> tuple[MultiPoly, int]:
     xv = MultiPoly.variable("x", vars_all)
     yv = MultiPoly.variable("y", vars_all)
     for c in candidates:
-        sheared = phi.substitute("x", xv + c * yv) if c else phi
+        sheared = phi.substitute({"x": xv + c * yv}) if c else phi
         sheared = sheared.with_vars(vars_all)
         if sheared.coeffs.get(target, 0) != 0:
             return sheared, c

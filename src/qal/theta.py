@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DomainError, PrecisionFailure, TruncationInsufficient
+from .errors import (CertificationError, DomainError, PrecisionFailure,
+                     TruncationInsufficient)
 from .intervals import CI, RI, certify, default_bits, iv_cos_sin
 from .rationals import factorial, falling, stirling2_row
 from .sequences import CarlemanSequence
@@ -42,14 +43,16 @@ from .sequences import CarlemanSequence
 class ThetaApproximation:
     """Truncated term data for theta built from the sequence M.
 
+    ``values[k]`` holds M_k as ``seq.interval_value(k, bits)`` gives it,
     ``mbars[k]`` holds Mbar_k = k! M_k and ``ms[k]`` holds the ratio
-    m_k = Mbar_{k+1}/Mbar_k, both as certified intervals (point intervals
+    m_k = Mbar_{k+1}/Mbar_k, all as certified intervals (point intervals
     in the rational-valued case).  Terms are kept through index K, plus
     one extra ratio for the tail bound.
     """
 
     seq: CarlemanSequence
     K: int
+    values: list[RI]
     mbars: list[RI]
     ms: list[RI]
 
@@ -72,18 +75,23 @@ class ThetaApproximation:
 
 def build_theta(M: CarlemanSequence, K: int, bits: int | None = None) -> ThetaApproximation:
     bits = bits or default_bits()
-    mbars = []
+    values, mbars = [], []
     for k in range(K + 3):
-        mb = M.mbar(k)
-        mbars.append(RI.point(mb) if mb is not None
-                     else RI.point(factorial(k)) * M.interval_value(k, bits))
+        exact = M.exact_value(k)
+        if exact is None:
+            values.append(M.interval_value(k, bits))
+            mbars.append(RI.point(factorial(k)) * values[k])
+        else:
+            # the point interval_value gives, and the exact mbar
+            values.append(RI.point(exact))
+            mbars.append(RI.point(factorial(k) * exact))
     ms = [mbars[k + 1] / mbars[k] for k in range(K + 2)]
     # the ratio sequence must be nondecreasing; raise only on a proven violation
     for k in range(1, K + 1):
         if ms[k].hi < ms[k - 1].lo:
             raise DomainError(f"ratio sequence m_k decreases at k={k}; "
                               "the sequence is not log-convex")
-    return ThetaApproximation(M, K, mbars, ms)
+    return ThetaApproximation(M, K, values, mbars, ms)
 
 
 @dataclass
@@ -279,7 +287,7 @@ def borel_example_derivatives(B: BorelExample, j: int) -> DerivativeCrossCheck:
     matrix = [stirling2_row(r) + [0] * (j - r) for r in range(j + 1)]
     for r in range(j + 1):
         if matrix[r][r] != 1:
-            raise ArithmeticError("Stirling transform must be unitriangular")
+            raise CertificationError("Stirling transform must be unitriangular")
     phi_derivs: list[RI] = []
     for p in range(j + 1):
         s = Fraction(0)

@@ -87,6 +87,24 @@ class TestEuclidDivide:
             assert G2 == G and H2 == H
 
 
+    @pytest.mark.parametrize("p_text,f_text", [
+        ("z^7 - 2/3*x*z^5 + 5/4*z^2 - x^3", "z^3 - 1/2*x*z + 2/3"),
+        ("3/7*x^2*z^4 + z - 1/5", "z^2 + 5/6*x^2*z - 3/4*x"),
+        ("1/2*z^9 + x1*x2*z^3 - 1/9*x2", "z^4 + 1/3*x1*z^2 - 2/5*x2"),
+        ("2/3*z + x", "z^2 + 1/2*x"),
+    ])
+    def test_rational_divisor_against_sympy(self, p_text, f_text):
+        # L_F > 1: the pseudo-division by L_F F runs over the integers
+        Ppoly, F = P(p_text), P(f_text)
+        G, H = euclid_divide(Ppoly, F, "z")
+        assert all(type(c) is Fraction for poly in (G, H) for c in poly.coeffs.values())
+        gens = [sympy.Symbol("z")] + [sympy.Symbol(v) for v in G.vars if v != "z"]
+        expr = lambda text: sympy.sympify(text.replace("^", "**"))
+        q, r = sympy.Poly(expr(p_text), *gens).div(sympy.Poly(expr(f_text), *gens))
+        assert sympy.expand(expr(str(G)) - q.as_expr()) == 0
+        assert sympy.expand(expr(str(H)) - r.as_expr()) == 0
+
+
 class TestSpecializeDivision:
     def test_y2_plus_x(self):
         phi = dist("y^2 + x")
@@ -145,6 +163,7 @@ class TestSpecializeDivision:
         phi_z = z ** d + sum((aj * z ** (d - 1 - j) for j, aj in enumerate(phi.a)),
                              MultiPoly(()))
         assert len(hs) == d and all("z" not in h.vars for h in hs)
+        assert all(type(c) is Fraction for poly in (G, *hs) for c in poly.coeffs.values())
         H = sum((h * z ** j for j, h in enumerate(hs)), MultiPoly(()))
         assert phi_z * G + H == Ppoly
         # the division is unique: it equals the direct division by phi(z)
@@ -342,6 +361,58 @@ class TestHyperbolicityHighDegree:
             division._zx_exquo([1, 0, 1], [1, 1])   # (1 + x^2) / (1 + x)
 
 
+_Y = sympy.Symbol("y")
+_FIBRE_FACTORS = [_Y - 2, _Y + 3, _Y, 2 * _Y + 1, 3 * _Y - 1, _Y**2 + 1, _Y**2 - 2,
+                  _Y**2 + _Y + 2, _Y**2 - 2 * _Y + 5, 4 * _Y**2 + 1]
+
+
+@st.composite
+def _integer_fibres(draw):
+    """Integer polynomials in y of degree 1 to 8, constant term first, with
+    a positive leading coefficient: products of powers of integer linear
+    and quadratic factors (repeated and complex roots), each factor kept
+    while the degree stays at most 8, or sparse random coefficient lists
+    with zero middle coefficients."""
+    if draw(st.booleans()):
+        product, degree = sympy.Integer(1), 0
+        for f, m in draw(st.lists(st.tuples(st.sampled_from(_FIBRE_FACTORS),
+                                            st.integers(1, 3)), min_size=1, max_size=4)):
+            if degree + m * sympy.degree(f, _Y) <= 8:
+                product, degree = product * f**m, degree + m * sympy.degree(f, _Y)
+        return [int(c) for c in reversed(sympy.Poly(product, _Y).all_coeffs())]
+    degree = draw(st.integers(1, 8))
+    middle = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]),
+                           min_size=degree, max_size=degree))
+    return middle + [draw(st.integers(1, 3))]
+
+
+class TestConstantChain:
+    """The chain over Z that counts a grid fibre, checked directly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_integer_fibres())
+    def test_counts_against_sympy(self, p):
+        poly = sympy.Poly(list(reversed(p)), _Y)
+        excess = sympy.gcd(poly, poly.diff(_Y)).degree()
+        assert division._fibre_counts(p) == (excess, poly.sqf_part().count_roots())
+
+    @pytest.mark.parametrize("p,expected", [
+        ([0, 0, 0, 0, 0, 0, 0, 0, 1], (7, 1)),          # y^8
+        ([1, 0, 0, 0, 0, 0, 0, 0, 1], (0, 0)),          # y^8 + 1
+        ([-1, 0, 0, 0, 0, 0, 0, 0, 1], (0, 2)),         # y^8 - 1
+        ([1, 0, -2, 0, 1], (2, 2)),                     # (y^2 - 1)^2
+        ([1, 0, 2, 0, 1], (2, 0)),                      # (y^2 + 1)^2
+        ([0, 0, 1, 0, 0, 1], (1, 2)),                   # y^2 (y^3 + 1)
+        ([-3, 1], (0, 1)),
+    ])
+    def test_hand_derived_counts(self, p, expected):
+        assert division._fibre_counts(p) == expected
+
+    def test_inexact_division_is_coded(self):
+        with pytest.raises(ChainDegenerationError):
+            division._z_exquo(7, 2)
+
+
 class TestFalsifyGrid:
     def test_sum_of_squares_three_vars(self):
         phi = DistinguishedPoly("y", 2, [MultiPoly(("x1", "x2")),
@@ -526,6 +597,19 @@ class TestErrors:
         with pytest.raises(DomainError) as info:
             hyperbolic_falsify_grid(P("y^2 + x1^2 + x2^2"), Fraction(1), 2)
         assert info.value.code == "domain-error"
+
+    @pytest.mark.parametrize("resolution", [1.5, True, False, 0, -2, Fraction(2), "2", None])
+    def test_falsify_grid_rejects_a_bad_resolution(self, resolution):
+        phi = DistinguishedPoly("y", 2, [MultiPoly(("x1", "x2")), P("x1^2 + x2^2")])
+        with pytest.raises(DomainError) as info:
+            hyperbolic_falsify_grid(phi, Fraction(1, 2), resolution)
+        assert info.value.code == "domain-error"
+
+    @pytest.mark.parametrize("radius", [0, Fraction(-1, 2)])
+    def test_falsify_grid_rejects_a_nonpositive_radius(self, radius):
+        phi = DistinguishedPoly("y", 2, [MultiPoly(("x1", "x2")), P("x1^2 + x2^2")])
+        with pytest.raises(DomainError):
+            hyperbolic_falsify_grid(phi, radius, 2)
 
 
 class TestCertificationErrors:

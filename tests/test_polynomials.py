@@ -64,7 +64,7 @@ class TestParser:
 class TestMultiPoly:
     def test_substitution(self):
         phi = P("y^2 + x")
-        shifted = phi.substitute("x", -P("y") ** 2)
+        shifted = phi.substitute({"x": -P("y") ** 2})
         assert shifted.is_zero()
 
     @settings(max_examples=80, deadline=None)
@@ -83,13 +83,15 @@ class TestMultiPoly:
             return tuple(sorted(chosen, key=_var_key))
 
         p = poly(some_vars(1))        # empty coefficients: the zero polynomial
-        v = data.draw(st.sampled_from(p.vars))
-        r = poly(some_vars(0))        # may involve v itself
+        # one or several variables at once, each replacement may involve
+        # any variable, substituted ones included
+        subs = data.draw(st.lists(st.sampled_from(p.vars), min_size=1, unique=True))
+        reps = {v: poly(some_vars(0)) for v in subs}
         pt = {name: data.draw(coeffs) for name in names}
-        out = p.substitute(v, r)
-        rest = {w for w in p.vars if w != v}
-        assert out.vars == tuple(sorted(rest | set(r.vars), key=_var_key))
-        assert out.eval(pt) == p.eval({**pt, v: r.eval(pt)})
+        out = p.substitute(reps)
+        rest = set(p.vars).difference(subs).union(*(r.vars for r in reps.values()))
+        assert out.vars == tuple(sorted(rest, key=_var_key))
+        assert out.eval(pt) == p.eval({**pt, **{v: r.eval(pt) for v, r in reps.items()}})
 
     def test_order_and_degrees(self):
         poly = P("y^2 + x^3")
@@ -108,7 +110,7 @@ class TestMultiPoly:
     @pytest.mark.parametrize("call", [
         lambda: MultiPoly.variable("z", ("x", "y")),
         lambda: P("x + y") ** -1,
-        lambda: P("x + y").substitute("z", P("x")),
+        lambda: P("x + y").substitute({"z": P("x")}),
     ], ids=["variable-outside-vars", "negative-power", "substitute-outside-vars"])
     def test_domain_errors(self, call):
         with pytest.raises(DomainError) as info:

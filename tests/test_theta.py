@@ -6,9 +6,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qal import intervals
+from qal import intervals, theta
 from qal.division import nodiv_witness
-from qal.errors import DomainError
+from qal.errors import CertificationError, DomainError
 from qal.intervals import default_bits
 from qal.rationals import factorial
 from qal.sequences import analytic, gevrey, loggevrey, qgevrey
@@ -156,6 +156,14 @@ class TestBorelExample:
         with pytest.raises(DomainError):
             borel_example_eval(bad, Fraction(0))
 
+    def test_broken_stirling_transform_is_coded(self, monkeypatch):
+        # a Stirling row whose diagonal entry is not 1
+        monkeypatch.setattr(theta, "stirling2_row", lambda r: [2] * (r + 1))
+        with pytest.raises(CertificationError) as info:
+            borel_example_derivatives(self.geometric(), 3)
+        assert info.value.code == "certification-error"
+        assert isinstance(info.value, ArithmeticError)
+
 
 class TestBuildTheta:
     def test_ratio_sequence_nondecreasing(self):
@@ -168,6 +176,15 @@ class TestBuildTheta:
         for k in range(11):
             assert approx.ms[k].is_point()
             assert approx.ms[k].lo == k + 1
+
+    @pytest.mark.parametrize("M", [analytic(), gevrey(1), gevrey(Fraction(1, 2)),
+                                   loggevrey(1)], ids=str)
+    def test_values_are_the_interval_values(self, M):
+        approx = build_theta(M, 10, 256)
+        assert len(approx.values) == 13
+        for k, v in enumerate(approx.values):
+            w = M.interval_value(k, 256)
+            assert (v.lo, v.hi) == (w.lo, w.hi), k
 
 
 def reference_theta(alpha: Fraction, x: Fraction, j: int, terms: int):
