@@ -55,10 +55,11 @@ from typing import Any, Callable, NamedTuple
 from .errors import (ArityMismatchError, CertificationError,
                      ChainDegenerationError, DomainError, NonMonicDivisorError,
                      PrecisionFailure, ZeroPolynomialError)
-from .intervals import RI, certify, default_bits, iv_exp, ri_pow_frac
+from .intervals import (RI, _floor_dyadic, certify, default_bits, iv_exp,
+                        ri_pow_frac)
 from .polynomials import (MultiPoly, _accumulate_product, _var_key, umul,
                           usub, utrim)
-from .rationals import factorial, format_fraction
+from .rationals import factorial, format_fraction, root_bounds
 from .sequences import CarlemanSequence
 from .theta import _magnitude_at_zero, build_theta
 
@@ -675,10 +676,12 @@ def gevrey_flat_witness(alpha: Fraction, k: int, J: int,
     The 2j-th pure-y derivative there equals
         (-1)^j (2j)! exp(-j) j^(2 k alpha (j+1)),
     computed as a certified interval.  The table reports the largest
-    dyadic constant C (bisected to relative granularity 2^-16) such that
-    |value_j| >= C^(j+1) (2j)!^(1+k*alpha) holds for all 1 <= j <= J; the
-    bound certifies that the quotient's derivatives outgrow the k-th power
-    of the weight sequence, which blocks flat-ideal membership below the
+    constant C such that |value_j| >= C^(j+1) (2j)!^(1+k*alpha) holds for
+    all 1 <= j <= J, rounded down to a dyadic with at least 17 significant
+    bits (relative granularity 2^-16): the least over the rows of the
+    lower bound of (|value_j|.lo / base_j.hi)^(1/(j+1)).  The bound
+    certifies that the quotient's derivatives outgrow the k-th power of
+    the weight sequence, which blocks flat-ideal membership below the
     critical exponent.  The constant is empirical for this table, not a
     universally valid one.
     """
@@ -695,22 +698,13 @@ def gevrey_flat_witness(alpha: Fraction, k: int, J: int,
         base = ri_pow_frac(Fraction(factorial(2 * j)), 1 + k * alpha, bits)
         rows.append(FlatWitnessRow(j, value, base, mag / base))
 
-    def holds(C: Fraction) -> bool:
-        for r in rows:
-            if not (C ** (r.j + 1) * r.bound_base.hi <= r.value.abs().lo):
-                return False
-        return True
-
-    lo, hi = Fraction(0), Fraction(4)
-    if not holds(Fraction(1, 1 << 60)):
-        raise PrecisionFailure("no positive constant certifiable; raise bits")
-    lo = Fraction(1, 1 << 60)
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-        if lo > 0 and (hi - lo) / lo < Fraction(1, 1 << 16):
-            break
-    return FlatWitnessTable(alpha, k, rows, lo)
+    roots = []
+    for r in rows:
+        ratio = _floor_dyadic(r.value.abs().lo / r.bound_base.hi, 40)
+        if ratio == 0:
+            raise PrecisionFailure("no positive constant certifiable; raise bits")
+        roots.append(root_bounds(ratio, r.j + 1, 32)[0])
+    C = _floor_dyadic(min(roots), 18)
+    if not all(C ** (r.j + 1) * r.bound_base.hi <= r.value.abs().lo for r in rows):
+        raise CertificationError("flat-witness constant fails its exact check")
+    return FlatWitnessTable(alpha, k, rows, C)

@@ -11,9 +11,18 @@ iteration then produces the branches of each part
     y(x) = sum  c_q x^(q/m),   coefficients in a number-field tower,
 
 one representative per rational conjugacy class; the class size is the
-field degree, and the multiplicity is that of the squarefree part.  All
-coefficient arithmetic is exact; substitution back into phi certifies
-each truncated branch to the requested order.
+field degree, and the multiplicity is that of the squarefree part.  The
+iteration keeps its exponents integral, as in Duval's rational Puiseux
+expansions: the working polynomial is in t = x^(1/r), r the ramification
+reached so far, and an edge of slope p/q (in lowest terms) substitutes
+t -> t^q, so r becomes r*q.  All coefficient arithmetic is exact.
+
+Each branch is substituted back into the sheared germ.  This proves that
+an exact branch is a root of it, and that a truncated branch y^ leaves
+phi(x, y^) of x-order > T.  It does not by itself prove that y^ agrees
+with a true branch up to order T: the sheared germ need not be
+squarefree, and where phi_y vanishes to high order along the branch,
+later coefficients of y^ move phi(x, y^) only past order T.
 
 The imaginary-part orders d_j are computed per complex embedding of the
 branch field (realness is decided exactly, never from decimals): the
@@ -30,6 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
+from sympy.polys.densearith import dup_add, dup_mul
+from sympy.polys.densebasic import dup_strip
 from sympy.polys.densetools import dup_shift
 
 from .algebraic import (QQ, FieldElement, NumberField, extend_field,
@@ -37,21 +48,21 @@ from .algebraic import (QQ, FieldElement, NumberField, extend_field,
                         qq_to_fraction)
 from .errors import (DomainError, ExhaustedTrials, TruncationInsufficient,
                      ZeroPolynomialError)
-from .polynomials import MultiPoly, udeg, utrim
+from .polynomials import MultiPoly
 from .rationals import format_fraction
 
-Term = tuple[Fraction, int]   # (x exponent, y power)
+Term = tuple[int, int]   # (exponent of t = x^(1/r), y power)
 
 _X, _Y = sympy.symbols("x y")
 
 
 # -- Newton polygon -----------------------------------------------------------------
 
-def _support_hull(points: dict[int, Fraction]) -> list[tuple[int, Fraction]]:
-    """Lower convex hull of (y-power, min x-exponent) pairs, as vertices
+def _support_hull(points: dict[int, int]) -> list[tuple[int, int]]:
+    """Lower convex hull of (y-power, min t-exponent) pairs, as vertices
     sorted by increasing y-power."""
     pts = sorted(points.items())
-    hull: list[tuple[int, Fraction]] = []
+    hull: list[tuple[int, int]] = []
     for b, a in pts:
         while len(hull) >= 2:
             (b1, a1), (b2, a2) = hull[-2], hull[-1]
@@ -82,9 +93,6 @@ class PuiseuxBranch:
     def conjugate_count(self) -> int:
         return self.field.degree
 
-    def exponents(self) -> list[Fraction]:
-        return [e for e, _ in self.terms]
-
     def to_json(self):
         return {
             "m": self.m,
@@ -103,52 +111,46 @@ _MAX_STEPS = 600
 
 
 class _Work:
-    """Working polynomial sum c_{a,b} x^a y^b with field coefficients and
-    Fraction x-exponents."""
+    """Working polynomial sum c_{a,b} t^a y^b in t = x^(1/r), where r is
+    the ramification reached so far.  ``terms`` maps the integer pair
+    (a, b) to c_{a,b}, a nonzero element of ``field._domain`` (sympy's, not
+    a :class:`FieldElement`)."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "r", "terms")
 
-    def __init__(self, field: NumberField, terms: dict[Term, FieldElement]):
+    def __init__(self, field: NumberField, r: int, terms: dict[Term, object]):
         self.field = field
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.r = r
+        self.terms = terms
 
-    def ydegree(self) -> int:
-        return max((b for _, b in self.terms), default=-1)
-
-    def row_zero_empty(self) -> bool:
-        return all(b > 0 for _, b in self.terms)
-
-    def map_coeffs(self, fn, new_field) -> "_Work":
-        return _Work(new_field, {k: fn(v) for k, v in self.terms.items()})
-
-    def support(self) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for (a, b), _ in self.terms.items():
+    def support(self) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for a, b in self.terms:
             if b not in out or a < out[b]:
                 out[b] = a
         return out
 
-    def substitute_and_strip(self, mu: Fraction, c: FieldElement) -> "_Work":
-        """x^-nu * psi(x, x^mu (c + y)) where nu is the minimal resulting
-        x-exponent (the segment value).
+    def substitute_and_strip(self, p: int, q: int, c) -> "_Work":
+        """u^-nu * psi(u^q, u^p (c + y)) in u = t^(1/q), where nu is the
+        minimal resulting exponent (the edge value) and c is an element of
+        the field's sympy domain; the result has ramification r*q.
 
-        The terms with a + mu*b = s form a polynomial P_s(y), whose image
-        is x^s P_s(c + y): one Taylor shift per s over the field's sympy
+        The terms with q*a + p*b = s form a polynomial P_s(y), whose image
+        is u^s P_s(c + y): one Taylor shift per s over the field's sympy
         domain."""
-        field = self.field
-        rows: dict[Fraction, dict[int, object]] = {}
-        for (a, b), coef in self.terms.items():
-            rows.setdefault(a + mu * b, {})[b] = coef.value
-        zero = field._domain.zero
-        out: dict[Term, FieldElement] = {}
+        domain = self.field._domain
+        rows: dict[int, dict[int, object]] = {}
+        for (a, b), v in self.terms.items():
+            rows.setdefault(q * a + p * b, {})[b] = v
+        out: dict[Term, object] = {}
         for s, row in rows.items():
-            dense = [row.get(b, zero) for b in range(max(row), -1, -1)]
-            shifted = dup_shift(dense, c.value, field._domain)
-            for i, v in enumerate(reversed(shifted)):
+            dense = [row.get(b, domain.zero) for b in range(max(row), -1, -1)]
+            for i, v in enumerate(reversed(dup_shift(dense, c, domain))):
                 if v:
-                    out[(s, i)] = FieldElement(field, v)
+                    out[(s, i)] = v
         nu = min(a for a, _ in out)
-        return _Work(field, {(a - nu, b): v for (a, b), v in out.items()})
+        return _Work(self.field, self.r * q,
+                     {(a - nu, b): v for (a, b), v in out.items()})
 
 
 def _collect_branches(work: _Work, base: Fraction, T: Fraction,
@@ -162,49 +164,49 @@ def _collect_branches(work: _Work, base: Fraction, T: Fraction,
     root is simple the continuation is unique and needs no further
     extension, which is what makes truncated branches meaningful: the
     reported field is the coefficient field of the entire series.
+
+    Both ends of a hull edge (b1, a1), (b2, a2) are support points, so the
+    face polynomial sum_{b1 <= b <= b2} c_b z^(b - b1) has nonzero constant
+    and leading coefficients: it needs no trimming, and c = 0 is never one
+    of its roots.  A working polynomial of y-degree 0 has a hull of one
+    vertex and hence no edge, which ends the recursion.
     """
     if depth > _MAX_STEPS:
         raise TruncationInsufficient("expansion did not stabilize; raise T")
-    if work.row_zero_empty():
-        out.append((work.field, prefix, True))
-        work = _Work(work.field,
-                     {(a, b - 1): v for (a, b), v in work.terms.items() if b >= 1})
-    if work.ydegree() < 1:
-        return
+    field = work.field
+    if all(b for _, b in work.terms):
+        # y divides the working polynomial: the series ends exactly here
+        out.append((field, prefix, True))
+        work = _Work(field, work.r,
+                     {(a, b - 1): v for (a, b), v in work.terms.items()})
     hull = _support_hull(work.support())
     for (b1, a1), (b2, a2) in zip(hull, hull[1:]):
         if a1 <= a2:
             continue  # nonpositive slope: roots not tending to 0
-        mu = Fraction(a1 - a2, b2 - b1)
-        face: list[FieldElement] = [work.field.zero()] * (b2 - b1 + 1)
-        for (a, b), coef in work.terms.items():
-            if b1 <= b <= b2 and a == a1 - mu * (b - b1):
-                face[b - b1] = face[b - b1] + coef
-        face = utrim(face)
-        low = 0
-        while low < len(face) and not face[low]:
-            low += 1
-        face = face[low:]
-        for h, mult in factor_over_field(work.field, face):
-            if udeg(h) == 1 and not h[0]:
-                continue  # the root c = 0 belongs to another segment
-            if base + mu > T:
-                # beyond the truncation order: only a simple root has a
-                # unique (splitting-free) continuation we may truncate
-                if mult != 1:
-                    raise TruncationInsufficient(
-                        f"branches still coincide past order {T}; raise T")
-                ext = extend_field(work.field, h)
-                out.append((ext.field, [(e, ext.embed(c)) for e, c in prefix],
-                            False))
+        g = math.gcd(a1 - a2, b2 - b1)
+        p, q = (a1 - a2) // g, (b2 - b1) // g
+        face = [field._domain.zero] * (b2 - b1 + 1)
+        for (a, b), v in work.terms.items():
+            if b1 <= b <= b2 and q * (a1 - a) == p * (b - b1):
+                face[b - b1] = v
+        exponent = base + Fraction(p, q * work.r)
+        for h, mult in factor_over_field(field, [FieldElement(field, v) for v in face]):
+            # beyond the truncation order: only a simple root has a unique
+            # (splitting-free) continuation we may truncate
+            if exponent > T and mult != 1:
+                raise TruncationInsufficient(
+                    f"branches still coincide past order {T}; raise T")
+            ext = extend_field(field, h)
+            new_prefix = [(e, ext.embed(c)) for e, c in prefix]
+            if exponent > T:
+                out.append((ext.field, new_prefix, False))
                 continue
-            ext = extend_field(work.field, h)
-            c_root = ext.new_root
-            lifted = work.map_coeffs(ext.embed, ext.field)
-            new_prefix = [(e, ext.embed(c)) for e, c in prefix] \
-                + [(base + mu, c_root)]
-            sub = lifted.substitute_and_strip(mu, c_root)
-            _collect_branches(sub, base + mu, T, new_prefix, out, depth + 1)
+            lifted = _Work(ext.field, work.r,
+                           {k: ext.embed(FieldElement(field, v)).value
+                            for k, v in work.terms.items()})
+            sub = lifted.substitute_and_strip(p, q, ext.new_root.value)
+            _collect_branches(sub, exponent, T, new_prefix + [(exponent, ext.new_root)],
+                              out, depth + 1)
 
 
 @dataclass
@@ -225,25 +227,20 @@ class PuiseuxExpansion:
 
 
 def shear_to_generic(phi: MultiPoly) -> tuple[MultiPoly, int]:
-    """Replace x by x + c*y, trying c = 0, 1, -1, 2, ... until the pure
-    y^d coefficient (d = multiplicity at 0) is nonzero; then the zero set
-    is not tangent to the y-axis and all branches have order >= 1."""
-    if phi.is_zero():
-        raise ZeroPolynomialError("cannot shear the zero polynomial")
+    """Replace x by x + c*y in phi(x, y), trying c = 0, 1, -1, 2, ... until
+    the pure y^d coefficient (d = multiplicity at 0, so d >= 1 for a germ
+    through 0) is nonzero; then the zero set is not tangent to the y-axis
+    and all branches have order >= 1.  The result is in ("x", "y")."""
     d = phi.order()
-    vars_all = tuple(sorted(set(phi.vars) | {"x", "y"}))
-    phi = phi.with_vars(vars_all)
-    iy = vars_all.index("y")
-    target = tuple(d if n == iy else 0 for n in range(len(vars_all)))
+    phi = phi.with_vars(("x", "y"))
     candidates = [0]
     for k in range(1, d * d + 1):
         candidates.extend([k, -k])
-    xv = MultiPoly.variable("x", vars_all)
-    yv = MultiPoly.variable("y", vars_all)
+    xv = MultiPoly.variable("x", phi.vars)
+    yv = MultiPoly.variable("y", phi.vars)
     for c in candidates:
-        sheared = phi.substitute({"x": xv + c * yv}) if c else phi
-        sheared = sheared.with_vars(vars_all)
-        if sheared.coeffs.get(target, 0) != 0:
+        sheared = phi.substitute({"x": xv + c * yv}).with_vars(phi.vars) if c else phi
+        if sheared.coeffs.get((0, d), 0) != 0:
             return sheared, c
     raise ExhaustedTrials("no shear made the germ y-regular of its multiplicity")
 
@@ -262,31 +259,32 @@ def _squarefree_parts_in_y(phi: MultiPoly) -> list[tuple[MultiPoly, int]]:
 
 
 def puiseux_expand(phi: MultiPoly, T) -> PuiseuxExpansion:
-    """Branches of the germ of phi at the origin, truncated at x-order
-    T > 0.
+    """Branches of the germ of phi(x, y) at the origin, truncated at
+    x-order T, a positive int or Fraction.
 
     The polynomial is sheared to genericity, split into squarefree parts
     over Q[x, y], and each part expanded by the polygon iteration with exact
-    number-field coefficients.  Every branch is certified by substituting
-    it back into the expanded polynomial: the result must vanish to
-    x-order > T (identically for exact branches).
+    number-field coefficients and integer exponents of t = x^(1/r).  Every
+    branch y^ is substituted back into the sheared polynomial, which must
+    vanish identically for an exact branch and to x-order > T for a
+    truncated one; the module docstring says what this proves.
     """
+    if isinstance(T, bool) or not isinstance(T, (int, Fraction)):
+        raise DomainError(f"truncation order must be an int or a Fraction, got {T!r}")
     T = Fraction(T)
     if T <= 0:
         raise DomainError(f"truncation order must be positive, got {T}")
+    if not set(phi.vars) <= {"x", "y"}:
+        raise DomainError(f"the germ must be in the variables x and y, got {phi.vars}")
     if phi.is_zero():
         raise ZeroPolynomialError("cannot expand the zero polynomial")
     if phi.constant_term() != 0:
         raise DomainError("the germ must vanish at the origin")
     sheared, c = shear_to_generic(phi)
-    sheared = sheared.with_vars(("x", "y"))
-    d = sheared.degree("y")
-    if d < 1:
-        raise DomainError("sheared germ has no y-degree; not a curve germ")
 
     branches: list[PuiseuxBranch] = []
     for part, mult in _squarefree_parts_in_y(sheared):
-        work = _multipoly_to_work(part)
+        work = _Work(QQ, 1, {e: fraction_to_qq(v) for e, v in part.coeffs.items()})
         found: list = []
         _collect_branches(work, Fraction(0), T, [], found, 0)
         for fld, terms, exact in found:
@@ -294,10 +292,7 @@ def puiseux_expand(phi: MultiPoly, T) -> PuiseuxExpansion:
                 field=fld, terms=terms, multiplicity=mult, exact=exact,
                 truncation=T))
 
-    m = 1
-    for b in branches:
-        for e, _ in b.terms:
-            m = m * e.denominator // math.gcd(m, e.denominator)
+    m = math.lcm(*(e.denominator for b in branches for e, _ in b.terms))
     for b in branches:
         b.m = m
     expansion = PuiseuxExpansion(sheared, c, branches, m, T)
@@ -310,68 +305,37 @@ def puiseux_expand(phi: MultiPoly, T) -> PuiseuxExpansion:
     return expansion
 
 
-def _multipoly_to_work(phi: MultiPoly) -> _Work:
-    phi = phi.with_vars(("x", "y"))
-    terms: dict[Term, FieldElement] = {}
-    for (a, b), coef in phi.coeffs.items():
-        terms[(Fraction(a), b)] = QQ.element(coef)
-    return _Work(QQ, terms)
-
-
 def _certify_branch(phi: MultiPoly, branch: PuiseuxBranch, T: Fraction):
-    """Substitute the truncated branch into phi(x^m, y) and verify that
-    the result vanishes to x-order > m*T (identically when exact)."""
-    fld = branch.field
-    m = branch.m
-    # y-hat as a dense polynomial in x (substituted scale)
-    if branch.terms:
-        top = max(int(e * m) for e, _ in branch.terms)
-    else:
-        top = 0
-    yhat = [fld.zero()] * (top + 1)
+    """Substitute the branch y^ into phi(t^m, y), t = x^(1/m), by Horner in
+    y on dense lists in t over the field's sympy domain, and verify that
+    the result vanishes identically for an exact branch, and to t-order
+    > m*T for a truncated one, whose steps keep only t^0..t^(floor(mT)+1)."""
+    fld, m = branch.field, branch.m
+    K = fld._domain
+    top = max((int(e * m) for e, _ in branch.terms), default=0)
+    yhat = [K.zero] * (top + 1)
     for e, coef in branch.terms:
-        yhat[int(e * m)] = yhat[int(e * m)] + coef
-    phi = phi.with_vars(("x", "y"))
-    cap = int(m * T) + 1 if not branch.exact else None
-    # Horner in y with truncated polynomial arithmetic over the field
-    ydeg = phi.degree("y")
-    acc: dict[int, FieldElement] = {}
-
-    def add_row(acc, row_poly: MultiPoly):
-        for (a,), coef in row_poly.coeffs.items():
-            e = a * m
-            if cap is not None and e > cap:
-                continue
-            acc[e] = acc.get(e, fld.zero()) + fld.element(coef)
-        return acc
-
-    for p in range(ydeg, -1, -1):
-        # acc = acc * yhat
-        new: dict[int, FieldElement] = {}
-        for e1, c1 in acc.items():
-            for e2, c2 in enumerate(yhat):
-                if not c2:
-                    continue
-                e = e1 + e2
-                if cap is not None and e > cap:
-                    continue
-                prod = c1 * c2
-                if e in new:
-                    new[e] = new[e] + prod
-                else:
-                    new[e] = prod
-        acc = new
-        acc = add_row(acc, phi.coefficient("y", p))
-    residual = {e for e, v in acc.items() if v}
+        yhat[top - int(e * m)] = coef.value
+    yhat = dup_strip(yhat)
+    keep = None if branch.exact else int(m * T) + 2
+    rows: dict[int, dict[int, object]] = {}
+    for (a, b), coef in phi.coeffs.items():
+        rows.setdefault(b, {})[a * m] = fld.element(coef).value
+    acc: list = []
+    for b in range(max(rows), -1, -1):
+        row = rows.get(b, {})
+        dense = [row.get(e, K.zero) for e in range(max(row, default=-1), -1, -1)]
+        acc = dup_add(dup_mul(acc, yhat, K), dense, K)
+        if keep is not None:
+            acc = dup_strip(acc[-keep:])
+    residual = [e for e, v in enumerate(reversed(acc)) if v]
     if branch.exact:
         if residual:
             raise TruncationInsufficient(
-                f"exact branch fails to annihilate the germ (orders {sorted(residual)})")
-    else:
-        low = min(residual, default=None)
-        if low is not None and low <= m * T:
-            raise TruncationInsufficient(
-                f"branch vanishes only to order {low} <= {m * T}")
+                f"exact branch fails to annihilate the germ (orders {residual})")
+    elif residual and residual[0] <= m * T:
+        raise TruncationInsufficient(
+            f"branch vanishes only to order {residual[0]} <= {m * T}")
 
 
 # -- imaginary-part orders and the closedness exponent ------------------------------
@@ -381,7 +345,6 @@ class BranchImOrder:
     determined: bool
     d_over_m: Fraction | None     # the contribution max d_j/m over the class
     real_member: bool             # some series of the class is real
-    detail: str = ""
 
 
 def branch_im_order(branch: PuiseuxBranch) -> BranchImOrder:
@@ -403,12 +366,11 @@ def branch_im_order(branch: PuiseuxBranch) -> BranchImOrder:
     one_over_m = Fraction(1, branch.m)
 
     if degree == 1:
-        return BranchImOrder(True, one_over_m, True, "rational series")
+        return BranchImOrder(True, one_over_m, True)
 
     values: list[Fraction] = []
     real_member = fld.real_embedding_count() > 0
     undetermined = False
-    detail = []
     for idx in range(degree):
         embedded = NumberField(minpoly, root_index=idx)
         if embedded.is_real:
@@ -418,20 +380,17 @@ def branch_im_order(branch: PuiseuxBranch) -> BranchImOrder:
                       None)
         if d_here is not None:
             values.append(d_here)
-            detail.append(f"embedding {idx}: first imaginary exponent {d_here}")
         elif branch.exact:
             # terminating series, every coefficient certified real
             real_member = True
-            detail.append(f"embedding {idx}: exact real series")
         else:
             undetermined = True
     if undetermined:
-        return BranchImOrder(False, None, real_member,
-                             "realness of a truncated series is open; raise T")
+        return BranchImOrder(False, None, real_member)
     best = max(values) if values else one_over_m
     if real_member:
         best = max(best, one_over_m)
-    return BranchImOrder(True, best, real_member, "; ".join(detail))
+    return BranchImOrder(True, best, real_member)
 
 
 @dataclass
@@ -466,7 +425,6 @@ class ExponentReport:
 
 
 def _mirror(phi: MultiPoly) -> MultiPoly:
-    phi = phi.with_vars(("x", "y"))
     return MultiPoly(("x", "y"),
                      {(a, b): (c if a % 2 == 0 else -c)
                       for (a, b), c in phi.coeffs.items()})
@@ -490,7 +448,8 @@ def _side_orders(expansion: PuiseuxExpansion) -> tuple[list[Fraction], bool]:
 def d_exponent(phi: MultiPoly, T=8) -> ExponentReport:
     """The two-sided branch exponent d(phi) = max(d+(phi), d+(phi-)),
     where phi- is the x-reflection, both computed from certified Puiseux
-    data as exact rationals."""
+    data as exact rationals.  T is the truncation order of
+    :func:`puiseux_expand`, a positive int or Fraction."""
     expansion = puiseux_expand(phi, T)
     mirror = puiseux_expand(_mirror(expansion.phi), T)
     orders, nonreal_plus = _side_orders(expansion)

@@ -122,8 +122,7 @@ def _magnitude_at_zero(approx: ThetaApproximation, j: int) -> RI:
     return RI(partial.lo, partial.hi + approx.tail_bound(j))
 
 
-def theta_derivative_at_zero(M: CarlemanSequence, j: int, K: int,
-                             bits: int | None = None) -> ThetaDerivative:
+def theta_derivative_at_zero(M: CarlemanSequence, j: int, K: int) -> ThetaDerivative:
     """Certified interval for theta^(j)(0), asserting |theta^(j)(0)| >= j! M_j.
 
     The value is i^j * sum_k Mbar_k (2 m_k)^(j-k) with every summand
@@ -143,11 +142,10 @@ def theta_derivative_at_zero(M: CarlemanSequence, j: int, K: int,
         return None
 
     return certify(attempt, f"cannot certify |theta^({j})(0)| >= {j}! M_{j}",
-                   PrecisionFailure, bits)
+                   PrecisionFailure)
 
 
-def theta_eval(M: CarlemanSequence, x: Fraction, j: int, K: int,
-               bits: int | None = None) -> CI:
+def theta_eval(M: CarlemanSequence, x: Fraction, j: int, K: int) -> CI:
     """Certified complex interval for theta^(j)(x).
 
     Also asserts the class membership bound |theta^(j)(x)| <= 3 * 2^j * j! M_j
@@ -176,7 +174,7 @@ def theta_eval(M: CarlemanSequence, x: Fraction, j: int, K: int,
         return None
 
     return certify(attempt, f"cannot certify |theta^({j})({x})| <= 3*2^{j}*{j}!M_{j}",
-                   PrecisionFailure, bits)
+                   PrecisionFailure)
 
 
 # -- the rational-pole series ---------------------------------------------------

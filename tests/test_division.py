@@ -731,3 +731,16 @@ class TestFlatWitness:
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             gevrey_flat_witness(Fraction(-1), 1, 3)
+
+    def test_tiny_constant_is_found(self):
+        # the largest valid constant is about 3.8e-61, far below any fixed
+        # starting floor for a bisection
+        out = gevrey_flat_witness(Fraction(200), 2, 4)
+        C = out.constant
+        assert Fraction(37, 10 ** 62) < C < Fraction(38, 10 ** 62)
+        assert all(C ** (r.j + 1) * r.bound_base.hi <= r.value.abs().lo
+                   for r in out.rows)
+        # and it is the largest valid one to relative granularity 2^-16
+        larger = C * (1 + Fraction(1, 1 << 15))
+        assert not all(larger ** (r.j + 1) * r.bound_base.hi <= r.value.abs().lo
+                       for r in out.rows)

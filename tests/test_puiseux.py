@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qal import puiseux
-from qal.errors import DomainError
+from qal.errors import DomainError, TruncationInsufficient
 from qal.polynomials import MultiPoly, parse_polynomial
 from qal.puiseux import d_exponent, puiseux_expand
 
@@ -78,6 +79,48 @@ def test_output_is_unchanged(text, T):
     assert digest == OUTPUT_DIGESTS[(text, T)]
 
 
+# SHA-256 of the sorted-key JSON of puiseux_expand for the squared cusp at
+# T = 8, frozen from the Newton polygon iteration on Fraction x-exponents
+# that the integer exponents of t = x^(1/r) replaced
+CUSP_T8_DIGEST = "6cc8749af8e26d1e216e579244d1be61a72f280e746f8a86d2823c5b7933bb7c"
+
+
+def test_squared_cusp_output_at_t8_is_unchanged():
+    doc = puiseux_expand(parse_polynomial("(y^3-x^2)^2 - x^5"), 8).to_json()
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == CUSP_T8_DIGEST
+
+
+def _perturbed(branch, i):
+    terms = list(branch.terms)
+    e, c = terms[i]
+    terms[i] = (e, c + 1)
+    return replace(branch, terms=terms)
+
+
+def test_branch_check_rejects_a_perturbed_exact_branch():
+    # the exact branches i x^2, x and -x of (y-x)^2 (y+x)^3 (y^2+x^4)
+    expansion = puiseux_expand(parse_polynomial("(y-x)^2*(y+x)^3*(y^2+x^4)"), 4)
+    exact = [b for b in expansion.branches if b.exact]
+    assert len(exact) == 3
+    for branch in exact:
+        puiseux._certify_branch(expansion.phi, branch, expansion.truncation)
+        with pytest.raises(TruncationInsufficient) as info:
+            puiseux._certify_branch(expansion.phi, _perturbed(branch, 0),
+                                    expansion.truncation)
+        assert info.value.code == "truncation-insufficient"
+
+
+def test_branch_check_rejects_a_perturbed_leading_coefficient():
+    expansion = puiseux_expand(parse_polynomial("(y^3-x^2)^2 - x^5"), 6)
+    (branch,) = expansion.branches
+    assert not branch.exact
+    with pytest.raises(TruncationInsufficient) as info:
+        puiseux._certify_branch(expansion.phi, _perturbed(branch, 0),
+                                expansion.truncation)
+    assert info.value.code == "truncation-insufficient"
+
+
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
 
@@ -120,6 +163,24 @@ def test_nonpositive_truncation_is_rejected(T):
         puiseux_expand(phi, T)
     with pytest.raises(DomainError):
         d_exponent(phi, T)
+
+
+@pytest.mark.parametrize("T", ["a", None, True, 1.5])
+def test_truncation_must_be_an_int_or_a_fraction(T):
+    phi = parse_polynomial("y^2 + x^4")
+    with pytest.raises(DomainError):
+        puiseux_expand(phi, T)
+    with pytest.raises(DomainError):
+        d_exponent(phi, T)
+
+
+@pytest.mark.parametrize("text", ["y^2 - x^3 + z*y", "y^2 - t^3"])
+def test_germ_outside_x_and_y_is_rejected(text):
+    phi = parse_polynomial(text)
+    with pytest.raises(DomainError):
+        puiseux_expand(phi, 4)
+    with pytest.raises(DomainError):
+        d_exponent(phi, 4)
 
 
 @settings(max_examples=25, deadline=None)
