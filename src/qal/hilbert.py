@@ -6,25 +6,29 @@ interval (-1, 1) under the inner product
 
     <u|v> = sum_{j=0}^{D} (j! M_j)^-2 * integral_{-1}^{1} u^(j) v^(j) dx.
 
-Everything is exact rational arithmetic: the Gram matrix has the closed
-form
+The Gram matrix has the closed form
 
     G[a][b] = sum_{j<=min(a,b)} w_j * a!/(a-j)! * b!/(b-j)! *
               (1 + (-1)^(a+b)) / (a + b - 2j + 1),
 
-and all linear solves have exactly zero residual.
+and the model does all of its linear algebra on integers.  Every value
+it returns is an exact rational, so it is the unique value of the same
+computation in Fractions.
 
 The interval is symmetric, so G[a][b] = 0 whenever a + b is odd: G is a
 row-and-column permutation of diag(G_even, G_odd), the Gram blocks of the
 even and of the odd monomials.  The model works on the two blocks only.
-Each block gets an exact LDL^T factorization, and positive pivots of both
-blocks certify that G is positive definite.  They are the pivots of the
-LDL^T of the full G as well, read in parity order: the full factor has
-L[r][i] = 0 whenever r + i is odd.  The representer of the derivative of
-order i at 0 lies in the block of the parity of i, and so does the
-minimal interpolant of data supported on that parity.  Every value this
-module returns is the one the dense computation gives; only the products
-with a structural zero are never formed.
+Each block is held as an integer matrix A over its own denominator L_p
+(G_p = A / L_p) and factored once by fraction-free elimination
+(`_bareiss`).  Its pivots are the leading principal minors of A, and by
+Sylvester's criterion their positivity certifies that G is positive
+definite.  The representer of the derivative of order i at 0 lies in the
+block of the parity of i, and so does the minimal interpolant of data
+supported on that parity.  Solves return integer vectors over the
+determinant of their block (Cramer's rule), and each result is checked
+by an integer identity: the reproducing identity A Y = det * unit for the
+representers, and the prescribed derivatives of every interpolant on its
+assembled integer coefficients over one denominator.
 
 The model is deliberately a truncation: statements about the full space
 (such as the column limits of the omega table) appear here as exact
@@ -46,65 +50,163 @@ from .sequences import CarlemanSequence
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
+IntMat = list[list[int]]
+
+
+def _order(value, what: str) -> int:
+    """value as an order, degree or schedule entry: an int that is not a
+    bool, otherwise DomainError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _rational(value, what: str) -> Fraction:
+    """value as exact data: an int that is not a bool, or a Fraction,
+    otherwise DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise DomainError(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
+def _rationals(values, what: str) -> Vec:
+    """A list or tuple of exact data as Fractions, otherwise DomainError."""
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f"{what} must be a list of ints and Fractions, got {values!r}")
+    return [_rational(x, what) for x in values]
+
+
+def _exact(num: int, den: int) -> int:
+    """num / den, which fraction-free elimination makes an integer; a
+    remainder raises CertificationError."""
+    q, r = divmod(num, den)
+    if r:
+        raise CertificationError("inexact division in fraction-free elimination")
+    return q
+
+
+def _bareiss(A: IntMat) -> IntMat:
+    """Fraction-free elimination (Bareiss 1968) of a symmetric integer
+    matrix, without pivoting.
+
+    With M_0 = A, step i forms, for r, c > i,
+
+        M_{i+1}[r][c] = (M_i[i][i] M_i[r][c] - M_i[r][i] M_i[i][c]) / M_{i-1}[i-1][i-1]
+
+    (M_{-1}[-1][-1] = 1).  By Sylvester's identity every entry of M_i is a
+    minor of A, so each division is exact, and the pivot M_i[i][i] is the
+    leading principal minor of order i + 1.  By Sylvester's criterion A is
+    positive definite exactly when all of them are positive; a pivot <= 0
+    raises DomainError.  M_i stays symmetric, so only its lower triangle
+    is formed (A's upper triangle is never read).  Returns the columns
+    cols[i] = [M_i[r][i] for r >= i]; cols[i][0] is the i-th pivot.
+    """
+    n = len(A)
+    M = [row[:r + 1] for r, row in enumerate(A)]
+    cols = []
+    prev = 1
+    for i in range(n):
+        piv = M[i][i]
+        if piv <= 0:
+            raise DomainError(
+                f"matrix is not positive definite (leading minor {i + 1} = {piv})")
+        col = [M[r][i] for r in range(i, n)]
+        cols.append(col)
+        for r in range(i + 1, n):
+            row, f = M[r], col[r - i]
+            for c in range(i + 1, r + 1):
+                row[c] = _exact(piv * row[c] - f * col[c - i], prev)
+        prev = piv
+    return cols
+
+
+def _bareiss_solve(cols: IntMat, rhs: IntMat) -> IntMat:
+    """det(A) * A^-1 b for every integer vector b of rhs, from the columns
+    `_bareiss(A)`, in integers.
+
+    The forward pass runs the elimination steps on b as on one more
+    column of A; leading zeros of b stay zero, so it starts at the first
+    nonzero entry, scaled by the minor of the rows above.  The back
+    substitution solves U y = det * b' with U[i][j] = M_i[i][j] =
+    cols[i][j - i], and y = det * A^-1 b is an integer vector by Cramer's
+    rule.  Every division is exact; an inexact one raises
+    CertificationError.
+    """
+    n = len(cols)
+    det = cols[-1][0] if n else 1
+    out = []
+    for b in rhs:
+        first = next((i for i, x in enumerate(b) if x), n)
+        if first == n:
+            out.append([0] * n)
+            continue
+        prev = cols[first - 1][0] if first else 1
+        b = [0] * first + [x * prev for x in b[first:]]
+        for i in range(first, n - 1):
+            col, bi = cols[i], b[i]
+            piv = col[0]
+            for r in range(i + 1, n):
+                b[r] = _exact(piv * b[r] - col[r - i] * bi, prev)
+            prev = piv
+        y = [0] * n
+        for i in reversed(range(n)):
+            col = cols[i]
+            acc = det * b[i] - sum(col[j - i] * y[j] for j in range(i + 1, n))
+            y[i] = _exact(acc, col[0])
+        out.append(y)
+    return out
+
+
+@dataclass
+class _Block:
+    """A symmetric positive definite rational matrix as A / scale, with A
+    an integer matrix and scale > 0, and the fraction-free factors of A."""
+    A: IntMat
+    scale: int
+    cols: IntMat
+
+    @property
+    def det(self) -> int:
+        return self.cols[-1][0] if self.cols else 1
+
+
+def _factored(raw: IntMat, den: int) -> _Block:
+    """The matrix raw / den, reduced by the gcd of den and all entries of
+    raw (so scale is the lcm of the reduced denominators), and factored;
+    DomainError unless it is positive definite."""
+    g = math.gcd(den, *(x for row in raw for x in row))
+    A = [[x // g for x in row] for row in raw]
+    return _Block(A, den // g, _bareiss(A))
 
 
 def ldl_decompose(G: Mat) -> tuple[Mat, Vec]:
     """Exact LDL^T of a symmetric positive definite rational matrix.
 
-    Raises DomainError on a nonpositive pivot, which certifies that the
-    matrix is not positive definite.
+    This is the Fraction view of `_bareiss`: with G = A / s for an
+    integer matrix A, the leading minors Delta_i of A and the eliminated
+    matrices M_i, D[i] = Delta_{i+1} / (Delta_i s) and
+    L[r][i] = M_i[r][i] / M_i[i][i].  Raises DomainError on a leading minor
+    <= 0, which certifies that the matrix is not positive definite.
     """
     n = len(G)
+    G = [[Fraction(x) for x in row] for row in G]
+    s = math.lcm(*(x.denominator for row in G for x in row))
+    cols = _bareiss([[x.numerator * (s // x.denominator) for x in row] for row in G])
     L: Mat = [[Fraction(0)] * n for _ in range(n)]
-    D: Vec = [Fraction(0)] * n
-    for i in range(n):
-        acc = G[i][i]
-        for k in range(i):
-            acc -= L[i][k] * L[i][k] * D[k]
-        if acc <= 0:
-            raise DomainError(f"matrix is not positive definite (pivot {i} = {acc})")
-        D[i] = acc
-        L[i][i] = Fraction(1)
-        for r in range(i + 1, n):
-            s = G[r][i]
-            for k in range(i):
-                s -= L[r][k] * L[i][k] * D[k]
-            L[r][i] = s / acc
+    D: Vec = []
+    prev = 1
+    for i, col in enumerate(cols):
+        piv = col[0]
+        D.append(Fraction(piv, prev * s))
+        for r in range(i, n):
+            L[r][i] = Fraction(col[r - i], piv)
+        prev = piv
     return L, D
-
-
-def ldl_solve(L: Mat, D: Vec, rhs: Vec) -> Vec:
-    n = len(rhs)
-    y = list(rhs)
-    # leading zeros of rhs stay zero in the forward solve and add nothing to later rows
-    first = next((i for i, c in enumerate(rhs) if c), n)
-    for i in range(first + 1, n):
-        for k in range(first, i):
-            y[i] -= L[i][k] * y[k]
-    for i in range(n):
-        y[i] /= D[i]
-    for i in reversed(range(n)):
-        for k in range(i + 1, n):
-            y[i] -= L[k][i] * y[k]
-    return y
-
-
-def _parity_solve(blocks: list[tuple[Mat, Vec]], rhs: Vec) -> Vec:
-    """Solve a system that is diag(blocks[0], blocks[1]) after sorting its
-    indices by parity: block p, given as its LDL^T factors, couples the
-    indices p, p + 2, ...  A block whose part of rhs is zero has the zero
-    solution and is not solved."""
-    out = [Fraction(0)] * len(rhs)
-    for p, (L, D) in enumerate(blocks):
-        part = rhs[p::2]
-        if any(part):
-            out[p::2] = ldl_solve(L, D, part)
-    return out
 
 
 def poly_derivative(u: Vec, times: int = 1) -> Vec:
     out = list(u)
-    for _ in range(times):
+    for _ in range(min(times, len(out))):
         out = [Fraction(i + 1) * c for i, c in enumerate(out[1:])]
     return out
 
@@ -116,57 +218,65 @@ def poly_eval(u: Vec, x: Fraction) -> Fraction:
     return acc
 
 
+def _over_lcm(u: Vec) -> tuple[list[int], int]:
+    """Integers U and d > 0 with u = U / d, d the lcm of the denominators."""
+    d = math.lcm(*(c.denominator for c in u))
+    return [c.numerator * (d // c.denominator) for c in u], d
+
+
 @dataclass
 class HilbertModel:
     seq: CarlemanSequence
     degree: int
     weights: Vec
     gram: Mat
-    # per parity p, the Gram block of x^p, x^(p+2), ... and its LDL^T factors
-    _blocks: list[Mat] = field(repr=False, default=None)
-    _ldl: list[tuple[Mat, Vec]] = field(repr=False, default=None)
-    # certified representers by order, filled by `representer`
-    _reps: dict[int, Vec] = field(repr=False, compare=False, default_factory=dict)
+    # per parity p, the Gram block of x^p, x^(p+2), ... as a factored A / L_p
+    _gram: list[_Block] = field(repr=False, default=None)
+    # certified representers by order i: the integer vector Y with
+    # e_i = Y / det on the block of the parity of i; filled by `_representers`
+    _reps: dict[int, list[int]] = field(repr=False, compare=False, default_factory=dict)
 
     def _padded(self, u: Vec) -> Vec:
+        u = _rationals(u, "coefficients")
         n = self.degree + 1
         if len(u) > n:
             raise DomainError(f"{len(u)} coefficients exceed degree {self.degree}")
-        return list(u) + [Fraction(0)] * (n - len(u))
+        return u + [Fraction(0)] * (n - len(u))
 
     def inner(self, u: Vec, v: Vec) -> Fraction:
-        """<u|v> via the Gram blocks; u, v in monomial coordinates of
-        degree at most D, otherwise DomainError."""
-        u, v = self._padded(u), self._padded(v)
+        """<u|v> via the integer Gram blocks; u, v in monomial coordinates
+        of degree at most D, with int or Fraction entries, otherwise
+        DomainError."""
+        (U, du), (V, dv) = _over_lcm(self._padded(u)), _over_lcm(self._padded(v))
         total = Fraction(0)
-        for p, G in enumerate(self._blocks):
-            vp = v[p::2]
-            total += sum(c * sum(g * x for g, x in zip(row, vp))
-                         for c, row in zip(u[p::2], G))
-        return total
+        for p, G in enumerate(self._gram):
+            Vp = V[p::2]
+            t = sum(c * sum(g * x for g, x in zip(row, Vp)) for c, row in zip(U[p::2], G.A))
+            total += Fraction(t, G.scale)
+        return total / (du * dv)
 
     def norm_sq(self, u: Vec) -> Fraction:
         return self.inner(u, u)
 
     def deriv_at_zero(self, u: Vec, i: int) -> Fraction:
         """u^(i)(0) = i! u_i; a negative order is a DomainError."""
-        if i >= len(u):
+        if _order(i, "derivative order") >= len(u):
             return Fraction(0)
         return factorial(i) * u[i]
-
-    def solve(self, rhs: Vec) -> Vec:
-        """G^-1 rhs, one parity block at a time."""
-        return _parity_solve(self._ldl, rhs)
 
 
 def build_model(M: CarlemanSequence, D: int) -> HilbertModel:
     """Exact Gram matrix of the monomial basis up to degree D.
 
     Only the even block and the odd block of G are computed (the entries
-    of odd a + b vanish by the symmetry of (-1, 1)), each from integer
-    falling factorials a!/(a-j)!.  Both blocks are factored by
-    `ldl_decompose`; positive pivots of both certify that G is positive
-    definite, otherwise DomainError.
+    of odd a + b vanish by the symmetry of (-1, 1)), in integers over one
+    denominator L, the lcm of the denominators of the weights
+    w_j = (j! M_j)^-2 times lcm(1, 3, ..., 2D + 1): every term
+    L w_j 2 a!/(a-j)! b!/(b-j)! / (a + b - 2j + 1) is an integer.  `gram`
+    holds one Fraction(entry, L) per entry.  Each block is reduced to its
+    own denominator L_p, the lcm of its reduced denominators, and factored
+    by `_bareiss`; positive leading minors of both certify that G is
+    positive definite, otherwise DomainError.
 
     The sequence must be rational valued on 0..D; the dynamic range of the
     weights (about (D! M_D)^2) rules floating point out entirely.
@@ -181,6 +291,12 @@ def build_model(M: CarlemanSequence, D: int) -> HilbertModel:
         mj = M.exact_value(j)
         weights.append(Fraction(1) / (factorial(j) * mj) ** 2)
     n = D + 1
+    L = math.lcm(*(w.denominator for w in weights)) * math.lcm(*range(1, 2 * D + 2, 2))
+    # over[j][h] = 2 L w_j / (2h + 1), for the odd a + b - 2j + 1 = 2h + 1
+    over = []
+    for w in weights:
+        c = 2 * (L // w.denominator) * w.numerator
+        over.append([c // (2 * h + 1) for h in range(n)])
     falling = []  # falling[a][j] = a!/(a-j)!
     for a in range(n):
         row = [1]
@@ -191,47 +307,67 @@ def build_model(M: CarlemanSequence, D: int) -> HilbertModel:
     blocks = []
     for p in (0, 1):
         degs = range(p, n, 2)
-        block: Mat = [[Fraction(0)] * len(degs) for _ in degs]
+        raw: IntMat = [[0] * len(degs) for _ in degs]
         for s, a in enumerate(degs):
             fa = falling[a]
             for t in range(s, len(degs)):
                 b = degs[t]
                 fb = falling[b]
-                entry = Fraction(0)
-                for j in range(a + 1):
-                    entry += weights[j] * Fraction(2 * fa[j] * fb[j], a + b - 2 * j + 1)
-                block[s][t] = block[t][s] = G[a][b] = G[b][a] = entry
-        blocks.append(block)
-    model = HilbertModel(M, D, weights, G, blocks)
-    model._ldl = [ldl_decompose(block) for block in blocks]  # also certifies SPD
-    return model
+                h = (a + b) // 2
+                acc = sum(over[j][h - j] * fa[j] * fb[j] for j in range(a + 1))
+                raw[s][t] = raw[t][s] = acc
+                G[a][b] = G[b][a] = Fraction(acc, L)
+        blocks.append(_factored(raw, L))  # also certifies SPD
+    return HilbertModel(M, D, weights, G, blocks)
+
+
+def _representers(model: HilbertModel, p: int, orders) -> list[list[int]]:
+    """The integer representers Y_i (e_i = Y_i / det on block p) of the
+    given orders of parity p.
+
+    e_i solves G r = i! unit_i, that is A r = L_p i! unit_i on block p, so
+    Y_i = L_p i! Z with A Z = det unit_i.  The orders not yet cached are
+    solved together, one right-hand side each, and each Z is certified by
+    the exact integer identity A Z = det unit_i, otherwise
+    CertificationError; then Y_i is cached on the model.
+    """
+    G = model._gram[p]
+    missing = [i for i in orders if i not in model._reps]
+    if missing:
+        n = len(G.A)
+        slots = [(i - p) // 2 for i in missing]
+        sols = _bareiss_solve(G.cols, [[int(a == s) for a in range(n)] for s in slots])
+        det = G.det
+        for i, s, Z in zip(missing, slots, sols):
+            if any(sum(g * z for g, z in zip(row, Z)) != (det if a == s else 0)
+                   for a, row in enumerate(G.A)):
+                raise CertificationError("reproducing identity failed; Gram solve is wrong")
+            c = G.scale * factorial(i)
+            model._reps[i] = [c * z for z in Z]
+    return [model._reps[i] for i in orders]
 
 
 def representer(model: HilbertModel, i: int) -> Vec:
     """The element e_i with <e_i|u> = u^(i)(0) for all u in the model.
 
     e_i solves G r = i! * unit_i.  The right-hand side lies in the parity
-    block of i, so r is zero off that parity and only that block is solved.
+    block of i, so r is zero off that parity and only that block is
+    solved, in integers: with G_p = A / L_p and det the determinant of A,
+    r = Y / det for the integer vector Y = L_p i! Z, A Z = det unit_i.
     The reproducing identity is certified on every basis monomial at once:
-    <r|x^a> is the a-th entry of G r, so the exact product G r must equal
-    i! * unit_i, otherwise CertificationError.  Rows of the other parity
-    meet only structural zeros of G or of r, so the check multiplies the
-    block of i with the part of r in it.  The certified solution is cached
-    on the model; callers get a copy.
+    <r|x^a> is the a-th entry of G r, so the integer product A Z must equal
+    det * unit_i, otherwise CertificationError (rows of the other parity
+    meet only structural zeros of G or of r).  The certified Y is cached on
+    the model; callers get a fresh list of Fractions.
     """
-    if not 0 <= i <= model.degree:
+    if not 0 <= _order(i, "representer order") <= model.degree:
         raise DomainError(f"representer order {i} outside 0..{model.degree}")
-    r = model._reps.get(i)
-    if r is None:
-        rhs = [Fraction(0)] * (model.degree + 1)
-        rhs[i] = Fraction(factorial(i))
-        r = model.solve(rhs)
-        p = i % 2
-        rp = r[p::2]
-        if [sum(g * c for g, c in zip(row, rp)) for row in model._blocks[p]] != rhs[p::2]:
-            raise CertificationError("reproducing identity failed; Gram solve is wrong")
-        model._reps[i] = r
-    return list(r)
+    p = i % 2
+    Y, = _representers(model, p, [i])
+    det = model._gram[p].det
+    out = [Fraction(0)] * (model.degree + 1)
+    out[p::2] = [Fraction(y, det) for y in Y]
+    return out
 
 
 @dataclass
@@ -246,9 +382,37 @@ class MinimalInterpolant:
     def value_at(self, t: Fraction) -> Fraction:
         return poly_eval(self.coeffs, Fraction(t))
 
-    def constraints_hold(self) -> bool:
-        return all(self.model.deriv_at_zero(self.coeffs, i) == self.data[i]
-                   for i in range(self.k))
+
+def _representer_system(model: HilbertModel, k: int) -> list[tuple[list[list[int]], int, _Block]]:
+    """Per parity p, the representers of the orders j < k of parity p over
+    one denominator, e_j = Y_j / den (the cached vectors over det, reduced
+    by their common gcd with det), and the factored block of
+    R[i][j] = <e_i|e_j> = e_j^(i)(0), which is zero when i + j is odd:
+    R_p = (i! Y_j[i]) / den over the orders of parity p.  Positive leading
+    minors certify the representers independent, otherwise DomainError."""
+    out = []
+    for p in (0, 1):
+        orders = range(p, k, 2)
+        Ys = _representers(model, p, orders)
+        det = model._gram[p].det
+        g = math.gcd(det, *(y for Y in Ys for y in Y))
+        Ys = [[y // g for y in Y] for Y in Ys]
+        raw = [[factorial(i) * Y[t] for Y in Ys] for t, i in enumerate(orders)]
+        out.append((Ys, det // g, _factored(raw, det // g)))
+    return out
+
+
+def _combine(X: list[int], Ys: list[list[int]], slots) -> list[int]:
+    """The entries at the given slots of sum_t X_t Y_t."""
+    return [sum(x * Y[a] for x, Y in zip(X, Ys)) for a in slots]
+
+
+def _check_constraints(p: int, C: list[int], targets: list[int]):
+    """i! C[t] == targets[t] for each order i = p + 2t of block p: the
+    prescribed derivatives of an interpolant with integer coefficients C,
+    over one denominator; otherwise CertificationError."""
+    if any(factorial(p + 2 * t) * C[t] != y for t, y in enumerate(targets)):
+        raise CertificationError("interpolation constraints not satisfied exactly")
 
 
 def minimal_interpolant(model: HilbertModel, b: Vec) -> MinimalInterpolant:
@@ -257,46 +421,36 @@ def minimal_interpolant(model: HilbertModel, b: Vec) -> MinimalInterpolant:
     The solution is g = sum xi_j e_j where the representer Gram system
     (<e_i|e_j>) xi = b is solved exactly.  For any feasible u in the model
     the exact Pythagoras identity ||u||^2 = ||g||^2 + ||u - g||^2 holds,
-    which is what makes g minimal.
+    which is what makes g minimal.  The data (ints and Fractions) are put
+    over one denominator, each parity block of the system is solved in
+    integers (see `_representer_system`), and the assembled coefficients
+    of g are certified to meet the k constraints in integers over one
+    denominator, otherwise CertificationError.
     """
+    b = _rationals(b, "interpolation data")
     k = len(b)
     if k == 0:
         zero = [Fraction(0)] * (model.degree + 1)
         return MinimalInterpolant(model, 0, [], zero, [], Fraction(0))
     if k > model.degree + 1:
         raise DomainError(f"cannot prescribe {k} derivatives at degree {model.degree}")
-    reps, r_ldl = _representer_system(model, k)
-    return _interpolant(model, reps, r_ldl, [Fraction(x) for x in b])
-
-
-def _representer_system(model: HilbertModel, k: int) -> tuple[list[Vec], list[tuple[Mat, Vec]]]:
-    """The first k representers and the LDL^T of the two parity blocks of
-    R[i][j] = <e_i|e_j> = e_j^(i)(0), which is zero when i + j is odd."""
-    reps = [representer(model, j) for j in range(k)]
-    blocks = []
-    for p in (0, 1):
-        orders = range(p, k, 2)
-        R: Mat = [[model.deriv_at_zero(reps[j], i) for j in orders] for i in orders]
-        blocks.append(ldl_decompose(R))  # also certifies the representers independent
-    return reps, blocks
-
-
-def _interpolant(model: HilbertModel, reps: list[Vec], r_ldl: list[tuple[Mat, Vec]],
-                 b: Vec) -> MinimalInterpolant:
-    """The minimal interpolant of data b from the factored representer system."""
-    k = len(b)
-    xi = _parity_solve(r_ldl, b)
+    B, db = _over_lcm(b)
     coeffs = [Fraction(0)] * (model.degree + 1)
-    for j in range(k):
-        if xi[j]:  # xi is zero on a parity block whose data are zero
-            # e_j is zero off the parity of j
-            for a in range(j % 2, model.degree + 1, 2):
-                coeffs[a] += xi[j] * reps[j][a]
-    norm_sq = sum(xi[j] * b[j] for j in range(k))  # <g|g> = xi . (R xi) = xi . b
-    out = MinimalInterpolant(model, k, b, coeffs, xi, norm_sq)
-    if not out.constraints_hold():
-        raise CertificationError("interpolation constraints not satisfied exactly")
-    return out
+    xi = [Fraction(0)] * k
+    norm_sq = Fraction(0)
+    for p, (Ys, den, R) in enumerate(_representer_system(model, k)):
+        part = B[p::2]
+        if not any(part):  # g has no component in this block
+            continue
+        # R_p xi = b_p, i.e. R.A X = det_R R.scale B_p with xi = X / (det_R db)
+        X, = _bareiss_solve(R.cols, [[R.scale * y for y in part]])
+        C = _combine(X, Ys, range(len(Ys[0])))
+        _check_constraints(p, C, [y * R.det * den for y in part])
+        coeffs[p::2] = [Fraction(c, R.det * db * den) for c in C]
+        xi[p::2] = [Fraction(x, R.det * db) for x in X]
+        # <g|g> = xi . (R xi) = xi . b
+        norm_sq += Fraction(sum(x * y for x, y in zip(X, part)), R.det * db * db)
+    return MinimalInterpolant(model, k, b, coeffs, xi, norm_sq)
 
 
 def omega_table(model: HilbertModel, k: int) -> list[Fraction]:
@@ -304,24 +458,32 @@ def omega_table(model: HilbertModel, k: int) -> list[Fraction]:
     where u_{j,k} is the minimal interpolant of the j-th unit data vector.
 
     The k representers are certified once (see `representer`) and the two
-    parity blocks of R are factored once, with positive pivots; u_{j,k}
-    lies in the parity block of j, and every u_{j,k} is still checked to
-    meet its k derivative constraints exactly, otherwise
-    CertificationError.  Raises DomainError unless 0 <= k <= D + 1.
+    parity blocks of R are factored once, with positive leading minors.
+    u_{j,k} lies in the parity block of j, and the unit vectors of one
+    parity are solved together: u_{j,k} = sum_t X_t Y_t / (det_R den).
+    Every u_{j,k} is checked to meet its k derivative constraints on its
+    assembled integer coefficients over that one denominator, otherwise
+    CertificationError (the constraints of the other parity hold
+    structurally: there u_{j,k} and the data are zero).  u_{j,k}(1) is
+    sum_t X_t Y_t(1), from the coefficient sums of the representers.
+    Raises DomainError unless k is an integer with 0 <= k <= D + 1.
 
     At k = D + 1 the constraints pin every coefficient, u_{j,k} = x^j / j!,
     and the whole column is exactly 1.
     """
-    if not 0 <= k <= model.degree + 1:
+    if not 0 <= _order(k, "omega table size") <= model.degree + 1:
         raise DomainError(f"omega table needs 0 <= k <= D + 1, got k = {k}")
-    reps, r_ldl = _representer_system(model, k)
-    out = []
-    for j in range(k):
-        unit = [Fraction(0)] * k
-        unit[j] = Fraction(1)
-        u = _interpolant(model, reps, r_ldl, unit)
-        # u_{j,k}(1), summing the parity of j only: u_{j,k} lies in its block
-        out.append(factorial(j) * sum(u.coeffs[j % 2::2]))
+    out = [Fraction(0)] * k
+    for p, (Ys, den, R) in enumerate(_representer_system(model, k)):
+        m = len(Ys)
+        at_one = [sum(Y) for Y in Ys]
+        units = [[R.scale if u == t else 0 for u in range(m)] for t in range(m)]
+        for t, X in enumerate(_bareiss_solve(R.cols, units)):
+            _check_constraints(p, _combine(X, Ys, range(m)),
+                               [R.det * den if u == t else 0 for u in range(m)])
+            j = p + 2 * t
+            out[j] = Fraction(factorial(j) * sum(x * y for x, y in zip(X, at_one)),
+                              R.det * den)
     return out
 
 
@@ -343,15 +505,26 @@ def lacunary_select(M: CarlemanSequence, schedule: list[tuple[int, int]]) -> Lac
     is validation, not search: existence of a valid schedule in the
     untruncated space does not make any particular finite schedule valid,
     so failures are reported to the caller for rescheduling.
+
+    Every entry must be a pair of integers with D_p >= 1 and
+    0 <= k_p <= D_p + 1, and k_p strictly increasing, otherwise
+    DomainError; nothing is computed before the whole schedule passes.
     """
     if not M.is_rational_valued():
         raise UnsupportedSequenceError("lacunary selection needs rational values")
+    if not isinstance(schedule, (list, tuple)):
+        raise DomainError(f"schedule must be a list of (D, k) pairs, got {schedule!r}")
+    for entry in schedule:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise DomainError(f"schedule entry {entry!r} is not a (D, k) pair")
+        D, k = (_order(x, "schedule entry") for x in entry)
+        if D < 1:
+            raise DomainError(f"D={D} is below 1")
+        if not 0 <= k <= D + 1:
+            raise DomainError(f"k={k} outside 0..D+1={D + 1}")
     ks = [k for _, k in schedule]
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
         raise DomainError("k_p must be strictly increasing")
-    for D, k in schedule:
-        if k > D + 1:
-            raise DomainError(f"k={k} exceeds D+1={D + 1}")
     sums = []
     for p in range(1, len(schedule)):
         D_p, k_p = schedule[p]
@@ -386,13 +559,19 @@ def divergence_demo(M: CarlemanSequence, a: Fraction, ks: list[int],
     For a sequence of analytic class and a < 1 the sums stay below a
     geometric bound and the scan reports exhaustion; for faster-growing
     sequences the lacunary terms eventually dominate any power a^k.
+    a and the threshold must be ints or Fractions and ks a list of
+    integers >= 0, otherwise DomainError.
     """
     if not M.is_rational_valued():
         raise UnsupportedSequenceError("divergence demo needs rational values")
-    a = Fraction(a)
+    a = _rational(a, "a")
     if not 0 < a < 1:
         raise DomainError("a must lie in (0, 1)")
-    threshold = Fraction(threshold)
+    threshold = _rational(threshold, "threshold")
+    if not isinstance(ks, (list, tuple)):
+        raise DomainError(f"ks must be a list of indices, got {ks!r}")
+    if any(_order(k, "index") < 0 for k in ks):
+        raise DomainError("indices must be >= 0")
     total = Fraction(0)
     partials = []
     for p, k in enumerate(ks):
@@ -493,17 +672,17 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
     powers of the grid size.  Each bound is divided by L (the squares by
     L^2) once at the end, so the certificate and the returned Fractions
     are exactly those of the same computation on u^(j) in Fractions.
-    Raises DomainError for a negative order j.
+    Raises DomainError unless j is an integer >= 0 and u a list of ints
+    and Fractions.
     """
-    if j < 0:
+    if _order(j, "derivative order") < 0:
         raise DomainError(f"derivative order must be >= 0, got {j}")
-    du = poly_derivative([Fraction(c) for c in u], j)
+    du = poly_derivative(_rationals(u, "coefficients"), j)
     if not any(du):
         zero = Fraction(0)
         return SobolevRecord(j, zero, zero, zero, zero, True, True)
 
-    L = math.lcm(*(c.denominator for c in du))
-    U = [c.numerator * (L // c.denominator) for c in du]
+    U, L = _over_lcm(du)
     L2 = L * L
     m = len(U) - 1
 

@@ -10,9 +10,13 @@ data stay exact, while the endpoints of irrational quantities no longer
 grow without bound (ball/dyadic arithmetic as in Arb).
 
 The kernel forms only the endpoints it keeps, with the same bits as the
-general formulas.  A product of two nonnegative intervals is
-[lo*lo', hi*hi'], the sign case of Moore's interval product; any other
-product takes the min and max of the four endpoint products.  A power of
+general formulas.  A point interval holds one Fraction as both endpoints,
+and the sum or product of two points is formed once.  A product selects
+its endpoints by Moore's table of the nine sign cases of the factors
+(nonnegative, nonpositive, or containing 0 inside): two endpoint products
+in eight cases, and min and max of two pairs when both factors contain 0
+inside.  The selected products are the min and the max of the four, so
+every endpoint is the one the four-product formula gives.  A power of
 a point is its exact power.  A power of a nonnegative interval runs the
 square-and-multiply chain on each endpoint alone, rounding every step as
 the interval chain rounds it; other bases run the interval chain.
@@ -134,9 +138,14 @@ class RI:
 
     def __init__(self, lo, hi=None):
         lo = Fraction(lo)
-        hi = lo if hi is None else Fraction(hi)
-        if lo > hi:
-            raise DomainError(f"empty interval [{lo}, {hi}]")
+        if hi is None:
+            hi = lo
+        else:
+            hi = Fraction(hi)
+            if not lo < hi:
+                if lo > hi:
+                    raise DomainError(f"empty interval [{lo}, {hi}]")
+                hi = lo
         self.lo = lo
         self.hi = hi
 
@@ -152,11 +161,17 @@ class RI:
 
     def __add__(self, other):
         o = RI.of(other)
+        if self.lo is self.hi and o.lo is o.hi:
+            s = self.lo + o.lo
+            return _interval(s, s)
         return _outward(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.lo is self.hi:
+            n = -self.lo
+            return _interval(n, n)
         return _interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
@@ -167,10 +182,28 @@ class RI:
 
     def __mul__(self, other):
         o = RI.of(other)
-        if self.lo.numerator >= 0 and o.lo.numerator >= 0:
-            return _outward(self.lo * o.lo, self.hi * o.hi)
-        ps = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return _outward(min(ps), max(ps))
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if a is b and c is d:
+            p = a * c
+            return _interval(p, p)
+        # Moore's sign cases: [a, b] * [c, d]
+        if a.numerator >= 0:
+            if c.numerator >= 0:
+                return _outward(a * c, b * d)
+            if d.numerator <= 0:
+                return _outward(b * c, a * d)
+            return _outward(b * c, b * d)
+        if b.numerator <= 0:
+            if c.numerator >= 0:
+                return _outward(a * d, b * c)
+            if d.numerator <= 0:
+                return _outward(b * d, a * c)
+            return _outward(a * d, a * c)
+        if c.numerator >= 0:
+            return _outward(a * d, b * d)
+        if d.numerator <= 0:
+            return _outward(b * c, a * c)
+        return _outward(min(a * d, b * c), max(a * c, b * d))
 
     __rmul__ = __mul__
 
@@ -178,7 +211,11 @@ class RI:
         o = RI.of(other)
         if o.lo <= 0 <= o.hi:
             raise DomainError(f"divisor interval {o} contains 0")
-        inv = _outward(1 / o.hi, 1 / o.lo)
+        if o.lo is o.hi:
+            r = 1 / o.lo
+            inv = _interval(r, r)
+        else:
+            inv = _outward(1 / o.hi, 1 / o.lo)
         return self * inv
 
     def __rtruediv__(self, other):

@@ -6,10 +6,11 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from qal import hilbert
-from qal.errors import (CertificationError, DomainError, SelectionFailure,
+from qal.errors import (CertificationError, DomainError, QalError, SelectionFailure,
                         UndecidableAtCap, UnsupportedSequenceError)
 from qal.hilbert import (SobolevRecord, build_model, divergence_demo,
                          lacunary_select, ldl_decompose, minimal_interpolant,
@@ -19,6 +20,46 @@ from qal.intervals import PRECISION_CAP, RI
 from qal.polynomials import umul
 from qal.rationals import factorial
 from qal.sequences import analytic, gevrey, loggevrey, qgevrey
+
+
+def _ldl_reference(G):
+    """Textbook LDL^T in Fractions: (L, D), or None at a pivot <= 0."""
+    n = len(G)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    D = []
+    for i in range(n):
+        d = Fraction(G[i][i]) - sum(L[i][k] ** 2 * D[k] for k in range(i))
+        if d <= 0:
+            return None
+        D.append(d)
+        L[i][i] = Fraction(1)
+        for r in range(i + 1, n):
+            L[r][i] = (G[r][i] - sum(L[r][k] * L[i][k] * D[k] for k in range(i))) / d
+    return L, D
+
+
+class TestLdlDecompose:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.fractions(-4, 4, max_denominator=6), min_size=n, max_size=n),
+        min_size=n, max_size=n)), st.sampled_from([0, 1, 3]))
+    def test_equals_the_fraction_ldl(self, B, shift):
+        # B^T B + shift I: positive definite for shift > 0, often singular at 0
+        n = len(B)
+        G = [[sum(B[k][a] * B[k][b] for k in range(n)) + (shift if a == b else 0)
+              for b in range(n)] for a in range(n)]
+        ref = _ldl_reference(G)
+        if ref is None:
+            with pytest.raises(DomainError) as info:
+                ldl_decompose(G)
+            assert info.value.code == "domain-error"
+        else:
+            assert ldl_decompose(G) == ref
+
+    @pytest.mark.parametrize("G", [[[0]], [[-1]], [[1, 2], [2, 1]], [[2, 0], [0, 0]]])
+    def test_a_leading_minor_at_most_zero_is_a_domain_error(self, G):
+        with pytest.raises(DomainError, match="not positive definite"):
+            ldl_decompose(G)
 
 
 class TestBuildModel:
@@ -118,26 +159,28 @@ class TestRepresenter:
 
 
 def _perturb_solves(monkeypatch, r_only=False):
-    """Make ldl_solve return a wrong last entry: for every system, or with
-    r_only for the parity blocks of R = (<e_i|e_j>) only, which are told
-    apart from the Gram blocks by their factors."""
-    real_solve = hilbert.ldl_solve
+    """Make the fraction-free solve return a wrong last entry in every
+    solution: for every system, or with r_only for the parity blocks of
+    R = (<e_i|e_j>) only, which are told apart from the Gram blocks by
+    their factors."""
+    real_solve = hilbert._bareiss_solve
     real_system = hilbert._representer_system
     r_factors = []
 
     def recording(model, k):
-        reps, blocks = real_system(model, k)
-        r_factors.extend(L for L, _ in blocks)
-        return reps, blocks
+        system = real_system(model, k)
+        r_factors.extend(R.cols for *_, R in system)
+        return system
 
-    def perturbed(L, D, rhs):
-        out = real_solve(L, D, rhs)
-        if not r_only or any(L is F for F in r_factors):
-            out[-1] += Fraction(1, 10**9)
+    def perturbed(cols, rhs):
+        out = real_solve(cols, rhs)
+        if not r_only or any(cols is F for F in r_factors):
+            for y in out:
+                y[-1] += 1
         return out
 
     monkeypatch.setattr(hilbert, "_representer_system", recording)
-    monkeypatch.setattr(hilbert, "ldl_solve", perturbed)
+    monkeypatch.setattr(hilbert, "_bareiss_solve", perturbed)
 
 
 class TestCertificationErrors:
@@ -304,11 +347,12 @@ class TestOmegaTable:
             assert g.value_at(Fraction(1)) == expected
 
     def test_gevrey1_d24_k12_in_time(self):
-        # k certified representers, each solved and checked in one parity
-        # block, and one LDL of each parity block of R: 0.13-0.15 s on a
-        # shared 2-vCPU machine, against 0.18-0.23 s with dense solves of
-        # the whole G and R, and 11-13 s when every column re-solved and
-        # re-verified all k representers
+        # k certified representers and one fraction-free elimination of
+        # each parity block of R, all in integers: 0.039-0.058 s on a
+        # shared 2-vCPU machine (seven runs), against 0.11-0.17 s in the
+        # same runs with Fraction LDL^T solves of the parity blocks,
+        # 0.18-0.23 s with dense solves of the whole G and R, and 11-13 s
+        # when every column re-solved and re-verified all k representers
         model = build_model(gevrey(1), 24)
         start = time.perf_counter()
         omegas = omega_table(model, 12)
@@ -579,4 +623,166 @@ class TestParitySplit:
             r = representer(model, i)
             assert all(r[a] == 0 for a in range(1 - i % 2, D + 1, 2))
         _, pivots = ldl_decompose(model.gram)
-        assert [d for _, d in model._ldl] == [pivots[0::2], pivots[1::2]]
+        for p, block in enumerate(model._gram):
+            # the pivots of block p are the ratios of its leading minors over L_p
+            minors = [1] + [col[0] for col in block.cols]
+            assert [Fraction(b, a * block.scale) for a, b in zip(minors, minors[1:])] \
+                == pivots[p::2]
+
+
+def _qq(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in rows])
+
+
+def _fraction(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+class TestSympyOracle:
+    """The integer solves against sympy's exact LU solve over QQ of the
+    same Gram matrix: the representers, the omega column and the minimal
+    interpolant (coefficients and norm)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["analytic", "gevrey(1)", "qgevrey(2)"]), st.integers(1, 10),
+           st.data())
+    def test_solves_equal_sympy_lu_over_qq(self, name, D, data):
+        model = build_model(_WORKLOAD_SEQUENCES[name](), D)
+        n = D + 1
+        G = _qq(model.gram)
+        reps = [G.LUsolve(sympy.Matrix([factorial(i) if a == i else 0 for a in range(n)]))
+                for i in range(n)]
+        for i in range(n):
+            assert representer(model, i) == [_fraction(x) for x in reps[i]]
+        k = data.draw(st.integers(1, n), label="k")
+        R = sympy.Matrix(k, k, lambda i, j: factorial(i) * reps[j][i])
+
+        def interpolant(b):
+            bq = _qq([b]).T
+            xi = R.LUsolve(bq)
+            coeffs = sum((xi[j] * reps[j] for j in range(k)), sympy.zeros(n, 1))
+            return [_fraction(c) for c in coeffs], _fraction((xi.T * bq)[0])
+
+        omegas = []
+        for j in range(k):
+            coeffs, _ = interpolant([Fraction(int(i == j)) for i in range(k)])
+            omegas.append(factorial(j) * sum(coeffs))
+        assert omega_table(model, k) == omegas
+        b = data.draw(st.lists(st.fractions(-9, 9, max_denominator=12), min_size=k,
+                               max_size=k), label="b")
+        coeffs, norm_sq = interpolant(b)
+        g = minimal_interpolant(model, b)
+        assert g.coeffs == coeffs
+        assert g.norm_sq == norm_sq
+
+
+# -- error contract ------------------------------------------------------------
+
+_NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+                          st.fractions(), st.lists(st.integers(), max_size=1), st.tuples())
+_BAD_ORDERS = st.one_of(_NOT_INTEGERS, st.integers(max_value=-1))
+_NOT_DATA = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+                      st.complex_numbers(), st.tuples(st.integers()))
+_NOT_LISTS = st.one_of(st.booleans(), st.integers(), st.floats(), st.text(max_size=2),
+                       st.none(), st.fractions())
+_DATA = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=7))
+
+
+def _with_one_bad(good, bad):
+    """A list of good entries with one bad entry among them."""
+    return st.tuples(st.lists(good, max_size=2), bad, st.lists(good, max_size=2)).map(
+        lambda t: t[0] + [t[1]] + t[2])
+
+
+_BAD_DATA_LISTS = st.one_of(_NOT_LISTS, _with_one_bad(_DATA, _NOT_DATA))
+_BAD_ENTRIES = st.one_of(
+    st.lists(st.integers(0, 5), max_size=4).filter(lambda e: len(e) != 2).map(tuple),
+    st.tuples(_NOT_INTEGERS, st.integers(0, 2)),
+    st.tuples(st.integers(1, 4), _NOT_INTEGERS),
+    st.tuples(st.integers(1, 4), st.integers(max_value=-1)),
+    st.tuples(st.integers(max_value=0), st.just(0)),
+    st.tuples(st.integers(1, 4), st.integers(min_value=6, max_value=10**40)),
+    _NOT_LISTS)
+_BAD_SCHEDULES = st.one_of(_NOT_LISTS, _with_one_bad(st.just((1, 0)), _BAD_ENTRIES),
+                           st.just([(4, 3), (4, 3)]))
+
+
+@functools.cache
+def _contract_model():
+    return build_model(gevrey(1), 4)
+
+
+@st.composite
+def _malformed_calls(draw):
+    """One call of a public hilbert operation with one malformed argument,
+    as (label, thunk); D = 4 in the model."""
+    model = _contract_model()
+    M = gevrey(1)
+    half = Fraction(1, 2)
+    u = [half, 3]
+    bad_or_huge = st.one_of(_BAD_ORDERS, st.integers(min_value=6, max_value=10**40))
+    op = draw(st.sampled_from(["build_model", "representer", "omega_table", "interpolant",
+                               "interpolant length", "inner", "inner length",
+                               "deriv_at_zero", "sobolev order", "sobolev data",
+                               "lacunary", "divergence a", "divergence ks",
+                               "divergence threshold"]))
+    if op == "build_model":
+        D = draw(st.one_of(_NOT_INTEGERS, st.integers(max_value=0)))
+        return op, lambda: build_model(M, D)
+    if op == "representer":
+        i = draw(bad_or_huge)
+        return op, lambda: representer(model, i)
+    if op == "omega_table":
+        k = draw(bad_or_huge)
+        return op, lambda: omega_table(model, k)
+    if op == "interpolant":
+        b = draw(_BAD_DATA_LISTS)
+        return op, lambda: minimal_interpolant(model, b)
+    if op == "interpolant length":
+        b = draw(st.lists(_DATA, min_size=6, max_size=8))
+        return op, lambda: minimal_interpolant(model, b)
+    if op == "inner":
+        v = draw(_BAD_DATA_LISTS)
+        if draw(st.booleans()):
+            return op, lambda: model.inner(u, v)
+        return op, lambda: model.inner(v, u)
+    if op == "inner length":
+        v = draw(st.lists(_DATA, min_size=6, max_size=8))
+        return op, lambda: model.inner(v, u)
+    if op == "deriv_at_zero":
+        i = draw(_BAD_ORDERS)
+        return op, lambda: model.deriv_at_zero(u, i)
+    if op == "sobolev order":
+        j = draw(_BAD_ORDERS)
+        return op, lambda: sobolev_check(u, j)
+    if op == "sobolev data":
+        v = draw(_BAD_DATA_LISTS)
+        return op, lambda: sobolev_check(v, 0)
+    if op == "lacunary":
+        schedule = draw(_BAD_SCHEDULES)
+        return op, lambda: lacunary_select(M, schedule)
+    if op == "divergence a":
+        a = draw(st.one_of(_NOT_DATA, st.fractions().filter(lambda a: not 0 < a < 1)))
+        return op, lambda: divergence_demo(M, a, [1, 2], 10)
+    if op == "divergence ks":
+        ks = draw(st.one_of(_NOT_LISTS, _with_one_bad(st.integers(0, 5), _BAD_ORDERS)))
+        return op, lambda: divergence_demo(M, half, ks, 10)
+    threshold = draw(_NOT_DATA)
+    return op, lambda: divergence_demo(M, half, [1, 2], threshold)
+
+
+class TestErrorContract:
+    @settings(max_examples=400, deadline=None)
+    @given(_malformed_calls())
+    def test_malformed_input_raises_a_coded_domain_error(self, call):
+        label, thunk = call
+        with pytest.raises(QalError) as info:
+            thunk()
+        assert isinstance(info.value, DomainError), label
+        assert info.value.code == "domain-error"
+
+    def test_an_order_past_the_degree_is_a_zero_derivative(self):
+        # u^(j) = 0 for j > deg u, however large j is
+        rec = sobolev_check([Fraction(1, 2), 3], 10**12)
+        assert rec == SobolevRecord(10**12, 0, 0, 0, 0, True, True)

@@ -187,6 +187,7 @@ class TestOutwardRounding:
                                            RI(x) / RI(y), RI(x) ** n))
         for out, exact in zip(outs, (x + y, x - y, x * y, x / y, x ** n)):
             assert out.lo == out.hi == exact
+            assert out.lo is out.hi  # a point holds one Fraction
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(sorted(OPS)), intervals_(), intervals_(), st.integers(-3, 4))
