@@ -11,15 +11,13 @@ grow without bound (ball/dyadic arithmetic as in Arb).
 
 The kernel forms only the endpoints it keeps, with the same bits as the
 general formulas.  A point interval holds one Fraction as both endpoints,
-and the sum or product of two points is formed once.  A product selects
-its endpoints by Moore's table of the nine sign cases of the factors
-(nonnegative, nonpositive, or containing 0 inside): two endpoint products
-in eight cases, and min and max of two pairs when both factors contain 0
-inside.  The selected products are the min and the max of the four, so
-every endpoint is the one the four-product formula gives.  A power of
-a point is its exact power.  A power of a nonnegative interval runs the
-square-and-multiply chain on each endpoint alone, rounding every step as
-the interval chain rounds it; other bases run the interval chain.
+and the sum or product of two points is formed once.  A product of two
+nonnegative intervals is [lo*lo', hi*hi'], the sign case of Moore's
+interval product; any other product takes the min and max of the four
+endpoint products.  A power of a point is its exact power.  A power of a
+nonnegative interval runs the square-and-multiply chain on each endpoint
+alone, rounding every step as the interval chain rounds it; other bases
+run the interval chain.
 
 Transcendental functions go through mpmath's interval context at a
 requested bit precision and come back as exact dyadic endpoints, so the
@@ -186,24 +184,10 @@ class RI:
         if a is b and c is d:
             p = a * c
             return _interval(p, p)
-        # Moore's sign cases: [a, b] * [c, d]
-        if a.numerator >= 0:
-            if c.numerator >= 0:
-                return _outward(a * c, b * d)
-            if d.numerator <= 0:
-                return _outward(b * c, a * d)
-            return _outward(b * c, b * d)
-        if b.numerator <= 0:
-            if c.numerator >= 0:
-                return _outward(a * d, b * c)
-            if d.numerator <= 0:
-                return _outward(b * d, a * c)
-            return _outward(a * d, a * c)
-        if c.numerator >= 0:
-            return _outward(a * d, b * d)
-        if d.numerator <= 0:
-            return _outward(b * c, a * c)
-        return _outward(min(a * d, b * c), max(a * c, b * d))
+        if a.numerator >= 0 and c.numerator >= 0:
+            return _outward(a * c, b * d)
+        ps = (a * c, a * d, b * c, b * d)
+        return _outward(min(ps), max(ps))
 
     __rmul__ = __mul__
 
