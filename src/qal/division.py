@@ -1,7 +1,7 @@
 """Division machinery for plane and higher-dimensional germs.
 
-Covers Euclidean division by the generic monic polynomial and its
-specialization to concrete distinguished polynomials, regularity orders,
+Covers Euclidean division by a monic polynomial, the generic one or a
+concrete distinguished polynomial, regularity orders,
 strict regularity of truncated series, hyperbolicity of plane distinguished
 polynomials (decided exactly by a fraction-free Sturm chain over Z[x] with
 one-sided sign analysis at 0), a grid falsifier for three and more
@@ -13,14 +13,14 @@ The division runs on integers from input to output; only the returned
 coefficients are Fractions.  :func:`euclid_divide` clears the denominators
 of P and of the monic divisor F once (P = P_Z / L_P, F = F_Z / L_F) and
 pseudo-divides L_F^e P_Z by F_Z, e = deg P - deg F + 1, which is plain
-integer division for the generic divisor (L_F = 1); G and H come out over
-the one scale S = L_P L_F^e.  :func:`specialize_division` scales that G
-and H and the coefficients a_j to integers and substitutes every mu_j in
-one pass, each product of powers of the a_j formed once.  Each function
-re-verifies its identity by expansion, as a comparison of the integer
-polynomials the returned Fractions are made from: F_Z Q + R = L_F^e P_Z
-in :func:`euclid_divide`, phi G + H = P (scaled) in
-:func:`specialize_division`.
+integer division for an integral divisor such as the generic one
+(L_F = 1); G and H come out over the one scale S = L_P L_F^e.  The
+identity F_Z Q + R = L_F^e P_Z is re-verified by expansion, as a
+comparison of the integer polynomials the returned Fractions are made
+from.  Division by a monic polynomial is unique, so
+:func:`specialize_division` is this one division with F = phi(z), the
+distinguished polynomial itself: its identity is the one certificate,
+and H is split into its parts by the power of z.
 
 The hyperbolicity decision rests on the observation that the sign of a
 nonzero polynomial near 0+ or 0- is read off from its lowest-order term, so
@@ -101,6 +101,21 @@ def _rows(poly: MultiPoly, rest: tuple[str, ...], var: str) -> list[dict]:
     return rows
 
 
+def _require_poly(poly, what: str) -> None:
+    if not isinstance(poly, MultiPoly):
+        raise DomainError(f"{what} must be a MultiPoly, got {type(poly).__name__}")
+
+
+def _require_var(var) -> None:
+    if not isinstance(var, str):
+        raise DomainError(f"a variable name must be a str, got {type(var).__name__}")
+
+
+def _require_positive_int(n, what: str) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {n!r}")
+
+
 def euclid_divide(P: MultiPoly, F: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
     """Divide P by F along var: P = F*G + H with deg_var H < deg_var F.
 
@@ -120,6 +135,9 @@ def euclid_divide(P: MultiPoly, F: MultiPoly, var: str) -> tuple[MultiPoly, Mult
     re-verified by expansion, as a comparison of integer polynomials,
     before the Fractions are formed.
     """
+    _require_poly(P, "the dividend")
+    _require_poly(F, "the divisor")
+    _require_var(var)
     vars_all = tuple(sorted(set(P.vars) | set(F.vars) | {var},
                             key=_var_key))
     rest = tuple(v for v in vars_all if v != var)
@@ -165,6 +183,8 @@ def euclid_divide(P: MultiPoly, F: MultiPoly, var: str) -> tuple[MultiPoly, Mult
 
 def generic_divisor(d: int, var: str = "z") -> MultiPoly:
     """The generic monic polynomial z^d + mu1 z^(d-1) + ... + mud."""
+    _require_positive_int(d, "the divisor degree")
+    _require_var(var)
     mus = tuple(f"mu{i}" for i in range(1, d + 1))
     vars_all = tuple(sorted(mus)) + (var,)
     terms = {(0,) * d + (d,): Fraction(1)}
@@ -186,8 +206,12 @@ class DistinguishedPoly:
     a: list[MultiPoly]      # a[j] multiplies var^(d-1-j); all a[j](0) = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError("distinguished polynomial needs degree >= 1")
+        _require_var(self.var)
+        _require_positive_int(self.d, "the degree of a distinguished polynomial")
+        if not isinstance(self.a, (list, tuple)):
+            raise DomainError(f"the coefficients must be a list, got {type(self.a).__name__}")
+        for aj in self.a:
+            _require_poly(aj, "a coefficient")
         if len(self.a) != self.d:
             raise ArityMismatchError(
                 f"need {self.d} coefficients, got {len(self.a)}")
@@ -199,7 +223,9 @@ class DistinguishedPoly:
 
     @staticmethod
     def from_multipoly(phi: MultiPoly, var: str) -> "DistinguishedPoly":
-        d = phi.degree(var)
+        _require_poly(phi, "phi")
+        _require_var(var)
+        d = phi.degree(var) if var in phi.vars else 0
         if d < 1:
             raise DomainError("polynomial has no main-variable degree")
         lead = phi.coefficient(var, d)
@@ -209,73 +235,50 @@ class DistinguishedPoly:
         return DistinguishedPoly(var, d, coeffs)
 
 
+def _require_distinguished(phi) -> None:
+    if not isinstance(phi, DistinguishedPoly):
+        raise DomainError(f"expected a DistinguishedPoly, got {type(phi).__name__}; "
+                          "convert with DistinguishedPoly.from_multipoly")
+
+
 def specialize_division(P: MultiPoly, phi: DistinguishedPoly,
                         var: str = "z") -> tuple[MultiPoly, list[MultiPoly]]:
-    """Divide P(z) by phi via the generic divisor: first the symbolic
-    division by z^d + mu1 z^(d-1) + ..., then the exact substitution
-    mu_j := a_j(x').  var must not be a variable of phi's coefficients
-    (DomainError).
+    """Divide P by phi(z) = z^d + a_1(x') z^(d-1) + ... + a_d(x'):
+    P = phi G + H with H = h_0 + h_1 z + ... + h_(d-1) z^(d-1), returned as
+    (G, [h_0, ..., h_(d-1)]), each h_j a polynomial in the other variables
+    (MultiPoly(()) above H's degree, every part when H = 0).  var must not
+    be a variable of phi's coefficients (DomainError).
 
-    The substitution runs on integers.  G and H come from
-    :func:`euclid_divide` (which checks the generic identity); with D the
-    lcm of their denominators, D G and D H are integral.  With L_a the
-    lcm of the denominators of the a_j, A_j = L_a a_j is integral, and N
-    is the largest total degree of a term of G or H in the mu_j.  A term
-    c mu^alpha of D G or D H becomes c L_a^(N - |alpha|) prod_j A_j^alpha_j,
-    all mu_j in one pass (:meth:`MultiPoly.substitute`), which gives the
-    integral G' = D L_a^N G(a) and H' = D L_a^N H(a).  The specialized
-    identity phi G(a) + H(a) = P is re-verified by expansion, as the
-    comparison L_P (phi_Z G' + L_a H') = D L_a^(N+1) P_Z of integer
-    polynomials, where phi_Z = L_a phi(z) and P_Z = L_P P; then G(a) and
-    the parts of H(a) are returned over the scale D L_a^N.
+    Division by a monic polynomial is unique, so this is the one
+    pseudo-division :func:`euclid_divide` by phi(z), whose integer
+    identity F_Z Q + R = L_F^e P_Z is the certificate; the generic
+    division by z^d + mu1 z^(d-1) + ... specialized at mu_j := a_j gives
+    the same G and H.
     """
+    _require_poly(P, "the dividend")
+    _require_distinguished(phi)
+    _require_var(var)
     if phi.var != var and any(var in aj.vars for aj in phi.a):
         raise DomainError(f"the division variable {var} is a variable of "
                           "phi's coefficients")
     d = phi.d
-    G, H = euclid_divide(P, generic_divisor(d, var), var)
-    D = lcm(_denominator(G), _denominator(H))
-    L_a = lcm(*(_denominator(aj) for aj in phi.a))
-    A = [MultiPoly(aj.vars, _scaled(aj.coeffs, L_a)) for aj in phi.a]
-    mus = {f"mu{j}": Aj for j, Aj in enumerate(A, 1)}
-
-    def mu_degrees(poly: MultiPoly) -> dict:
-        at = [i for i, v in enumerate(poly.vars) if v in mus]
-        return {exps: sum(exps[i] for i in at) for exps in poly.coeffs}
-
-    degrees = [mu_degrees(G), mu_degrees(H)]
-    N = max((n for ds in degrees for n in ds.values()), default=0)
-    lifts = [L_a ** k for k in range(N + 1)]
-
-    def specialized(poly: MultiPoly, degree: dict) -> MultiPoly:
-        lifted = {exps: c * lifts[N - degree[exps]]
-                  for exps, c in _scaled(poly.coeffs, D).items()}
-        return MultiPoly(poly.vars, lifted).substitute(mus)
-
-    G, H = specialized(G, degrees[0]), specialized(H, degrees[1])
-
-    def z_power(k: int) -> MultiPoly:
-        return MultiPoly(G.vars, {tuple(k if v == var else 0 for v in G.vars): 1})
-
-    phi_z = sum((Aj * z_power(d - j) for j, Aj in enumerate(A, 1)), z_power(d) * L_a)
-    L_P = _denominator(P)
-    if (phi_z * G + H * L_a) * L_P \
-            != MultiPoly(P.vars, _scaled(P.coeffs, L_P)) * (D * L_a ** (N + 1)):
-        raise CertificationError("specialized division identity failed")
-    top = H.degree(var)
-    if top >= d:
-        raise CertificationError("specialized remainder degree not reduced")
-    # the parts of H by the power of var, in one pass; a part above H's
-    # degree (every part when H = 0) is MultiPoly(())
-    scale = D * lifts[N]
+    phi_vars = tuple(sorted({var}.union(*(aj.vars for aj in phi.a)), key=_var_key))
+    z_at = phi_vars.index(var)
+    # a_j multiplies z^(d-1-j); a_j has no positive power of z
+    terms = {tuple(d if i == z_at else 0 for i in range(len(phi_vars))): Fraction(1)}
+    for j, aj in enumerate(phi.a):
+        for exps, c in aj.with_vars(phi_vars).coeffs.items():
+            terms[exps[:z_at] + (d - 1 - j,) + exps[z_at + 1:]] = c
+    G, H = euclid_divide(P, MultiPoly(phi_vars, terms), var)
+    # the parts of H by the power of var, in one pass
     at = H.vars.index(var)
+    top = H.degree(var)
     parts: list[dict] = [{} for _ in range(top + 1)]
     for exps, c in H.coeffs.items():
-        parts[exps[at]][exps[:at] + exps[at + 1:]] = Fraction(c, scale)
+        parts[exps[at]][exps[:at] + exps[at + 1:]] = c
     rest = H.vars[:at] + H.vars[at + 1:]
-    h_parts = [MultiPoly(rest, part) for part in parts] \
+    return G, [MultiPoly(rest, part) for part in parts] \
         + [MultiPoly(()) for _ in range(top + 1, d)]
-    return MultiPoly(G.vars, _over(G.coeffs, scale)), h_parts
 
 
 def regular_order(phi: MultiPoly, var: str) -> int | None:
@@ -471,12 +474,6 @@ class HyperbolicityReport:
                 "real_root_counts": self.real_root_counts}
 
 
-def _require_distinguished(phi) -> None:
-    if not isinstance(phi, DistinguishedPoly):
-        raise DomainError(f"expected a DistinguishedPoly, got {type(phi).__name__}; "
-                          "convert with DistinguishedPoly.from_multipoly")
-
-
 def hyperbolic_check_2d(phi: DistinguishedPoly,
                         side: str = "both") -> HyperbolicityReport:
     """Decide whether all roots of phi(x, .) are real for every x in a
@@ -531,8 +528,7 @@ def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
     reports that the grid found nothing.
     """
     _require_distinguished(phi)
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
-        raise DomainError(f"grid resolution must be an integer >= 1, got {resolution!r}")
+    _require_positive_int(resolution, "the grid resolution")
     radius = Fraction(radius)
     if radius <= 0:
         raise DomainError("grid needs a positive radius")
@@ -624,9 +620,7 @@ def nodiv_witness(M: CarlemanSequence, J: int, K: int) -> NoDivWitness:
             cvals.append(c)
         diags = []
         for j in range(1, J + 1):
-            ratio = values[2 * j] / values[j]
-            diags.append(ri_pow_frac(ratio.lo if ratio.is_point() else ratio,
-                                     Fraction(1, j), bits))
+            diags.append(ri_pow_frac(values[2 * j] / values[j], Fraction(1, j), bits))
         return cvals, [values[2 * j].hi for j in range(J + 1)], diags
 
     cvals, lows, diags = certify(

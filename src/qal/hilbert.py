@@ -45,7 +45,7 @@ from fractions import Fraction
 from .errors import (CertificationError, DomainError, SelectionFailure,
                      UndecidableAtCap, UnsupportedSequenceError)
 from .intervals import PRECISION_CAP
-from .rationals import factorial, format_fraction
+from .rationals import factorial, format_fraction, root_bounds
 from .sequences import CarlemanSequence
 
 Vec = list[Fraction]
@@ -634,16 +634,6 @@ def _box_sup_numerator(U: list[int], pieces: int) -> int:
     return best
 
 
-def _sqrt_lower(x: Fraction, bits: int) -> Fraction:
-    """The lower end of ``rationals.root_bounds(x, 2, bits)`` for x >= 0:
-    floor(sqrt(x) * den * 2^s) / (den * 2^s), s = bits + len(den)."""
-    if x == 0:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    shift = bits + den.bit_length()
-    return Fraction(math.isqrt((num * den) << (2 * shift)), den << shift)
-
-
 def _grid_numerator(U: list[int], i: int, n: int) -> int:
     """n^m * U(i/n) for an integer polynomial U of degree m, in integers."""
     acc = 0
@@ -689,8 +679,10 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
     # ||u^(j)||_2^2 and ||u^(j+1)||_2^2 over the common denominator q L^2
     q = math.lcm(*range(1, 2 * m + 2, 2))
     dU = [k * c for k, c in enumerate(U)][1:]  # L u^(j+1)
-    A = Fraction(_sq_integral_numerator(U, q), q * L2)
-    B = Fraction(_sq_integral_numerator(dU, q), q * L2)
+    a = _sq_integral_numerator(U, q)
+    b = _sq_integral_numerator(dU, q)
+    A = Fraction(a, q * L2)
+    B = Fraction(b, q * L2)
 
     # lower bound: exact evaluation on dyadic grids until the witness
     # certifies  sup^2 >= A/2; depth d > 0 adds only the odd numerators,
@@ -712,15 +704,20 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
         depth += 1
 
     # upper bound: interval evaluation on a subdivision, refined until the
-    # right inequality (in squared form) is certified
+    # right inequality is certified: sup <= sqrt2 (sqrt A + sqrt B) follows
+    # from sup^2 <= 2 (A + B + 2 n/d) for the lower end n/d of sqrt(AB).
+    # With L sup <= S/P, P = pieces^m, L^2 A = a/q and L^2 B = b/q, that is
+    # the integer comparison  S^2 q d <= 2 P^2 ((a + b) d + 2 L^2 n q)
+    AB = A * B
     bits = 64
     pieces = 8
     right_ok = False
     while True:
-        sup_upper = Fraction(_box_sup_numerator(U, pieces), pieces**m)
-        # sup <= sqrt2 (sqrt A + sqrt B)  <=>  sup^2 <= 2 (A + B + 2 sqrt(AB))
-        rhs_lower = 2 * (A + B + 2 * _sqrt_lower(A * B, bits))
-        if sup_upper**2 <= rhs_lower * L2:
+        S = _box_sup_numerator(U, pieces)
+        P = pieces**m
+        root = root_bounds(AB, 2, bits)[0]
+        n, d = root.numerator, root.denominator
+        if S * S * q * d <= 2 * P * P * ((a + b) * d + 2 * L2 * n * q):
             right_ok = True
             break
         if pieces > 4096 or bits > PRECISION_CAP:
@@ -730,4 +727,5 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
 
     if not (left_ok and right_ok):
         raise UndecidableAtCap("sup-norm comparison could not be certified")
-    return SobolevRecord(j, A, B, sup_lower / L, sup_upper / L, left_ok, right_ok)
+    sup_upper = Fraction(S, P * L)
+    return SobolevRecord(j, A, B, sup_lower / L, sup_upper, left_ok, right_ok)

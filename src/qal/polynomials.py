@@ -189,12 +189,11 @@ class MultiPoly:
 
         One pass groups the terms by their exponents alpha in the
         substituted variables into plain dicts, already reindexed onto the
-        result's variables.  Each product prod_v replacement_v^alpha_v that
-        some term needs is formed once, as one product of the smaller one
-        with a single alpha_v lowered by one, and every term times the
-        product it needs is accumulated into one dict.  Beyond forming the
-        products, the cost is one coefficient product per pair (term, term
-        of its product); the terms with alpha = 0 are copied.
+        result's variables.  For each substituted variable v the powers
+        replacement_v^1 .. replacement_v^p, p its largest exponent, are
+        formed once by successive products; each group is multiplied by
+        the product of its powers and accumulated into one dict.  The terms
+        with alpha = 0 are copied.
         """
         for var in replacements:
             if var not in self.vars:
@@ -210,27 +209,21 @@ class MultiPoly:
                 if slot is not None:
                     key[slot] = e
             by_alpha.setdefault(tuple(exps[i] for i in subs), {})[tuple(key)] = c
-        reps = [replacements[self.vars[i]].with_vars(merged).coeffs for i in subs]
-        zero = (0,) * len(subs)
-        products: dict[Exponents, dict | None] = {zero: None}
-
-        def product(alpha: Exponents) -> dict:
-            # walk down to a product already formed, lowering the last
-            # nonzero exponent each step, then form the ones above it
-            steps = []
-            while alpha not in products:
-                k = max(k for k, e in enumerate(alpha) if e)
-                steps.append((alpha, k))
-                alpha = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
-            below = products[alpha]
-            for alpha, k in reversed(steps):
-                below = reps[k] if below is None else _dict_product(below, reps[k])
-                products[alpha] = below
-            return below
-
-        out: dict[Exponents, object] = dict(by_alpha.pop(zero, {}))
+        powers = []              # powers[k][e - 1] is replacement_k^e
+        for k, i in enumerate(subs):
+            rep = replacements[self.vars[i]].with_vars(merged).coeffs
+            top = max(alpha[k] for alpha in by_alpha) if by_alpha else 1
+            row = [rep]
+            while len(row) < top:
+                row.append(_dict_product(row[-1], rep))
+            powers.append(row)
+        out: dict[Exponents, object] = dict(by_alpha.pop((0,) * len(subs), {}))
         for alpha, terms in by_alpha.items():
-            _accumulate_product(out, terms, product(alpha))
+            factors = [powers[k][e - 1] for k, e in enumerate(alpha) if e]
+            product = factors[0]
+            for factor in factors[1:]:
+                product = _dict_product(product, factor)
+            _accumulate_product(out, terms, product)
         return MultiPoly(merged, out)
 
     def derivative(self, var: str) -> "MultiPoly":

@@ -12,15 +12,11 @@ from fractions import Fraction
 
 from .errors import DomainError, QalSyntaxError
 
-_FACTORIALS = [1, 1]
-
 
 def factorial(n: int) -> int:
     if n < 0:
         raise DomainError(f"factorial of the negative integer {n}")
-    while len(_FACTORIALS) <= n:
-        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return _FACTORIALS[n]
+    return math.factorial(n)
 
 
 def falling(n: int, k: int) -> int:

@@ -23,6 +23,7 @@ finite prefix decides a condition on the whole tail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -204,11 +205,6 @@ class CarlemanSequence:
         if self.derived == "shift":
             return self.base.is_rational_valued()
         return False
-
-    def mbar(self, j: int) -> Fraction | None:
-        """The factorial-weighted value j! * M_j, exact when possible."""
-        v = self.exact_value(j)
-        return None if v is None else factorial(j) * v
 
     def renormalization(self) -> Fraction | RI:
         """For a shifted sequence, the constant M_1 of the base that was
@@ -547,10 +543,26 @@ class PrecedeResult:
 _FAMILY_RANK = {ANALYTIC: 0, LOG_GEVREY: 1, GEVREY: 2, Q_GEVREY: 3}
 
 
-def _root(q: Fraction, n: int) -> float:
-    """q^(1/n) for a positive Fraction q, through the logarithms of its
-    numerator and denominator, so that no float of a huge q is formed."""
-    return math.exp((math.log(q.numerator) - math.log(q.denominator)) / n)
+# the least value that float() rounds to infinity: the largest float plus
+# half its unit in the last place
+_FLOAT_BOUND = 2**1024 - 2**970
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _diagnostic(q: Fraction, n: int | None = None) -> float:
+    """q, or its root q^(1/n), as a float for a Fraction q >= 0 (q > 0 for
+    a root), math.inf past the float range: every finite-horizon
+    diagnostic goes through here, and no float of a huge q is formed.
+
+    q itself is float(q) below the bound where float() overflows, an exact
+    comparison.  A root is exp(log q / n), with log q the difference of the
+    logarithms of q's numerator and denominator, when log q / n is at most
+    the logarithm of the largest float.
+    """
+    if n is None:
+        return float(q) if q < _FLOAT_BOUND else math.inf
+    log_root = (math.log(q.numerator) - math.log(q.denominator)) / n
+    return math.exp(log_root) if log_root <= _LOG_FLOAT_MAX else math.inf
 
 
 def precede(M: CarlemanSequence, N: CarlemanSequence,
@@ -588,7 +600,7 @@ def precede(M: CarlemanSequence, N: CarlemanSequence,
     for j in range(1, top + 1):
         mj = M.interval_value(j).mid()
         nj = N.interval_value(j).mid()
-        sup = max(sup, _root(mj / nj, j))
+        sup = max(sup, _diagnostic(mj / nj, j))
     return PrecedeResult(INCONCLUSIVE, "diagnostic",
                          rule=f"finite-horizon sup over 1..{top}",
                          sup_estimate=sup)
@@ -790,10 +802,10 @@ def _classify_custom(M: CarlemanSequence, horizon: int) -> dict:
     mg_sup = 0.0
     for j in range(1, top):
         for k in range(1, top - j + 1):
-            mg_sup = max(mg_sup, _root(mids[j + k] / (mids[j] * mids[k]), j + k))
+            mg_sup = max(mg_sup, _diagnostic(mids[j + k] / (mids[j] * mids[k]), j + k))
 
-    root_growth = _root(mids[top], top) if top >= 1 else 1.0
-    ratio_growth = max((_root(mids[j + 1] / mids[j], j) for j in range(1, top)),
+    root_growth = _diagnostic(mids[top], top) if top >= 1 else 1.0
+    ratio_growth = max((_diagnostic(mids[j + 1] / mids[j], j) for j in range(1, top)),
                        default=1.0)
 
     def diagnostic(cert):
@@ -806,10 +818,10 @@ def _classify_custom(M: CarlemanSequence, horizon: int) -> dict:
             "diagnostic": "sup (M_{j+1}/M_j)^(1/j)", "value": ratio_growth}),
         "quasianalytic": diagnostic({
             "diagnostic": "partial sums of sum M_j/((j+1)M_{j+1})",
-            "partial_sums": [(j, float(v)) for j, v in partial_trace]}),
+            "partial_sums": [(j, _diagnostic(v)) for j, v in partial_trace]}),
         "strongly_non_quasianalytic": diagnostic({
             "diagnostic": "sup_k tail_k / (M_k/M_{k+1})",
-            "value": float(snqa_sup)}),
+            "value": _diagnostic(snqa_sup)}),
         "moderate_growth": diagnostic({
             "diagnostic": "sup (M_{j+k}/(M_j M_k))^(1/(j+k))", "value": mg_sup}),
     }

@@ -77,14 +77,8 @@ def build_theta(M: CarlemanSequence, K: int, bits: int | None = None) -> ThetaAp
     bits = bits or default_bits()
     values, mbars = [], []
     for k in range(K + 3):
-        exact = M.exact_value(k)
-        if exact is None:
-            values.append(M.interval_value(k, bits))
-            mbars.append(RI.point(factorial(k)) * values[k])
-        else:
-            # the point interval_value gives, and the exact mbar
-            values.append(RI.point(exact))
-            mbars.append(RI.point(factorial(k) * exact))
+        values.append(M.interval_value(k, bits))
+        mbars.append(RI.point(factorial(k)) * values[k])
     ms = [mbars[k + 1] / mbars[k] for k in range(K + 2)]
     # the ratio sequence must be nondecreasing; raise only on a proven violation
     for k in range(1, K + 1):

@@ -14,7 +14,8 @@ from qal.division import (DistinguishedPoly, euclid_divide, gevrey_flat_witness,
                           hyperbolic_falsify_grid, nodiv_witness, regular_order,
                           specialize_division, strictly_regular_check)
 from qal.errors import (CertificationError, ChainDegenerationError, DomainError,
-                        NonMonicDivisorError, PrecisionFailure, ZeroPolynomialError)
+                        NonMonicDivisorError, PrecisionFailure, QalError,
+                        ZeroPolynomialError)
 from qal.intervals import RI, iv_exp
 from qal.polynomials import MultiPoly, parse_polynomial
 from qal.rationals import factorial
@@ -169,6 +170,26 @@ class TestSpecializeDivision:
         # the division is unique: it equals the direct division by phi(z)
         G2, H2 = euclid_divide(Ppoly, phi_z, "z")
         assert (G, H) == (G2, H2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_the_specialized_generic_division(self, data):
+        # the reference: the generic division, then every mu_j := a_j in one
+        # substitution, split by the power of z
+        params = data.draw(st.sampled_from([("x",), ("x1", "x2")]))
+        d = data.draw(st.integers(1, 4))
+        phi = DistinguishedPoly("y", d, [data.draw(_polys(params, constant=False))
+                                         for _ in range(d)])
+        Ppoly = data.draw(_polys(params + ("z",), top=7))
+        G, hs = specialize_division(Ppoly, phi, "z")
+        mus = {f"mu{j}": aj for j, aj in enumerate(phi.a, 1)}
+        G_ref, H_ref = (p.substitute(mus) for p in
+                        euclid_divide(Ppoly, generic_divisor(d, "z"), "z"))
+        top = H_ref.degree("z")
+        hs_ref = [H_ref.coefficient("z", j) if j <= top else MultiPoly(())
+                  for j in range(d)]
+        assert (G.vars, G.coeffs) == (G_ref.vars, G_ref.coeffs)
+        assert [(h.vars, h.coeffs) for h in hs] == [(h.vars, h.coeffs) for h in hs_ref]
 
 
 class TestRegularity:
@@ -587,6 +608,91 @@ class TestFrozenOutputs:
         assert repr(hit) == repr(GRID_RESULTS[name])
 
 
+_NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+                          st.fractions(), st.lists(st.integers(), max_size=1), st.tuples())
+_BAD_DEGREES = st.one_of(_NOT_INTEGERS, st.integers(max_value=0))
+_NOT_POLYS = st.one_of(st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                       st.none(), st.fractions(), st.lists(st.integers(), max_size=2))
+_NOT_NAMES = st.one_of(st.booleans(), st.integers(), st.floats(), st.none(),
+                       st.fractions(), st.tuples(st.text(max_size=1)))
+
+
+@st.composite
+def _malformed_division_calls(draw):
+    """One call of a Weierstrass-division entry point with one malformed
+    argument, as (label, thunk)."""
+    phi, Ppoly, F = dist("y^2 + x"), P("z^3 + x*z"), generic_divisor(2)
+    op = draw(st.sampled_from(["specialize P", "specialize phi", "specialize var",
+                               "euclid P", "euclid F", "euclid var",
+                               "generic d", "generic var",
+                               "distinguished var", "distinguished d",
+                               "distinguished a"]))
+    if op == "specialize P":
+        bad = draw(_NOT_POLYS)
+        return op, lambda: specialize_division(bad, phi)
+    if op == "specialize phi":
+        bad = draw(st.one_of(_NOT_POLYS, st.just(P("y^2 + x"))))
+        return op, lambda: specialize_division(Ppoly, bad)
+    if op == "specialize var":
+        bad = draw(_NOT_NAMES)
+        return op, lambda: specialize_division(Ppoly, phi, bad)
+    if op == "euclid P":
+        bad = draw(_NOT_POLYS)
+        return op, lambda: euclid_divide(bad, F, "z")
+    if op == "euclid F":
+        bad = draw(_NOT_POLYS)
+        return op, lambda: euclid_divide(Ppoly, bad, "z")
+    if op == "euclid var":
+        bad = draw(_NOT_NAMES)
+        return op, lambda: euclid_divide(Ppoly, F, bad)
+    if op == "generic d":
+        bad = draw(_BAD_DEGREES)
+        return op, lambda: generic_divisor(bad)
+    if op == "generic var":
+        bad = draw(_NOT_NAMES)
+        return op, lambda: generic_divisor(2, bad)
+    if op == "distinguished var":
+        bad = draw(_NOT_NAMES)
+        return op, lambda: DistinguishedPoly(bad, 1, [P("x")])
+    if op == "distinguished d":
+        bad = draw(_BAD_DEGREES)
+        return op, lambda: DistinguishedPoly("y", bad, [P("x")])
+    # not a list, or one coefficient that is not a MultiPoly; a list of the
+    # wrong length is an arity mismatch
+    bad = draw(st.one_of(_NOT_POLYS.filter(lambda v: not isinstance(v, list)),
+                         st.lists(_NOT_POLYS, min_size=1, max_size=1)))
+    return op, lambda: DistinguishedPoly("y", 1, bad)
+
+
+class TestErrorContract:
+    @settings(max_examples=300, deadline=None)
+    @given(_malformed_division_calls())
+    def test_malformed_input_raises_a_coded_domain_error(self, call):
+        label, thunk = call
+        with pytest.raises(QalError) as info:
+            thunk()
+        assert isinstance(info.value, DomainError), label
+        assert info.value.code == "domain-error"
+
+    @pytest.mark.parametrize("call", [
+        lambda: specialize_division(P("z^2"), P("y^2 + x")),
+        lambda: specialize_division("z^2", dist("y^2 + x")),
+        lambda: euclid_divide("z", generic_divisor(2), "z"),
+        lambda: generic_divisor(-1),
+        lambda: generic_divisor(0),
+        lambda: generic_divisor(True),
+        lambda: generic_divisor(1.5),
+        lambda: DistinguishedPoly("y", True, [P("x")]),
+        lambda: DistinguishedPoly("y", 1.0, [P("x")]),
+    ], ids=["phi-multipoly", "P-text", "euclid-P-text", "generic-negative", "generic-zero",
+            "generic-bool", "generic-float", "distinguished-bool", "distinguished-float"])
+    def test_calls_that_escaped_the_contract(self, call):
+        # each raised a bare AttributeError or TypeError, or returned a polynomial
+        with pytest.raises(DomainError) as info:
+            call()
+        assert info.value.code == "domain-error"
+
+
 class TestErrors:
     def test_check_2d_rejects_a_plain_multipoly(self):
         with pytest.raises(DomainError) as info:
@@ -621,10 +727,16 @@ class TestCertificationErrors:
         assert isinstance(err.value, ArithmeticError)
 
     def test_failed_specialization_is_coded(self, monkeypatch):
-        exact = division.euclid_divide
-        monkeypatch.setattr(division, "euclid_divide",
-                            lambda Ppoly, F, var: (exact(Ppoly, F, var)[0] + P("1"),
-                                                   exact(Ppoly, F, var)[1]))
+        # a fault in the division's arithmetic: after each product step, every
+        # coefficient of the row it wrote into is off by one
+        exact = division._accumulate_product
+
+        def off_by_one(out, a, b):
+            exact(out, a, b)
+            for key in out:
+                out[key] += 1
+
+        monkeypatch.setattr(division, "_accumulate_product", off_by_one)
         with pytest.raises(CertificationError) as err:
             specialize_division(P("z^2"), dist("y^2 + x"), "z")
         assert err.value.code == "certification-error"

@@ -18,7 +18,7 @@ from qal.hilbert import (SobolevRecord, build_model, divergence_demo,
                          sobolev_check)
 from qal.intervals import PRECISION_CAP, RI
 from qal.polynomials import umul
-from qal.rationals import factorial
+from qal.rationals import factorial, root_bounds
 from qal.sequences import analytic, gevrey, loggevrey, qgevrey
 
 
@@ -509,7 +509,7 @@ def _unscaled_sobolev(u, j):
             lo = Fraction(-1) + Fraction(2 * i, pieces)
             hi = Fraction(-1) + Fraction(2 * (i + 1), pieces)
             sup_upper = max(sup_upper, _box_eval(du, lo, hi).abs().hi)
-        rhs_lower = 2 * (A + B + 2 * hilbert._sqrt_lower(A * B, bits))
+        rhs_lower = 2 * (A + B + 2 * root_bounds(A * B, 2, bits)[0])
         if sup_upper**2 <= rhs_lower:
             right_ok = True
             break

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qal.errors import DomainError
 from qal.rationals import (compare_power_products, factorial, iroot, pow_bounds,
@@ -42,3 +44,20 @@ class TestErrors:
         with pytest.raises(DomainError) as info:
             factorial(n)
         assert info.value.code == "domain-error"
+
+
+class TestRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(min_value=0, max_value=10**30), st.integers(1, 5),
+           st.integers(1, 80))
+    def test_root_bounds_enclose_the_root(self, x, k, bits):
+        lo, hi = root_bounds(x, k, bits)
+        assert lo ** k <= x <= hi ** k
+
+    def test_the_square_root_lower_end_is_the_scaled_isqrt(self):
+        # floor(sqrt(x) * den * 2^s) / (den * 2^s), s = bits + len(den)
+        x, bits = Fraction(10**40 + 7, 3**17), 64
+        shift = bits + x.denominator.bit_length()
+        expected = Fraction(math.isqrt((x.numerator * x.denominator) << (2 * shift)),
+                            x.denominator << shift)
+        assert root_bounds(x, 2, bits)[0] == expected

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import itertools
+import math
 import time
 from fractions import Fraction
 from unittest import mock
@@ -9,6 +10,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qal import sequences
 from qal.errors import DomainError, QalSyntaxError, UndecidableAtCap
 from qal.intervals import RI
 from qal.sequences import (CarlemanSequence, analytic, check_log_convexity,
@@ -159,6 +161,12 @@ class TestPrecede:
         assert out.verdict == INCONCLUSIVE
         assert out.sup_estimate is not None
 
+    def test_a_ratio_past_the_float_range_is_infinite(self):
+        # (10^800)^(1/1) has no float; it used to raise OverflowError
+        out = precede(custom([1, 10**800]), analytic())
+        assert out.verdict == INCONCLUSIVE
+        assert out.sup_estimate == math.inf
+
 
 class TestClassify:
     def test_loggevrey_quasianalytic_threshold(self):
@@ -205,6 +213,42 @@ class TestClassify:
         r = classify(custom([1, 1, 2, 6], assume=["quasianalytic"]))
         assert r.quasianalytic.value == TRUE
         assert r.quasianalytic.certificate.get("rule") == "user-asserted tail class"
+
+    def test_diagnostics_past_the_float_range_are_infinite(self):
+        # M_2/M_1 = 10^400 and the tail ratio at k = 1 have no float; the
+        # root diagnostics stay finite
+        r = classify(custom([1, 1, 10**400, 10**400]))
+        assert r.derivation_stable.certificate["value"] == math.inf
+        assert r.strongly_non_quasianalytic.certificate["value"] == math.inf
+        assert r.analytic_class.certificate["value"] == pytest.approx(10**(400 / 3))
+        assert r.moderate_growth.certificate["value"] == pytest.approx(1e200)
+
+
+class TestDiagnosticFloat:
+    _BOUND = 2**1024 - 2**970       # the least value float() rounds to infinity
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(min_value=0, max_value=10**300))
+    def test_a_value_in_range_is_its_float(self, q):
+        assert sequences._diagnostic(q) == float(q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(min_value=Fraction(1, 10**300), max_value=10**300),
+           st.integers(1, 40))
+    def test_a_root_in_range_is_exp_of_the_log_difference(self, q, n):
+        expected = math.exp((math.log(q.numerator) - math.log(q.denominator)) / n)
+        assert sequences._diagnostic(q, n) == expected
+
+    @pytest.mark.parametrize("q", [_BOUND - 1, Fraction(2 * _BOUND - 1, 2)],
+                             ids=["bound-1", "bound-1/2"])
+    def test_the_largest_values_below_the_bound_are_the_largest_float(self, q):
+        assert sequences._diagnostic(Fraction(q)) == 1.7976931348623157e308
+
+    @pytest.mark.parametrize("q, n", [(Fraction(_BOUND), None), (Fraction(10**400), None),
+                                      (Fraction(10**800, 3), 2), (Fraction(10**400), 1)],
+                             ids=["bound", "10^400", "root-of-10^800/3", "10^400-first-root"])
+    def test_past_the_range_is_infinite(self, q, n):
+        assert sequences._diagnostic(q, n) == math.inf
 
 
 class TestPowerAndShift:
