@@ -44,29 +44,12 @@ from fractions import Fraction
 
 from .errors import (CertificationError, DomainError, SelectionFailure,
                      UndecidableAtCap, UnsupportedSequenceError)
-from .intervals import PRECISION_CAP
-from .rationals import factorial, format_fraction, root_bounds
+from .rationals import _order, _rational, factorial, format_fraction
 from .sequences import CarlemanSequence
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
 IntMat = list[list[int]]
-
-
-def _order(value, what: str) -> int:
-    """value as an order, degree or schedule entry: an int that is not a
-    bool, otherwise DomainError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _rational(value, what: str) -> Fraction:
-    """value as exact data: an int that is not a bool, or a Fraction,
-    otherwise DomainError."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise DomainError(f"{what} must be an int or a Fraction, got {value!r}")
-    return Fraction(value)
 
 
 def _rationals(values, what: str) -> Vec:
@@ -644,6 +627,10 @@ def _grid_numerator(U: list[int], i: int, n: int) -> int:
     return acc
 
 
+# the finest subdivision the sup-norm upper bound tries
+_SUP_PIECES_CAP = 1024
+
+
 def sobolev_check(u: Vec, j: int) -> SobolevRecord:
     """Certify, for a rational polynomial u, the two-sided comparison of
     the L2 and sup norms of u^(j) on (-1, 1):
@@ -652,10 +639,13 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
                                 <=  sqrt 2 (||u^(j)||_2 + ||u^(j+1)||_2).
 
     L2 norms are exact rational squares.  The sup norm is enclosed from
-    above by interval evaluation on a refined subdivision and from below
-    by exact point evaluation on dyadic grids; both inequalities are
-    checked in squared form so that sqrt 2 never needs to be approximated
-    on its own.  All of this work is done in integers on U = L u^(j),
+    above by interval evaluation on a subdivision of 8 pieces, doubled
+    until the right inequality holds or 1024 pieces are reached, and from
+    below by exact point evaluation on dyadic grids.  Both inequalities
+    are decided exactly in squared form, the right one as
+    sup^2 <= 2 (A + B + 2 sqrt(AB)) by squaring once more, so that no
+    square root is ever approximated.  All of this work is done in
+    integers on U = L u^(j),
     where L is the positive lcm of the denominators of u^(j): the L2
     integrals of U and U' over one common odd denominator, the grid
     values and the interval Horner boxes as integer numerators over
@@ -704,26 +694,22 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
         depth += 1
 
     # upper bound: interval evaluation on a subdivision, refined until the
-    # right inequality is certified: sup <= sqrt2 (sqrt A + sqrt B) follows
-    # from sup^2 <= 2 (A + B + 2 n/d) for the lower end n/d of sqrt(AB).
-    # With L sup <= S/P, P = pieces^m, L^2 A = a/q and L^2 B = b/q, that is
-    # the integer comparison  S^2 q d <= 2 P^2 ((a + b) d + 2 L^2 n q)
-    AB = A * B
-    bits = 64
-    pieces = 8
+    # right inequality is certified or the subdivision reaches its cap.
+    # With L sup <= S/P, P = pieces^m, L^2 A = a/q and L^2 B = b/q,
+    # sup^2 <= 2 (A + B + 2 sqrt(AB)) reads  S^2 q - 2 P^2 (a + b) <= 4 P^2 sqrt(ab),
+    # which holds iff the left side X is <= 0 or X^2 <= 16 P^4 a b
     right_ok = False
+    pieces = 8
     while True:
         S = _box_sup_numerator(U, pieces)
         P = pieces**m
-        root = root_bounds(AB, 2, bits)[0]
-        n, d = root.numerator, root.denominator
-        if S * S * q * d <= 2 * P * P * ((a + b) * d + 2 * L2 * n * q):
+        X = S * S * q - 2 * P * P * (a + b)
+        if X <= 0 or X * X <= 16 * P**4 * a * b:
             right_ok = True
             break
-        if pieces > 4096 or bits > PRECISION_CAP:
+        if pieces >= _SUP_PIECES_CAP:
             break
         pieces *= 2
-        bits *= 2
 
     if not (left_ok and right_ok):
         raise UndecidableAtCap("sup-norm comparison could not be certified")

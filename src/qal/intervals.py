@@ -11,18 +11,28 @@ grow without bound (ball/dyadic arithmetic as in Arb).
 
 The kernel forms only the endpoints it keeps, with the same bits as the
 general formulas.  A point interval holds one Fraction as both endpoints,
-and the sum or product of two points is formed once.  A product of two
+and the sum or product of two points is formed once.  A point times an
+interval forms two endpoint products, ordered by the sign of the point:
+they are the min and max of the four.  A product of two
 nonnegative intervals is [lo*lo', hi*hi'], the sign case of Moore's
 interval product; any other product takes the min and max of the four
 endpoint products.  A power of a point is its exact power.  A power of a
 nonnegative interval runs the square-and-multiply chain on each endpoint
 alone, rounding every step as the interval chain rounds it; other bases
-run the interval chain.
+run the interval chain.  Both run the one chain routine :func:`_chain`,
+and a :class:`PowerLadder` keeps the rounded squares of its base's
+endpoints for every exponent.
 
-Transcendental functions go through mpmath's interval context at a
-requested bit precision and come back as exact dyadic endpoints, so the
-enclosure property is preserved end to end.  Cosine and sine of one
-argument come from one mpmath evaluation (:func:`iv_cos_sin`).
+Transcendental functions call mpmath's interval kernel (libmp's ``mpi_*``
+functions) on the raw interval that mpmath's ``iv`` context would build
+from the endpoints at ``bits + 16`` bits, and come back as exact dyadic
+endpoints, so the enclosure property is preserved end to end.  No mpmath
+object is made and mpmath's global precision is never set, so the results
+are those of ``iv`` at that precision, bit for bit, and do not depend on
+what else runs in the process.  Cosine and sine of one argument come from
+one evaluation (:func:`iv_cos_sin`).  The ``mpi_*`` functions are not
+mpmath's public API, so the package pins mpmath below 1.4 and the tests
+compare every bridge function with the ``iv`` context.
 
 :func:`certify` runs a certification step at escalating precision: from
 ``QAL_PRECISION_BITS`` (environment variable, default 256 bits), doubling
@@ -37,7 +47,6 @@ from fractions import Fraction
 from typing import Callable, TypeVar
 
 import mpmath.libmp as _libmp
-from mpmath import iv as _iv
 
 from .errors import CertificationError, DomainError
 from .rationals import pow_bounds
@@ -109,18 +118,35 @@ def _outward(lo: Fraction, hi: Fraction) -> "RI":
     return _interval(lo, hi)
 
 
-def _pow_endpoint(x: Fraction, n: int, p: int, rnd) -> Fraction:
-    """x^n for n >= 1 by the square-and-multiply chain of :meth:`RI.__pow__`,
-    with every step rounded by ``rnd`` at precision p: one endpoint of the
-    power of a nonnegative non-point interval, whose chain stays non-point."""
+def _chain(squares: list, n: int, first, mul):
+    """base^n for n >= 1 by square-and-multiply, low bits first, where
+    ``squares[0]`` is the base and ``squares[i] = mul(squares[i-1],
+    squares[i-1])``: the first factor taken is ``first(squares[i])``, every
+    later one is multiplied in by ``mul``.
+
+    The squares do not depend on n, so one list serves every exponent of
+    its base: the squares it lacks are appended, and none is formed past
+    the top bit of n.
+    """
     out = None
+    i = 0
     while True:
         if n & 1:
-            out = rnd(x, p) if out is None else rnd(out * x, p)
+            out = first(squares[i]) if out is None else mul(out, squares[i])
         n >>= 1
         if not n:
             return out
-        x = rnd(x * x, p)
+        i += 1
+        if i == len(squares):
+            x = squares[-1]
+            squares.append(mul(x, x))
+
+
+def _endpoint_pow(squares: list[Fraction], n: int, p: int, rnd) -> Fraction:
+    """One endpoint of the power of a nonnegative non-point interval, whose
+    chain stays non-point: :func:`_chain` on that endpoint's squares, every
+    step rounded by ``rnd`` at precision p."""
+    return _chain(squares, n, lambda x: rnd(x, p), lambda x, y: rnd(x * y, p))
 
 
 class RI:
@@ -181,9 +207,15 @@ class RI:
     def __mul__(self, other):
         o = RI.of(other)
         a, b, c, d = self.lo, self.hi, o.lo, o.hi
-        if a is b and c is d:
-            p = a * c
-            return _interval(p, p)
+        if a is b:
+            if c is d:
+                p = a * c
+                return _interval(p, p)
+            lo, hi = a * c, a * d
+            return _outward(lo, hi) if a.numerator >= 0 else _outward(hi, lo)
+        if c is d:
+            lo, hi = a * c, b * c
+            return _outward(lo, hi) if c.numerator >= 0 else _outward(hi, lo)
         if a.numerator >= 0 and c.numerator >= 0:
             return _outward(a * c, b * d)
         ps = (a * c, a * d, b * c, b * d)
@@ -220,18 +252,11 @@ class RI:
             p = _WORKING.get()
             if p is None:
                 return _interval(lo**n, hi**n)
-            return _interval(_pow_endpoint(lo, n, p, _round_down),
-                             _pow_endpoint(hi, n, p, _round_up))
-        # square-and-multiply; the first factor is rounded as RI(1) * base
-        # would round it, and no square is formed past the top bit
-        out, base = None, self
-        while True:
-            if n & 1:
-                out = _outward(base.lo, base.hi) if out is None else out * base
-            n >>= 1
-            if not n:
-                break
-            base = base * base
+            return _interval(_endpoint_pow([lo], n, p, _round_down),
+                             _endpoint_pow([hi], n, p, _round_up))
+        # the interval chain; its first factor is rounded as RI(1) * base
+        # would round it
+        out = _chain([self], n, lambda b: _outward(b.lo, b.hi), RI.__mul__)
         # even powers of sign-mixed intervals must clamp at 0
         if out.lo < 0 and self.lo <= 0 <= self.hi:
             out = RI(0, out.hi)
@@ -294,6 +319,40 @@ class RI:
         return {"lo": format_fraction(self.lo), "hi": format_fraction(self.hi)}
 
 
+class PowerLadder:
+    """The integer powers of one interval, each equal bit for bit to
+    ``base ** n``.
+
+    Under :func:`certify` the power of a nonnegative non-point base runs
+    the square-and-multiply chain on each endpoint.  The rounded squares
+    of an endpoint do not depend on the exponent, so the ladder keeps them
+    and each exponent forms only the squares no earlier one reached, plus
+    its own products.  The squares belong to the working precision they
+    were formed at and are dropped when it changes.  Every other power is
+    ``base ** n`` itself.
+    """
+
+    __slots__ = ("base", "_p", "_lo", "_hi")
+
+    def __init__(self, base: RI):
+        self.base = base
+        self._p = None
+        self._lo = self._hi = None
+
+    def power(self, n: int) -> RI:
+        if n < 0:
+            return RI(1) / self.power(-n)
+        base = self.base
+        lo, hi = base.lo, base.hi
+        p = _WORKING.get()
+        if n == 0 or p is None or lo == hi or lo.numerator < 0:
+            return base ** n
+        if p != self._p:
+            self._p, self._lo, self._hi = p, [lo], [hi]
+        return _interval(_endpoint_pow(self._lo, n, p, _round_down),
+                         _endpoint_pow(self._hi, n, p, _round_up))
+
+
 def certify(step: Callable[[int], _T | None], what: str | Callable[[], str],
             error: type[CertificationError],
             start_bits: int | None = None) -> _T:
@@ -324,69 +383,70 @@ def certify(step: Callable[[int], _T | None], what: str | Callable[[], str],
 
 # -- mpmath bridge ----------------------------------------------------------
 
-def _to_iv(x, bits: int):
-    """Convert Fraction/int/RI to an mpmath interval enclosing it."""
-    if isinstance(x, RI):
-        if x.lo == x.hi:
-            return _to_iv(x.lo, bits)
-        lo = _to_iv(x.lo, bits)
-        hi = _to_iv(x.hi, bits)
-        return _iv.mpf([lo.a, hi.b])
-    f = Fraction(x)
-    if f.denominator == 1:
-        return _iv.mpf(f.numerator)
-    return _iv.mpf(f.numerator) / _iv.mpf(f.denominator)
+# Each bridge function works at mpmath precision bits + 16, the guard bits
+# covering the conversions at the boundary.
+_BRIDGE_GUARD = 16
+_FLOOR = _libmp.round_floor
+_CEILING = _libmp.round_ceiling
+
+
+def _mpi_fraction(q: Fraction, prec: int) -> tuple:
+    """The raw libmp interval ``iv.mpf(n) / iv.mpf(d)`` for q = n/d at
+    precision prec: n and d rounded floor and ceiling, then divided."""
+    n, d = q.numerator, q.denominator
+    num = (_libmp.from_int(n, prec, _FLOOR), _libmp.from_int(n, prec, _CEILING))
+    if d == 1:
+        return num
+    den = (_libmp.from_int(d, prec, _FLOOR), _libmp.from_int(d, prec, _CEILING))
+    return _libmp.mpi_div(num, den, prec)
+
+
+def _mpi(x, prec: int) -> tuple:
+    """The raw libmp interval enclosing an RI, Fraction or int: the lower
+    end of its lower endpoint's interval and the upper end of its upper
+    endpoint's."""
+    if not isinstance(x, RI):
+        return _mpi_fraction(Fraction(x), prec)
+    if x.lo == x.hi:
+        return _mpi_fraction(x.lo, prec)
+    return _mpi_fraction(x.lo, prec)[0], _mpi_fraction(x.hi, prec)[1]
 
 
 def _from_mpi(pair) -> RI:
-    """The RI with the endpoints of an mpmath interval's raw (a, b) pair."""
-    a_raw, b_raw = pair
-    pa, qa = _libmp.to_rational(a_raw)
-    pb, qb = _libmp.to_rational(b_raw)
-    return RI(Fraction(pa, qa), Fraction(pb, qb))
-
-
-def _with_prec(bits: int, fn):
-    old = _iv.prec
-    _iv.prec = bits + 16  # guard bits for the conversions at the boundary
-    try:
-        return fn()
-    finally:
-        _iv.prec = old
+    """The RI with the endpoints of a raw libmp interval (a, b)."""
+    a, b = pair
+    lo = Fraction(*_libmp.to_rational(a))
+    hi = lo if a == b else Fraction(*_libmp.to_rational(b))
+    return _interval(lo, hi)
 
 
 def iv_exp(x, bits: int) -> RI:
-    return _with_prec(bits, lambda: _from_mpi(_iv.exp(_to_iv(x, bits))._mpi_))
+    prec = bits + _BRIDGE_GUARD
+    return _from_mpi(_libmp.mpi_exp(_mpi(x, prec), prec))
 
 
 def iv_log_shift_e(x, bits: int) -> RI:
     """log(x + e) as a certified interval."""
-    return _with_prec(bits, lambda: _from_mpi(_iv.log(_to_iv(x, bits) + _iv.e)._mpi_))
+    prec = bits + _BRIDGE_GUARD
+    e = (_libmp.mpf_e(prec, _FLOOR), _libmp.mpf_e(prec, _CEILING))
+    return _from_mpi(_libmp.mpi_log(_libmp.mpi_add(_mpi(x, prec), e, prec), prec))
 
 
 def iv_cos_sin(x, bits: int) -> tuple[RI, RI]:
-    """(cos x, sin x) from one conversion and one mpmath evaluation.
+    """(cos x, sin x) from one conversion and one evaluation.
 
     mpmath's ``iv.cos`` and ``iv.sin`` each run ``mpi_cos_sin`` and keep one
     half, so this calls it once, at the precision they would use.
     """
-
-    def run():
-        c, s = _libmp.mpi_cos_sin(_to_iv(x, bits)._mpi_, _iv.prec)
-        return _from_mpi(c), _from_mpi(s)
-
-    return _with_prec(bits, run)
+    prec = bits + _BRIDGE_GUARD
+    c, s = _libmp.mpi_cos_sin(_mpi(x, prec), prec)
+    return _from_mpi(c), _from_mpi(s)
 
 
 def iv_pow(base, expo, bits: int) -> RI:
     """base^expo for a positive base; expo may be Fraction or RI."""
-
-    def run():
-        b = _to_iv(base, bits)
-        e = _to_iv(expo, bits)
-        return _from_mpi((b**e)._mpi_)
-
-    return _with_prec(bits, run)
+    prec = bits + _BRIDGE_GUARD
+    return _from_mpi(_libmp.mpi_pow(_mpi(base, prec), _mpi(expo, prec), prec))
 
 
 def ri_pow_frac(x: RI | Fraction, s: Fraction, bits: int) -> RI:

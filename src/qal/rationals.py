@@ -1,4 +1,5 @@
-"""Exact rational helpers: parsing, formatting, integer roots and power bounds.
+"""Exact rational helpers: input checks, parsing, formatting, integer roots
+and power bounds.
 
 Everything here is pure integer/Fraction arithmetic; no rounding occurs
 except in the explicitly directed root-bound functions, which always
@@ -11,6 +12,22 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, QalSyntaxError
+
+
+def _order(value, what: str) -> int:
+    """value as an order, degree or schedule entry: an int that is not a
+    bool, otherwise DomainError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _rational(value, what: str) -> Fraction:
+    """value as exact data: an int that is not a bool, or a Fraction,
+    otherwise DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise DomainError(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 def factorial(n: int) -> int:

@@ -473,7 +473,8 @@ def check_log_convexity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
     if horizon < 2:
         raise DomainError("log-convexity check needs horizon >= 2")
     lim = M.horizon_limit()
-    top = horizon if lim is None else min(horizon, lim - 1)
+    # j needs M_{j+1}, so the last index a finite sequence can check is lim - 1
+    top = horizon if lim is None else min(horizon, lim)
     # equality or strict inequality both satisfy log-convexity
     i = _first_violation(M, [([(j, 2)], [(j - 1, 1), (j + 1, 1)],
                               f"log-convexity at j={j}") for j in range(1, top)])

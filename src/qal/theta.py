@@ -24,19 +24,39 @@ constant 3 leaves margin over the derived 2).  The second bound gives the
 computable tail estimate  tail <= 2 * term_{K+1}  after truncation at K,
 which this module intersects with the coarser a-priori bound
 2 * Mbar_j * 2^(j-K).
+
+Every order reads the same term magnitudes Mbar_k (2 m_k)^(j-k), so one
+:class:`ThetaApproximation` (one certify attempt) forms 2 m_k once and
+keeps a :class:`~qal.intervals.PowerLadder` per term.  The power of a
+non-point 2 m_k runs the square-and-multiply chain of ``RI.__pow__`` on
+each endpoint, and the rounded squares of that chain depend only on the
+endpoint and the working precision, never on the exponent: so the orders
+of :func:`~qal.division.nodiv_witness` and the tail term share them and
+each magnitude is bit for bit the one ``RI.__pow__`` gives.  For point
+data the magnitude is one exact Fraction product or quotient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .errors import (CertificationError, DomainError, PrecisionFailure,
                      TruncationInsufficient)
-from .intervals import CI, RI, certify, default_bits, iv_cos_sin
-from .rationals import factorial, falling, stirling2_row
+from .intervals import CI, RI, PowerLadder, certify, default_bits, iv_cos_sin
+from .rationals import _order, _rational, factorial, falling, stirling2_row
 from .sequences import CarlemanSequence
+
+
+def _checked(M, **orders) -> None:
+    """DomainError unless M is a CarlemanSequence and every named order is
+    an int >= 0 that is not a bool."""
+    if not isinstance(M, CarlemanSequence):
+        raise DomainError(f"M must be a CarlemanSequence, got {M!r}")
+    for what, value in orders.items():
+        if _order(value, what) < 0:
+            raise DomainError(f"{what} must be >= 0, got {value}")
 
 
 @dataclass
@@ -47,7 +67,8 @@ class ThetaApproximation:
     ``mbars[k]`` holds Mbar_k = k! M_k and ``ms[k]`` holds the ratio
     m_k = Mbar_{k+1}/Mbar_k, all as certified intervals (point intervals
     in the rational-valued case).  Terms are kept through index K, plus
-    one extra ratio for the tail bound.
+    one extra ratio for the tail bound.  ``ladders[k]`` holds the powers
+    of 2 m_k (see the module docstring).
     """
 
     seq: CarlemanSequence
@@ -55,10 +76,20 @@ class ThetaApproximation:
     values: list[RI]
     mbars: list[RI]
     ms: list[RI]
+    ladders: list[PowerLadder] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        two = RI.point(2)
+        self.ladders = [PowerLadder(two * m) for m in self.ms]
 
     def term_magnitude(self, k: int, j: int) -> RI:
         """Mbar_k (2 m_k)^(j-k), the magnitude of term k of theta^(j)(0)."""
-        return self.mbars[k] * (RI.point(2) * self.ms[k]) ** (j - k)
+        mbar, ladder = self.mbars[k], self.ladders[k]
+        base, n = ladder.base.lo, j - k
+        if mbar.lo is mbar.hi and base is ladder.base.hi:
+            v = mbar.lo * base**n if n >= 0 else mbar.lo / base**-n
+            return RI(v)
+        return mbar * ladder.power(n)
 
     def tail_bound(self, j: int) -> Fraction:
         """Upper bound for the tail sum over k > K of term magnitudes.
@@ -74,6 +105,7 @@ class ThetaApproximation:
 
 
 def build_theta(M: CarlemanSequence, K: int, bits: int | None = None) -> ThetaApproximation:
+    _checked(M, truncation=K)
     bits = bits or default_bits()
     values, mbars = [], []
     for k in range(K + 3):
@@ -123,6 +155,7 @@ def theta_derivative_at_zero(M: CarlemanSequence, j: int, K: int) -> ThetaDeriva
     positive; the partial sum through K is exact for rational-valued M
     and the tail is enclosed by :meth:`ThetaApproximation.tail_bound`.
     """
+    _checked(M, order=j, truncation=K)
     if K < j + 8:
         raise DomainError("truncation K must be at least j + 8")
 
@@ -146,20 +179,22 @@ def theta_eval(M: CarlemanSequence, x: Fraction, j: int, K: int) -> CI:
     (see the module docstring for the derivation); a PrecisionFailure is
     raised if the bound cannot be certified at the precision cap.
     """
+    _checked(M, order=j, truncation=K)
+    x = _rational(x, "argument x")
     if K < j + 8:
         raise DomainError("truncation K must be at least j + 8")
-    x = Fraction(x)
 
     def attempt(bits: int) -> CI | None:
         approx = build_theta(M, K, bits)
-        total = CI(RI.point(0), RI.point(0))
-        angle = 2 * x
+        re = im = RI.point(0)
+        angle = RI.point(2 * x)
         for k in range(K + 1):
             mag = approx.term_magnitude(k, j)
             # cos/sin of 2 m_k x; the m_k interval feeds straight in
             c, s = iv_cos_sin(approx.ms[k] * angle, bits)
-            total = total + CI(mag * c, mag * s)
-        total = total.pad(approx.tail_bound(j))
+            re = re + mag * c
+            im = im + mag * s
+        total = CI(re, im).pad(approx.tail_bound(j))
         value = total.rotate_i(j % 4)
 
         bound = 3 * Fraction(2) ** j * approx.mbars[j].lo

@@ -127,22 +127,24 @@ class TestSpecializeDivision:
         assert hs[0] == P("x^2")
 
     def test_commutes_with_direct_division(self):
+        # division by the monic phi(z) is unique: the re-expansion, a quotient
+        # and d remainder parts free of z pin the answer of direct division
         rng = random.Random(777)
         phi = dist("y^2 + x^3")
         phi_z = P("z^2 + x^3")
+        z = P("z")
         for _ in range(40):
             coeffs = {}
             for _ in range(rng.randint(1, 5)):
                 coeffs[(rng.randint(0, 2), rng.randint(0, 6))] = \
                     Fraction(rng.randint(-5, 5) or 1)
             Ppoly = MultiPoly(("x", "z"), coeffs)
-            G1, hs = specialize_division(Ppoly, phi, "z")
-            G2, H2 = euclid_divide(Ppoly, phi_z, "z")
-            assert G1 == G2
-            recomposed = sum((h.with_vars(("x", "z")) * P("z") ** i
-                              for i, h in enumerate(hs)),
+            G, hs = specialize_division(Ppoly, phi, "z")
+            assert len(hs) == 2
+            assert all("z" not in h.vars or h.degree("z") <= 0 for h in hs)
+            recomposed = sum((h.with_vars(("x", "z")) * z ** j for j, h in enumerate(hs)),
                              MultiPoly(("x", "z")))
-            assert recomposed == H2.with_vars(("x", "z"))
+            assert phi_z * G + recomposed == Ppoly
 
     def test_division_variable_among_the_coefficients_is_rejected(self):
         # z would be both the division variable and a parameter of phi
@@ -165,11 +167,10 @@ class TestSpecializeDivision:
                              MultiPoly(()))
         assert len(hs) == d and all("z" not in h.vars for h in hs)
         assert all(type(c) is Fraction for poly in (G, *hs) for c in poly.coeffs.values())
+        # with len(hs) == d and every h_j free of z, the re-expansion pins
+        # the answer: division by the monic phi(z) is unique
         H = sum((h * z ** j for j, h in enumerate(hs)), MultiPoly(()))
         assert phi_z * G + H == Ppoly
-        # the division is unique: it equals the direct division by phi(z)
-        G2, H2 = euclid_divide(Ppoly, phi_z, "z")
-        assert (G, H) == (G2, H2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -450,6 +450,19 @@ class TestSobolev:
         assert poly_derivative([Fraction(1), Fraction(2), Fraction(3)], 1) == \
             [Fraction(2), Fraction(6)]
 
+    def test_subdivision_doubles_from_8_to_1024_pieces(self, monkeypatch):
+        # an upper bound that never certifies: the schedule runs to its cap
+        tried = []
+
+        def never(U, pieces):
+            tried.append(pieces)
+            return 10**100
+
+        monkeypatch.setattr(hilbert, "_box_sup_numerator", never)
+        with pytest.raises(UndecidableAtCap):
+            sobolev_check([Fraction(1, 3), 2, -1], 0)
+        assert tried == [8 << i for i in range(8)]
+
     @pytest.mark.parametrize("j", [-1, -3])
     def test_negative_order_is_a_domain_error(self, j):
         # poly_derivative(u, -1) is u itself, which would certify ||u|| twice

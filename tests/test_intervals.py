@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qal import intervals, sequences, theta
 from qal.errors import DomainError, PrecisionFailure, UndecidableAtCap
-from qal.intervals import PRECISION_CAP, RI, certify, iv_cos_sin, iv_pow, ri_pow_frac
+from qal.intervals import (PRECISION_CAP, RI, PowerLadder, certify, iv_cos_sin, iv_exp,
+                           iv_log_shift_e, iv_pow, ri_pow_frac)
 from qal.sequences import CarlemanSequence, gevrey, loggevrey
 
 
@@ -209,6 +210,17 @@ class TestOutwardRounding:
                                                intervals._outward(*ref_mul(a, b))))
         assert (got.lo, got.hi) == (ref.lo, ref.hi)
 
+    @settings(max_examples=150, deadline=None)
+    @given(intervals_(point=True), signed_intervals(), precisions)
+    def test_a_point_times_an_interval_is_the_four_product_reference(self, a, b, bits):
+        # the point's sign orders its two products: the min and max of the four
+        point, other = RI(a[0]), RI(*b)
+        for x, y, ref in ((point, other, ref_mul(a, b)), (other, point, ref_mul(b, a))):
+            got, want = at_precision(bits, lambda: (x * y, intervals._outward(*ref)))
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+            exact = x * y
+            assert (exact.lo, exact.hi) == ref
+
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(sorted(OPS)), signed_intervals(), signed_intervals(),
            st.integers(-4, 6), precisions)
@@ -221,6 +233,28 @@ class TestOutwardRounding:
         for out in at_precision(bits, lambda: (fn(RI(*a), RI(*b)), RI(*a) ** n)):
             assert type(out.lo) is Fraction and type(out.hi) is Fraction
             assert out.lo <= out.hi
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(Fraction, st.integers(0, 1 << 300), st.integers(1, 1 << 300)),
+           st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=4),
+                     st.builds(Fraction, st.integers(1, 1 << 20), st.just(1 << 200))),
+           st.lists(st.integers(-40, 40), min_size=1, max_size=12), precisions)
+    def test_ladder_powers_equal_pow_bit_for_bit(self, lo, width, ns, bits):
+        if lo == 0:
+            ns = [n for n in ns if n >= 0]
+        x = RI(lo, lo + width)
+        ladder = PowerLadder(x)
+        # one ladder serves every call, in any order and with repeats
+        got = at_precision(bits, lambda: [ladder.power(n) for n in ns + ns[::-1]])
+        ref = at_precision(bits, lambda: [x ** n for n in ns + ns[::-1]])
+        assert [(g.lo, g.hi) for g in got] == [(r.lo, r.hi) for r in ref]
+        # a new working precision starts the squares again
+        got = at_precision(2 * bits, lambda: [ladder.power(n) for n in ns])
+        ref = at_precision(2 * bits, lambda: [x ** n for n in ns])
+        assert [(g.lo, g.hi) for g in got] == [(r.lo, r.hi) for r in ref]
+        # and outside certify the powers are exact
+        assert [(ladder.power(n).lo, ladder.power(n).hi) for n in ns] == \
+            [ref_pow((x.lo, x.hi), n) for n in ns]
 
     def test_rounding_is_undone_after_certify(self):
         a = RI(Fraction(1, 3) ** 200, Fraction(1, 3) ** 199)
@@ -389,3 +423,115 @@ class TestBridge:
         for x in args:
             c, s = iv_cos_sin(x, bits)
             assert ((c.lo, c.hi), (s.lo, s.hi)) == ref, x
+
+
+# -- the bridge against mpmath's iv context --------------------------------------------
+
+def _iv_of(x):
+    """x (an RI or a Fraction) as an interval of mpmath's iv context at its
+    current precision: each endpoint n/d as iv.mpf(n) / iv.mpf(d), the
+    lower end of the lower endpoint's interval and the upper end of the
+    upper one's."""
+    def of(q: Fraction):
+        if q.denominator == 1:
+            return mpmath.iv.mpf(q.numerator)
+        return mpmath.iv.mpf(q.numerator) / mpmath.iv.mpf(q.denominator)
+
+    if not isinstance(x, RI):
+        return of(Fraction(x))
+    if x.is_point():
+        return of(x.lo)
+    return mpmath.iv.mpf([of(x.lo).a, of(x.hi).b])
+
+
+def _iv_endpoints(y) -> tuple[Fraction, Fraction]:
+    a, b = y._mpi_
+    return (Fraction(*mpmath.libmp.to_rational(a)), Fraction(*mpmath.libmp.to_rational(b)))
+
+
+def _at_iv_prec(bits: int, fn):
+    """fn() with mpmath's iv context at bits + 16, the bridge's precision."""
+    old = mpmath.iv.prec
+    mpmath.iv.prec = bits + 16
+    try:
+        return fn()
+    finally:
+        mpmath.iv.prec = old
+
+
+# parts of up to about 1000 bits, bounded magnitudes where a result could overflow
+_LONG = st.integers(-(1 << 1000), 1 << 1000)
+_fractions_1000 = st.one_of(st.builds(Fraction, _LONG, st.integers(1, 1 << 1000)),
+                            st.builds(Fraction, st.integers(-50, 50), st.integers(1, 1 << 1000)),
+                            st.builds(Fraction, _LONG, st.integers(1, 50)),
+                            st.fractions(-50, 50, max_denominator=100))
+_moderate = st.one_of(st.builds(Fraction, _LONG, st.integers(1 << 992, 1 << 1000)),
+                      st.fractions(-50, 50, max_denominator=100))
+_widths = st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=4),
+                    st.builds(Fraction, st.integers(1, 1 << 20), st.just(1 << 600)))
+_bridge_bits = st.sampled_from([8, 16, 53, 64, 256, 1000, 4096])
+
+
+@st.composite
+def _args(draw, values):
+    """A Fraction, or an RI from it, non-point when the width is positive."""
+    lo = draw(values)
+    width = draw(_widths)
+    if width == 0 and draw(st.booleans()):
+        return lo
+    return RI(lo, lo + width)
+
+
+def _pair(r: RI) -> tuple[Fraction, Fraction]:
+    return r.lo, r.hi
+
+
+class TestBridgeOracle:
+    """Each bridge function returns exactly the endpoints of mpmath's iv
+    context at iv.prec = bits + 16 on the same input."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_fractions_1000, _bridge_bits)
+    def test_conversion_is_the_iv_quotient(self, q, bits):
+        ref = _at_iv_prec(bits, lambda: _iv_of(q)._mpi_)
+        assert intervals._mpi(q, bits + 16) == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(_args(_fractions_1000), _bridge_bits)
+    def test_cos_sin(self, x, bits):
+        ref = _at_iv_prec(bits, lambda: (_iv_endpoints(mpmath.iv.cos(_iv_of(x))),
+                                         _iv_endpoints(mpmath.iv.sin(_iv_of(x)))))
+        c, s = iv_cos_sin(x, bits)
+        assert (_pair(c), _pair(s)) == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(_args(_moderate), _bridge_bits)
+    def test_exp(self, x, bits):
+        ref = _at_iv_prec(bits, lambda: _iv_endpoints(mpmath.iv.exp(_iv_of(x))))
+        assert _pair(iv_exp(x, bits)) == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(_args(_fractions_1000.map(abs)), _bridge_bits)
+    def test_log_shift_e(self, x, bits):
+        ref = _at_iv_prec(bits, lambda: _iv_endpoints(
+            mpmath.iv.log(_iv_of(x) + mpmath.iv.e)))
+        assert _pair(iv_log_shift_e(x, bits)) == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(_args(_moderate.map(lambda q: abs(q) + Fraction(1, 7))),
+           _args(st.fractions(-8, 8, max_denominator=30)), _bridge_bits)
+    def test_pow(self, base, expo, bits):
+        ref = _at_iv_prec(bits, lambda: _iv_endpoints(_iv_of(base) ** _iv_of(expo)))
+        assert _pair(iv_pow(base, expo, bits)) == ref
+
+    def test_mpmath_precision_is_left_alone(self):
+        old = mpmath.iv.prec
+        mpmath.iv.prec = 77
+        try:
+            iv_cos_sin(Fraction(1, 3), 256)
+            iv_exp(RI(Fraction(1, 3), Fraction(1, 2)), 512)
+            iv_pow(Fraction(3, 2), Fraction(1, 3), 128)
+            iv_log_shift_e(Fraction(5), 64)
+            assert mpmath.iv.prec == 77
+        finally:
+            mpmath.iv.prec = old

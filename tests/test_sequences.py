@@ -112,6 +112,23 @@ class TestStructuralChecks:
     def test_analytic_constant(self):
         assert check_log_convexity(analytic(), 50).passed
 
+    @pytest.mark.parametrize("terms, j", [([1, 2, 3], 1),
+                                          ([1, 1, 10**400, 10**400], 2)])
+    def test_last_checkable_index_of_a_finite_sequence(self, terms, j):
+        # j = len(terms) - 2 needs M_{j+1}, the last term, and no more;
+        # M_1^2 = 4 > M_0 M_2 = 3 and M_2^2 = 10^800 > M_1 M_3 = 10^400
+        seq = custom(terms)
+        result = check_log_convexity(seq)
+        assert not result.passed
+        assert result.witness == (j,)
+        assert classify(seq).log_convex.value == FALSE
+
+    def test_log_convex_through_the_last_index(self):
+        # M_j^2 <= M_{j-1} M_{j+1} for j = 1, 2, 3, with equality at j = 3
+        result = check_log_convexity(custom([1, 1, 2, 8, 32]))
+        assert result.passed
+        assert result.detail == "verified for 1 <= j < 4"
+
     def test_superadditivity_gevrey1(self):
         from qal.rationals import factorial
         # oracle: j! k! <= (j+k)! checked exactly here, independent of the library
@@ -323,9 +340,10 @@ def _reference_values(M, top):
 
 
 def reference_log_convexity(M, horizon):
-    """(passed, witness) of M_j^2 <= M_{j-1} M_{j+1}, one pair at a time."""
+    """(passed, witness) of M_j^2 <= M_{j-1} M_{j+1}, one pair at a time,
+    for every j < horizon whose M_{j+1} is defined."""
     lim = M.horizon_limit()
-    top = horizon if lim is None else min(horizon, lim - 1)
+    top = horizon if lim is None else min(horizon, lim)
     v = _reference_values(M, max(top, 1))
     with mpmath.workprec(400):
         for j in range(1, top):

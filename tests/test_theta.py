@@ -2,14 +2,16 @@ import hashlib
 import json
 import time
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qal import intervals, theta
 from qal.division import nodiv_witness
-from qal.errors import CertificationError, DomainError
-from qal.intervals import default_bits
+from qal.errors import CertificationError, DomainError, QalError
+from qal.intervals import RI, default_bits
 from qal.rationals import factorial
 from qal.sequences import analytic, gevrey, loggevrey, qgevrey
 from qal.theta import (BorelExample, ThetaDerivative, borel_example_derivatives,
@@ -226,6 +228,25 @@ class TestWorkingPrecision:
         ref = reference_theta(Fraction(1, 2), x, j, K + 200)
         assert out.contains(_fraction(ref.real), _fraction(ref.imag))
 
+    @pytest.mark.parametrize("M", [gevrey(1), gevrey(Fraction(1, 2)), gevrey(Fraction(3, 2)),
+                                   loggevrey(1), qgevrey(2)], ids=str)
+    def test_term_magnitudes_equal_the_interval_power(self, M):
+        # nodiv's orders and the tail term share one ladder per term; each
+        # magnitude is Mbar_k * (2 m_k) ** (j - k) bit for bit
+        K = 16
+
+        def both(bits):
+            approx = build_theta(M, K, bits)
+            orders = [0, 2, 4, 6, 8, 3, 8, 0]
+            got = [approx.term_magnitude(k, j) for j in orders for k in range(K + 2)]
+            ref = [approx.mbars[k] * (RI.point(2) * approx.ms[k]) ** (j - k)
+                   for j in orders for k in range(K + 2)]
+            return got, ref
+
+        for bits in (64, 256):
+            got, ref = intervals.certify(both, "test step", CertificationError, bits)
+            assert [(g.lo, g.hi) for g in got] == [(r.lo, r.hi) for r in ref]
+
     def test_rational_partial_sums_stay_exact(self):
         for M in (gevrey(1), gevrey(2), qgevrey(2), analytic()):
             for j in (0, 5, 12):
@@ -267,3 +288,59 @@ def test_output_is_unchanged(monkeypatch, run, digest):
     monkeypatch.delenv("QAL_PRECISION_BITS", raising=False)
     text = json.dumps(run().to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- error contract ------------------------------------------------------------
+
+_NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+                          st.fractions(), st.lists(st.integers(), max_size=1), st.tuples())
+_BAD_ORDERS = st.one_of(_NOT_INTEGERS, st.integers(max_value=-1))
+_NOT_DATA = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(),
+                      st.complex_numbers(), st.tuples(st.integers()))
+_NOT_SEQUENCES = st.one_of(st.none(), st.integers(), st.fractions(), st.text(max_size=9),
+                           st.just("gevrey(1)"), st.lists(st.integers(1, 9), max_size=3))
+
+
+@st.composite
+def _malformed_calls(draw):
+    """One call of a public theta operation with one malformed argument, as
+    (label, thunk); the others are M = gevrey(1), x = 1/3, j = 1, K = 12."""
+    args = {"M": gevrey(1), "x": Fraction(1, 3), "j": 1, "K": 12}
+    op = draw(st.sampled_from(["theta_eval", "theta_derivative_at_zero", "build_theta"]))
+    names = {"theta_eval": ("M", "x", "j", "K"), "theta_derivative_at_zero": ("M", "j", "K"),
+             "build_theta": ("M", "K")}[op]
+    bad = draw(st.sampled_from(names))
+    args[bad] = draw({"M": _NOT_SEQUENCES, "x": _NOT_DATA}.get(bad, _BAD_ORDERS))
+    fn = {"theta_eval": theta_eval, "theta_derivative_at_zero": theta_derivative_at_zero,
+          "build_theta": build_theta}[op]
+    return f"{op} {bad}={args[bad]!r}", lambda: fn(*(args[n] for n in names))
+
+
+class TestErrorContract:
+    @settings(max_examples=300, deadline=None)
+    @given(_malformed_calls())
+    def test_malformed_input_raises_a_coded_domain_error(self, call):
+        label, thunk = call
+        # the input is rejected before any certify attempt
+        with mock.patch.object(theta, "certify", side_effect=AssertionError(label)):
+            with pytest.raises(QalError) as info:
+                thunk()
+        assert isinstance(info.value, DomainError), label
+        assert info.value.code == "domain-error"
+
+    @pytest.mark.parametrize("call", [
+        lambda: theta_eval(gevrey(1), Fraction(1, 3), -1, 12),
+        lambda: theta_eval(gevrey(1), Fraction(1, 3), True, 12),
+        lambda: theta_eval(gevrey(1), Fraction(1, 3), 1.5, 12),
+        lambda: theta_eval(gevrey(1), "abc", 1, 12),
+        lambda: theta_eval(None, Fraction(1, 3), 1, 12),
+        lambda: theta_derivative_at_zero(gevrey(1), -3, 12),
+        lambda: build_theta(gevrey(1), -1),
+    ], ids=["j=-1", "j=True", "j=1.5", "x='abc'", "M=None", "derivative j=-3", "K=-1"])
+    def test_the_reported_inputs(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_an_int_argument_is_exact_data(self):
+        assert theta_eval(gevrey(1), 0, 1, 12).to_json() == \
+            theta_eval(gevrey(1), Fraction(0), 1, 12).to_json()
