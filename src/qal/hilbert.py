@@ -645,11 +645,10 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
     are decided exactly in squared form, the right one as
     sup^2 <= 2 (A + B + 2 sqrt(AB)) by squaring once more, so that no
     square root is ever approximated.  All of this work is done in
-    integers on U = L u^(j),
-    where L is the positive lcm of the denominators of u^(j): the L2
-    integrals of U and U' over one common odd denominator, the grid
-    values and the interval Horner boxes as integer numerators over
-    powers of the grid size.  Each bound is divided by L (the squares by
+    integers on U = L u^(j), where L is the positive lcm of the
+    denominators of u^(j): the L2 integrals of U and U' over one common
+    odd denominator, the grid values and the interval Horner boxes as
+    integer numerators over powers of the grid size.  Each bound is divided by L (the squares by
     L^2) once at the end, so the certificate and the returned Fractions
     are exactly those of the same computation on u^(j) in Fractions.
     Raises DomainError unless j is an integer >= 0 and u a list of ints
@@ -695,9 +694,10 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
 
     # upper bound: interval evaluation on a subdivision, refined until the
     # right inequality is certified or the subdivision reaches its cap.
-    # With L sup <= S/P, P = pieces^m, L^2 A = a/q and L^2 B = b/q,
-    # sup^2 <= 2 (A + B + 2 sqrt(AB)) reads  S^2 q - 2 P^2 (a + b) <= 4 P^2 sqrt(ab),
-    # which holds iff the left side X is <= 0 or X^2 <= 16 P^4 a b
+    # With L sup <= S/P, P = pieces^m, L^2 A = a/q and L^2 B = b/q, the
+    # inequality sup^2 <= 2 (A + B + 2 sqrt(AB)) reads
+    #     X = S^2 q - 2 P^2 (a + b) <= 4 P^2 sqrt(ab),
+    # which holds iff X <= 0 or X^2 <= 16 P^4 a b
     right_ok = False
     pieces = 8
     while True:
