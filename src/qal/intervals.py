@@ -23,6 +23,25 @@ run the interval chain.  Both run the one chain routine :func:`_chain`,
 and a :class:`PowerLadder` keeps the rounded squares of its base's
 endpoints for every exponent.
 
+Endpoints whose lowest terms are known in advance are formed on ints.
+When both operands are dyadic, m * 2^-s with m odd or s = 0 (integers
+included), a product is m1 m2 / 2^(s1 + s2) and a sum aligns the two
+mantissas by a shift; the result is reduced by the trailing zeros of its
+numerator, which for a dyadic is the whole gcd.  A reciprocal swaps the
+coprime numerator and denominator, the outward rounding forms its
+mantissa by one integer floor or ceiling division, and the bridge reads
+its endpoints off libmp's mantissa and exponent.  Comparisons (the min
+and max of four products, the emptiness check, the signs) use integer
+cross products.  Each of these gives the lowest-terms pair that Fraction
+arithmetic gives, so every endpoint is bit for bit the Fraction it would
+form; any other operand goes through Fraction's own operators.  The
+results are built by :func:`_fraction` through Fraction's two slots
+``_numerator`` and ``_denominator``, the kernel's one dependency on
+Fraction's layout (the same in CPython 3.10 to 3.13; a test pins it).
+
+Exact data are ints (not bools) and Fractions; anything else, and a
+precision ``bits`` that is not an int >= 1, raises DomainError.
+
 Transcendental functions call mpmath's interval kernel (libmp's ``mpi_*``
 functions) on the raw interval that mpmath's ``iv`` context would build
 from the endpoints at ``bits + 16`` bits, and come back as exact dyadic
@@ -49,7 +68,7 @@ from typing import Callable, TypeVar
 import mpmath.libmp as _libmp
 
 from .errors import CertificationError, DomainError
-from .rationals import pow_bounds
+from .rationals import _order, _rational, pow_bounds
 
 PRECISION_CAP = 4096
 _DEFAULT_BITS = 256
@@ -74,35 +93,153 @@ def default_bits() -> int:
     return max(8, min(bits, PRECISION_CAP))
 
 
+# -- Fractions formed on ints --------------------------------------------------
+
+_new = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for n/d already in lowest terms with d >= 1, built
+    without Fraction's gcd.  The one function that depends on Fraction's
+    layout: its two slots ``_numerator`` and ``_denominator``."""
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _dyadic(m: int, d: int) -> Fraction:
+    """m/d in lowest terms for a power of two d: the gcd of m and d is the
+    power of two that divides m, capped at d."""
+    if m & 1 or d == 1:
+        return _fraction(m, d)
+    if not m:
+        return _fraction(0, 1)
+    t = min(m & -m, d).bit_length() - 1
+    return _fraction(m >> t, d >> t)
+
+
+def _data(x, what: str = "an endpoint") -> Fraction:
+    """x as exact data: a Fraction or an int that is not a bool, otherwise
+    DomainError.  The common types are tested first."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return _fraction(x, 1)
+    return _rational(x, what)
+
+
+def _precision(bits) -> int:
+    """bits as a precision: an int >= 1 that is not a bool, otherwise
+    DomainError."""
+    if _order(bits, "bits") < 1:
+        raise DomainError(f"bits must be >= 1, got {bits}")
+    return bits
+
+
+def _lt(x: Fraction, y: Fraction) -> bool:
+    return x.numerator * y.denominator < y.numerator * x.denominator
+
+
+def _eq(x: Fraction, y: Fraction) -> bool:
+    return x is y or (x.numerator == y.numerator and x.denominator == y.denominator)
+
+
+def _neg(x: Fraction) -> Fraction:
+    return _fraction(-x.numerator, x.denominator)
+
+
+def _recip(x: Fraction) -> Fraction:
+    """1/x for x != 0: the coprime parts swap."""
+    n, d = x.numerator, x.denominator
+    return _fraction(d, n) if n > 0 else _fraction(-d, -n)
+
+
+def _add(x: Fraction, y: Fraction) -> Fraction:
+    """x + y; on ints, aligned by a shift, when both are dyadic."""
+    dx, dy = x.denominator, y.denominator
+    if dx & (dx - 1) or dy & (dy - 1):
+        return x + y
+    if dx < dy:
+        return _dyadic((x.numerator << (dy.bit_length() - dx.bit_length())) + y.numerator, dy)
+    return _dyadic(x.numerator + (y.numerator << (dx.bit_length() - dy.bit_length())), dx)
+
+
+def _mul(x: Fraction, y: Fraction) -> Fraction:
+    """x * y; on ints, m1 m2 / 2^(s1 + s2), when both are dyadic."""
+    dx, dy = x.denominator, y.denominator
+    if dx & (dx - 1) or dy & (dy - 1):
+        return x * y
+    return _dyadic(x.numerator * y.numerator, dx * dy)
+
+
+def _min_max(ps: tuple) -> tuple[Fraction, Fraction]:
+    """(min(ps), max(ps)), the first least and the first greatest, compared
+    by integer cross products."""
+    nds = [(q.numerator, q.denominator) for q in ps]
+    lo = hi = 0
+    for i in range(1, len(nds)):
+        n, d = nds[i]
+        if n * nds[lo][1] < nds[lo][0] * d:
+            lo = i
+        if n * nds[hi][1] > nds[hi][0] * d:
+            hi = i
+    return ps[lo], ps[hi]
+
+
+# -- outward rounding -----------------------------------------------------------
+
+def _floor_nd(n: int, d: int, p: int) -> Fraction:
+    """n/d rounded down to m * 2^-s, with s fixed by the size of n/d so
+    that the mantissa |m| is at most 2^p."""
+    s = p - 1 - n.bit_length() + d.bit_length()   # |n/d| * 2^s < 2^p
+    if s >= 0:
+        return _dyadic((n << s) // d, 1 << s)
+    return _fraction((n // (d << -s)) << -s, 1)
+
+
+def _ceil_nd(n: int, d: int, p: int) -> Fraction:
+    """n/d rounded up at the scale of :func:`_floor_nd`: its negative at -n/d."""
+    s = p - 1 - n.bit_length() + d.bit_length()
+    if s >= 0:
+        return _dyadic(-(-(n << s) // d), 1 << s)
+    return _fraction(-(-n // (d << -s)) << -s, 1)
+
+
 def _floor_dyadic(q: Fraction, p: int) -> Fraction:
     """q rounded down to m * 2^-s, with s fixed by the size of q so that
     the mantissa |m| is at most 2^p."""
-    n, d = q.numerator, q.denominator
-    s = p - 1 - n.bit_length() + d.bit_length()   # |q| * 2^s < 2^p
-    if s >= 0:
-        return Fraction((n << s) // d, 1 << s)
-    return Fraction((n // (d << -s)) << -s)
+    return _floor_nd(q.numerator, q.denominator, p)
 
 
 def _round_down(q: Fraction, p: int) -> Fraction:
     """q, or q rounded down to p bits when it has more than 2p bits."""
-    if q.numerator.bit_length() + q.denominator.bit_length() > 2 * p:
-        return _floor_dyadic(q, p)
+    n, d = q.numerator, q.denominator
+    if n.bit_length() + d.bit_length() > 2 * p:
+        return _floor_nd(n, d, p)
     return q
 
 
 def _round_up(q: Fraction, p: int) -> Fraction:
     """q, or q rounded up to p bits when it has more than 2p bits."""
-    if q.numerator.bit_length() + q.denominator.bit_length() > 2 * p:
-        return -_floor_dyadic(-q, p)
+    n, d = q.numerator, q.denominator
+    if n.bit_length() + d.bit_length() > 2 * p:
+        return _ceil_nd(n, d, p)
     return q
+
+
+def _point(x: Fraction) -> "RI":
+    """The point interval [x, x], holding x as both endpoints."""
+    out = _new(RI)
+    out.lo = out.hi = x
+    return out
 
 
 def _interval(lo: Fraction, hi: Fraction) -> "RI":
     """RI(lo, hi) for Fraction endpoints, which are not converted again."""
-    if lo > hi:
+    if _lt(hi, lo):
         raise DomainError(f"empty interval [{lo}, {hi}]")
-    out = object.__new__(RI)
+    out = _new(RI)
     out.lo = lo
     out.hi = hi
     return out
@@ -112,7 +249,7 @@ def _outward(lo: Fraction, hi: Fraction) -> "RI":
     """RI(lo, hi), with long endpoints of a non-point result rounded outward
     to the working precision when one is set."""
     p = _WORKING.get()
-    if p is not None and lo != hi:
+    if p is not None and not _eq(lo, hi):
         lo = _round_down(lo, p)
         hi = _round_up(hi, p)
     return _interval(lo, hi)
@@ -146,7 +283,7 @@ def _endpoint_pow(squares: list[Fraction], n: int, p: int, rnd) -> Fraction:
     """One endpoint of the power of a nonnegative non-point interval, whose
     chain stays non-point: :func:`_chain` on that endpoint's squares, every
     step rounded by ``rnd`` at precision p."""
-    return _chain(squares, n, lambda x: rnd(x, p), lambda x, y: rnd(x * y, p))
+    return _chain(squares, n, lambda x: rnd(x, p), lambda x, y: rnd(_mul(x, y), p))
 
 
 class RI:
@@ -161,13 +298,13 @@ class RI:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi=None):
-        lo = Fraction(lo)
+        lo = _data(lo)
         if hi is None:
             hi = lo
         else:
-            hi = Fraction(hi)
-            if not lo < hi:
-                if lo > hi:
+            hi = _data(hi)
+            if not _lt(lo, hi):
+                if _lt(hi, lo):
                     raise DomainError(f"empty interval [{lo}, {hi}]")
                 hi = lo
         self.lo = lo
@@ -186,17 +323,15 @@ class RI:
     def __add__(self, other):
         o = RI.of(other)
         if self.lo is self.hi and o.lo is o.hi:
-            s = self.lo + o.lo
-            return _interval(s, s)
-        return _outward(self.lo + o.lo, self.hi + o.hi)
+            return _point(_add(self.lo, o.lo))
+        return _outward(_add(self.lo, o.lo), _add(self.hi, o.hi))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.lo is self.hi:
-            n = -self.lo
-            return _interval(n, n)
-        return _interval(-self.hi, -self.lo)
+            return _point(_neg(self.lo))
+        return _interval(_neg(self.hi), _neg(self.lo))
 
     def __sub__(self, other):
         return self + (-RI.of(other))
@@ -209,29 +344,26 @@ class RI:
         a, b, c, d = self.lo, self.hi, o.lo, o.hi
         if a is b:
             if c is d:
-                p = a * c
-                return _interval(p, p)
-            lo, hi = a * c, a * d
+                return _point(_mul(a, c))
+            lo, hi = _mul(a, c), _mul(a, d)
             return _outward(lo, hi) if a.numerator >= 0 else _outward(hi, lo)
         if c is d:
-            lo, hi = a * c, b * c
+            lo, hi = _mul(a, c), _mul(b, c)
             return _outward(lo, hi) if c.numerator >= 0 else _outward(hi, lo)
         if a.numerator >= 0 and c.numerator >= 0:
-            return _outward(a * c, b * d)
-        ps = (a * c, a * d, b * c, b * d)
-        return _outward(min(ps), max(ps))
+            return _outward(_mul(a, c), _mul(b, d))
+        return _outward(*_min_max((_mul(a, c), _mul(a, d), _mul(b, c), _mul(b, d))))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = RI.of(other)
-        if o.lo <= 0 <= o.hi:
+        if o.lo.numerator <= 0 <= o.hi.numerator:
             raise DomainError(f"divisor interval {o} contains 0")
         if o.lo is o.hi:
-            r = 1 / o.lo
-            inv = _interval(r, r)
+            inv = _point(_recip(o.lo))
         else:
-            inv = _outward(1 / o.hi, 1 / o.lo)
+            inv = _outward(_recip(o.hi), _recip(o.lo))
         return self * inv
 
     def __rtruediv__(self, other):
@@ -245,9 +377,8 @@ class RI:
         if n < 0:
             return RI(1) / self**(-n)
         lo, hi = self.lo, self.hi
-        if lo == hi:
-            p = lo**n
-            return _interval(p, p)
+        if _eq(lo, hi):
+            return _point(lo**n)
         if lo.numerator >= 0:
             p = _WORKING.get()
             if p is None:
@@ -258,14 +389,14 @@ class RI:
         # would round it
         out = _chain([self], n, lambda b: _outward(b.lo, b.hi), RI.__mul__)
         # even powers of sign-mixed intervals must clamp at 0
-        if out.lo < 0 and self.lo <= 0 <= self.hi:
+        if out.lo.numerator < 0 and lo.numerator <= 0 <= hi.numerator:
             out = RI(0, out.hi)
         return out
 
     def abs(self) -> "RI":
-        if self.lo >= 0:
+        if self.lo.numerator >= 0:
             return self
-        if self.hi <= 0:
+        if self.hi.numerator <= 0:
             return -self
         return RI(0, max(-self.lo, self.hi))
 
@@ -277,7 +408,7 @@ class RI:
     def rel_width(self) -> Fraction:
         m = min(abs(self.lo), abs(self.hi))
         if m == 0:
-            return Fraction(0) if self.lo == self.hi else Fraction(1) << 62
+            return Fraction(0) if self.lo == self.hi else Fraction(1 << 62)
         return self.width() / m
 
     def mid(self) -> Fraction:
@@ -289,22 +420,22 @@ class RI:
         return self.lo <= Fraction(x) <= self.hi
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return _eq(self.lo, self.hi)
 
     # -- certified comparisons (None means undecided) ----------------------
 
     def cmp(self, other) -> int | None:
         o = RI.of(other)
-        if self.hi < o.lo:
+        if _lt(self.hi, o.lo):
             return -1
-        if self.lo > o.hi:
+        if _lt(o.hi, self.lo):
             return 1
         if self.is_point() and o.is_point():
             return 0
         return None
 
     def excludes_zero(self) -> bool:
-        return self.lo > 0 or self.hi < 0
+        return self.lo.numerator > 0 or self.hi.numerator < 0
 
     def __repr__(self):
         return f"RI({self.lo}, {self.hi})"
@@ -345,7 +476,7 @@ class PowerLadder:
         base = self.base
         lo, hi = base.lo, base.hi
         p = _WORKING.get()
-        if n == 0 or p is None or lo == hi or lo.numerator < 0:
+        if n == 0 or p is None or _eq(lo, hi) or lo.numerator < 0:
             return base ** n
         if p != self._p:
             self._p, self._lo, self._hi = p, [lo], [hi]
@@ -406,8 +537,8 @@ def _mpi(x, prec: int) -> tuple:
     end of its lower endpoint's interval and the upper end of its upper
     endpoint's."""
     if not isinstance(x, RI):
-        return _mpi_fraction(Fraction(x), prec)
-    if x.lo == x.hi:
+        return _mpi_fraction(_data(x, "an argument"), prec)
+    if _eq(x.lo, x.hi):
         return _mpi_fraction(x.lo, prec)
     return _mpi_fraction(x.lo, prec)[0], _mpi_fraction(x.hi, prec)[1]
 
@@ -415,19 +546,19 @@ def _mpi(x, prec: int) -> tuple:
 def _from_mpi(pair) -> RI:
     """The RI with the endpoints of a raw libmp interval (a, b)."""
     a, b = pair
-    lo = Fraction(*_libmp.to_rational(a))
-    hi = lo if a == b else Fraction(*_libmp.to_rational(b))
+    lo = _dyadic(*_libmp.to_rational(a))
+    hi = lo if a == b else _dyadic(*_libmp.to_rational(b))
     return _interval(lo, hi)
 
 
 def iv_exp(x, bits: int) -> RI:
-    prec = bits + _BRIDGE_GUARD
+    prec = _precision(bits) + _BRIDGE_GUARD
     return _from_mpi(_libmp.mpi_exp(_mpi(x, prec), prec))
 
 
 def iv_log_shift_e(x, bits: int) -> RI:
     """log(x + e) as a certified interval."""
-    prec = bits + _BRIDGE_GUARD
+    prec = _precision(bits) + _BRIDGE_GUARD
     e = (_libmp.mpf_e(prec, _FLOOR), _libmp.mpf_e(prec, _CEILING))
     return _from_mpi(_libmp.mpi_log(_libmp.mpi_add(_mpi(x, prec), e, prec), prec))
 
@@ -438,14 +569,14 @@ def iv_cos_sin(x, bits: int) -> tuple[RI, RI]:
     mpmath's ``iv.cos`` and ``iv.sin`` each run ``mpi_cos_sin`` and keep one
     half, so this calls it once, at the precision they would use.
     """
-    prec = bits + _BRIDGE_GUARD
+    prec = _precision(bits) + _BRIDGE_GUARD
     c, s = _libmp.mpi_cos_sin(_mpi(x, prec), prec)
     return _from_mpi(c), _from_mpi(s)
 
 
 def iv_pow(base, expo, bits: int) -> RI:
     """base^expo for a positive base; expo may be Fraction or RI."""
-    prec = bits + _BRIDGE_GUARD
+    prec = _precision(bits) + _BRIDGE_GUARD
     return _from_mpi(_libmp.mpi_pow(_mpi(base, prec), _mpi(expo, prec), prec))
 
 
@@ -454,14 +585,16 @@ def ri_pow_frac(x: RI | Fraction, s: Fraction, bits: int) -> RI:
     if isinstance(x, RI):
         lo, hi = x.lo, x.hi
     else:
-        lo = hi = Fraction(x)
-    if lo <= 0:
+        lo = hi = _data(x, "the base")
+    s = _data(s, "the exponent")
+    _precision(bits)
+    if lo.numerator <= 0:
         raise DomainError("ri_pow_frac needs a positive base")
     los = pow_bounds(lo, s, bits)
-    if lo == hi:
+    if _eq(lo, hi):
         return RI(*los)
     his = pow_bounds(hi, s, bits)
-    if s >= 0:
+    if s.numerator >= 0:
         return RI(los[0], his[1])
     return RI(his[0], los[1])
 
@@ -511,7 +644,7 @@ class CI:
 
     def pad(self, radius) -> "CI":
         """Grow both components by ±radius (a magnitude tail bound)."""
-        r = Fraction(radius)
+        r = _data(radius, "the radius")
         return CI(RI(self.re.lo - r, self.re.hi + r),
                   RI(self.im.lo - r, self.im.hi + r))
 

@@ -224,14 +224,16 @@ class BorelExample:
     N: int
 
     def __post_init__(self):
-        self.rho = Fraction(self.rho)
+        if not callable(self.coeffs):
+            raise DomainError(f"coeffs must be callable, got {self.coeffs!r}")
+        self.rho = _rational(self.rho, "rho")
         if not (0 <= self.rho < 1):
             raise DomainError("rho must satisfy 0 <= rho < 1")
-        if self.N < 8:
+        if _order(self.N, "N") < 8:
             raise DomainError("truncation N must be at least 8")
 
     def coefficient(self, v: int) -> Fraction:
-        a = Fraction(self.coeffs(v))
+        a = _rational(self.coeffs(v), f"A_{v}")
         if abs(a) > self.rho**v:
             raise DomainError(f"|A_{v}| exceeds the asserted bound rho^{v}")
         return a
@@ -250,13 +252,19 @@ class BorelExample:
         return first / (1 - ratio)
 
 
+def _borel(B) -> None:
+    if not isinstance(B, BorelExample):
+        raise DomainError(f"B must be a BorelExample, got {B!r}")
+
+
 def borel_example_eval(B: BorelExample, x: Fraction) -> CI:
     """Certified complex interval for f(x) at real rational x.
 
     Each term is exact:  1/(x - i/v) = (x + i/v) / (x^2 + 1/v^2);
     the tail uses |A_v/(x - i/v)| <= rho^v * v.
     """
-    x = Fraction(x)
+    _borel(B)
+    x = _rational(x, "x")
     re = Fraction(0)
     im = Fraction(0)
     for v in range(1, B.N + 1):
@@ -302,6 +310,9 @@ def borel_example_derivatives(B: BorelExample, j: int) -> DerivativeCrossCheck:
     Both routes produce certified intervals; the result records whether
     they overlap, which they must.
     """
+    _borel(B)
+    if _order(j, "j") < 0:
+        raise DomainError(f"j must be >= 0, got {j}")
     # route (a)
     s_direct = Fraction(0)
     for v in range(1, B.N + 1):

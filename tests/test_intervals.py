@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qal import intervals, sequences, theta
-from qal.errors import DomainError, PrecisionFailure, UndecidableAtCap
-from qal.intervals import (PRECISION_CAP, RI, PowerLadder, certify, iv_cos_sin, iv_exp,
+from qal.errors import DomainError, PrecisionFailure, QalError, UndecidableAtCap
+from qal.intervals import (CI, PRECISION_CAP, RI, PowerLadder, certify, iv_cos_sin, iv_exp,
                            iv_log_shift_e, iv_pow, ri_pow_frac)
 from qal.sequences import CarlemanSequence, gevrey, loggevrey
 
@@ -535,3 +535,153 @@ class TestBridgeOracle:
             assert mpmath.iv.prec == 77
         finally:
             mpmath.iv.prec = old
+
+
+# -- the kernel's int paths against Fraction arithmetic --------------------------------
+
+_PARTS = st.integers(-(1 << 400), 1 << 400)
+
+
+@st.composite
+def kernel_operands(draw):
+    """A dyadic, non-dyadic, zero or integer Fraction, of either sign."""
+    kind = draw(st.sampled_from(["dyadic", "non-dyadic", "zero", "integer"]))
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "integer":
+        return Fraction(draw(_PARTS))
+    if kind == "dyadic":
+        return Fraction(draw(_PARTS), 1 << draw(st.integers(0, 500)))
+    return Fraction(draw(_PARTS), draw(st.integers(1, 1 << 400)))
+
+
+def _identical(got, want: Fraction) -> bool:
+    return (type(got) is Fraction and got == want and got.numerator == want.numerator
+            and got.denominator == want.denominator and hash(got) == hash(want))
+
+
+def _floor_reference(q: Fraction, p: int) -> Fraction:
+    """The rounding formula on Fraction arithmetic alone."""
+    n, d = q.numerator, q.denominator
+    s = p - 1 - n.bit_length() + d.bit_length()
+    if s >= 0:
+        return Fraction((n << s) // d, 1 << s)
+    return Fraction((n // (d << -s)) << -s)
+
+
+class TestKernelHelpers:
+    def test_fraction_layout_is_the_two_slots(self):
+        # intervals._fraction builds Fractions through these slots
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PARTS, st.integers(0, 500))
+    def test_dyadic_constructor_is_fraction(self, m, s):
+        assert _identical(intervals._dyadic(m, 1 << s), Fraction(m, 1 << s))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_operands(), kernel_operands())
+    def test_ring_helpers_equal_fraction_arithmetic(self, x, y):
+        assert _identical(intervals._add(x, y), x + y)
+        assert _identical(intervals._mul(x, y), x * y)
+        assert _identical(intervals._neg(x), -x)
+        assert intervals._lt(x, y) == (x < y)
+        assert intervals._eq(x, y) == (x == y)
+        if x:
+            assert _identical(intervals._recip(x), 1 / x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_operands(), st.sampled_from([8, 64, 288, 1056]))
+    def test_rounding_equals_the_fraction_formula(self, q, p):
+        assert _identical(intervals._floor_dyadic(q, p), _floor_reference(q, p))
+        long = _bits(q) > 2 * p
+        want_down = _floor_reference(q, p) if long else q
+        want_up = -_floor_reference(-q, p) if long else q
+        assert _identical(intervals._round_down(q, p), want_down)
+        assert _identical(intervals._round_up(q, p), want_up)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(kernel_operands(), min_size=4, max_size=4))
+    def test_min_max_are_the_builtins(self, ps):
+        ps = tuple(ps)
+        lo, hi = intervals._min_max(ps)
+        assert lo is min(ps) and hi is max(ps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-(1 << 300), 1 << 300), st.integers(-400, 400))
+    def test_bridge_endpoints_are_fraction(self, man, exp):
+        mpf = mpmath.libmp.from_man_exp(man, exp)
+        out = intervals._from_mpi((mpf, mpf))
+        assert out.lo is out.hi
+        assert _identical(out.lo, Fraction(*mpmath.libmp.to_rational(mpf)))
+
+    def test_rel_width_of_an_interval_with_an_endpoint_at_zero(self):
+        assert RI(0, 1).rel_width() == Fraction(1 << 62)
+        assert RI(-1, 0).rel_width() == Fraction(1 << 62)
+        assert RI(0).rel_width() == 0
+        assert RI(1, 3).rel_width() == 2
+
+
+# -- error contract ----------------------------------------------------------------------
+
+_NOT_DATA = st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.floats(),
+                      st.complex_numbers())
+_BAD_BITS = st.one_of(_NOT_DATA, st.fractions(), st.integers(max_value=0))
+
+
+@st.composite
+def _malformed_calls(draw):
+    """One interval operation with one malformed argument, as (label, thunk)."""
+    op = draw(st.sampled_from(["RI", "RI lo", "RI hi", "RI.point", "RI.of", "CI re", "CI im",
+                               "CI.pad", "iv_exp", "iv_log_shift_e", "iv_cos_sin",
+                               "iv_pow base", "iv_pow expo", "ri_pow_frac x",
+                               "ri_pow_frac s", "bits"]))
+    if op == "bits":
+        bits = draw(_BAD_BITS)
+        fn = draw(st.sampled_from([
+            lambda: iv_exp(1, bits), lambda: iv_log_shift_e(1, bits),
+            lambda: iv_cos_sin(1, bits), lambda: iv_pow(2, Fraction(1, 3), bits),
+            lambda: ri_pow_frac(2, Fraction(1, 2), bits)]))
+        return f"bits={bits!r}", fn
+    # None is the default of RI's hi and CI's im: a point, and a real box
+    bad = draw(_NOT_DATA.filter(lambda v: v is not None) if op in ("RI hi", "CI im")
+               else _NOT_DATA)
+    return f"{op} {bad!r}", {
+        "RI": lambda: RI(bad), "RI lo": lambda: RI(bad, 1), "RI hi": lambda: RI(0, bad),
+        "RI.point": lambda: RI.point(bad), "RI.of": lambda: RI.of(bad),
+        "CI re": lambda: CI(bad), "CI im": lambda: CI(1, bad),
+        "CI.pad": lambda: CI(1, 2).pad(bad), "iv_exp": lambda: iv_exp(bad, 64),
+        "iv_log_shift_e": lambda: iv_log_shift_e(bad, 64),
+        "iv_cos_sin": lambda: iv_cos_sin(bad, 64),
+        "iv_pow base": lambda: iv_pow(bad, Fraction(1, 3), 64),
+        "iv_pow expo": lambda: iv_pow(2, bad, 64),
+        "ri_pow_frac x": lambda: ri_pow_frac(bad, Fraction(1, 2), 64),
+        "ri_pow_frac s": lambda: ri_pow_frac(2, bad, 64),
+    }[op]
+
+
+class TestErrorContract:
+    @settings(max_examples=400, deadline=None)
+    @given(_malformed_calls())
+    def test_malformed_input_raises_a_coded_domain_error(self, call):
+        label, thunk = call
+        with pytest.raises(QalError) as info:
+            thunk()
+        assert isinstance(info.value, DomainError), label
+        assert info.value.code == "domain-error"
+
+    @pytest.mark.parametrize("call", [
+        lambda: RI("abc"), lambda: RI(None), lambda: RI(0.5), lambda: RI(True),
+        lambda: iv_cos_sin(1, 1.5), lambda: ri_pow_frac(2, 0.5, 64),
+        lambda: iv_exp(1, True), lambda: iv_exp(1, 0),
+    ], ids=["RI('abc')", "RI(None)", "RI(0.5)", "RI(True)", "iv_cos_sin bits=1.5",
+            "ri_pow_frac s=0.5", "bits=True", "bits=0"])
+    def test_the_reported_inputs(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_an_int_is_exact_data(self):
+        assert (RI(3).lo, RI(3).hi) == (Fraction(3), Fraction(3))
+        assert type(RI(3).lo) is Fraction
+        assert _pair(iv_exp(1, 64)) == _pair(iv_exp(Fraction(1), 64))
+        assert CI(1, 2).pad(1).to_json() == CI(Fraction(1), Fraction(2)).pad(Fraction(1)).to_json()

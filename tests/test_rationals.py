@@ -61,3 +61,42 @@ class TestRoots:
         expected = Fraction(math.isqrt((x.numerator * x.denominator) << (2 * shift)),
                             x.denominator << shift)
         assert root_bounds(x, 2, bits)[0] == expected
+
+
+def _power_product_reference(left, right) -> int:
+    """The comparison on Fraction arithmetic: both sides raised to the lcm
+    L of the exponent denominators, each a product of Fraction powers."""
+    L = math.lcm(*(e.denominator for _, e in left + right))
+    lv = math.prod((b ** int(e * L) for b, e in left), start=Fraction(1))
+    rv = math.prod((b ** int(e * L) for b, e in right), start=Fraction(1))
+    return (lv > rv) - (lv < rv)
+
+
+_BASES = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+_EXPONENTS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+_SIDES = st.lists(st.tuples(_BASES, _EXPONENTS), max_size=4)
+
+
+class TestComparePowerProducts:
+    @settings(max_examples=300, deadline=None)
+    @given(_SIDES, _SIDES)
+    def test_equals_the_fraction_reference(self, left, right):
+        assert compare_power_products(left, right) == _power_product_reference(left, right)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SIDES)
+    def test_a_side_equals_itself_and_its_permutation(self, side):
+        assert compare_power_products(side, side) == 0
+        assert compare_power_products(side, side[::-1]) == 0
+
+    @pytest.mark.parametrize("left, right, want", [
+        # 2^(1/2) vs 3^(1/3): 2^3 = 8 < 9 = 3^2
+        ([(Fraction(2), Fraction(1, 2))], [(Fraction(3), Fraction(1, 3))], -1),
+        # (2/3)^(-2) = 9/4 vs (3/2)^2
+        ([(Fraction(2, 3), Fraction(-2))], [(Fraction(3, 2), Fraction(2))], 0),
+        # (1/2)^(-1/2) = sqrt 2 > (5/4)^1
+        ([(Fraction(1, 2), Fraction(-1, 2))], [(Fraction(5, 4), Fraction(1))], 1),
+        ([], [(Fraction(7, 3), Fraction(0))], 0),
+    ])
+    def test_hand_values(self, left, right, want):
+        assert compare_power_products(left, right) == want

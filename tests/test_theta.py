@@ -316,6 +316,38 @@ def _malformed_calls(draw):
     return f"{op} {bad}={args[bad]!r}", lambda: fn(*(args[n] for n in names))
 
 
+_NOT_CALLABLES = st.one_of(st.none(), st.integers(), st.fractions(), st.text(max_size=3),
+                          st.lists(st.integers(), max_size=2))
+_NOT_BORELS = st.one_of(st.none(), st.integers(), st.fractions(), st.text(max_size=3))
+
+
+def _borel(**changes) -> BorelExample:
+    args = {"coeffs": lambda v: Fraction(1, 2**v), "rho": Fraction(1, 2), "N": 10}
+    args.update(changes)
+    return BorelExample(**args)
+
+
+@st.composite
+def _malformed_borel_calls(draw):
+    """One call of the rational-pole series API with one malformed argument,
+    as (label, thunk); the others are A_v = 2^-v, rho = 1/2, N = 10, x = 1/3
+    and j = 1."""
+    bad = draw(st.sampled_from(["coeffs", "rho", "N", "x", "j", "B eval", "B derivatives"]))
+    if bad in ("coeffs", "rho", "N"):
+        value = draw({"coeffs": _NOT_CALLABLES, "rho": _NOT_DATA, "N": _BAD_ORDERS}[bad])
+        return f"BorelExample {bad}={value!r}", lambda: _borel(**{bad: value})
+    if bad == "x":
+        x = draw(_NOT_DATA)
+        return f"borel_example_eval x={x!r}", lambda: borel_example_eval(_borel(), x)
+    if bad == "j":
+        j = draw(_BAD_ORDERS)
+        return f"borel_example_derivatives j={j!r}", lambda: borel_example_derivatives(_borel(), j)
+    B = draw(_NOT_BORELS)
+    if bad == "B eval":
+        return f"borel_example_eval B={B!r}", lambda: borel_example_eval(B, Fraction(1, 3))
+    return f"borel_example_derivatives B={B!r}", lambda: borel_example_derivatives(B, 1)
+
+
 class TestErrorContract:
     @settings(max_examples=300, deadline=None)
     @given(_malformed_calls())
@@ -340,6 +372,36 @@ class TestErrorContract:
     def test_the_reported_inputs(self, call):
         with pytest.raises(DomainError):
             call()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_malformed_borel_calls())
+    def test_malformed_borel_input_raises_a_coded_domain_error(self, call):
+        label, thunk = call
+        with pytest.raises(QalError) as info:
+            thunk()
+        assert isinstance(info.value, DomainError), label
+        assert info.value.code == "domain-error"
+
+    @pytest.mark.parametrize("call", [
+        lambda: borel_example_eval(_borel(), "abc"),
+        lambda: borel_example_eval(_borel(), 0.5),
+        lambda: _borel(rho="x"),
+        lambda: _borel(coeffs=None),
+        lambda: _borel(N=8.5),
+        lambda: borel_example_derivatives(_borel(), 1.5),
+        lambda: borel_example_derivatives(_borel(), True),
+        lambda: borel_example_eval(_borel(coeffs=lambda v: 0.5**v), Fraction(1, 3)),
+    ], ids=["x='abc'", "x=0.5", "rho='x'", "coeffs=None", "N=8.5", "j=1.5", "j=True",
+            "float coefficient"])
+    def test_the_reported_borel_inputs(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_int_borel_data_is_exact_data(self):
+        ints = _borel(coeffs=lambda v: 0, rho=0)
+        fractions = _borel(coeffs=lambda v: Fraction(0), rho=Fraction(0))
+        assert borel_example_eval(ints, 1).to_json() == \
+            borel_example_eval(fractions, Fraction(1)).to_json()
 
     def test_an_int_argument_is_exact_data(self):
         assert theta_eval(gevrey(1), 0, 1, 12).to_json() == \
