@@ -44,6 +44,33 @@ class TestParser:
         with pytest.raises(QalSyntaxError):
             P("x + $")
 
+    @pytest.mark.parametrize("text, expected", [
+        ("y^^2", (QalSyntaxError, 2)),
+        ("x + $", (QalSyntaxError, 4)),
+        ("1/0*x", (ZeroDivisionError, None)),
+        ("0.5*x", (QalSyntaxError, 1)),
+        ("x/2", (QalSyntaxError, 1)),
+        ("x^-1", (QalSyntaxError, 2)),
+        ("x^2/3", (QalSyntaxError, 2)),
+        ("x^1/2", (QalSyntaxError, 2)),
+        ("", (QalSyntaxError, 0)),
+        ("x y", (QalSyntaxError, 2)),
+        ("2x", (QalSyntaxError, 1)),
+        ("(x + 1", (QalSyntaxError, 6)),
+        ("x)", (QalSyntaxError, 1)),
+        ("--x", (("x",), {(1,): Fraction(1)})),
+        ("x^0", (("x",), {(0,): Fraction(1)})),
+        ("3/6*y", (("y",), {(1,): Fraction(1, 2)})),
+    ], ids=repr)
+    def test_golden_corpus(self, text, expected):
+        # each text's variables and coefficients, or its error class and offset
+        try:
+            poly = P(text)
+        except Exception as exc:
+            assert (type(exc), getattr(exc, "position", None)) == expected
+        else:
+            assert (poly.vars, poly.coeffs) == expected
+
     def test_round_trip_random_corpus(self):
         rng = random.Random(13571)
         for _ in range(100):

@@ -49,6 +49,38 @@ class TestParser:
         with pytest.raises(QalSyntaxError):
             parse_sequence("gevrey(1) trailing")
 
+    @pytest.mark.parametrize("text, expected", [
+        ("GEVREY(2)", gevrey(2)),
+        ("gevrey(+2)", gevrey(2)),
+        ("gevrey(.5)", gevrey(Fraction(1, 2))),
+        ("gevrey(5.)", gevrey(5)),
+        ("gevrey(1e1)", gevrey(10)),
+        ("gevrey(1.5e-1)", gevrey(Fraction(3, 20))),
+        ("gevrey(1/0)", (QalSyntaxError, 7)),
+        ("gevrey(--1)", (QalSyntaxError, 7)),
+        ("gevrey(1.5.2)", (QalSyntaxError, 7)),
+        ("gevrey(1/2.5)", (QalSyntaxError, 7)),
+        ("gevrey(-1)", (DomainError, None)),
+        ("qgevrey(1)", (DomainError, None)),
+        ("custom{ terms = [ 1 , 3/2 ] }", custom([1, Fraction(3, 2)])),
+        ("custom{terms=[]}", (QalSyntaxError, 14)),
+        ("custom{terms=[1,2,1/0]}", (QalSyntaxError, 18)),
+        ("custom{foo=[1]}", (QalSyntaxError, 12)),
+        ("custom{assume=[moderate_growth]}", (QalSyntaxError, 32)),
+        ("custom{terms=[1, 2]; assume=[foo]}", (DomainError, None)),
+        ("analytic()", (QalSyntaxError, 8)),
+        ("gevrey(1", (QalSyntaxError, 8)),
+        ("gevrey()", (QalSyntaxError, 7)),
+    ], ids=repr)
+    def test_golden_corpus(self, text, expected):
+        # each text's sequence, or its error class and offset
+        try:
+            seq = parse_sequence(text)
+        except Exception as exc:
+            assert (type(exc), getattr(exc, "position", None)) == expected
+        else:
+            assert seq == expected
+
     def test_custom_parse(self):
         seq = parse_sequence("custom{terms=[1, 2, 6, 24]; assume=[derivation_stable]}")
         assert seq.terms == (1, 2, 6, 24)
