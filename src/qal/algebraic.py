@@ -45,6 +45,7 @@ from sympy.polys.sqfreetools import dup_sqf_norm
 from .errors import DomainError, ExtensionFailure
 from .intervals import CI, RI
 from .polynomials import uadd, udeg, umul, umonic, utrim
+from .rationals import _rational
 
 _T = Symbol("_qal_t")
 _Z = Symbol("_qal_z")
@@ -99,7 +100,8 @@ class NumberField:
     """Q(gamma) for a chosen root gamma of a monic irreducible m over Q."""
 
     def __init__(self, minpoly: list[Fraction], root_index: int | None = None):
-        minpoly = umonic(utrim([Fraction(c) for c in minpoly]))
+        minpoly = umonic(utrim([_rational(c, "a minimal polynomial coefficient")
+                                for c in minpoly]))
         self.minpoly = tuple(minpoly)
         self.degree = udeg(minpoly)
         if self.degree < 1:

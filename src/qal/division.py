@@ -59,9 +59,9 @@ from .intervals import (RI, _floor_dyadic, certify, default_bits, iv_exp,
                         ri_pow_frac)
 from .polynomials import (MultiPoly, _accumulate_product, _var_key, umul,
                           usub, utrim)
-from .rationals import factorial, format_fraction, root_bounds
+from .rationals import _order, factorial, format_fraction, root_bounds
 from .sequences import CarlemanSequence
-from .theta import _magnitude_at_zero, build_theta
+from .theta import _checked, _magnitude_at_zero, build_theta
 
 
 # -- Euclidean division ----------------------------------------------------------
@@ -284,6 +284,8 @@ def specialize_division(P: MultiPoly, phi: DistinguishedPoly,
 def regular_order(phi: MultiPoly, var: str) -> int | None:
     """Order of vanishing of phi(0, ..., 0, var) at 0, or None when that
     restriction vanishes identically (not regular)."""
+    _require_poly(phi, "phi")
+    _require_var(var)
     if phi.is_zero():
         raise ZeroPolynomialError("regular order of the zero polynomial")
     restricted = {}
@@ -300,6 +302,9 @@ def regular_order(phi: MultiPoly, var: str) -> int | None:
 def strictly_regular_check(F: MultiPoly, d: int, var: str) -> bool:
     """True iff F has no monomials of total degree < d and the pure var^d
     coefficient is nonzero."""
+    _require_poly(F, "F")
+    _order(d, "d")
+    _require_var(var)
     if F.total_degree() >= 0 and F.order() < d:
         return False
     i = F.vars.index(var) if var in F.vars else None
@@ -603,6 +608,7 @@ def nodiv_witness(M: CarlemanSequence, J: int, K: int) -> NoDivWitness:
     that approximation holds, from it; an attempt that cannot certify
     some c_j >= M_{2j} escalates.
     """
+    _checked(M, J=J, K=K)
     if J < 1 or K < 2 * J + 8:
         raise DomainError("need J >= 1 and K >= 2J + 8")
     failed = 0

@@ -417,7 +417,7 @@ class RI:
     def contains(self, x) -> bool:
         if isinstance(x, RI):
             return self.lo <= x.lo and x.hi <= self.hi
-        return self.lo <= Fraction(x) <= self.hi
+        return self.lo <= _data(x, "a point") <= self.hi
 
     def is_point(self) -> bool:
         return _eq(self.lo, self.hi)

@@ -14,6 +14,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, QalSyntaxError, ZeroPolynomialError
+from .rationals import TokenCursor
 
 Exponents = tuple[int, ...]
 
@@ -245,12 +246,12 @@ class MultiPoly:
             elif e > 1:
                 parts.append(f"{v}^{e}")
         if not parts:
-            return _coeff_str(c)
+            return str(c)
         if c == 1:
             return "*".join(parts)
         if c == -1:
             return "-" + "*".join(parts)
-        return _coeff_str(c) + "*" + "*".join(parts)
+        return f"{c}*" + "*".join(parts)
 
     def __str__(self):
         if not self.coeffs:
@@ -280,119 +281,61 @@ def _dict_product(a: dict, b: dict) -> dict:
     return out
 
 
-def _coeff_str(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 # -- parser ---------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<num>\d+(/\d+)?)
-  | (?P<var>[a-zA-Z]\w*)
-  | (?P<op>[-+*^()])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
-""", re.VERBOSE)
+def _expr(cur: TokenCursor) -> MultiPoly:
+    """expr := term (('+' | '-') term)*"""
+    out = _term(cur)
+    while cur.peek()[1] in ("+", "-"):
+        sign = cur.take("char")[1]
+        out = out + _term(cur) if sign == "+" else out - _term(cur)
+    return out
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "ws":
-            continue
-        if m.lastgroup == "bad":
-            raise QalSyntaxError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _term(cur: TokenCursor) -> MultiPoly:
+    """term := factor ('*' factor)*"""
+    out = _factor(cur)
+    while cur.accept("*"):
+        out = out * _factor(cur)
+    return out
 
 
-class _PolyParser:
-    """Recursive descent over:  expr := term (('+'|'-') term)*
-    term := factor ('*' factor)*  ;  factor := ('-')* atom ('^' int)?
-    atom := number | variable | '(' expr ')'."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.idx = 0
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def parse(self) -> MultiPoly:
-        out = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise QalSyntaxError(f"unexpected {val!r}", pos)
-        return out
-
-    def expr(self) -> MultiPoly:
-        out = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                out = out + rhs if val == "+" else out - rhs
-            else:
-                return out
-
-    def term(self) -> MultiPoly:
-        out = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                out = out * self.factor()
-            else:
-                return out
-
-    def factor(self) -> MultiPoly:
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return -self.factor()
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            kind, val, pos = self.advance()
-            if kind != "num" or "/" in val:
-                raise QalSyntaxError("exponent must be a nonnegative integer", pos)
-            return base ** int(val)
+def _factor(cur: TokenCursor) -> MultiPoly:
+    """factor := '-' factor | atom ('^' digits)?
+    atom := literal | name | '(' expr ')'"""
+    if cur.accept("-"):
+        return -_factor(cur)
+    kind, text, offset = cur.peek()
+    if kind == "number":
+        base = MultiPoly.constant(cur.number())
+    elif kind == "name":
+        base = MultiPoly.variable(cur.take("name")[1])
+    elif cur.accept("("):
+        base = _expr(cur)
+        cur.take("char", ")")
+    else:
+        raise QalSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", offset)
+    if not cur.accept("^"):
         return base
-
-    def atom(self) -> MultiPoly:
-        kind, val, pos = self.advance()
-        if kind == "num":
-            if "/" in val:
-                p, q = val.split("/")
-                return MultiPoly.constant(Fraction(int(p), int(q)))
-            return MultiPoly.constant(Fraction(int(val)))
-        if kind == "var":
-            return MultiPoly.variable(val)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            kind, val, pos = self.advance()
-            if val != ")":
-                raise QalSyntaxError("expected ')'", pos)
-            return inner
-        raise QalSyntaxError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
+    _, text, offset = cur.peek()
+    if not text.isdigit():
+        raise QalSyntaxError("exponent must be a nonnegative integer", offset)
+    cur.take("number")
+    return base ** int(text)
 
 
 def parse_polynomial(text: str) -> MultiPoly:
-    """Parse the polynomial grammar: variables x, y or x1..xn, integer or
-    rational coefficients, '^' powers, '+', '-', '*', parentheses."""
-    poly = _PolyParser(text).parse()
-    merged = tuple(sorted(set(poly.vars), key=_var_key))
-    return poly.with_vars(merged) if merged != poly.vars else poly
+    """Parse the polynomial grammar: variables x, y or x1..xn, literal
+    coefficients, '^' powers, '+', '-', '*', parentheses.
+
+    The lexer and its literal rule (an integer, p/q or a decimal, read
+    exactly) are those of :class:`qal.rationals.TokenCursor`, shared with
+    the sequence DSL.  A QalSyntaxError's position is the offset of the
+    token where parsing failed."""
+    cur = TokenCursor(text)
+    poly = _expr(cur)
+    cur.take("end")
+    return poly
 
 
 # -- dense univariate helpers over a field-like coefficient type -----------------

@@ -269,6 +269,8 @@ def puiseux_expand(phi: MultiPoly, T) -> PuiseuxExpansion:
     vanish identically for an exact branch and to x-order > T for a
     truncated one; the module docstring says what this proves.
     """
+    if not isinstance(phi, MultiPoly):
+        raise DomainError(f"the germ must be a MultiPoly, got {type(phi).__name__}")
     if isinstance(T, bool) or not isinstance(T, (int, Fraction)):
         raise DomainError(f"truncation order must be an int or a Fraction, got {T!r}")
     T = Fraction(T)

@@ -1,14 +1,21 @@
-"""Exact rational helpers: input checks, parsing, formatting, integer roots
-and power bounds.
+"""Exact rational helpers: input checks, the text lexer, formatting,
+integer roots and power bounds.
 
 Everything here is pure integer/Fraction arithmetic; no rounding occurs
 except in the explicitly directed root-bound functions, which always
 round outward.
+
+One lexer, :class:`TokenCursor`, reads the polynomial grammar and the
+sequence DSL.  Its tokens are ``number`` literals, ``name``s and single
+``char``s.  The literal rule: an integer, ``p/q``, or a decimal such as
+``1.5``, ``.5`` or ``5.`` with an optional exponent ``1.5e-3``; unsigned,
+and converted exactly, never through a binary float.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import DomainError, QalSyntaxError
@@ -55,28 +62,63 @@ def stirling2_row(j: int) -> list[int]:
     return row
 
 
-def parse_fraction(text: str, position: int = 0) -> Fraction:
-    """Parse 'p/q', an integer, or a decimal literal into an exact Fraction.
+_LEXEME_RE = re.compile(r"(?P<number>[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)"
+                        r"|(?P<name>[A-Za-z_]\w*)|(?P<char>\S)")
 
-    Decimal literals are read digit-exactly (no binary float round trip).
-    """
-    s = text.strip()
-    try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        if "." in s or "e" in s or "E" in s:
-            return Fraction(s)
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise QalSyntaxError(f"invalid rational literal {text!r}: {exc}", position) from None
+class TokenCursor:
+    """The (kind, text, offset) tokens of a text, the last one
+    ("end", "", len(text)), and a position among them."""
+
+    __slots__ = ("tokens", "index")
+
+    def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise DomainError(f"the text to parse must be a str, got {type(text).__name__}")
+        self.tokens = [(m.lastgroup, m.group(), m.start()) for m in _LEXEME_RE.finditer(text)]
+        self.tokens.append(("end", "", len(text)))
+        self.index = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.index]
+
+    def take(self, kind: str, text: str | None = None) -> tuple[str, str, int]:
+        """The next token, which must be of this kind (and text, if given);
+        otherwise QalSyntaxError at its offset."""
+        token = self.tokens[self.index]
+        if token[0] != kind or text not in (None, token[1]):
+            wanted = repr(text) if text else kind
+            found = repr(token[1]) if token[1] else "end of input"
+            raise QalSyntaxError(f"expected {wanted}, found {found}", token[2])
+        self.index += 1
+        return token
+
+    def accept(self, text: str) -> bool:
+        """Skip the next token if it is this text."""
+        if self.tokens[self.index][1] == text:
+            self.index += 1
+            return True
+        return False
+
+    def number(self) -> Fraction:
+        """An optional sign and a literal, as an exact Fraction."""
+        sign = self.peek()[1]
+        self.index += sign in ("+", "-")
+        _, text, offset = self.take("number")
+        if "/" in text:
+            p, q = map(int, text.split("/"))
+            if not q:
+                raise QalSyntaxError(f"zero denominator in {text!r}", offset)
+            value = Fraction(p, q)
+        elif text.isdigit():
+            value = Fraction(int(text))
+        else:
+            value = Fraction(text)
+        return -value if sign == "-" else value
 
 
 def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """'p/q', or 'p' for an integer."""
+    return str(Fraction(x))
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:

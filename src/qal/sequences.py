@@ -31,8 +31,8 @@ from .errors import (DomainError, InconclusiveInput, QalSyntaxError,
                      UndecidableAtCap)
 from .intervals import (RI, certify, default_bits, iv_log_shift_e, iv_pow,
                         ri_pow_frac)
-from .rationals import (compare_power_products, exact_pow, factorial,
-                        format_fraction, parse_fraction)
+from .rationals import (TokenCursor, _order, compare_power_products, exact_pow,
+                        factorial, format_fraction)
 
 TRUE = "true"
 FALSE = "false"
@@ -248,76 +248,36 @@ class CarlemanSequence:
         return self.dsl()
 
 
+def _number(value, what: str) -> Fraction:
+    """Fraction(value), such as of 2, 0.5 or '1/2'; DomainError if it fails."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise DomainError(f"{what} must be a rational number, got {value!r}") from None
+
+
 def analytic() -> CarlemanSequence:
     return CarlemanSequence(ANALYTIC)
 
 
 def gevrey(alpha) -> CarlemanSequence:
-    return CarlemanSequence(GEVREY, param=Fraction(alpha))
+    return CarlemanSequence(GEVREY, param=_number(alpha, "the gevrey parameter"))
 
 
 def loggevrey(alpha) -> CarlemanSequence:
-    return CarlemanSequence(LOG_GEVREY, param=Fraction(alpha))
+    return CarlemanSequence(LOG_GEVREY, param=_number(alpha, "the loggevrey parameter"))
 
 
 def qgevrey(q) -> CarlemanSequence:
-    return CarlemanSequence(Q_GEVREY, param=Fraction(q))
+    return CarlemanSequence(Q_GEVREY, param=_number(q, "the qgevrey parameter"))
 
 
 def custom(terms, assume=()) -> CarlemanSequence:
-    return CarlemanSequence(CUSTOM, terms=tuple(Fraction(t) for t in terms),
+    return CarlemanSequence(CUSTOM, terms=tuple(_number(t, "a custom term") for t in terms),
                             assume=frozenset(assume))
 
 
 # -- DSL parser ---------------------------------------------------------------
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise QalSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
-            raise QalSyntaxError("expected identifier", start)
-        return self.text[start:self.pos]
-
-    def number(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        allowed = "0123456789./eE+-"
-        while self.pos < len(self.text) and self.text[self.pos] in allowed:
-            # only allow sign characters at the start or after an exponent e
-            if self.text[self.pos] in "+-" and self.pos > start \
-                    and self.text[self.pos - 1] not in "eE":
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise QalSyntaxError("expected number", start)
-        return parse_fraction(self.text[start:self.pos], start)
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
 
 def parse_sequence(text: str) -> CarlemanSequence:
     """Parse the sequence DSL.
@@ -326,58 +286,50 @@ def parse_sequence(text: str) -> CarlemanSequence:
 
         seq    := 'analytic'
                 | 'gevrey' '(' R ')' | 'loggevrey' '(' R ')' | 'qgevrey' '(' R ')'
-                | 'custom' '{' 'terms' '=' '[' R (',' R)* ']'
-                             (';' 'assume' '=' '[' IDENT (',' IDENT)* ']')? '}'
+                | 'custom' '{' field (';' field)* '}'
+        field  := 'terms' '=' '[' R (',' R)* ']'
+                | 'assume' '=' '[' NAME (',' NAME)* ']'
 
-    where R is an integer, decimal or rational literal p/q, parsed exactly.
+    where R is an optionally signed literal: an integer, p/q or a decimal,
+    read exactly.  The lexer and its literal rule are those of
+    :class:`qal.rationals.TokenCursor`, shared with the polynomial grammar.
+    A QalSyntaxError's position is the offset of the token where parsing
+    failed.
     """
-    sc = _Scanner(text)
-    name_pos = sc.pos
-    name = sc.ident().lower()
-    if name == "analytic":
+    cur = TokenCursor(text)
+    _, name, name_pos = cur.take("name")
+    name = name.lower()
+    if name == ANALYTIC:
         seq = analytic()
     elif name in (GEVREY, LOG_GEVREY, Q_GEVREY):
-        sc.expect("(")
-        value = sc.number()
-        sc.expect(")")
-        if name == Q_GEVREY and value <= 1:
-            raise DomainError(f"qgevrey parameter must be > 1, got {value}")
-        if name in (GEVREY, LOG_GEVREY) and value <= 0:
-            raise DomainError(f"{name} parameter must be > 0, got {value}")
+        cur.take("char", "(")
+        value = cur.number()
+        cur.take("char", ")")
         seq = CarlemanSequence(name, param=value)
-    elif name == "custom":
-        sc.expect("{")
-        terms: list[Fraction] = []
-        assume: list[str] = []
+    elif name == CUSTOM:
+        cur.take("char", "{")
+        fields = {"terms": [], "assume": []}
         while True:
-            key = sc.ident().lower()
-            sc.expect("=")
-            sc.expect("[")
-            if key == "terms":
-                terms.append(sc.number())
-                while sc.peek() == ",":
-                    sc.expect(",")
-                    terms.append(sc.number())
-            elif key == "assume":
-                assume.append(sc.ident())
-                while sc.peek() == ",":
-                    sc.expect(",")
-                    assume.append(sc.ident())
-            else:
-                raise QalSyntaxError(f"unknown custom field {key!r}", sc.pos)
-            sc.expect("]")
-            if sc.peek() == ";":
-                sc.expect(";")
-                continue
-            break
-        sc.expect("}")
-        if not terms:
-            raise QalSyntaxError("custom sequence needs terms", sc.pos)
-        seq = custom(terms, assume)
+            _, key, key_pos = cur.take("name")
+            key = key.lower()
+            if key not in fields:
+                raise QalSyntaxError(f"unknown custom field {key!r}", key_pos)
+            cur.take("char", "=")
+            cur.take("char", "[")
+            item = cur.number if key == "terms" else lambda: cur.take("name")[1]
+            fields[key].append(item())
+            while cur.accept(","):
+                fields[key].append(item())
+            cur.take("char", "]")
+            if not cur.accept(";"):
+                break
+        cur.take("char", "}")
+        if not fields["terms"]:
+            raise QalSyntaxError("custom sequence needs terms", cur.peek()[2])
+        seq = custom(fields["terms"], fields["assume"])
     else:
         raise QalSyntaxError(f"unknown sequence family {name!r}", name_pos)
-    if not sc.at_end():
-        raise QalSyntaxError("trailing input after sequence", sc.pos)
+    cur.take("end")
     return seq
 
 
@@ -470,7 +422,7 @@ class CheckResult:
 
 def check_log_convexity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
     """Verify M_j^2 <= M_{j-1} M_{j+1} for 1 <= j < horizon."""
-    if horizon < 2:
+    if _order(horizon, "horizon") < 2:
         raise DomainError("log-convexity check needs horizon >= 2")
     lim = M.horizon_limit()
     # j needs M_{j+1}, so the last index a finite sequence can check is lim - 1
@@ -487,8 +439,8 @@ def check_log_convexity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
 def verify_superadditivity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
     """Verify M_j M_k <= M_{j+k} for j + k <= horizon and that (M_j)^(1/j)
     is nondecreasing for 1 <= j <= horizon."""
-    lim = M.horizon_limit()
-    top = horizon if lim is None else min(horizon, lim)
+    top, lim = _order(horizon, "horizon"), M.horizon_limit()
+    top = top if lim is None else min(top, lim)
     comparisons, failures = [], []
     for j in range(1, top + 1):
         for k in range(j, top - j + 1):
@@ -647,6 +599,8 @@ class SequenceReport:
                   "moderate_growth", "strongly_regular")
 
     def flag(self, name: str) -> Flag:
+        if name not in self.FLAG_NAMES:
+            raise DomainError(f"unknown flag {name!r}; FLAG_NAMES are {self.FLAG_NAMES}")
         return getattr(self, name)
 
     def to_json(self) -> dict:
@@ -838,7 +792,7 @@ def _classify_custom(M: CarlemanSequence, horizon: int) -> dict:
 def power(M: CarlemanSequence, s) -> CarlemanSequence:
     """The sequence of s-th powers, s >= 1.  Stays inside the built-in
     families whenever the powered parameter is representable."""
-    s = Fraction(s)
+    s = _number(s, "the power exponent")
     if s < 1:
         raise DomainError("power exponent must be >= 1")
     if s == 1:

@@ -308,9 +308,11 @@ def test_refinement_is_capped(monkeypatch):
     lambda: QI.generator() + QSQRT2.generator(),
     lambda: QI.zero().inverse(),
     lambda: QI.generator().as_fraction(),
+    lambda: NumberField("abc"),
 ], ids=["constant-minpoly", "no-root-index", "root-index-too-large",
         "negative-root-index", "rational-root", "reducible-minpoly",
-        "different-fields", "inverse-of-zero", "irrational-as-fraction"])
+        "different-fields", "inverse-of-zero", "irrational-as-fraction",
+        "text-minpoly"])
 def test_domain_errors(call):
     with pytest.raises(DomainError) as info:
         call()

@@ -685,8 +685,12 @@ class TestErrorContract:
         lambda: generic_divisor(1.5),
         lambda: DistinguishedPoly("y", True, [P("x")]),
         lambda: DistinguishedPoly("y", 1.0, [P("x")]),
+        lambda: nodiv_witness(gevrey(1), 2.5, 16),
+        lambda: regular_order("x", "y"),
+        lambda: strictly_regular_check(P("x"), "a", "y"),
     ], ids=["phi-multipoly", "P-text", "euclid-P-text", "generic-negative", "generic-zero",
-            "generic-bool", "generic-float", "distinguished-bool", "distinguished-float"])
+            "generic-bool", "generic-float", "distinguished-bool", "distinguished-float",
+            "nodiv-float-J", "regular-order-text", "strictly-regular-text-d"])
     def test_calls_that_escaped_the_contract(self, call):
         # each raised a bare AttributeError or TypeError, or returned a polynomial
         with pytest.raises(DomainError) as info:

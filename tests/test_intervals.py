@@ -680,6 +680,23 @@ class TestErrorContract:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: RI(0, 1).contains(0.5), lambda: RI(0, 1).contains("abc"),
+        lambda: RI(0, 1).contains(None), lambda: CI(0).contains(0.0),
+    ], ids=["RI.contains(0.5)", "RI.contains('abc')", "RI.contains(None)",
+            "CI.contains(0.0)"])
+    def test_contains_takes_exact_data(self, call):
+        # each returned True or raised a bare ValueError or TypeError
+        with pytest.raises(DomainError) as info:
+            call()
+        assert info.value.code == "domain-error"
+
+    def test_contains_of_ints_and_fractions(self):
+        assert RI(0, 1).contains(1) and RI(0, 1).contains(Fraction(1, 2))
+        assert not RI(0, 1).contains(Fraction(3, 2))
+        assert RI(0, 1).contains(RI(0, Fraction(1, 2)))
+        assert CI(0, 2).contains(0, 2) and not CI(0, 2).contains(0)
+
     def test_an_int_is_exact_data(self):
         assert (RI(3).lo, RI(3).hi) == (Fraction(3), Fraction(3))
         assert type(RI(3).lo) is Fraction

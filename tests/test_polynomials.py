@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qal.algebraic import NumberField
-from qal.errors import DomainError, QalSyntaxError
+from qal.errors import DomainError, QalError, QalSyntaxError
 from qal.polynomials import MultiPoly, _var_key, parse_polynomial
 
 
@@ -47,8 +47,8 @@ class TestParser:
     @pytest.mark.parametrize("text, expected", [
         ("y^^2", (QalSyntaxError, 2)),
         ("x + $", (QalSyntaxError, 4)),
-        ("1/0*x", (ZeroDivisionError, None)),
-        ("0.5*x", (QalSyntaxError, 1)),
+        ("1/0*x", (QalSyntaxError, 0)),
+        ("0.5*x", (("x",), {(1,): Fraction(1, 2)})),
         ("x/2", (QalSyntaxError, 1)),
         ("x^-1", (QalSyntaxError, 2)),
         ("x^2/3", (QalSyntaxError, 2)),
@@ -70,6 +70,18 @@ class TestParser:
             assert (type(exc), getattr(exc, "position", None)) == expected
         else:
             assert (poly.vars, poly.coeffs) == expected
+
+    # at most 8 characters keep every power small: 2^222222 at the largest
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("xy012/.-+*^() ", max_size=8))
+    @example("1/0*x")
+    def test_returns_or_raises_a_qal_error(self, text):
+        try:
+            P(text)
+        except QalSyntaxError as exc:
+            assert 0 <= exc.position <= len(text)
+        except QalError:
+            pass
 
     def test_round_trip_random_corpus(self):
         rng = random.Random(13571)
@@ -138,7 +150,9 @@ class TestMultiPoly:
         lambda: MultiPoly.variable("z", ("x", "y")),
         lambda: P("x + y") ** -1,
         lambda: P("x + y").substitute({"z": P("x")}),
-    ], ids=["variable-outside-vars", "negative-power", "substitute-outside-vars"])
+        lambda: P(None),
+    ], ids=["variable-outside-vars", "negative-power", "substitute-outside-vars",
+            "parse-None"])
     def test_domain_errors(self, call):
         with pytest.raises(DomainError) as info:
             call()

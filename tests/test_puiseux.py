@@ -234,6 +234,17 @@ def test_branch_count_of_products(linear, quadratic):
                for b in expansion.branches) == phi.order()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: d_exponent("y^2", 4),
+    lambda: puiseux_expand("y^2", 4),
+], ids=["d_exponent-text", "puiseux_expand-text"])
+def test_a_germ_given_as_text_is_a_domain_error(call):
+    # each raised a bare AttributeError
+    with pytest.raises(DomainError) as info:
+        call()
+    assert info.value.code == "domain-error"
+
+
 def test_puiseux_and_algebraic_do_not_import_numpy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(puiseux.__file__)))
     code = "import sys, qal.puiseux, qal.algebraic; print('numpy' in sys.modules)"

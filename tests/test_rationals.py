@@ -1,12 +1,61 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qal.errors import DomainError
-from qal.rationals import (compare_power_products, factorial, iroot, pow_bounds,
-                           root_bounds)
+from qal import rationals
+from qal.errors import DomainError, QalSyntaxError
+from qal.rationals import (TokenCursor, compare_power_products, factorial, iroot,
+                           pow_bounds, root_bounds)
+
+
+class TestLexer:
+    def test_token_kinds_and_offsets(self):
+        cur = TokenCursor(" x1 + 3/4*$")
+        assert cur.tokens == [("name", "x1", 1), ("char", "+", 4), ("number", "3/4", 6),
+                              ("char", "*", 9), ("char", "$", 10), ("end", "", 11)]
+
+    @pytest.mark.parametrize("text, value", [
+        ("12", Fraction(12)), ("3/6", Fraction(1, 2)), ("1.5", Fraction(3, 2)),
+        (".5", Fraction(1, 2)), ("5.", Fraction(5)), ("1e1", Fraction(10)),
+        ("1.5e-1", Fraction(3, 20)), ("-2/3", Fraction(-2, 3)), ("+ 7", Fraction(7)),
+        ("0.1", Fraction(1, 10)),
+    ])
+    def test_the_literal_rule_is_exact(self, text, value):
+        cur = TokenCursor(text)
+        assert cur.number() == value
+        assert cur.peek()[0] == "end"
+
+    @pytest.mark.parametrize("text, position", [
+        ("1/0", 0), ("- -1", 2), ("x", 0), ("", 0), ("+/2", 1),
+    ])
+    def test_a_bad_number_raises_at_the_failing_token(self, text, position):
+        with pytest.raises(QalSyntaxError) as info:
+            TokenCursor(text).number()
+        assert info.value.position == position
+
+    def test_take_and_accept(self):
+        cur = TokenCursor("f(1)")
+        assert cur.take("name") == ("name", "f", 0)
+        assert not cur.accept(")")
+        assert cur.accept("(")
+        with pytest.raises(QalSyntaxError) as info:
+            cur.take("char", ")")
+        assert info.value.position == 2
+
+    def test_benchmark_modules_do_not_import_sympy(self):
+        # the lexer sits in rationals, which every benchmark worker imports;
+        # sympy would add its import time and memory to each of them
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rationals.__file__)))
+        code = ("import sys, qal.rationals, qal.intervals, qal.sequences, qal.theta, "
+                "qal.hilbert, qal.polynomials, qal.division; print('sympy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestErrors:

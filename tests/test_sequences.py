@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qal import sequences
-from qal.errors import DomainError, QalSyntaxError, UndecidableAtCap
+from qal.errors import DomainError, QalError, QalSyntaxError, UndecidableAtCap
 from qal.intervals import RI
 from qal.sequences import (CarlemanSequence, analytic, check_log_convexity,
                            classify, custom, gevrey, loggevrey, parse_sequence,
@@ -57,15 +57,15 @@ class TestParser:
         ("gevrey(1e1)", gevrey(10)),
         ("gevrey(1.5e-1)", gevrey(Fraction(3, 20))),
         ("gevrey(1/0)", (QalSyntaxError, 7)),
-        ("gevrey(--1)", (QalSyntaxError, 7)),
-        ("gevrey(1.5.2)", (QalSyntaxError, 7)),
-        ("gevrey(1/2.5)", (QalSyntaxError, 7)),
+        ("gevrey(--1)", (QalSyntaxError, 8)),
+        ("gevrey(1.5.2)", (QalSyntaxError, 10)),
+        ("gevrey(1/2.5)", (QalSyntaxError, 10)),
         ("gevrey(-1)", (DomainError, None)),
         ("qgevrey(1)", (DomainError, None)),
         ("custom{ terms = [ 1 , 3/2 ] }", custom([1, Fraction(3, 2)])),
         ("custom{terms=[]}", (QalSyntaxError, 14)),
         ("custom{terms=[1,2,1/0]}", (QalSyntaxError, 18)),
-        ("custom{foo=[1]}", (QalSyntaxError, 12)),
+        ("custom{foo=[1]}", (QalSyntaxError, 7)),
         ("custom{assume=[moderate_growth]}", (QalSyntaxError, 32)),
         ("custom{terms=[1, 2]; assume=[foo]}", (DomainError, None)),
         ("analytic()", (QalSyntaxError, 8)),
@@ -92,6 +92,55 @@ class TestParser:
                      "custom{terms=[1, 1, 2]; assume=[quasianalytic]}"]:
             seq = parse_sequence(text)
             assert parse_sequence(seq.dsl()) == seq
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("call", [
+        lambda: gevrey("a"),
+        lambda: qgevrey("x"),
+        lambda: custom([1, "a"]),
+        lambda: power(gevrey(1), "a"),
+        lambda: loggevrey(None),
+        lambda: classify(gevrey(1), "a"),
+        lambda: classify(gevrey(1)).flag("x"),
+        lambda: parse_sequence(5),
+    ], ids=["gevrey-text", "qgevrey-text", "custom-text-term", "power-text",
+            "loggevrey-None", "classify-text-horizon", "flag-unknown", "parse-int"])
+    def test_calls_that_escaped_the_contract(self, call):
+        # each raised a bare ValueError, TypeError or AttributeError
+        with pytest.raises(DomainError) as info:
+            call()
+        assert info.value.code == "domain-error"
+
+    def test_an_unknown_flag_names_the_flags(self):
+        with pytest.raises(DomainError, match="FLAG_NAMES"):
+            classify(gevrey(1)).flag("x")
+
+    @pytest.mark.parametrize("call, family, param", [
+        (lambda: gevrey(2), "gevrey", Fraction(2)),
+        (lambda: gevrey(0.5), "gevrey", Fraction(1, 2)),
+        (lambda: gevrey("1/2"), "gevrey", Fraction(1, 2)),
+        (lambda: loggevrey(Fraction(1, 2)), "loggevrey", Fraction(1, 2)),
+        (lambda: qgevrey("1.5"), "qgevrey", Fraction(3, 2)),
+        (lambda: power(gevrey(1), "3/2"), "gevrey", Fraction(3, 2)),
+        (lambda: power(gevrey(1), 1.5), "gevrey", Fraction(3, 2)),
+    ], ids=["int", "float", "text", "fraction", "text-decimal", "power-text", "power-float"])
+    def test_accepted_parameters_stay_accepted(self, call, family, param):
+        assert call() == CarlemanSequence(family, param=param)
+
+    def test_custom_terms_of_every_accepted_type(self):
+        assert custom([1, 2.0, "3", Fraction(7, 2)]).terms == (1, 2, 3, Fraction(7, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["gevrey(", "qgevrey(", "custom{terms=[", "analytic"]),
+           st.text("xy012/.-+*^() ", max_size=8))
+    def test_parse_sequence_returns_or_raises_a_qal_error(self, prefix, rest):
+        try:
+            parse_sequence(prefix + rest)
+        except QalSyntaxError as exc:
+            assert 0 <= exc.position <= len(prefix + rest)
+        except QalError:
+            pass
 
 
 class TestValue:
