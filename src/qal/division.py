@@ -25,32 +25,36 @@ and H is split into its parts by the power of z.
 The hyperbolicity decision rests on the observation that the sign of a
 nonzero polynomial near 0+ or 0- is read off from its lowest-order term, so
 "all roots real for every x' in a punctured neighborhood" is decidable
-without any sampling.  The polynomial is scaled into Z[x][y] and one
-subresultant chain (Brown's PRS: a pseudo-remainder, then an exact division
-in Z[x]) replaces the Euclid over Q(x): each element is the Sturm element
-times a multiplier whose sign on each side of 0 is tracked, so no fraction
+without any sampling.  The polynomial is scaled into Z[x][y], and one
+subresultant chain of (phi, phi') replaces the Euclid over Q(x): Brown's
+PRS, a pseudo-remainder and then an exact division per step, computed once
+by :func:`_prs`.  Each element is the Sturm element times a multiplier, and
+:func:`_count` derives the multiplier's sign from the steps' leading
+coefficients, degree gaps and divisors, once per side of 0, so no fraction
 and no gcd of coefficients is ever formed (Basu, Pollack and Roy,
-Algorithms in Real Algebraic Geometry, ch. 8-9).  The chain works on plain
-Python ints in dense lists: sympy's polynomial rings would do the same job
-but importing them more than doubles the resident memory and adds a few
-tenths of a second to the import of every module that imports this one.
+Algorithms in Real Algebraic Geometry, ch. 8-9).  An element of Z[x] is a
+slotted wrapper of a dense int list: sympy's polynomial rings would do the
+same job but importing them more than doubles the resident memory and adds
+a few tenths of a second to the import of every module that imports this
+one.
 
 The grid falsifier forms no Fraction per point: all its fibres are taken
 over one positive common denominator L, fixed once for the grid, so each
-fibre is L phi(y) at the point, a list of ints.  The same chain routine
-counts it with the coefficient ring Z in place of Z[x]: plain int
-products, exact quotients and one sign.  A positive factor changes neither
-the roots nor their multiplicities, so the counts and the multiplicity
-excess are those of phi(y) there.
+fibre is L phi(y) at the point, a list of plain ints.  The same two
+routines count it on native int products, exact quotients and the plain
+sign.  A positive factor changes neither the roots nor their
+multiplicities, so the counts and the multiplicity excess are those of
+phi(y) there.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+from itertools import product
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from typing import Any, Callable, NamedTuple
+from typing import Callable
 
 from .errors import (ArityMismatchError, CertificationError,
                      ChainDegenerationError, DomainError, NonMonicDivisorError,
@@ -60,8 +64,8 @@ from .intervals import (RI, _floor_dyadic, certify, default_bits, iv_exp,
 from .polynomials import (MultiPoly, _accumulate_product, _var_key, umul,
                           usub, utrim)
 from .rationals import _order, factorial, format_fraction, root_bounds
-from .sequences import CarlemanSequence
-from .theta import _checked, _magnitude_at_zero, build_theta
+from .sequences import CarlemanSequence, _checked
+from .theta import _magnitude_at_zero, build_theta
 
 
 # -- Euclidean division ----------------------------------------------------------
@@ -317,10 +321,8 @@ def strictly_regular_check(F: MultiPoly, d: int, var: str) -> bool:
 # -- hyperbolicity ----------------------------------------------------------------
 #
 # A polynomial in the main variable is a dense list, constant term first, of
-# elements of its coefficient ring: Z[x] for the exact decision, where an
-# element is a dense list of ints with no trailing zero and [] is zero, or Z
-# for a fibre at a grid point, where an element is an int.  One chain routine
-# serves both; a _Ring gives it the ring's operations.
+# coefficient elements: ints for a fibre at a grid point, _ZX for the exact
+# decision over Z[x].  One chain routine serves both through their operators.
 
 def _param_vars(phi: DistinguishedPoly) -> set[str]:
     """The parameter variables that occur in some coefficient of phi."""
@@ -337,131 +339,132 @@ def _dense_in_param(a: MultiPoly, scale: int) -> list[int]:
     return utrim(row)
 
 
-def _zx_sign(a: list[int], side: str) -> int:
-    """Sign of a nonzero element of Z[x] on (0, eps) for side 'plus' or on
-    (-eps, 0) for side 'minus', eps small: the sign of its lowest-order term."""
-    k = next(i for i, c in enumerate(a) if c)
-    s = 1 if a[k] > 0 else -1
-    return -s if side == "minus" and k % 2 else s
+class _ZX:
+    """An element of Z[x]: a dense list of ints, constant term first, with
+    no trailing zero ([] is zero)."""
 
+    __slots__ = ("c",)
 
-def _zx_exquo(a: list[int], b: list[int]) -> list[int]:
-    """The quotient a / b in Z[x]; a division that leaves a remainder means
-    the chain is not the subresultant sequence it should be."""
-    rem = list(a)
-    n, lead = len(b), b[-1]
-    quot = [0] * max(0, len(rem) - n + 1)
-    for shift in range(len(quot) - 1, -1, -1):
-        q, r = divmod(rem[shift + n - 1], lead)
-        if r:
-            raise ChainDegenerationError("inexact division in the Sturm chain")
-        quot[shift] = q
-        if q:
+    def __init__(self, c: list[int]):
+        self.c = c
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __mul__(self, other: "_ZX") -> "_ZX":
+        return _ZX(umul(self.c, other.c))
+
+    def __rmul__(self, k: int) -> "_ZX":    # k * self for a nonzero int k
+        return _ZX([k * c for c in self.c])
+
+    def __sub__(self, other: "_ZX") -> "_ZX":
+        return _ZX(usub(self.c, other.c))
+
+    def __pow__(self, e: int) -> "_ZX":
+        return _ZX(reduce(umul, [self.c] * e, [1]))
+
+    def __divmod__(self, other: "_ZX") -> tuple["_ZX", "_ZX"]:
+        """(q, r) with self = q other + r, r zero exactly when other divides
+        self in Z[x]: the long division stops at the first top coefficient
+        that the leading coefficient of other does not divide."""
+        b, rem = other.c, list(self.c)
+        n, lead = len(b), b[-1]
+        quot = [0] * max(0, len(rem) - n + 1)
+        for shift in range(len(quot) - 1, -1, -1):
+            q, r = divmod(rem[shift + n - 1], lead)
+            if r:
+                break
+            quot[shift], rem[shift + n - 1] = q, 0
             for i in range(n - 1):
                 rem[shift + i] -= q * b[i]
-    if any(rem[:n - 1]):
-        raise ChainDegenerationError("inexact division in the Sturm chain")
-    return quot
+        return _ZX(utrim(quot)), _ZX(utrim(rem))
+
+    def sign(self, side: str) -> int:
+        """The sign of a nonzero element on (0, eps) for side 'plus' or on
+        (-eps, 0) for 'minus', eps small: that of its lowest-order term."""
+        k = next(i for i, c in enumerate(self.c) if c)
+        s = 1 if self.c[k] > 0 else -1
+        return -s if side == "minus" and k % 2 else s
 
 
-def _z_exquo(a: int, b: int) -> int:
-    """The quotient a / b in Z, exact as in :func:`_zx_exquo`."""
+def _exquo(a, b):
+    """The quotient a / b of two coefficient elements; a remainder means the
+    chain is not the subresultant sequence it should be."""
     q, r = divmod(a, b)
     if r:
-        raise ChainDegenerationError("inexact division in the Sturm chain")
+        raise ChainDegenerationError("inexact division in the subresultant chain")
     return q
 
 
-class _Ring(NamedTuple):
-    """The operations the chain needs from its coefficient ring: the image
-    of an integer, product, difference, exact quotient, and the sign of a
-    nonzero element on a side of 0."""
+def _prs(p: list) -> tuple[list[list], list[tuple]]:
+    """Brown's subresultant PRS of (p, dp/dy) for p with a positive constant
+    leading coefficient (Brown; Cohen, Algorithm 3.3.1), and its steps.
 
-    of: Callable[[int], Any]
-    mul: Callable[[Any, Any], Any]
-    sub: Callable[[Any, Any], Any]
-    exquo: Callable[[Any, Any], Any]
-    sign: Callable[[Any, str], int]
-
-
-_ZX = _Ring(lambda k: [k] if k else [], umul, usub, _zx_exquo, _zx_sign)
-# a constant has the same sign on both sides of 0
-_Z = _Ring(int, operator.mul, operator.sub, _z_exquo, lambda a, side: 1 if a > 0 else -1)
-
-
-def _ring_pow(ring: _Ring, a, e: int):
-    out = ring.of(1)
-    for _ in range(e):
-        out = ring.mul(out, a)
-    return out
-
-
-def _prem(A: list, B: list, ring: _Ring) -> list:
-    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B."""
-    mul, sub = ring.mul, ring.sub
-    lead, n = B[-1], len(B)
-    rem = list(A)
-    for shift in range(len(A) - n, -1, -1):
-        top = rem.pop()
-        rem = [mul(lead, c) for c in rem]
-        if top:
-            for i in range(n - 1):
-                rem[shift + i] = sub(rem[shift + i], mul(top, B[i]))
-    return utrim(rem)
-
-
-def _variations(signs: list[int]) -> int:
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _sturm_counts(p: list, sides: tuple[str, ...], ring: _Ring) -> tuple[int, dict]:
-    """The y-degree of gcd(p, dp/dy), and for each side the number of
-    distinct real roots of p(x, .) for every x near 0 on that side; the
-    coefficients of p lie in ring, and its leading one is a positive
-    constant.
-
-    One subresultant PRS of (p, dp/dy) over the ring (Brown; Cohen,
-    Algorithm 3.3.1): R_(i+1) = prem(R_(i-1), R_i) / (g h^delta), each
-    division exact.  Over the fraction field, R_i = m_i S_i, where S is the
-    Sturm chain S_(i+1) = -rem(S_(i-1), S_i).  As prem(R_(i-1), R_i) equals
-    -lc(R_i)^(delta+1) m_(i-1) S_(i+1), the multiplier is
-    m_(i+1) = -lc(R_i)^(delta+1) m_(i-1) / (g h^delta), and its sign on a
-    side is the product of the signs of its factors there.  The last
-    element is gcd(p, dp/dy), and the chain counts distinct roots whether or
-    not p is squarefree.
+    R_0 = p, R_1 = dp/dy and R_(i+1) = prem(R_(i-1), R_i) / beta_i with
+    prem(A, B) = lc(B)^(delta+1) A mod B, delta_i = deg R_(i-1) - deg R_i,
+    beta_1 = 1 and beta_i = lc(R_(i-1)) h_(i-1)^delta_i, where h_0 = 1 and
+    h_i = lc(R_i)^delta_i / h_(i-1)^(delta_i - 1); every division is exact.
+    Returns the chain up to its last nonzero element, gcd(p, dp/dy) up to a
+    factor, and the steps (lc(R_i), delta_i, beta_i), i = 1, 2, ...
     """
-    mul, exquo, sign = ring.mul, ring.exquo, ring.sign
-    dp = [mul(ring.of(k), p[k]) for k in range(1, len(p))]
-    ones = dict.fromkeys(sides, 1)
-    chain = [(p, ones), (dp, ones)]   # p = L S_0 and dp/dy = L S_1 with L > 0
-    g = h = ring.of(1)
+    chain = [p, [k * p[k] for k in range(1, len(p))]]
+    steps: list[tuple] = []
+    g = h = p[-1] ** 0
     while True:
-        (A, m_a), (B, _) = chain[-2:]
-        R = _prem(A, B, ring)
-        if not R:
-            break
-        delta = len(A) - len(B)
-        beta = mul(g, _ring_pow(ring, h, delta))
-        m_r = {s: -m_a[s] * sign(B[-1], s) ** (delta + 1) * sign(beta, s)
-               for s in sides}
-        chain.append(([exquo(c, beta) for c in R], m_r))
-        g = B[-1]
-        h = g if delta == 1 else exquo(_ring_pow(ring, g, delta),
-                                       _ring_pow(ring, h, delta - 1))
+        A, B = chain[-2:]
+        lead, n = B[-1], len(B)
+        delta = len(A) - n
+        rem = list(A)
+        for shift in range(delta, -1, -1):
+            top = rem.pop()
+            for i in range(shift):
+                rem[i] = lead * rem[i]
+            for i in range(n - 1):
+                rem[shift + i] = lead * rem[shift + i] - top * B[i]
+        if not utrim(rem):
+            return chain, steps
+        beta = g * h ** delta
+        chain.append([_exquo(c, beta) for c in rem] if steps else rem)
+        steps.append((lead, delta, beta))
+        g = lead
+        h = lead if delta == 1 else _exquo(lead ** delta, h ** (delta - 1))
 
-    counts = {}
-    for s in sides:
-        at_plus = [sign(R[-1], s) * m[s] for R, m in chain]
-        at_minus = [sg * (-1) ** (len(R) - 1) for sg, (R, _) in zip(at_plus, chain)]
-        counts[s] = _variations(at_minus) - _variations(at_plus)
-    return len(chain[-1][0]) - 1, counts
+
+def _count(chain: list[list], steps: list[tuple], sign: Callable) -> int:
+    """The number of distinct real roots of chain[0] from its chain and
+    steps as :func:`_prs` returns them, where sign(a) is the sign (1 or -1)
+    of a nonzero coefficient element on the domain of the count.
+
+    Over the fraction field R_i = m_i S_i, where S is the Sturm chain
+    S_0 = p / L, S_1 = p' / L, S_(i+1) = -rem(S_(i-1), S_i) and L = lc(p), so
+    m_0 = m_1 = L > 0.  As prem(R_(i-1), R_i) equals
+    -lc(R_i)^(delta+1) m_(i-1) S_(i+1), the multiplier is
+    m_(i+1) = -lc(R_i)^(delta+1) m_(i-1) / beta_i, and its sign is the
+    product of the signs of its factors.  S_i has the sign of lc(R_i) m_i at
+    +infinity and that times (-1)^(deg R_i) at -infinity; the count is the
+    number of sign variations at -infinity minus that at +infinity, which
+    counts distinct roots whether or not p is squarefree.  One loop derives
+    the multipliers and the variations.
+    """
+    count = at_plus = at_minus = 0   # no variation before the first element
+    m_prev = m = 1                   # the signs of m_0 and m_1
+    for i, R in enumerate(chain):
+        s = sign(R[-1])
+        plus = s * m
+        minus = plus if len(R) % 2 else -plus
+        count += (minus != at_minus) - (plus != at_plus)
+        at_plus, at_minus = plus, minus
+        if 0 < i <= len(steps):
+            _, delta, beta = steps[i - 1]
+            m_prev, m = m, -m_prev * (1 if delta % 2 else s) * sign(beta)
+    return count
 
 
 def _fibre_counts(p: list[int]) -> tuple[int, int]:
     """The degree of gcd(p, p') and the number of distinct real roots of p
     in Z[y], a dense list of ints with a positive leading coefficient."""
-    excess, counts = _sturm_counts(p, ("plus",), _Z)
-    return excess, counts["plus"]
+    chain, steps = _prs(p)
+    return len(chain[-1]) - 1, _count(chain, steps, lambda a: 1 if a > 0 else -1)
 
 
 @dataclass
@@ -485,13 +488,14 @@ def hyperbolic_check_2d(phi: DistinguishedPoly,
     punctured one-sided neighborhood of 0.
 
     phi is scaled by a positive integer into Z[x][y] and one subresultant
-    chain of (phi, phi') is computed over Z[x].  Each element is the Sturm
-    element over Q(x) times a multiplier whose sign near 0+ and near 0- is
-    tracked; near 0 the sign of an element of Z[x] is that of its
-    lowest-order term, so the count of distinct real roots on each side is
-    exact.  The last element is gcd(phi, phi'), whose degree is the
-    multiplicity excess.  phi is hyperbolic iff on every requested side the
-    count equals the squarefree degree.
+    chain of (phi, phi') is computed over Z[x] by :func:`_prs`.  Each
+    element is the Sturm element over Q(x) times a multiplier whose sign
+    near 0+ and near 0- :func:`_count` derives; near 0 the sign of an
+    element of Z[x] is that of its lowest-order term, so the count of
+    distinct real roots on each side is exact.  The last element is
+    gcd(phi, phi'), whose degree is the multiplicity excess.  phi is
+    hyperbolic iff on every requested side the count equals the squarefree
+    degree.
     """
     _require_distinguished(phi)
     if side not in ("both", "plus", "minus"):
@@ -501,9 +505,11 @@ def hyperbolic_check_2d(phi: DistinguishedPoly,
                           "variable; use hyperbolic_falsify_grid for more")
     # phi times the positive lcm L of its denominators: the same roots, in Z[x][y]
     L = lcm(*(_denominator(aj) for aj in phi.a))
-    rows = [_dense_in_param(aj, L) for aj in reversed(phi.a)] + [[L]]
+    rows = [_ZX(_dense_in_param(aj, L)) for aj in reversed(phi.a)] + [_ZX([L])]
     sides = ("plus", "minus") if side == "both" else (side,)
-    excess, counts = _sturm_counts(rows, sides, _ZX)
+    chain, steps = _prs(rows)
+    counts = {s: _count(chain, steps, lambda a, s=s: a.sign(s)) for s in sides}
+    excess = len(chain[-1]) - 1
     sf_deg = phi.d - excess
     bad = [s for s in sides if counts[s] != sf_deg]
     if not bad:
@@ -546,15 +552,9 @@ def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
     L = lcm(*(c.denominator for terms in scaled for c, _ in terms))
     rows = [[((c * L).numerator, powers) for c, powers in terms] for terms in scaled]
 
-    def points(index):
-        if index == len(params):
-            yield ()
-            return
-        for rest in points(index + 1):
-            for i in range(-resolution, resolution + 1):
-                yield (i,) + rest
-
-    for point in points(0):
+    # product() runs its last factor fastest: read each index vector reversed
+    for point in product(range(-resolution, resolution + 1), repeat=len(params)):
+        point = point[::-1]
         fiber = []
         for terms in rows:
             value = 0

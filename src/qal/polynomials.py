@@ -14,16 +14,20 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, QalSyntaxError, ZeroPolynomialError
-from .rationals import TokenCursor
+from .rationals import TokenCursor, _order
 
 Exponents = tuple[int, ...]
 
 
 def _var_key(name: str):
+    """The sort key of a variable name: letters, then the number they carry
+    (x before x0, x2 before x10), then the digits as written (x01 before x1),
+    so that distinct names never tie."""
     m = re.fullmatch(r"([a-zA-Z]+)(\d*)", name)
     if not m:
-        return (name, 0)
-    return (m.group(1), int(m.group(2) or 0))
+        return (name, -1, "")
+    letters, digits = m.groups()
+    return (letters, int(digits) if digits else -1, digits)
 
 
 class MultiPoly:
@@ -110,7 +114,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
+        if _order(n, "the exponent of a polynomial power") < 0:
             raise DomainError("negative power of a polynomial")
         out = MultiPoly.constant(1, self.vars)
         base = self
@@ -360,23 +364,25 @@ def uadd(p: list, q: list) -> list:
     return utrim(out)
 
 
-def uneg(p: list) -> list:
-    return [-c for c in p]
-
-
 def usub(p: list, q: list) -> list:
-    return uadd(p, uneg(q))
+    out = [a - b for a, b in zip(p, q)]
+    out += p[len(q):] if len(p) > len(q) else [-b for b in q[len(p):]]
+    return utrim(out)
 
 
 def umul(p: list, q: list) -> list:
-    if not p or not q:
+    if len(p) < len(q):
+        p, q = q, p
+    if not q:
         return []
+    if len(q) == 1:    # a constant factor: one product per coefficient
+        b = q[0]
+        return utrim([a * b for a in p])
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
     return utrim(out)
 
 

@@ -256,6 +256,16 @@ def _number(value, what: str) -> Fraction:
         raise DomainError(f"{what} must be a rational number, got {value!r}") from None
 
 
+def _checked(M, what: str = "M", **orders) -> None:
+    """DomainError unless M is a CarlemanSequence and every named order is
+    an int >= 0 that is not a bool."""
+    if not isinstance(M, CarlemanSequence):
+        raise DomainError(f"{what} must be a CarlemanSequence, got {M!r}")
+    for name, value in orders.items():
+        if _order(value, name) < 0:
+            raise DomainError(f"{name} must be >= 0, got {value}")
+
+
 def analytic() -> CarlemanSequence:
     return CarlemanSequence(ANALYTIC)
 
@@ -273,8 +283,13 @@ def qgevrey(q) -> CarlemanSequence:
 
 
 def custom(terms, assume=()) -> CarlemanSequence:
+    try:
+        terms, assume = tuple(terms), frozenset(assume)
+    except TypeError:
+        raise DomainError("custom terms and assumptions must be iterables, got "
+                          f"{terms!r} and {assume!r}") from None
     return CarlemanSequence(CUSTOM, terms=tuple(_number(t, "a custom term") for t in terms),
-                            assume=frozenset(assume))
+                            assume=assume)
 
 
 # -- DSL parser ---------------------------------------------------------------
@@ -422,6 +437,7 @@ class CheckResult:
 
 def check_log_convexity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
     """Verify M_j^2 <= M_{j-1} M_{j+1} for 1 <= j < horizon."""
+    _checked(M)
     if _order(horizon, "horizon") < 2:
         raise DomainError("log-convexity check needs horizon >= 2")
     lim = M.horizon_limit()
@@ -439,6 +455,7 @@ def check_log_convexity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
 def verify_superadditivity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
     """Verify M_j M_k <= M_{j+k} for j + k <= horizon and that (M_j)^(1/j)
     is nondecreasing for 1 <= j <= horizon."""
+    _checked(M)
     top, lim = _order(horizon, "horizon"), M.horizon_limit()
     top = top if lim is None else min(top, lim)
     comparisons, failures = [], []
@@ -463,6 +480,9 @@ def verify_superadditivity(M: CarlemanSequence, horizon: int = 32) -> CheckResul
 def value(M: CarlemanSequence, j: int, precision: int | None = None):
     """M_j as an exact Fraction when rational, else a certified interval
     of relative width at most 2^-precision."""
+    _checked(M, j=j)
+    if precision is not None and _order(precision, "the precision") < 0:
+        raise DomainError(f"the precision must be >= 0, got {precision}")
     exact = M.exact_value(j)
     if exact is not None:
         return exact
@@ -526,6 +546,8 @@ def precede(M: CarlemanSequence, N: CarlemanSequence,
     anything involving a custom sequence only gets the finite-horizon
     diagnostic sup_j (M_j/N_j)^(1/j), reported as inconclusive.
     """
+    _checked(M)
+    _checked(N, "N")
     if M == N:
         return PrecedeResult(TRUE, "symbolic", rule="reflexive (C=1)")
     if M.family in _BUILTIN and N.family in _BUILTIN:
@@ -633,6 +655,7 @@ def classify(M: CarlemanSequence, horizon: int = 32) -> SequenceReport:
     diagnostics flagged inconclusive unless the user asserted the tail
     class at construction.
     """
+    _checked(M)
     lc = check_log_convexity(M, horizon)
     if lc.passed:
         lc_flag = Flag(TRUE, "finite-horizon" if M.family == CUSTOM else "symbolic",
@@ -792,6 +815,7 @@ def _classify_custom(M: CarlemanSequence, horizon: int) -> dict:
 def power(M: CarlemanSequence, s) -> CarlemanSequence:
     """The sequence of s-th powers, s >= 1.  Stays inside the built-in
     families whenever the powered parameter is representable."""
+    _checked(M)
     s = _number(s, "the power exponent")
     if s < 1:
         raise DomainError("power exponent must be >= 1")
@@ -822,6 +846,7 @@ def shift(M: CarlemanSequence) -> CarlemanSequence:
     """The shifted sequence j -> M_{j+1}/M_1, renormalized so that the
     result again starts at 1.  The constant M_1 is retained and can be
     read back via :meth:`CarlemanSequence.renormalization`."""
+    _checked(M)
     if M.family == ANALYTIC:
         return M
     if M.family == CUSTOM and M.terms is not None:

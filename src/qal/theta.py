@@ -46,17 +46,7 @@ from .errors import (CertificationError, DomainError, PrecisionFailure,
                      TruncationInsufficient)
 from .intervals import CI, RI, PowerLadder, certify, default_bits, iv_cos_sin
 from .rationals import _order, _rational, factorial, falling, stirling2_row
-from .sequences import CarlemanSequence
-
-
-def _checked(M, **orders) -> None:
-    """DomainError unless M is a CarlemanSequence and every named order is
-    an int >= 0 that is not a bool."""
-    if not isinstance(M, CarlemanSequence):
-        raise DomainError(f"M must be a CarlemanSequence, got {M!r}")
-    for what, value in orders.items():
-        if _order(value, what) < 0:
-            raise DomainError(f"{what} must be >= 0, got {value}")
+from .sequences import CarlemanSequence, _checked
 
 
 @dataclass

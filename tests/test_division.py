@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qal import division
 from qal.division import (DistinguishedPoly, euclid_divide, gevrey_flat_witness,
                           generic_divisor, hyperbolic_check_2d,
                           hyperbolic_falsify_grid, nodiv_witness, regular_order,
                           specialize_division, strictly_regular_check)
-from qal.errors import (CertificationError, ChainDegenerationError, DomainError,
-                        NonMonicDivisorError, PrecisionFailure, QalError,
+from qal.errors import (ArityMismatchError, CertificationError, ChainDegenerationError,
+                        DomainError, NonMonicDivisorError, PrecisionFailure, QalError,
                         ZeroPolynomialError)
 from qal.intervals import RI, iv_exp
 from qal.polynomials import MultiPoly, parse_polynomial
@@ -380,7 +380,7 @@ class TestHyperbolicityHighDegree:
 
     def test_inexact_chain_division_is_coded(self):
         with pytest.raises(ChainDegenerationError):
-            division._zx_exquo([1, 0, 1], [1, 1])   # (1 + x^2) / (1 + x)
+            division._exquo(division._ZX([1, 0, 1]), division._ZX([1, 1]))   # (1 + x^2) / (1 + x)
 
 
 _Y = sympy.Symbol("y")
@@ -432,7 +432,37 @@ class TestConstantChain:
 
     def test_inexact_division_is_coded(self):
         with pytest.raises(ChainDegenerationError):
-            division._z_exquo(7, 2)
+            division._exquo(7, 2)
+
+
+def _at(a, c):
+    """An element of Z[x] evaluated at the integer c."""
+    return sum(k * c ** i for i, k in enumerate(a.c))
+
+
+class TestOneChainForBothRings:
+    """The chain over Z[x] specializes to the chain of each integer fibre."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), min_size=1, max_size=4),
+           st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 3)), max_size=2),
+           st.integers(-5, 5).filter(bool))
+    def test_specialization_commutes_with_the_chain(self, branches, pairs, c):
+        # a product of real branches y - (a x + b x^2) and factors y^2 +- x^k
+        phi = P("1")
+        for a, b in branches:
+            phi = phi * P(f"y - ({a})*x - ({b})*x^2")
+        for sign, k in pairs:
+            phi = phi * P(f"y^2 + ({sign})*x^{k}")
+        phi = DistinguishedPoly.from_multipoly(phi, "y")
+        rows = [division._ZX(division._dense_in_param(aj, 1)) for aj in reversed(phi.a)]
+        chain, steps = division._prs(rows + [division._ZX([1])])
+        # at c every leading coefficient keeps its degree's term
+        assume(all(_at(R[-1], c) for R in chain))
+        fibre_chain, fibre_steps = division._prs([_at(a, c) for a in rows] + [1])
+        assert [[_at(a, c) for a in R] for R in chain] == fibre_chain
+        assert [(_at(lead, c), delta, _at(beta, c))
+                for lead, delta, beta in steps] == fibre_steps
 
 
 class TestFalsifyGrid:
@@ -721,6 +751,40 @@ class TestErrors:
         phi = DistinguishedPoly("y", 2, [MultiPoly(("x1", "x2")), P("x1^2 + x2^2")])
         with pytest.raises(DomainError):
             hyperbolic_falsify_grid(phi, radius, 2)
+
+
+class TestDistinguishedPolyChecks:
+    def test_wrong_number_of_coefficients(self):
+        with pytest.raises(ArityMismatchError) as info:
+            DistinguishedPoly("y", 2, [P("x")])
+        assert info.value.code == "arity-mismatch"
+
+    @pytest.mark.parametrize("a, why", [(P("x + 1"), "does not vanish at 0"),
+                                        (P("x*y"), "involves y")])
+    def test_bad_coefficient(self, a, why):
+        with pytest.raises(DomainError, match=why):
+            DistinguishedPoly("y", 2, [P("x"), a])
+
+    def test_from_multipoly_without_a_main_variable_degree(self):
+        for text in ("x^2", "x*z"):
+            with pytest.raises(DomainError, match="no main-variable degree"):
+                dist(text)
+
+    def test_from_multipoly_not_monic(self):
+        for text in ("2*y^2 + x", "x*y^2 + y + x"):
+            with pytest.raises(NonMonicDivisorError) as info:
+                dist(text)
+            assert info.value.code == "non-monic-divisor"
+
+    def test_unknown_side(self):
+        with pytest.raises(DomainError, match="side must be"):
+            hyperbolic_check_2d(dist("y^2 + x"), side="up")
+
+    def test_report_to_json(self):
+        out = hyperbolic_check_2d(dist("y^2 + x"))
+        assert out.to_json() == {"verdict": "not-hyperbolic", "witness_side": "plus",
+                                 "degree": 2, "multiplicity_excess": 0,
+                                 "real_root_counts": {"plus": 0, "minus": 2}}
 
 
 class TestCertificationErrors:

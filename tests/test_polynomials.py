@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qal import polynomials
 from qal.algebraic import NumberField
 from qal.errors import DomainError, QalError, QalSyntaxError
 from qal.polynomials import MultiPoly, _var_key, parse_polynomial
@@ -39,6 +43,23 @@ class TestParser:
     def test_numbered_variables(self):
         poly = P("x1^2 + x2^2 + y^2")
         assert poly.vars == ("x1", "x2", "y")
+
+    def test_variable_names_sort_without_ties(self):
+        names = ["x10", "x1", "x0", "x01", "x", "x2", "y"]
+        assert sorted(names, key=_var_key) == ["x", "x0", "x01", "x1", "x2", "x10", "y"]
+
+    def test_variable_order_is_the_same_under_every_string_hash(self):
+        # x and x0 (x1 and x01) once shared a sort key, and the order of a set
+        # of names, which follows the per-process string hash, decided
+        code = ("from qal.polynomials import parse_polynomial as P; "
+                "print(P('x*y + x0').vars, P('x1*y + x01').vars)")
+        src = os.path.dirname(os.path.dirname(polynomials.__file__))
+        outputs = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            outputs.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert outputs == {"('x', 'x0', 'y') ('x01', 'x1', 'y')\n"}
 
     def test_unexpected_character(self):
         with pytest.raises(QalSyntaxError):
@@ -151,8 +172,9 @@ class TestMultiPoly:
         lambda: P("x + y") ** -1,
         lambda: P("x + y").substitute({"z": P("x")}),
         lambda: P(None),
+        lambda: P("x") ** 1.5,
     ], ids=["variable-outside-vars", "negative-power", "substitute-outside-vars",
-            "parse-None"])
+            "parse-None", "float-power"])
     def test_domain_errors(self, call):
         with pytest.raises(DomainError) as info:
             call()

@@ -104,8 +104,17 @@ class TestErrorContract:
         lambda: classify(gevrey(1), "a"),
         lambda: classify(gevrey(1)).flag("x"),
         lambda: parse_sequence(5),
+        lambda: precede(gevrey(1), "x"),
+        lambda: shift("x"),
+        lambda: power("x", 2),
+        lambda: classify("x"),
+        lambda: check_log_convexity("x"),
+        lambda: value(gevrey(1), 1.5),
+        lambda: custom(5),
     ], ids=["gevrey-text", "qgevrey-text", "custom-text-term", "power-text",
-            "loggevrey-None", "classify-text-horizon", "flag-unknown", "parse-int"])
+            "loggevrey-None", "classify-text-horizon", "flag-unknown", "parse-int",
+            "precede-text", "shift-text", "power-of-text", "classify-text",
+            "log-convexity-text", "value-float-index", "custom-int"])
     def test_calls_that_escaped_the_contract(self, call):
         # each raised a bare ValueError, TypeError or AttributeError
         with pytest.raises(DomainError) as info:
