@@ -50,9 +50,9 @@ phi(y) there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import lcm
 from typing import Callable
 

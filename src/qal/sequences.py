@@ -283,6 +283,8 @@ def qgevrey(q) -> CarlemanSequence:
 
 
 def custom(terms, assume=()) -> CarlemanSequence:
+    if isinstance(terms, str):
+        raise DomainError(f"custom terms must be a list, got the text {terms!r}")
     try:
         terms, assume = tuple(terms), frozenset(assume)
     except TypeError:
@@ -455,9 +457,9 @@ def check_log_convexity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
 def verify_superadditivity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
     """Verify M_j M_k <= M_{j+k} for j + k <= horizon and that (M_j)^(1/j)
     is nondecreasing for 1 <= j <= horizon."""
-    _checked(M)
-    top, lim = _order(horizon, "horizon"), M.horizon_limit()
-    top = top if lim is None else min(top, lim)
+    _checked(M, horizon=horizon)
+    lim = M.horizon_limit()
+    top = horizon if lim is None else min(horizon, lim)
     comparisons, failures = [], []
     for j in range(1, top + 1):
         for k in range(j, top - j + 1):
@@ -546,7 +548,7 @@ def precede(M: CarlemanSequence, N: CarlemanSequence,
     anything involving a custom sequence only gets the finite-horizon
     diagnostic sup_j (M_j/N_j)^(1/j), reported as inconclusive.
     """
-    _checked(M)
+    _checked(M, horizon=horizon)
     _checked(N, "N")
     if M == N:
         return PrecedeResult(TRUE, "symbolic", rule="reflexive (C=1)")

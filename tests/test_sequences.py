@@ -111,10 +111,14 @@ class TestErrorContract:
         lambda: check_log_convexity("x"),
         lambda: value(gevrey(1), 1.5),
         lambda: custom(5),
+        lambda: custom("124"),
+        lambda: precede(custom([1, 2, 4]), gevrey(1), "x"),
+        lambda: verify_superadditivity(gevrey(1), -3),
     ], ids=["gevrey-text", "qgevrey-text", "custom-text-term", "power-text",
             "loggevrey-None", "classify-text-horizon", "flag-unknown", "parse-int",
             "precede-text", "shift-text", "power-of-text", "classify-text",
-            "log-convexity-text", "value-float-index", "custom-int"])
+            "log-convexity-text", "value-float-index", "custom-int", "custom-text",
+            "precede-text-horizon", "superadditivity-negative-horizon"])
     def test_calls_that_escaped_the_contract(self, call):
         # each raised a bare ValueError, TypeError or AttributeError
         with pytest.raises(DomainError) as info:
