@@ -533,17 +533,18 @@ def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
     changes neither the roots nor their multiplicities, so the counts and
     the multiplicity excess are those of phi(y) at the point.
 
-    Returns the first counterexample point {v: i_v * step} (variables in
-    sorted order) in deterministic scan order, the first variable running
-    fastest, or None.  A None result is NOT a hyperbolicity proof; it only
-    reports that the grid found nothing.
+    Returns the first counterexample point {v: i_v * step} in
+    deterministic scan order, or None.  The variables are ordered by
+    ``polynomials._var_key``, as in ``MultiPoly.vars`` (x2 before x10), and
+    the first one runs fastest.  A None result is NOT a hyperbolicity
+    proof; it only reports that the grid found nothing.
     """
     _require_distinguished(phi)
     _require_positive_int(resolution, "the grid resolution")
     radius = Fraction(radius)
     if radius <= 0:
         raise DomainError("grid needs a positive radius")
-    params = sorted(set(v for aj in phi.a for v in aj.vars))
+    params = sorted(set(v for aj in phi.a for v in aj.vars), key=_var_key)
     step = radius / resolution
     scaled = [[(c * step ** sum(exps),
                 [(params.index(v), e) for v, e in zip(aj.vars, exps) if e])

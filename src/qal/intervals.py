@@ -23,21 +23,22 @@ run the interval chain.  Both run the one chain routine :func:`_chain`,
 and a :class:`PowerLadder` keeps the rounded squares of its base's
 endpoints for every exponent.
 
-Endpoints whose lowest terms are known in advance are formed on ints.
-When both operands are dyadic, m * 2^-s with m odd or s = 0 (integers
-included), a product is m1 m2 / 2^(s1 + s2) and a sum aligns the two
-mantissas by a shift; the result is reduced by the trailing zeros of its
-numerator, which for a dyadic is the whole gcd.  A reciprocal swaps the
-coprime numerator and denominator, the outward rounding forms its
-mantissa by one integer floor or ceiling division, and the bridge reads
-its endpoints off libmp's mantissa and exponent.  Comparisons (the min
-and max of four products, the emptiness check, the signs) use integer
-cross products.  Each of these gives the lowest-terms pair that Fraction
-arithmetic gives, so every endpoint is bit for bit the Fraction it would
-form; any other operand goes through Fraction's own operators.  The
-results are built by :func:`_fraction` through Fraction's two slots
-``_numerator`` and ``_denominator``, the kernel's one dependency on
-Fraction's layout (the same in CPython 3.10 to 3.13; a test pins it).
+Endpoints are formed on ints.  The ring operations, the rounding and the
+bridge read Fraction's two slots ``_numerator`` and ``_denominator``,
+build each result through them (:func:`~qal.rationals._fraction`) and
+call none of Fraction's operators or properties.  The slots are their one
+dependency on Fraction's layout (the same in CPython 3.10 to 3.13; a test
+pins it).  When both operands are dyadic, m * 2^-s with m odd or s = 0
+(integers included), a product is m1 m2 / 2^(s1 + s2) and a sum aligns
+the two mantissas by a shift, then divides by the trailing zeros of the
+numerator, which for a dyadic is the whole gcd; other products and sums
+run Fraction's own gcd algorithm.  A reciprocal swaps the coprime
+numerator and denominator, and a negative power is the reciprocal
+(:func:`_reciprocal`) of the positive power.  The outward rounding forms
+its mantissa by one integer floor or ceiling division.  Comparisons (the
+min and max of four products, the emptiness check, the signs) use
+integer cross products.  So every endpoint is bit for bit the
+lowest-terms Fraction that Fraction arithmetic would form.
 
 Exact data are ints (not bools) and Fractions; anything else, and a
 precision ``bits`` that is not an int >= 1, raises DomainError.
@@ -45,13 +46,16 @@ precision ``bits`` that is not an int >= 1, raises DomainError.
 Transcendental functions call mpmath's interval kernel (libmp's ``mpi_*``
 functions) on the raw interval that mpmath's ``iv`` context would build
 from the endpoints at ``bits + 16`` bits, and come back as exact dyadic
-endpoints, so the enclosure property is preserved end to end.  No mpmath
-object is made and mpmath's global precision is never set, so the results
-are those of ``iv`` at that precision, bit for bit, and do not depend on
-what else runs in the process.  Cosine and sine of one argument come from
-one evaluation (:func:`iv_cos_sin`).  The ``mpi_*`` functions are not
-mpmath's public API, so the package pins mpmath below 1.4 and the tests
-compare every bridge function with the ``iv`` context.
+endpoints, so the enclosure property is preserved end to end.  Of each
+endpoint's quotient ``iv.mpf(n) / iv.mpf(d)`` only the end that interval
+keeps is formed (:func:`_mpi_end`), and results are read off libmp's
+mantissa and exponent.  No mpmath object is made and mpmath's global
+precision is never set, so the results are those of ``iv`` at that
+precision, bit for bit, and do not depend on what else runs in the
+process.  Cosine and sine of one argument come from one evaluation
+(:func:`iv_cos_sin`).  The ``mpi_*`` functions are not mpmath's public
+API, so the package pins mpmath below 1.4 and the tests compare every
+bridge function with the ``iv`` context.
 
 :func:`certify` runs a certification step at escalating precision: from
 ``QAL_PRECISION_BITS`` (environment variable, default 256 bits), doubling
@@ -63,12 +67,13 @@ from __future__ import annotations
 import contextvars
 import os
 from fractions import Fraction
+from math import gcd
 from typing import Callable, TypeVar
 
 import mpmath.libmp as _libmp
 
 from .errors import CertificationError, DomainError
-from .rationals import _order, _rational, pow_bounds
+from .rationals import _dyadic, _fraction, _new, _order, _rational, pow_bounds
 
 PRECISION_CAP = 4096
 _DEFAULT_BITS = 256
@@ -93,32 +98,6 @@ def default_bits() -> int:
     return max(8, min(bits, PRECISION_CAP))
 
 
-# -- Fractions formed on ints --------------------------------------------------
-
-_new = object.__new__
-
-
-def _fraction(n: int, d: int) -> Fraction:
-    """The Fraction n/d for n/d already in lowest terms with d >= 1, built
-    without Fraction's gcd.  The one function that depends on Fraction's
-    layout: its two slots ``_numerator`` and ``_denominator``."""
-    q = _new(Fraction)
-    q._numerator = n
-    q._denominator = d
-    return q
-
-
-def _dyadic(m: int, d: int) -> Fraction:
-    """m/d in lowest terms for a power of two d: the gcd of m and d is the
-    power of two that divides m, capped at d."""
-    if m & 1 or d == 1:
-        return _fraction(m, d)
-    if not m:
-        return _fraction(0, 1)
-    t = min(m & -m, d).bit_length() - 1
-    return _fraction(m >> t, d >> t)
-
-
 def _data(x, what: str = "an endpoint") -> Fraction:
     """x as exact data: a Fraction or an int that is not a bool, otherwise
     DomainError.  The common types are tested first."""
@@ -138,45 +117,52 @@ def _precision(bits) -> int:
 
 
 def _lt(x: Fraction, y: Fraction) -> bool:
-    return x.numerator * y.denominator < y.numerator * x.denominator
+    return x._numerator * y._denominator < y._numerator * x._denominator
 
 
 def _eq(x: Fraction, y: Fraction) -> bool:
-    return x is y or (x.numerator == y.numerator and x.denominator == y.denominator)
+    return x is y or (x._numerator == y._numerator and x._denominator == y._denominator)
 
 
 def _neg(x: Fraction) -> Fraction:
-    return _fraction(-x.numerator, x.denominator)
+    return _fraction(-x._numerator, x._denominator)
 
 
 def _recip(x: Fraction) -> Fraction:
     """1/x for x != 0: the coprime parts swap."""
-    n, d = x.numerator, x.denominator
+    n, d = x._numerator, x._denominator
     return _fraction(d, n) if n > 0 else _fraction(-d, -n)
 
 
 def _add(x: Fraction, y: Fraction) -> Fraction:
-    """x + y; on ints, aligned by a shift, when both are dyadic."""
-    dx, dy = x.denominator, y.denominator
+    """x + y: aligned by a shift when both are dyadic, otherwise Fraction's
+    own sum, which divides by g = gcd(dx, dy) and then by gcd(t, g)."""
+    nx, dx, ny, dy = x._numerator, x._denominator, y._numerator, y._denominator
     if dx & (dx - 1) or dy & (dy - 1):
-        return x + y
+        g = gcd(dx, dy)
+        s = dx // g
+        t = nx * (dy // g) + ny * s
+        g = gcd(t, g)
+        return _fraction(t // g, s * (dy // g))
     if dx < dy:
-        return _dyadic((x.numerator << (dy.bit_length() - dx.bit_length())) + y.numerator, dy)
-    return _dyadic(x.numerator + (y.numerator << (dx.bit_length() - dy.bit_length())), dx)
+        return _dyadic((nx << (dy.bit_length() - dx.bit_length())) + ny, dy)
+    return _dyadic(nx + (ny << (dx.bit_length() - dy.bit_length())), dx)
 
 
 def _mul(x: Fraction, y: Fraction) -> Fraction:
-    """x * y; on ints, m1 m2 / 2^(s1 + s2), when both are dyadic."""
-    dx, dy = x.denominator, y.denominator
+    """x * y: m1 m2 / 2^(s1 + s2) when both are dyadic, otherwise
+    Fraction's own product, which cancels gcd(nx, dy) and gcd(ny, dx)."""
+    nx, dx, ny, dy = x._numerator, x._denominator, y._numerator, y._denominator
     if dx & (dx - 1) or dy & (dy - 1):
-        return x * y
-    return _dyadic(x.numerator * y.numerator, dx * dy)
+        g, h = gcd(nx, dy), gcd(ny, dx)
+        return _fraction((nx // g) * (ny // h), (dx // h) * (dy // g))
+    return _dyadic(nx * ny, dx * dy)
 
 
 def _min_max(ps: tuple) -> tuple[Fraction, Fraction]:
     """(min(ps), max(ps)), the first least and the first greatest, compared
     by integer cross products."""
-    nds = [(q.numerator, q.denominator) for q in ps]
+    nds = [(q._numerator, q._denominator) for q in ps]
     lo = hi = 0
     for i in range(1, len(nds)):
         n, d = nds[i]
@@ -209,12 +195,12 @@ def _ceil_nd(n: int, d: int, p: int) -> Fraction:
 def _floor_dyadic(q: Fraction, p: int) -> Fraction:
     """q rounded down to m * 2^-s, with s fixed by the size of q so that
     the mantissa |m| is at most 2^p."""
-    return _floor_nd(q.numerator, q.denominator, p)
+    return _floor_nd(q._numerator, q._denominator, p)
 
 
 def _round_down(q: Fraction, p: int) -> Fraction:
     """q, or q rounded down to p bits when it has more than 2p bits."""
-    n, d = q.numerator, q.denominator
+    n, d = q._numerator, q._denominator
     if n.bit_length() + d.bit_length() > 2 * p:
         return _floor_nd(n, d, p)
     return q
@@ -222,7 +208,7 @@ def _round_down(q: Fraction, p: int) -> Fraction:
 
 def _round_up(q: Fraction, p: int) -> Fraction:
     """q, or q rounded up to p bits when it has more than 2p bits."""
-    n, d = q.numerator, q.denominator
+    n, d = q._numerator, q._denominator
     if n.bit_length() + d.bit_length() > 2 * p:
         return _ceil_nd(n, d, p)
     return q
@@ -253,6 +239,19 @@ def _outward(lo: Fraction, hi: Fraction) -> "RI":
         lo = _round_down(lo, p)
         hi = _round_up(hi, p)
     return _interval(lo, hi)
+
+
+def _reciprocal(x: "RI") -> "RI":
+    """1/x, bit for bit ``RI(1) / x``: that product by the point 1 only
+    passes these endpoints to :func:`_outward` again, and an endpoint that
+    :func:`_outward` returned has at most 2p bits or is m * 2^-s, |m| <= 2^p,
+    on the grid that its size fixes, so it is its own floor and ceiling."""
+    lo, hi = x.lo, x.hi
+    if lo._numerator <= 0 <= hi._numerator:
+        raise DomainError(f"divisor interval {x} contains 0")
+    if lo is hi:
+        return _point(_recip(lo))
+    return _outward(_recip(hi), _recip(lo))
 
 
 def _chain(squares: list, n: int, first, mul):
@@ -346,25 +345,18 @@ class RI:
             if c is d:
                 return _point(_mul(a, c))
             lo, hi = _mul(a, c), _mul(a, d)
-            return _outward(lo, hi) if a.numerator >= 0 else _outward(hi, lo)
+            return _outward(lo, hi) if a._numerator >= 0 else _outward(hi, lo)
         if c is d:
             lo, hi = _mul(a, c), _mul(b, c)
-            return _outward(lo, hi) if c.numerator >= 0 else _outward(hi, lo)
-        if a.numerator >= 0 and c.numerator >= 0:
+            return _outward(lo, hi) if c._numerator >= 0 else _outward(hi, lo)
+        if a._numerator >= 0 and c._numerator >= 0:
             return _outward(_mul(a, c), _mul(b, d))
         return _outward(*_min_max((_mul(a, c), _mul(a, d), _mul(b, c), _mul(b, d))))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = RI.of(other)
-        if o.lo.numerator <= 0 <= o.hi.numerator:
-            raise DomainError(f"divisor interval {o} contains 0")
-        if o.lo is o.hi:
-            inv = _point(_recip(o.lo))
-        else:
-            inv = _outward(_recip(o.hi), _recip(o.lo))
-        return self * inv
+        return self * _reciprocal(RI.of(other))
 
     def __rtruediv__(self, other):
         return RI.of(other) / self
@@ -375,11 +367,11 @@ class RI:
         if n == 0:
             return RI(1)
         if n < 0:
-            return RI(1) / self**(-n)
+            return _reciprocal(self**(-n))
         lo, hi = self.lo, self.hi
         if _eq(lo, hi):
             return _point(lo**n)
-        if lo.numerator >= 0:
+        if lo._numerator >= 0:
             p = _WORKING.get()
             if p is None:
                 return _interval(lo**n, hi**n)
@@ -389,14 +381,14 @@ class RI:
         # would round it
         out = _chain([self], n, lambda b: _outward(b.lo, b.hi), RI.__mul__)
         # even powers of sign-mixed intervals must clamp at 0
-        if out.lo.numerator < 0 and lo.numerator <= 0 <= hi.numerator:
+        if out.lo._numerator < 0 and lo._numerator <= 0 <= hi._numerator:
             out = RI(0, out.hi)
         return out
 
     def abs(self) -> "RI":
-        if self.lo.numerator >= 0:
+        if self.lo._numerator >= 0:
             return self
-        if self.hi.numerator <= 0:
+        if self.hi._numerator <= 0:
             return -self
         return RI(0, max(-self.lo, self.hi))
 
@@ -435,7 +427,7 @@ class RI:
         return None
 
     def excludes_zero(self) -> bool:
-        return self.lo.numerator > 0 or self.hi.numerator < 0
+        return self.lo._numerator > 0 or self.hi._numerator < 0
 
     def __repr__(self):
         return f"RI({self.lo}, {self.hi})"
@@ -472,11 +464,11 @@ class PowerLadder:
 
     def power(self, n: int) -> RI:
         if n < 0:
-            return RI(1) / self.power(-n)
+            return _reciprocal(self.power(-n))
         base = self.base
         lo, hi = base.lo, base.hi
         p = _WORKING.get()
-        if n == 0 or p is None or _eq(lo, hi) or lo.numerator < 0:
+        if n == 0 or p is None or _eq(lo, hi) or lo._numerator < 0:
             return base ** n
         if p != self._p:
             self._p, self._lo, self._hi = p, [lo], [hi]
@@ -521,15 +513,19 @@ _FLOOR = _libmp.round_floor
 _CEILING = _libmp.round_ceiling
 
 
-def _mpi_fraction(q: Fraction, prec: int) -> tuple:
-    """The raw libmp interval ``iv.mpf(n) / iv.mpf(d)`` for q = n/d at
-    precision prec: n and d rounded floor and ceiling, then divided."""
-    n, d = q.numerator, q.denominator
-    num = (_libmp.from_int(n, prec, _FLOOR), _libmp.from_int(n, prec, _CEILING))
-    if d == 1:
-        return num
-    den = (_libmp.from_int(d, prec, _FLOOR), _libmp.from_int(d, prec, _CEILING))
-    return _libmp.mpi_div(num, den, prec)
+_OTHER = {_FLOOR: _CEILING, _CEILING: _FLOOR}
+
+
+def _mpi_end(q: Fraction, prec: int, rnd: str) -> tuple:
+    """The lower (rnd floor) or upper (rnd ceiling) end of the raw libmp
+    interval ``iv.mpf(n) / iv.mpf(d)`` for q = n/d at precision prec:
+    ``mpi_div`` divides n rounded by rnd by d rounded the same way if n < 0,
+    the other way if n > 0.  A power of two d divides exactly."""
+    n, d = q._numerator, q._denominator
+    if not d & (d - 1):
+        return _libmp.from_man_exp(n, 1 - d.bit_length(), prec, rnd)
+    return _libmp.mpf_div(_libmp.from_int(n, prec, rnd),
+                          _libmp.from_int(d, prec, rnd if n < 0 else _OTHER[rnd]), prec, rnd)
 
 
 def _mpi(x, prec: int) -> tuple:
@@ -537,10 +533,8 @@ def _mpi(x, prec: int) -> tuple:
     end of its lower endpoint's interval and the upper end of its upper
     endpoint's."""
     if not isinstance(x, RI):
-        return _mpi_fraction(_data(x, "an argument"), prec)
-    if _eq(x.lo, x.hi):
-        return _mpi_fraction(x.lo, prec)
-    return _mpi_fraction(x.lo, prec)[0], _mpi_fraction(x.hi, prec)[1]
+        x = _point(_data(x, "an argument"))
+    return _mpi_end(x.lo, prec, _FLOOR), _mpi_end(x.hi, prec, _CEILING)
 
 
 def _from_mpi(pair) -> RI:
@@ -588,13 +582,13 @@ def ri_pow_frac(x: RI | Fraction, s: Fraction, bits: int) -> RI:
         lo = hi = _data(x, "the base")
     s = _data(s, "the exponent")
     _precision(bits)
-    if lo.numerator <= 0:
+    if lo._numerator <= 0:
         raise DomainError("ri_pow_frac needs a positive base")
     los = pow_bounds(lo, s, bits)
     if _eq(lo, hi):
         return RI(*los)
     his = pow_bounds(hi, s, bits)
-    if s.numerator >= 0:
+    if s._numerator >= 0:
         return RI(los[0], his[1])
     return RI(his[0], los[1])
 

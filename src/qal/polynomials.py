@@ -14,9 +14,13 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, QalSyntaxError, ZeroPolynomialError
-from .rationals import TokenCursor, _order
+from .rationals import TokenCursor, _order, _rational
 
 Exponents = tuple[int, ...]
+
+# the largest total degree a power may reach (a constant counts as degree 1,
+# since its coefficient grows with the exponent)
+_POWER_DEGREE_CAP = 4096
 
 
 def _var_key(name: str):
@@ -61,6 +65,9 @@ class MultiPoly:
 
     def with_vars(self, vars: tuple[str, ...]) -> "MultiPoly":
         """Reindex onto a superset variable tuple."""
+        if (not isinstance(vars, tuple) or not all(type(v) is str for v in vars)
+                or len(set(vars)) < len(vars) or not set(self.vars) <= set(vars)):
+            raise DomainError(f"{vars!r} is not a tuple of distinct names holding {self.vars}")
         pos = {v: vars.index(v) for v in self.vars}
         out: dict[Exponents, object] = {}
         for exps, c in self.coeffs.items():
@@ -80,9 +87,21 @@ class MultiPoly:
 
     # -- ring operations ---------------------------------------------------
 
+    def _operand(self, other) -> "MultiPoly":
+        """other as a MultiPoly: itself, or an int (not a bool) or Fraction as
+        a constant over these variables; anything else raises DomainError."""
+        if isinstance(other, MultiPoly):
+            return other
+        return MultiPoly.constant(_rational(other, "a polynomial operand"), self.vars)
+
+    def _var(self, var) -> int:
+        """The index of var among the variables, or DomainError."""
+        if var not in self.vars:
+            raise DomainError(f"{var!r} not among {self.vars}")
+        return self.vars.index(var)
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other, self.vars)
+        other = self._operand(other)
         a, b = MultiPoly._aligned(self, other)
         out = dict(a.coeffs)
         for exps, c in b.coeffs.items():
@@ -95,15 +114,14 @@ class MultiPoly:
         return MultiPoly(self.vars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other, self.vars)
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            _rational(other, "a polynomial factor")
             if other == 0:
                 return MultiPoly(self.vars)
             return MultiPoly(self.vars,
@@ -116,6 +134,8 @@ class MultiPoly:
     def __pow__(self, n: int):
         if _order(n, "the exponent of a polynomial power") < 0:
             raise DomainError("negative power of a polynomial")
+        if n * max(self.total_degree(), 1) > _POWER_DEGREE_CAP:
+            raise DomainError(f"the power {n} would pass the degree cap {_POWER_DEGREE_CAP}")
         out = MultiPoly.constant(1, self.vars)
         base = self
         while n:
@@ -146,9 +166,9 @@ class MultiPoly:
 
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
+        i = self._var(var)
         if not self.coeffs:
             return -1
-        i = self.vars.index(var)
         return max(e[i] for e in self.coeffs)
 
     def total_degree(self) -> int:
@@ -164,7 +184,8 @@ class MultiPoly:
 
     def coefficient(self, var: str, power: int) -> "MultiPoly":
         """Coefficient of var^power as a polynomial in the other variables."""
-        i = self.vars.index(var)
+        i = self._var(var)
+        _order(power, "the power of a coefficient")
         rest = tuple(v for v in self.vars if v != var)
         out: dict[Exponents, object] = {}
         for exps, c in self.coeffs.items():
@@ -177,7 +198,11 @@ class MultiPoly:
         return self.coeffs.get((0,) * len(self.vars), Fraction(0))
 
     def eval(self, assignment: dict[str, object]):
-        """Full evaluation; every variable must be assigned."""
+        """Full evaluation at ints or Fractions; every variable must be assigned."""
+        if not isinstance(assignment, dict) or not set(self.vars) <= set(assignment):
+            raise DomainError(f"eval needs a dict assigning each of {self.vars}")
+        for v in self.vars:
+            _rational(assignment[v], f"the value of {v}")
         total = 0
         for exps, c in self.coeffs.items():
             term = c
@@ -200,9 +225,12 @@ class MultiPoly:
         the product of its powers and accumulated into one dict.  The terms
         with alpha = 0 are copied.
         """
-        for var in replacements:
-            if var not in self.vars:
-                raise DomainError(f"{var} not among {self.vars}")
+        if not isinstance(replacements, dict):
+            raise DomainError(f"substitute needs a dict, got {type(replacements).__name__}")
+        for var, rep in replacements.items():
+            self._var(var)
+            if not isinstance(rep, MultiPoly):
+                raise DomainError(f"the replacement of {var} must be a MultiPoly")
         subs = [i for i, v in enumerate(self.vars) if v in replacements]
         merged = tuple(sorted(set(self.vars).difference(replacements).union(
             *(r.vars for r in replacements.values())), key=_var_key))
@@ -232,7 +260,7 @@ class MultiPoly:
         return MultiPoly(merged, out)
 
     def derivative(self, var: str) -> "MultiPoly":
-        i = self.vars.index(var)
+        i = self._var(var)
         out: dict[Exponents, object] = {}
         for exps, c in self.coeffs.items():
             if exps[i]:

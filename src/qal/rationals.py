@@ -3,7 +3,10 @@ integer roots and power bounds.
 
 Everything here is pure integer/Fraction arithmetic; no rounding occurs
 except in the explicitly directed root-bound functions, which always
-round outward.
+round outward.  A Fraction whose lowest terms are known, such as a dyadic
+m/2^s reduced by the trailing zeros of m, is built without a gcd through
+Fraction's two slots (:func:`_fraction`, :func:`_dyadic`), as the
+interval kernel builds its endpoints.
 
 One lexer, :class:`TokenCursor`, reads the polynomial grammar and the
 sequence DSL.  Its tokens are ``number`` literals, ``name``s and single
@@ -35,6 +38,30 @@ def _rational(value, what: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise DomainError(f"{what} must be an int or a Fraction, got {value!r}")
     return Fraction(value)
+
+
+_new = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for n/d already in lowest terms with d >= 1, built
+    without Fraction's gcd through its two slots ``_numerator`` and
+    ``_denominator``, which the interval kernel also reads."""
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _dyadic(m: int, d: int) -> Fraction:
+    """m/d in lowest terms for a power of two d: the gcd of m and d is the
+    power of two that divides m, capped at d."""
+    if m & 1 or d == 1:
+        return _fraction(m, d)
+    if not m:
+        return _fraction(0, 1)
+    t = min(m & -m, d).bit_length() - 1
+    return _fraction(m >> t, d >> t)
 
 
 def factorial(n: int) -> int:
@@ -146,20 +173,22 @@ def root_bounds(x: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
     """Outward bounds lo <= x^(1/k) <= hi for x >= 0, with hi - lo <= 2^-bits
     in absolute terms after denominator scaling.
     """
-    if x < 0:
-        raise DomainError("root_bounds needs a nonnegative radicand")
-    if x == 0:
-        return Fraction(0), Fraction(0)
     num, den = x.numerator, x.denominator
+    if num < 0:
+        raise DomainError("root_bounds needs a nonnegative radicand")
+    if num == 0:
+        return Fraction(0), Fraction(0)
     # x^(1/k) = (num * den^(k-1))^(1/k) / den
     big = num * den ** (k - 1)
     shift = bits + max(0, den.bit_length())
     r, exact = iroot(big << (k * shift), k)
     scale = den << shift
-    lo = Fraction(r, scale)
+    # for a power of two den the bounds are dyadic: no gcd is needed
+    make = Fraction if den & (den - 1) else _dyadic
+    lo = make(r, scale)
     if exact:
         return lo, lo
-    return lo, Fraction(r + 1, scale)
+    return lo, make(r + 1, scale)
 
 
 def pow_bounds(x: Fraction, s: Fraction, bits: int) -> tuple[Fraction, Fraction]:

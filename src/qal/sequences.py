@@ -437,14 +437,19 @@ class CheckResult:
         return self.passed
 
 
+def _log_convex_top(M: CarlemanSequence, horizon: int) -> int:
+    """The end of the range 1 <= j < top that the log-convexity check of M
+    covers: j needs M_{j+1}, so a finite sequence stops at lim - 1."""
+    lim = M.horizon_limit()
+    return horizon if lim is None else min(horizon, lim)
+
+
 def check_log_convexity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
     """Verify M_j^2 <= M_{j-1} M_{j+1} for 1 <= j < horizon."""
     _checked(M)
     if _order(horizon, "horizon") < 2:
         raise DomainError("log-convexity check needs horizon >= 2")
-    lim = M.horizon_limit()
-    # j needs M_{j+1}, so the last index a finite sequence can check is lim - 1
-    top = horizon if lim is None else min(horizon, lim)
+    top = _log_convex_top(M, horizon)
     # equality or strict inequality both satisfy log-convexity
     i = _first_violation(M, [([(j, 2)], [(j - 1, 1), (j + 1, 1)],
                               f"log-convexity at j={j}") for j in range(1, top)])
@@ -661,7 +666,8 @@ def classify(M: CarlemanSequence, horizon: int = 32) -> SequenceReport:
     lc = check_log_convexity(M, horizon)
     if lc.passed:
         lc_flag = Flag(TRUE, "finite-horizon" if M.family == CUSTOM else "symbolic",
-                       {"checked_on": f"1 <= j < {horizon}", "detail": lc.detail})
+                       {"checked_on": f"1 <= j < {_log_convex_top(M, horizon)}",
+                        "detail": lc.detail})
     else:
         lc_flag = Flag(FALSE, "finite-horizon",
                        {"witness_j": lc.witness[0], "detail": lc.detail})

@@ -32,8 +32,11 @@ non-point 2 m_k runs the square-and-multiply chain of ``RI.__pow__`` on
 each endpoint, and the rounded squares of that chain depend only on the
 endpoint and the working precision, never on the exponent: so the orders
 of :func:`~qal.division.nodiv_witness` and the tail term share them and
-each magnitude is bit for bit the one ``RI.__pow__`` gives.  For point
-data the magnitude is one exact Fraction product or quotient.
+each magnitude is bit for bit the one ``RI.__pow__`` gives.  The terms
+with k > j take a negative power: the reciprocal of the positive power,
+formed once from its endpoints (no product by the point 1), which is bit
+for bit ``1 / (2 m_k)^(k-j)``.  For point data every power is an exact
+point, so the magnitude is one exact product, formed on ints.
 """
 
 from __future__ import annotations
@@ -74,12 +77,7 @@ class ThetaApproximation:
 
     def term_magnitude(self, k: int, j: int) -> RI:
         """Mbar_k (2 m_k)^(j-k), the magnitude of term k of theta^(j)(0)."""
-        mbar, ladder = self.mbars[k], self.ladders[k]
-        base, n = ladder.base.lo, j - k
-        if mbar.lo is mbar.hi and base is ladder.base.hi:
-            v = mbar.lo * base**n if n >= 0 else mbar.lo / base**-n
-            return RI(v)
-        return mbar * ladder.power(n)
+        return self.mbars[k] * self.ladders[k].power(j - k)
 
     def tail_bound(self, j: int) -> Fraction:
         """Upper bound for the tail sum over k > K of term magnitudes.

@@ -17,7 +17,7 @@ from qal.errors import (ArityMismatchError, CertificationError, ChainDegeneratio
                         DomainError, NonMonicDivisorError, PrecisionFailure, QalError,
                         ZeroPolynomialError)
 from qal.intervals import RI, iv_exp
-from qal.polynomials import MultiPoly, parse_polynomial
+from qal.polynomials import MultiPoly, _var_key, parse_polynomial
 from qal.rationals import factorial
 from qal.sequences import analytic, gevrey, loggevrey
 
@@ -482,13 +482,25 @@ class TestFalsifyGrid:
         phi = DistinguishedPoly("y", 1, [P("x1 + x2")])
         assert hyperbolic_falsify_grid(phi, Fraction(1), 2) is None
 
+    def test_parameters_run_in_the_order_of_multipoly_vars(self):
+        # x2 comes before x10, as in MultiPoly.vars, not as in a string sort
+        text = "y^2 + x2^2 + x10^2"
+        hit = hyperbolic_falsify_grid(dist(text), Fraction(1), 1)
+        assert list(hit) == ["x2", "x10"] == [v for v in P(text).vars if v != "y"]
+        assert hit == {"x2": -1, "x10": -1}
+        # f = -x2 - x10 - 3 x2 x10 is <= 0 at the first point and > 0 at the
+        # next one whichever variable runs fastest: x2 running fastest hits
+        # (x2, x10) = (0, -1), x10 running fastest would hit (-1, 0)
+        hit = hyperbolic_falsify_grid(dist("y^2 - x2 - x10 - 3*x2*x10"), Fraction(1), 1)
+        assert list(hit.items()) == [("x2", 0), ("x10", -1)]
+
 
 def _grid_reference(phi, radius, resolution):
     """The first point of the grid, the first variable running fastest,
     whose fibre has fewer distinct real roots than distinct roots, counted
     by sympy over Q."""
     y = sympy.Symbol("y")
-    params = sorted({v for aj in phi.a for v in aj.vars})
+    params = sorted({v for aj in phi.a for v in aj.vars}, key=_var_key)
     steps = [Fraction(i, resolution) * radius for i in range(-resolution, resolution + 1)]
     for point in itertools.product(steps, repeat=len(params)):
         assignment = dict(zip(params, reversed(point)))

@@ -622,6 +622,84 @@ class TestKernelHelpers:
         assert RI(1, 3).rel_width() == 2
 
 
+# -- the int paths against the code they replace ----------------------------------------
+
+_FACTORS = st.integers(1, 1 << 120)
+
+
+@st.composite
+def shared_factor_operands(draw):
+    """Two Fractions whose numerators and denominators share factors, so
+    that every gcd of Fraction's product and sum is nontrivial."""
+    g, h, k = draw(_FACTORS), draw(_FACTORS), draw(_FACTORS)
+    x = Fraction(draw(_PARTS) * g, h * k * draw(st.sampled_from([1, 2, 3, 6])))
+    y = Fraction(draw(_PARTS) * h, g * k)
+    return x, y
+
+
+def _old_reciprocal(x: RI) -> RI:
+    """1/x as ``RI(1) / x`` formed it before the reciprocal helper: the
+    reciprocal interval from Fraction division, times the point 1."""
+    if x.lo == x.hi:
+        return RI(1) * RI(1 / x.lo)
+    return RI(1) * intervals._outward(1 / x.hi, 1 / x.lo)
+
+
+_nonzero_intervals = signed_intervals().filter(lambda a: not _has_zero(a))
+# an odd denominator longer than the bridge's precision, which rounds it
+# differently at the lower and the upper end
+_long_denominators = st.builds(lambda n, d: Fraction(n, d | 1), _LONG,
+                               st.integers(1 << 100, 1 << 1000))
+
+
+class TestIntPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(shared_factor_operands(), st.tuples(kernel_operands(), kernel_operands())))
+    def test_product_and_sum_are_fraction_operators(self, xy):
+        x, y = xy
+        assert _identical(intervals._mul(x, y), x * y)
+        assert _identical(intervals._mul(y, x), y * x)
+        assert _identical(intervals._add(x, y), x + y)
+        assert _identical(intervals._add(x, -x), Fraction(0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_intervals(), precisions)
+    def test_outward_is_idempotent(self, a, bits):
+        def twice():
+            once = intervals._outward(*a)
+            return once, intervals._outward(once.lo, once.hi)
+
+        once, again = at_precision(bits, twice)
+        assert _identical(again.lo, once.lo) and _identical(again.hi, once.hi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_nonzero_intervals, st.integers(1, 9), precisions)
+    def test_reciprocal_is_one_over_x_inside_certify(self, a, n, bits):
+        x = RI(*a)
+        ladder = PowerLadder(x)
+        got = at_precision(bits, lambda: [intervals._reciprocal(x), RI(1) / x, x ** -n,
+                                          ladder.power(-n)])
+        want = at_precision(bits, lambda: [_old_reciprocal(x), _old_reciprocal(x),
+                                           _old_reciprocal(x ** n), _old_reciprocal(x ** n)])
+        for g, w in zip(got, want):
+            assert _identical(g.lo, w.lo) and _identical(g.hi, w.hi)
+            assert (g.lo is g.hi) == (w.lo is w.hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(kernel_operands(), _fractions_1000, _long_denominators), _bridge_bits)
+    def test_kept_end_is_the_end_of_the_iv_quotient(self, q, bits):
+        lib, prec = mpmath.libmp, bits + 16
+        lo = intervals._mpi_end(q, prec, lib.round_floor)
+        hi = intervals._mpi_end(q, prec, lib.round_ceiling)
+        assert (lo, hi) == _at_iv_prec(bits, lambda: _iv_of(q)._mpi_)
+        # the quotient of the floor and ceiling pairs that the conversion
+        # formed before it kept one end of each
+        n, d = q.numerator, q.denominator
+        num = (lib.from_int(n, prec, lib.round_floor), lib.from_int(n, prec, lib.round_ceiling))
+        den = (lib.from_int(d, prec, lib.round_floor), lib.from_int(d, prec, lib.round_ceiling))
+        assert (lo, hi) == lib.mpi_div(num, den, prec)
+
+
 # -- error contract ----------------------------------------------------------------------
 
 _NOT_DATA = st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.floats(),

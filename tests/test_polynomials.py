@@ -190,3 +190,93 @@ class TestMultiPoly:
         assert sq.coeffs[(1,)] == QI.element([0, 2])
         assert sq.coeffs[(0,)] == QI.one()
 
+
+
+# -- error contract ----------------------------------------------------------------------
+
+_NAMES = ["x", "y", "x1", "x2", "x10"]
+_NOT_EXACT = st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.floats(),
+                       st.complex_numbers(), st.lists(st.integers(), max_size=2))
+
+
+@st.composite
+def _polys(draw):
+    """The empty polynomial, a zero polynomial over some variables, a
+    constant, or a sparse polynomial over up to three variables."""
+    kind = draw(st.sampled_from(["empty", "zero", "constant", "sparse"]))
+    if kind == "empty":
+        return MultiPoly(())
+    names = tuple(sorted(draw(st.lists(st.sampled_from(_NAMES), max_size=3, unique=True)),
+                         key=_var_key))
+    if kind == "zero":
+        return MultiPoly(names)
+    if kind == "constant":
+        return MultiPoly.constant(draw(st.fractions(-5, 5)), names)
+    exps = st.tuples(*(st.integers(0, 3) for _ in names))
+    return MultiPoly(names, draw(st.dictionaries(exps, st.fractions(-5, 5), max_size=4)))
+
+
+@st.composite
+def _malformed_poly_calls(draw):
+    """One MultiPoly operation with one malformed argument, as (label, thunk)."""
+    p = draw(_polys())
+    op = draw(st.sampled_from(["+", "r+", "-", "r-", "*", "r*", "**", "eval", "substitute",
+                               "derivative", "coefficient var", "coefficient power",
+                               "degree", "with_vars"]))
+    bad = draw(_NOT_EXACT)
+    if op == "**":
+        n = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=4097),
+                           st.booleans(), st.floats(), st.fractions(), st.none()))
+        return f"p ** {n!r}", lambda: p ** n
+    if op in ("eval", "substitute"):
+        # not a dict; a variable left out (eval) or not among p's (substitute);
+        # a value that is not exact data (eval) or not a MultiPoly (substitute)
+        args = [draw(_NOT_EXACT.filter(lambda v: not isinstance(v, dict)))]
+        if op == "substitute":
+            args.append({"z": MultiPoly.variable("x")})
+        if p.vars:
+            args.append({v: bad for v in p.vars})
+            if op == "eval":
+                args.append({v: Fraction(1, 2) for v in p.vars[1:]})
+        arg = draw(st.sampled_from(args))
+        return f"{op}({arg!r})", lambda: getattr(p, op)(arg)
+    if op == "with_vars":
+        arg = draw(st.one_of(
+            _NOT_EXACT.filter(lambda v: not isinstance(v, tuple)),
+            st.just(tuple(p.vars) + (1,)),
+            st.just(tuple(p.vars) + p.vars[:1] + ("z", "z")),
+            st.just(p.vars[1:]) if p.vars else st.just(("z", "z"))))
+        return f"with_vars({arg!r})", lambda: p.with_vars(arg)
+    var = draw(st.one_of(st.just("z"), _NOT_EXACT))
+    return f"{op} {bad!r} {var!r}", {
+        "+": lambda: p + bad, "r+": lambda: bad + p, "-": lambda: p - bad,
+        "r-": lambda: bad - p, "*": lambda: p * bad, "r*": lambda: bad * p,
+        "derivative": lambda: p.derivative(var), "degree": lambda: p.degree(var),
+        "coefficient var": lambda: p.coefficient(var, 1),
+        "coefficient power": lambda: p.coefficient(p.vars[0] if p.vars else "z", bad),
+    }[op]
+
+
+class TestErrorContract:
+    @settings(max_examples=500, deadline=None)
+    @given(_malformed_poly_calls())
+    def test_malformed_input_raises_a_coded_domain_error(self, call):
+        label, thunk = call
+        with pytest.raises(QalError) as info:
+            thunk()
+        assert isinstance(info.value, DomainError), label
+        assert info.value.code == "domain-error", label
+
+    @settings(max_examples=200, deadline=None)
+    @given(_polys(), _polys(), st.integers(0, 4), st.fractions(-3, 3))
+    def test_well_formed_calls_on_empty_and_zero_polynomials(self, p, q, n, value):
+        # the same operations with well-formed arguments raise nothing
+        for out in (p + q, p - q, p * q, p ** n, p + 1, 2 - p, p * value, value * p):
+            assert isinstance(out, MultiPoly)
+        assert p.eval({v: value for v in p.vars}) == p.eval({v: value for v in _NAMES})
+        for v in p.vars:
+            assert p.degree(v) >= -1
+            assert p.derivative(v).vars == p.vars
+            assert p.coefficient(v, 1).vars == tuple(w for w in p.vars if w != v)
+            assert isinstance(p.substitute({v: q}), MultiPoly)
+        assert p.with_vars(tuple(sorted(set(p.vars) | {"z"}, key=_var_key))) == p

@@ -223,6 +223,16 @@ class TestStructuralChecks:
         assert result.passed
         assert result.detail == "verified for 1 <= j < 4"
 
+    @pytest.mark.parametrize("seq, checked", [(custom([1, 2, 4]), "1 <= j < 2"),
+                                              (custom([1, 1, 2, 8, 32]), "1 <= j < 4"),
+                                              (gevrey(2), "1 <= j < 32")])
+    def test_certificate_names_the_range_checked(self, seq, checked):
+        # a finite sequence stops below the requested horizon of 32
+        flag = classify(seq).log_convex
+        assert flag.value == TRUE
+        assert flag.certificate["checked_on"] == checked
+        assert flag.certificate["detail"] == f"verified for {checked}"
+
     def test_superadditivity_gevrey1(self):
         from qal.rationals import factorial
         # oracle: j! k! <= (j+k)! checked exactly here, independent of the library
