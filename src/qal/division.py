@@ -23,20 +23,17 @@ distinguished polynomial itself: its identity is the one certificate,
 and H is split into its parts by the power of z.
 
 The hyperbolicity decision rests on the observation that the sign of a
-nonzero polynomial near 0+ or 0- is read off from its lowest-order term, so
-"all roots real for every x' in a punctured neighborhood" is decidable
-without any sampling.  The polynomial is scaled into Z[x][y], and one
-subresultant chain of (phi, phi') replaces the Euclid over Q(x): Brown's
-PRS, a pseudo-remainder and then an exact division per step, computed once
-by :func:`_prs`.  Each element is the Sturm element times a multiplier, and
-:func:`_count` derives the multiplier's sign from the steps' leading
-coefficients, degree gaps and divisors, once per side of 0, so no fraction
-and no gcd of coefficients is ever formed (Basu, Pollack and Roy,
-Algorithms in Real Algebraic Geometry, ch. 8-9).  An element of Z[x] is a
-slotted wrapper of a dense int list: sympy's polynomial rings would do the
-same job but importing them more than doubles the resident memory and adds
-a few tenths of a second to the import of every module that imports this
-one.
+nonzero polynomial near 0+ or 0- is that of its lowest-order term, so "all
+roots real for every x' in a punctured neighborhood" is decidable without
+any sampling.  The polynomial is scaled into Z[x][y], each coefficient is
+replaced by its value at x = 2^w, past a bound on the chain's coefficients
+(Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
+Algebra, 8.4), and Brown's subresultant PRS of (phi, phi') on these ints
+replaces the Euclid over Q(x).  Each element is the Sturm element times a
+multiplier whose sign follows from the leading coefficients' lowest
+base-2^w digits, once per side of 0, so no fraction, gcd or product in
+Z[x] is ever formed (Basu, Pollack and Roy, Algorithms in Real Algebraic
+Geometry, ch. 8-9).
 
 The grid falsifier forms no Fraction per point: all its fibres are taken
 over one positive common denominator L, fixed once for the grid, so each
@@ -49,9 +46,8 @@ phi(y) there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 from math import lcm
 from typing import Callable
@@ -59,11 +55,10 @@ from typing import Callable
 from .errors import (ArityMismatchError, CertificationError,
                      ChainDegenerationError, DomainError, NonMonicDivisorError,
                      PrecisionFailure, ZeroPolynomialError)
-from .intervals import (RI, _floor_dyadic, certify, default_bits, iv_exp,
-                        ri_pow_frac)
-from .polynomials import (MultiPoly, _accumulate_product, _var_key, umul,
-                          usub, utrim)
-from .rationals import _order, factorial, format_fraction, root_bounds
+from .intervals import (RI, _floor_dyadic, _precision, certify, default_bits,
+                        iv_exp, ri_pow_frac)
+from .polynomials import MultiPoly, _accumulate_product, _var_key, utrim
+from .rationals import _order, _rational, factorial, format_fraction, root_bounds
 from .sequences import CarlemanSequence, _checked
 from .theta import _magnitude_at_zero, build_theta
 
@@ -171,9 +166,9 @@ def euclid_divide(P: MultiPoly, F: MultiPoly, var: str) -> tuple[MultiPoly, Mult
 
     def assemble(rows):
         # every coefficient lies in `rest`: var^p only inserts p into its exponents
-        return MultiPoly(vars_all, {exps[:at] + (p,) + exps[at:]: c
-                                    for p, row in enumerate(rows)
-                                    for exps, c in row.items()})
+        return MultiPoly._of(vars_all, {exps[:at] + (p,) + exps[at:]: c
+                                        for p, row in enumerate(rows)
+                                        for exps, c in row.items()})
 
     Q, R = assemble(quot), assemble(work)
     if assemble(f_rows) * Q + R != assemble(p_rows) * lift:
@@ -181,8 +176,8 @@ def euclid_divide(P: MultiPoly, F: MultiPoly, var: str) -> tuple[MultiPoly, Mult
     if R and R.degree(var) >= d:
         raise CertificationError("remainder degree not reduced")
     # G = L_F Q / S with S = L_P L_F^e; Q is zero when e = 0
-    return (MultiPoly(vars_all, _over(Q.coeffs, L_P * L_F ** max(e - 1, 0))),
-            MultiPoly(vars_all, _over(R.coeffs, L_P * lift)))
+    return (MultiPoly._of(vars_all, _over(Q.coeffs, L_P * L_F ** max(e - 1, 0))),
+            MultiPoly._of(vars_all, _over(R.coeffs, L_P * lift)))
 
 
 def generic_divisor(d: int, var: str = "z") -> MultiPoly:
@@ -217,8 +212,7 @@ class DistinguishedPoly:
         for aj in self.a:
             _require_poly(aj, "a coefficient")
         if len(self.a) != self.d:
-            raise ArityMismatchError(
-                f"need {self.d} coefficients, got {len(self.a)}")
+            raise ArityMismatchError(f"need {self.d} coefficients, got {len(self.a)}")
         for j, aj in enumerate(self.a):
             if aj and aj.constant_term() != 0:
                 raise DomainError(f"coefficient a_{j + 1} does not vanish at 0")
@@ -275,14 +269,12 @@ def specialize_division(P: MultiPoly, phi: DistinguishedPoly,
             terms[exps[:z_at] + (d - 1 - j,) + exps[z_at + 1:]] = c
     G, H = euclid_divide(P, MultiPoly(phi_vars, terms), var)
     # the parts of H by the power of var, in one pass
-    at = H.vars.index(var)
-    top = H.degree(var)
-    parts: list[dict] = [{} for _ in range(top + 1)]
+    at, top = H.vars.index(var), H.degree(var)
+    parts: list[dict] = [{} for _ in range(d)]
     for exps, c in H.coeffs.items():
         parts[exps[at]][exps[:at] + exps[at + 1:]] = c
     rest = H.vars[:at] + H.vars[at + 1:]
-    return G, [MultiPoly(rest, part) for part in parts] \
-        + [MultiPoly(()) for _ in range(top + 1, d)]
+    return G, [MultiPoly(rest if j <= top else (), part) for j, part in enumerate(parts)]
 
 
 def regular_order(phi: MultiPoly, var: str) -> int | None:
@@ -292,37 +284,31 @@ def regular_order(phi: MultiPoly, var: str) -> int | None:
     _require_var(var)
     if phi.is_zero():
         raise ZeroPolynomialError("regular order of the zero polynomial")
-    restricted = {}
-    i = phi.vars.index(var) if var in phi.vars else None
-    if i is None:
+    if var not in phi.vars:
         return None if phi.constant_term() == 0 else 0
-    for exps, c in phi.coeffs.items():
-        if all(e == 0 for n, e in enumerate(exps) if n != i):
-            restricted[exps[i]] = restricted.get(exps[i], 0) + c
-    powers = sorted(p for p, c in restricted.items() if c != 0)
-    return powers[0] if powers else None
+    i = phi.vars.index(var)
+    # the terms of phi(0, ..., 0, var): distinct keys, nonzero coefficients
+    return min((exps[i] for exps in phi.coeffs if not any(exps[:i] + exps[i + 1:])),
+               default=None)
 
 
 def strictly_regular_check(F: MultiPoly, d: int, var: str) -> bool:
     """True iff F has no monomials of total degree < d and the pure var^d
     coefficient is nonzero."""
     _require_poly(F, "F")
-    _order(d, "d")
+    if _order(d, "d") < 0:
+        raise DomainError(f"d must be >= 0, got {d}")
     _require_var(var)
-    if F.total_degree() >= 0 and F.order() < d:
+    if var not in F.vars or (F and F.order() < d):
         return False
-    i = F.vars.index(var) if var in F.vars else None
-    if i is None:
-        return False
-    target = tuple(d if n == i else 0 for n in range(len(F.vars)))
-    return F.coeffs.get(target, 0) != 0
+    i = F.vars.index(var)
+    return tuple(d if n == i else 0 for n in range(len(F.vars))) in F.coeffs
 
 
 # -- hyperbolicity ----------------------------------------------------------------
 #
-# A polynomial in the main variable is a dense list, constant term first, of
-# coefficient elements: ints for a fibre at a grid point, _ZX for the exact
-# decision over Z[x].  One chain routine serves both through their operators.
+# A polynomial in y is a dense list of ints, constant term first: a grid fibre,
+# or Z[x][y] at x = 2^w for the exact decision.  One chain routine serves both.
 
 def _param_vars(phi: DistinguishedPoly) -> set[str]:
     """The parameter variables that occur in some coefficient of phi."""
@@ -339,77 +325,62 @@ def _dense_in_param(a: MultiPoly, scale: int) -> list[int]:
     return utrim(row)
 
 
-class _ZX:
-    """An element of Z[x]: a dense list of ints, constant term first, with
-    no trailing zero ([] is zero)."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: list[int]):
-        self.c = c
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __mul__(self, other: "_ZX") -> "_ZX":
-        return _ZX(umul(self.c, other.c))
-
-    def __rmul__(self, k: int) -> "_ZX":    # k * self for a nonzero int k
-        return _ZX([k * c for c in self.c])
-
-    def __sub__(self, other: "_ZX") -> "_ZX":
-        return _ZX(usub(self.c, other.c))
-
-    def __pow__(self, e: int) -> "_ZX":
-        return _ZX(reduce(umul, [self.c] * e, [1]))
-
-    def __divmod__(self, other: "_ZX") -> tuple["_ZX", "_ZX"]:
-        """(q, r) with self = q other + r, r zero exactly when other divides
-        self in Z[x]: the long division stops at the first top coefficient
-        that the leading coefficient of other does not divide."""
-        b, rem = other.c, list(self.c)
-        n, lead = len(b), b[-1]
-        quot = [0] * max(0, len(rem) - n + 1)
-        for shift in range(len(quot) - 1, -1, -1):
-            q, r = divmod(rem[shift + n - 1], lead)
-            if r:
-                break
-            quot[shift], rem[shift + n - 1] = q, 0
-            for i in range(n - 1):
-                rem[shift + i] -= q * b[i]
-        return _ZX(utrim(quot)), _ZX(utrim(rem))
-
-    def sign(self, side: str) -> int:
-        """The sign of a nonzero element on (0, eps) for side 'plus' or on
-        (-eps, 0) for 'minus', eps small: that of its lowest-order term."""
-        k = next(i for i, c in enumerate(self.c) if c)
-        s = 1 if self.c[k] > 0 else -1
-        return -s if side == "minus" and k % 2 else s
-
-
-def _exquo(a, b):
-    """The quotient a / b of two coefficient elements; a remainder means the
-    chain is not the subresultant sequence it should be."""
+def _exquo(a: int, b: int) -> int:
+    """The quotient a / b of two ints; a remainder means the chain is not
+    the subresultant sequence it should be."""
     q, r = divmod(a, b)
     if r:
         raise ChainDegenerationError("inexact division in the subresultant chain")
     return q
 
 
-def _prs(p: list) -> tuple[list[list], list[tuple]]:
-    """Brown's subresultant PRS of (p, dp/dy) for p with a positive constant
-    leading coefficient (Brown; Cohen, Algorithm 3.3.1), and its steps.
+# the divisor length in bits from which one 2-adic inverse per step beats a
+# long division per entry (CPython 3.11's is quadratic, its product Karatsuba)
+_TWO_ADIC_BITS = 32000
+
+
+def _exquo_all(values: list[int], b: int) -> list[int]:
+    """The exact quotients v / b of the ints v by one nonzero int b, or
+    ChainDegenerationError.
+
+    Below ``_TWO_ADIC_BITS`` each quotient is one checked divmod.  From
+    there, with b = 2^t u for an odd u and k = bits(v) - bits(b) + 2 over
+    the longest v, an exact quotient q has |q| < 2^(k-1), so it is the
+    balanced residue of (v >> t) u^-1 mod 2^k; u^-1 mod 2^k is formed once
+    by Newton's iteration x <- x (2 - u x), which doubles the correct low
+    bits, and each q is checked by the product b q = v.
+    """
+    if b.bit_length() < _TWO_ADIC_BITS:
+        return [_exquo(v, b) for v in values]
+    t = (b & -b).bit_length() - 1
+    u = b >> t
+    k = max(2, max(v.bit_length() for v in values) - b.bit_length() + 2)
+    inverse, bits = 1, 1
+    while bits < k:
+        bits = min(2 * bits, k)
+        mask = (1 << bits) - 1
+        inverse = inverse * (2 - (u & mask) * inverse) & mask
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    out = [q - (1 << k) if q & half else q
+           for q in (((v >> t) & mask) * inverse & mask for v in values)]
+    if any(q * b != v for q, v in zip(out, values)):
+        raise ChainDegenerationError("inexact division in the subresultant chain")
+    return out
+
+
+def _prs(p: list[int]) -> list[list[int]]:
+    """Brown's subresultant PRS of (p, dp/dy) for p with a positive leading
+    coefficient (Brown; Cohen, Algorithm 3.3.1).
 
     R_0 = p, R_1 = dp/dy and R_(i+1) = prem(R_(i-1), R_i) / beta_i with
     prem(A, B) = lc(B)^(delta+1) A mod B, delta_i = deg R_(i-1) - deg R_i,
     beta_1 = 1 and beta_i = lc(R_(i-1)) h_(i-1)^delta_i, where h_0 = 1 and
     h_i = lc(R_i)^delta_i / h_(i-1)^(delta_i - 1); every division is exact.
     Returns the chain up to its last nonzero element, gcd(p, dp/dy) up to a
-    factor, and the steps (lc(R_i), delta_i, beta_i), i = 1, 2, ...
+    factor; :func:`_count` reads the steps back from it.
     """
     chain = [p, [k * p[k] for k in range(1, len(p))]]
-    steps: list[tuple] = []
-    g = h = p[-1] ** 0
+    g = h = 1
     while True:
         A, B = chain[-2:]
         lead, n = B[-1], len(B)
@@ -422,49 +393,63 @@ def _prs(p: list) -> tuple[list[list], list[tuple]]:
             for i in range(n - 1):
                 rem[shift + i] = lead * rem[shift + i] - top * B[i]
         if not utrim(rem):
-            return chain, steps
-        beta = g * h ** delta
-        chain.append([_exquo(c, beta) for c in rem] if steps else rem)
-        steps.append((lead, delta, beta))
+            return chain
+        chain.append(_exquo_all(rem, g * h ** delta) if len(chain) > 2 else rem)
         g = lead
         h = lead if delta == 1 else _exquo(lead ** delta, h ** (delta - 1))
 
 
-def _count(chain: list[list], steps: list[tuple], sign: Callable) -> int:
-    """The number of distinct real roots of chain[0] from its chain and
-    steps as :func:`_prs` returns them, where sign(a) is the sign (1 or -1)
-    of a nonzero coefficient element on the domain of the count.
+def _count(chain: list[list[int]], sign: Callable[[int], int]) -> int:
+    """The number of distinct real roots of chain[0] from the chain that
+    :func:`_prs` returns, where sign(a) is the sign (1 or -1) of a nonzero
+    leading coefficient on the domain of the count.
 
     Over the fraction field R_i = m_i S_i, where S is the Sturm chain
     S_0 = p / L, S_1 = p' / L, S_(i+1) = -rem(S_(i-1), S_i) and L = lc(p), so
     m_0 = m_1 = L > 0.  As prem(R_(i-1), R_i) equals
     -lc(R_i)^(delta+1) m_(i-1) S_(i+1), the multiplier is
-    m_(i+1) = -lc(R_i)^(delta+1) m_(i-1) / beta_i, and its sign is the
-    product of the signs of its factors.  S_i has the sign of lc(R_i) m_i at
+    m_(i+1) = -lc(R_i)^(delta+1) m_(i-1) / beta_i.  Its sign is the product
+    of the signs of its factors, and beta_i = lc(R_(i-1)) h_(i-1)^delta_i
+    and h_i are products and exact quotients of leading coefficients, whose
+    signs multiply (near 0 so do the lowest-order terms); delta_i is the
+    difference of the element lengths.  S_i has the sign of lc(R_i) m_i at
     +infinity and that times (-1)^(deg R_i) at -infinity; the count is the
     number of sign variations at -infinity minus that at +infinity, which
-    counts distinct roots whether or not p is squarefree.  One loop derives
-    the multipliers and the variations.
+    counts distinct roots whether or not p is squarefree.
     """
     count = at_plus = at_minus = 0   # no variation before the first element
     m_prev = m = 1                   # the signs of m_0 and m_1
+    g = h = 1                        # the signs of g and h before each step
     for i, R in enumerate(chain):
         s = sign(R[-1])
         plus = s * m
         minus = plus if len(R) % 2 else -plus
         count += (minus != at_minus) - (plus != at_plus)
         at_plus, at_minus = plus, minus
-        if 0 < i <= len(steps):
-            _, delta, beta = steps[i - 1]
-            m_prev, m = m, -m_prev * (1 if delta % 2 else s) * sign(beta)
+        if 0 < i < len(chain) - 1:
+            if (len(chain[i - 1]) - len(R)) % 2:     # odd delta: beta = g h, h_i = lc
+                m_prev, m, h = m, -m_prev * g * h, s
+            else:                                     # even delta: beta = g, h_i = h
+                m_prev, m = m, -m_prev * s * g
+            g = s
     return count
 
 
 def _fibre_counts(p: list[int]) -> tuple[int, int]:
     """The degree of gcd(p, p') and the number of distinct real roots of p
     in Z[y], a dense list of ints with a positive leading coefficient."""
-    chain, steps = _prs(p)
-    return len(chain[-1]) - 1, _count(chain, steps, lambda a: 1 if a > 0 else -1)
+    chain = _prs(p)
+    return len(chain[-1]) - 1, _count(chain, lambda a: 1 if a > 0 else -1)
+
+
+def _lowest_sign(N: int, w: int, minus: bool) -> int:
+    """The sign near 0+ (near 0- for minus) of c in Z[x] with c(2^w) = N != 0
+    and every coefficient below 2^(w-1) in absolute value: that of its
+    lowest term c_k x^k, bit w - 1 of N >> kw with k = tz(N) // w (see
+    :func:`hyperbolic_check_2d`)."""
+    k = ((N & -N).bit_length() - 1) // w
+    s = -1 if N >> (k * w + w - 1) & 1 else 1
+    return -s if minus and k & 1 else s
 
 
 @dataclass
@@ -476,10 +461,7 @@ class HyperbolicityReport:
     real_root_counts: dict            # side -> distinct real roots near 0
 
     def to_json(self):
-        return {"verdict": self.verdict, "witness_side": self.witness_side,
-                "degree": self.degree,
-                "multiplicity_excess": self.multiplicity_excess,
-                "real_root_counts": self.real_root_counts}
+        return asdict(self)
 
 
 def hyperbolic_check_2d(phi: DistinguishedPoly,
@@ -487,15 +469,28 @@ def hyperbolic_check_2d(phi: DistinguishedPoly,
     """Decide whether all roots of phi(x, .) are real for every x in a
     punctured one-sided neighborhood of 0.
 
-    phi is scaled by a positive integer into Z[x][y] and one subresultant
-    chain of (phi, phi') is computed over Z[x] by :func:`_prs`.  Each
-    element is the Sturm element over Q(x) times a multiplier whose sign
-    near 0+ and near 0- :func:`_count` derives; near 0 the sign of an
-    element of Z[x] is that of its lowest-order term, so the count of
-    distinct real roots on each side is exact.  The last element is
-    gcd(phi, phi'), whose degree is the multiplicity excess.  phi is
-    hyperbolic iff on every requested side the count equals the squarefree
-    degree.
+    phi is scaled by a positive integer into p in Z[x][y], each coefficient
+    a(x) of p is replaced by the int a(2^w), and :func:`_prs` computes one
+    subresultant chain of (p, p') on these ints.  :func:`_count` counts the
+    distinct real roots on each side with the sign of each leading
+    coefficient's lowest-order term, read off its lowest base-2^w digit by
+    :func:`_lowest_sign`.  The last element is gcd(p, p'), whose degree is
+    the multiplicity excess.  phi is hyperbolic iff on every requested side
+    the count equals the squarefree degree.
+
+    The width.  Let n = deg_y p, |f| the sum of the absolute values of the
+    integer coefficients of f in x and y, B = |p|^(n-1) |p'|^n and
+    w = bits(B) + 1, so B < 2^(w-1).  (i) Every element of Brown's PRS
+    from R_1 on, every h and lc(p) are +- subresultant coefficients or
+    polynomials (lc(p) = lc(p') / n), whose coefficients are minors of the
+    Sylvester matrix of (p, p'): n - 1 rows from p and n from p'.
+    Hadamard's expansion with |fg| <= |f| |g| bounds each by B.  (ii) So a
+    nonzero such c = sum c_i x^i with lowest term c_k x^k does not vanish at
+    2^w: c(2^w) = 2^(kw) (c_k + 2^w m) with 0 < |c_k| < 2^w.  As x -> 2^w is
+    a ring map, the chain over Z takes the same degree steps and its exact
+    quotients are the images of those over Z[x].  (iii) With N = c(2^w),
+    tz(N) = kw + tz(c_k) with tz(c_k) < w, so k = tz(N) // w and c_k is the
+    balanced residue of (N >> kw) mod 2^w; near 0- the sign flips for odd k.
     """
     _require_distinguished(phi)
     if side not in ("both", "plus", "minus"):
@@ -505,17 +500,20 @@ def hyperbolic_check_2d(phi: DistinguishedPoly,
                           "variable; use hyperbolic_falsify_grid for more")
     # phi times the positive lcm L of its denominators: the same roots, in Z[x][y]
     L = lcm(*(_denominator(aj) for aj in phi.a))
-    rows = [_ZX(_dense_in_param(aj, L)) for aj in reversed(phi.a)] + [_ZX([L])]
+    rows = [_dense_in_param(aj, L) for aj in reversed(phi.a)] + [[L]]
+    norm = sum(abs(c) for row in rows for c in row)
+    norm_d = sum(k * abs(c) for k, row in enumerate(rows) for c in row)
+    w = (norm ** (phi.d - 1) * norm_d ** phi.d).bit_length() + 1
+    chain = _prs([sum(c << (i * w) for i, c in enumerate(row)) for row in rows])
     sides = ("plus", "minus") if side == "both" else (side,)
-    chain, steps = _prs(rows)
-    counts = {s: _count(chain, steps, lambda a, s=s: a.sign(s)) for s in sides}
+    counts = {s: _count(chain, lambda N, minus=s == "minus": _lowest_sign(N, w, minus))
+              for s in sides}
     excess = len(chain[-1]) - 1
     sf_deg = phi.d - excess
     bad = [s for s in sides if counts[s] != sf_deg]
-    if not bad:
-        return HyperbolicityReport("hyperbolic", None, sf_deg, excess, counts)
-    witness = "both" if len(bad) == 2 else bad[0]
-    return HyperbolicityReport("not-hyperbolic", witness, sf_deg, excess, counts)
+    witness = None if not bad else "both" if len(bad) == 2 else bad[0]
+    return HyperbolicityReport("not-hyperbolic" if bad else "hyperbolic", witness,
+                               sf_deg, excess, counts)
 
 
 def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
@@ -541,11 +539,10 @@ def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
     """
     _require_distinguished(phi)
     _require_positive_int(resolution, "the grid resolution")
-    radius = Fraction(radius)
-    if radius <= 0:
+    if _rational(radius, "the grid radius") <= 0:
         raise DomainError("grid needs a positive radius")
     params = sorted(set(v for aj in phi.a for v in aj.vars), key=_var_key)
-    step = radius / resolution
+    step = Fraction(radius) / resolution
     scaled = [[(c * step ** sum(exps),
                 [(params.index(v), e) for v, e in zip(aj.vars, exps) if e])
                for exps, c in aj.coeffs.items()]
@@ -686,10 +683,12 @@ def gevrey_flat_witness(alpha: Fraction, k: int, J: int,
     critical exponent.  The constant is empirical for this table, not a
     universally valid one.
     """
+    if _rational(alpha, "alpha") <= 0:
+        raise DomainError(f"need alpha > 0, got {alpha}")
+    _require_positive_int(k, "k")
+    _require_positive_int(J, "J")
     alpha = Fraction(alpha)
-    if alpha <= 0 or k < 1 or J < 1:
-        raise DomainError("need alpha > 0, k >= 1, J >= 1")
-    bits = bits or default_bits()
+    bits = default_bits() if bits is None else _precision(bits)
     rows = []
     for j in range(1, J + 1):
         mag = RI.point(Fraction(factorial(2 * j))) * iv_exp(Fraction(-j), bits)

@@ -3,18 +3,19 @@
 Multivariate polynomials carry exact rational (or number-field)
 coefficients in a sparse exponent-vector map with a canonical variable
 ordering (x before y; numbered variables x1, x2, ... by index).  The
-dense univariate helpers are the ring operations (add, subtract,
-multiply) on plain coefficient lists over any coefficient type; division
-and gcds over a field are sympy's (see ``qal.algebraic``).
+dense univariate helpers are the ring operations (add, multiply) on
+plain coefficient lists over any coefficient type; division and gcds
+over a field are sympy's (see ``qal.algebraic``).
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 from fractions import Fraction
 
 from .errors import DomainError, QalSyntaxError, ZeroPolynomialError
-from .rationals import TokenCursor, _order, _rational
+from .rationals import TokenCursor, _new, _order, _rational
 
 Exponents = tuple[int, ...]
 
@@ -34,6 +35,14 @@ def _var_key(name: str):
     return (letters, int(digits) if digits else -1, digits)
 
 
+def _names(vars) -> tuple[str, ...]:
+    """vars if it is a tuple of distinct names, otherwise DomainError."""
+    if type(vars) is not tuple or not all(type(v) is str for v in vars) \
+            or len(set(vars)) < len(vars):
+        raise DomainError(f"the variables must be a tuple of distinct names, got {vars!r}")
+    return vars
+
+
 class MultiPoly:
     """Sparse multivariate polynomial over Fraction (or any field-like
     coefficient supporting exact arithmetic)."""
@@ -41,19 +50,39 @@ class MultiPoly:
     __slots__ = ("vars", "coeffs")
 
     def __init__(self, vars: tuple[str, ...], coeffs: dict[Exponents, object] | None = None):
-        self.vars = tuple(vars)
+        """vars must be a tuple of distinct names and each key of coeffs a
+        tuple of len(vars) nonnegative exponents, otherwise DomainError; zero
+        coefficients are dropped.  Each term costs one length and type test;
+        the exponents are checked by one min over all of them."""
+        self.vars = _names(vars)
         self.coeffs: dict[Exponents, object] = {}
         if coeffs:
+            n = len(vars)
             for exps, c in coeffs.items():
+                if type(exps) is not tuple or len(exps) != n:
+                    raise DomainError(f"{exps!r} is not an exponent tuple over {vars}")
                 if c != 0:
-                    self.coeffs[tuple(exps)] = c
+                    self.coeffs[exps] = c
+            try:
+                low = min(chain.from_iterable(coeffs), default=0)
+            except TypeError:        # an exponent that is not a number
+                low = None
+            if type(low) is not int or low < 0:
+                raise DomainError(f"an exponent that is not an int >= 0 among {list(coeffs)}")
+
+    @staticmethod
+    def _of(vars: tuple[str, ...], coeffs: dict) -> "MultiPoly":
+        """coeffs over vars without the checks: for the ring operations,
+        whose keys are those of checked operands or sums of them."""
+        p = _new(MultiPoly)
+        p.vars, p.coeffs = vars, {e: c for e, c in coeffs.items() if c != 0}
+        return p
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def constant(value, vars: tuple[str, ...] = ()) -> "MultiPoly":
-        value = Fraction(value) if isinstance(value, int) else value
-        return MultiPoly(vars, {(0,) * len(vars): value})
+        return MultiPoly(vars, {(0,) * len(vars): _rational(value, "a constant")})
 
     @staticmethod
     def variable(name: str, vars: tuple[str, ...] | None = None) -> "MultiPoly":
@@ -65,9 +94,8 @@ class MultiPoly:
 
     def with_vars(self, vars: tuple[str, ...]) -> "MultiPoly":
         """Reindex onto a superset variable tuple."""
-        if (not isinstance(vars, tuple) or not all(type(v) is str for v in vars)
-                or len(set(vars)) < len(vars) or not set(self.vars) <= set(vars)):
-            raise DomainError(f"{vars!r} is not a tuple of distinct names holding {self.vars}")
+        if not set(self.vars) <= set(_names(vars)):
+            raise DomainError(f"{vars!r} does not hold {self.vars}")
         pos = {v: vars.index(v) for v in self.vars}
         out: dict[Exponents, object] = {}
         for exps, c in self.coeffs.items():
@@ -106,12 +134,12 @@ class MultiPoly:
         out = dict(a.coeffs)
         for exps, c in b.coeffs.items():
             out[exps] = out.get(exps, 0) + c
-        return MultiPoly(a.vars, out)
+        return MultiPoly._of(a.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.coeffs.items()})
+        return MultiPoly._of(self.vars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._operand(other))
@@ -124,10 +152,9 @@ class MultiPoly:
             _rational(other, "a polynomial factor")
             if other == 0:
                 return MultiPoly(self.vars)
-            return MultiPoly(self.vars,
-                             {e: c * other for e, c in self.coeffs.items()})
+            return MultiPoly._of(self.vars, {e: c * other for e, c in self.coeffs.items()})
         a, b = MultiPoly._aligned(self, other)
-        return MultiPoly(a.vars, _dict_product(a.coeffs, b.coeffs))
+        return MultiPoly._of(a.vars, _dict_product(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
@@ -146,7 +173,7 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = MultiPoly.constant(other, self.vars)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -389,12 +416,6 @@ def uadd(p: list, q: list) -> list:
         a = p[i] if i < len(p) else 0
         b = q[i] if i < len(q) else 0
         out.append(a + b)
-    return utrim(out)
-
-
-def usub(p: list, q: list) -> list:
-    out = [a - b for a, b in zip(p, q)]
-    out += p[len(q):] if len(p) > len(q) else [-b for b in q[len(p):]]
     return utrim(out)
 
 

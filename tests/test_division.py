@@ -379,8 +379,21 @@ class TestHyperbolicityHighDegree:
             hyperbolic_check_2d(phi)
 
     def test_inexact_chain_division_is_coded(self):
+        # (1 + x^2) / (1 + x) in Z[x], evaluated at x = 2^8
         with pytest.raises(ChainDegenerationError):
-            division._exquo(division._ZX([1, 0, 1]), division._ZX([1, 1]))   # (1 + x^2) / (1 + x)
+            division._exquo_all([1 + (1 << 16)], 1 + (1 << 8))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+                    min_size=1, max_size=4),
+           st.sampled_from([None, "(y^2 + x^2)", "(y^2 - x^3)", "(y^2 + x^5)"]))
+    def test_large_coefficients_against_sympy(self, branches, factor):
+        text = "*".join([f"(y - ({a})*x - ({b})*x^2)" for a, b in branches]
+                        + ([factor] if factor else []))
+        out = hyperbolic_check_2d(dist(text))
+        degree, excess, counts = sympy_reference(text)
+        assert (out.degree, out.multiplicity_excess) == (degree, excess)
+        assert out.real_root_counts == counts
 
 
 _Y = sympy.Symbol("y")
@@ -435,34 +448,102 @@ class TestConstantChain:
             division._exquo(7, 2)
 
 
-def _at(a, c):
-    """An element of Z[x] evaluated at the integer c."""
-    return sum(k * c ** i for i, k in enumerate(a.c))
+def _digits(N, w):
+    """The coefficients, lowest first, of the element of Z[x] whose value at
+    2^w is N, each read as a balanced base-2^w digit."""
+    out = []
+    while N:
+        c = N & ((1 << w) - 1)
+        c -= (c >> (w - 1)) << w
+        out.append(c)
+        N = (N - c) >> w
+    return out
 
 
 class TestOneChainForBothRings:
-    """The chain over Z[x] specializes to the chain of each integer fibre."""
+    """The chain on Z[x][y] evaluated at x = 2^w is Brown's chain over Z[x]:
+    each element, decoded digit by digit, is sympy's subresultant PRS element
+    up to sign, and every coefficient from R_1 on, and lc(R_0), lies inside
+    the width bound B."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), min_size=1, max_size=4),
-           st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 3)), max_size=2),
-           st.integers(-5, 5).filter(bool))
-    def test_specialization_commutes_with_the_chain(self, branches, pairs, c):
+           st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 3)), max_size=2))
+    def test_packed_chain_is_the_subresultant_prs(self, branches, pairs):
         # a product of real branches y - (a x + b x^2) and factors y^2 +- x^k
-        phi = P("1")
-        for a, b in branches:
-            phi = phi * P(f"y - ({a})*x - ({b})*x^2")
-        for sign, k in pairs:
-            phi = phi * P(f"y^2 + ({sign})*x^{k}")
-        phi = DistinguishedPoly.from_multipoly(phi, "y")
-        rows = [division._ZX(division._dense_in_param(aj, 1)) for aj in reversed(phi.a)]
-        chain, steps = division._prs(rows + [division._ZX([1])])
-        # at c every leading coefficient keeps its degree's term
-        assume(all(_at(R[-1], c) for R in chain))
-        fibre_chain, fibre_steps = division._prs([_at(a, c) for a in rows] + [1])
-        assert [[_at(a, c) for a in R] for R in chain] == fibre_chain
-        assert [(_at(lead, c), delta, _at(beta, c))
-                for lead, delta, beta in steps] == fibre_steps
+        text = "*".join([f"(y - ({a})*x - ({b})*x^2)" for a, b in branches]
+                        + [f"(y^2 + ({sign})*x^{k})" for sign, k in pairs])
+        phi = dist(text)
+        rows = [division._dense_in_param(aj, 1) for aj in reversed(phi.a)] + [[1]]
+        n = len(rows) - 1
+        bound = (sum(abs(c) for row in rows for c in row) ** (n - 1)
+                 * sum(k * abs(c) for k, row in enumerate(rows) for c in row) ** n)
+        w = bound.bit_length() + 1
+        chain = division._prs([sum(c << (i * w) for i, c in enumerate(row)) for row in rows])
+        x, y = sympy.symbols("x y")
+        poly = sympy.Poly(sympy.sympify(text.replace("^", "**")), y)
+        expected = sympy.subresultants(poly, poly.diff(y))
+        assert len(chain) == len(expected)
+        for i, (element, reference) in enumerate(zip(chain, expected)):
+            # of R_0 = p only the leading coefficient is a minor for n = 1
+            decoded = [_digits(N, w) for N in (element if i else element[-1:])]
+            assert all(sum(map(abs, c)) <= bound for c in decoded)
+            coeffs = [[int(k) for k in reversed(sympy.Poly(c, x).all_coeffs())] if c else []
+                      for c in reversed(reference.all_coeffs())][-len(decoded):]
+            assert decoded in (coeffs, [[-k for k in c] for c in coeffs])
+
+
+def _exact_cases(bits):
+    """A divisor of the given length in bits, of either sign, and five
+    quotients of up to three times that length, zero and negatives among
+    them, drawn from a seed."""
+    return st.tuples(st.integers(0, 2**64), st.sampled_from([1, -1])).map(
+        lambda t: _draw_exact(random.Random(t[0]), bits, t[1]))
+
+
+def _draw_exact(rng, bits, sign):
+    b = sign * (rng.getrandbits(bits - 1) | (1 << (bits - 1)))
+    b <<= rng.choice([0, 0, 1, 7])       # even divisors take the 2-adic shift
+    qs = [rng.choice([1, -1]) * rng.getrandbits(rng.randint(1, 3 * bits)) for _ in range(4)]
+    return b, qs + [0]
+
+
+class TestExactDivision:
+    """``division._exquo_all`` divides by a long division per entry below
+    ``_TWO_ADIC_BITS`` and by one 2-adic inverse from there: both sides of the
+    cutoff against divmod, and the two methods against each other."""
+
+    CUTOFF = division._TWO_ADIC_BITS
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([CUTOFF - 2, CUTOFF - 1, CUTOFF, CUTOFF + 1]).flatmap(_exact_cases))
+    def test_both_sides_of_the_cutoff_against_divmod(self, case):
+        b, qs = case
+        values = [q * b for q in qs]
+        assert division._exquo_all(values, b) == [divmod(v, b)[0] for v in values] == qs
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([CUTOFF - 1, CUTOFF + 1]).flatmap(_exact_cases),
+           st.integers(1, 2**40))
+    def test_an_inexact_quotient_is_coded(self, case, r):
+        b, qs = case
+        values = [q * b for q in qs]
+        values[1] += r % abs(b) or 1
+        with pytest.raises(ChainDegenerationError) as info:
+            division._exquo_all(values, b)
+        assert info.value.code == "chain-degeneration"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3, 17, 64, 300, 2000]).flatmap(_exact_cases))
+    def test_the_two_methods_agree(self, case):
+        b, qs = case
+        values = [q * b for q in qs]
+        quotients = []
+        for cutoff in (1, 10**9):      # every divisor 2-adic, then none
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(division, "_TWO_ADIC_BITS", cutoff)
+                quotients.append(division._exquo_all(values, b))
+        assert quotients[0] == quotients[1] == qs
 
 
 class TestFalsifyGrid:
@@ -707,10 +788,95 @@ def _malformed_division_calls(draw):
     return op, lambda: DistinguishedPoly("y", 1, bad)
 
 
+_NOT_EXACT = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+                       st.complex_numbers(), st.lists(st.integers(), max_size=1))
+_NOT_SEQUENCES = st.one_of(_NOT_POLYS, st.just(P("x")))
+
+
+@st.composite
+def _malformed_decision_calls(draw):
+    """One call of a hyperbolicity, regularity or witness entry point with
+    one malformed argument, as (label, thunk)."""
+    phi, grid_phi = dist("y^2 + x"), dist("y^2 + x1^2 + x2^2")
+    op = draw(st.sampled_from(["check phi", "check side", "grid phi", "grid radius",
+                               "grid resolution", "from_multipoly phi", "from_multipoly var",
+                               "regular phi", "regular var", "strict F", "strict d",
+                               "strict var", "nodiv M", "nodiv J", "nodiv K",
+                               "flat alpha", "flat k", "flat J", "flat bits"]))
+    if op == "check phi":
+        bad = draw(st.one_of(_NOT_POLYS, st.just(P("y^2 + x"))))
+        return op, lambda: hyperbolic_check_2d(bad)
+    if op == "check side":
+        bad = draw(st.one_of(_NOT_POLYS, st.sampled_from(["", "up", "Both", "plus "])))
+        return op, lambda: hyperbolic_check_2d(phi, bad)
+    if op == "grid phi":
+        bad = draw(st.one_of(_NOT_POLYS, st.just(P("y^2 + x1^2"))))
+        return op, lambda: hyperbolic_falsify_grid(bad, Fraction(1, 2), 1)
+    if op == "grid radius":
+        bad = draw(st.one_of(_NOT_EXACT, st.integers(max_value=0),
+                             st.fractions(max_value=0)))
+        return op, lambda: hyperbolic_falsify_grid(grid_phi, bad, 1)
+    if op == "grid resolution":
+        bad = draw(_BAD_DEGREES)
+        return op, lambda: hyperbolic_falsify_grid(grid_phi, Fraction(1, 2), bad)
+    if op == "from_multipoly phi":
+        bad = draw(st.one_of(_NOT_POLYS, st.sampled_from([P("x^2"), MultiPoly(("y",))])))
+        return op, lambda: DistinguishedPoly.from_multipoly(bad, "y")
+    if op == "from_multipoly var":
+        bad = draw(_NOT_NAMES)
+        return op, lambda: DistinguishedPoly.from_multipoly(P("y^2 + x"), bad)
+    if op == "regular phi":
+        bad = draw(_NOT_POLYS)
+        return op, lambda: regular_order(bad, "y")
+    if op == "regular var":
+        bad = draw(_NOT_NAMES)
+        return op, lambda: regular_order(P("y^2 + x"), bad)
+    if op == "strict F":
+        bad = draw(_NOT_POLYS)
+        return op, lambda: strictly_regular_check(bad, 2, "y")
+    if op == "strict d":
+        bad = draw(st.one_of(_NOT_INTEGERS, st.integers(max_value=-1)))
+        return op, lambda: strictly_regular_check(P("y^2 + x^3"), bad, "y")
+    if op == "strict var":
+        bad = draw(_NOT_NAMES)
+        return op, lambda: strictly_regular_check(P("y^2 + x^3"), 2, bad)
+    if op == "nodiv M":
+        bad = draw(_NOT_SEQUENCES)
+        return op, lambda: nodiv_witness(bad, 1, 10)
+    if op == "nodiv J":
+        bad = draw(_BAD_DEGREES)
+        return op, lambda: nodiv_witness(gevrey(1), bad, 10)
+    if op == "nodiv K":
+        # too small for J = 1 (K >= 2J + 8), negative, or not an int
+        bad = draw(st.one_of(_NOT_INTEGERS, st.integers(max_value=9)))
+        return op, lambda: nodiv_witness(gevrey(1), 1, bad)
+    if op == "flat alpha":
+        bad = draw(st.one_of(_NOT_EXACT, st.integers(max_value=0), st.fractions(max_value=0)))
+        return op, lambda: gevrey_flat_witness(bad, 1, 2)
+    if op == "flat k":
+        bad = draw(_BAD_DEGREES)
+        return op, lambda: gevrey_flat_witness(Fraction(1, 2), bad, 2)
+    if op == "flat J":
+        bad = draw(_BAD_DEGREES)
+        return op, lambda: gevrey_flat_witness(Fraction(1, 2), 1, bad)
+    bad = draw(st.one_of(_NOT_INTEGERS.filter(lambda v: v is not None),
+                         st.integers(max_value=0)))
+    return op, lambda: gevrey_flat_witness(Fraction(1, 2), 1, 2, bad)
+
+
 class TestErrorContract:
     @settings(max_examples=300, deadline=None)
     @given(_malformed_division_calls())
     def test_malformed_input_raises_a_coded_domain_error(self, call):
+        label, thunk = call
+        with pytest.raises(QalError) as info:
+            thunk()
+        assert isinstance(info.value, DomainError), label
+        assert info.value.code == "domain-error"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_malformed_decision_calls())
+    def test_malformed_decision_input_raises_a_coded_domain_error(self, call):
         label, thunk = call
         with pytest.raises(QalError) as info:
             thunk()
@@ -730,11 +896,23 @@ class TestErrorContract:
         lambda: nodiv_witness(gevrey(1), 2.5, 16),
         lambda: regular_order("x", "y"),
         lambda: strictly_regular_check(P("x"), "a", "y"),
+        lambda: strictly_regular_check(P("y^2"), -1, "y"),
+        lambda: hyperbolic_falsify_grid(dist("y^2 + x1^2 + x2^2"), "abc", 1),
+        lambda: hyperbolic_falsify_grid(dist("y^2 + x1^2 + x2^2"), None, 1),
+        lambda: hyperbolic_falsify_grid(dist("y^2 + x1^2 + x2^2"), 0.5, 1),
+        lambda: gevrey_flat_witness("x", 1, 4),
+        lambda: gevrey_flat_witness(1/2, 1, "z"),
+        lambda: gevrey_flat_witness(Fraction(1, 2), 1, "z"),
+        lambda: gevrey_flat_witness(Fraction(1, 2), 1.5, 4),
     ], ids=["phi-multipoly", "P-text", "euclid-P-text", "generic-negative", "generic-zero",
             "generic-bool", "generic-float", "distinguished-bool", "distinguished-float",
-            "nodiv-float-J", "regular-order-text", "strictly-regular-text-d"])
+            "nodiv-float-J", "regular-order-text", "strictly-regular-text-d",
+            "strictly-regular-negative-d", "grid-text-radius", "grid-None-radius",
+            "grid-float-radius", "flat-text-alpha", "flat-float-alpha", "flat-text-J",
+            "flat-float-k"])
     def test_calls_that_escaped_the_contract(self, call):
-        # each raised a bare AttributeError or TypeError, or returned a polynomial
+        # each raised a bare AttributeError, TypeError or ValueError, took a
+        # float as a value or a negative order, or returned a result
         with pytest.raises(DomainError) as info:
             call()
         assert info.value.code == "domain-error"

@@ -173,12 +173,27 @@ class TestMultiPoly:
         lambda: P("x + y").substitute({"z": P("x")}),
         lambda: P(None),
         lambda: P("x") ** 1.5,
+        lambda: MultiPoly(("x",), {(1, 2): 1}) + P("x"),
+        lambda: MultiPoly(("x", "x"), {(1, 2): 1}),
+        lambda: MultiPoly(("x",), {(-1,): 1}),
+        lambda: MultiPoly("xy", {(1, 0): 1}),
+        lambda: MultiPoly(["x"], {(1,): 1}),
+        lambda: MultiPoly(("x",), {(0.5,): 1}),
+        lambda: MultiPoly(("x", "y"), {(1, None): 1}),
+        lambda: MultiPoly.constant("a"),
+        lambda: MultiPoly.constant(True),
     ], ids=["variable-outside-vars", "negative-power", "substitute-outside-vars",
-            "parse-None", "float-power"])
+            "parse-None", "float-power", "key-longer-than-vars", "repeated-variable",
+            "negative-exponent", "string-of-variables", "list-of-variables",
+            "float-exponent", "None-exponent", "text-constant", "bool-constant"])
     def test_domain_errors(self, call):
         with pytest.raises(DomainError) as info:
             call()
         assert info.value.code == "domain-error"
+
+    def test_a_bool_is_not_data(self):
+        assert P("1") != True and P("0") != False      # noqa: E712
+        assert P("1") == 1 and P("0") == 0
 
     def test_gaussian_coefficients(self):
         # (i z + 1)^2 = -z^2 + 2i z + 1 over Q(i)
