@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qal import division
 from qal.division import (DistinguishedPoly, euclid_divide, gevrey_flat_witness,
@@ -383,11 +383,16 @@ class TestHyperbolicityHighDegree:
         with pytest.raises(ChainDegenerationError):
             division._exquo_all([1 + (1 << 16)], 1 + (1 << 8))
 
+
+class TestLargeCoefficients:
+    """Branches with coefficients up to 10^6, so that the chain's entries and
+    the width w are long, against the sympy reference."""
+
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
                     min_size=1, max_size=4),
            st.sampled_from([None, "(y^2 + x^2)", "(y^2 - x^3)", "(y^2 + x^5)"]))
-    def test_large_coefficients_against_sympy(self, branches, factor):
+    def test_counts_against_sympy(self, branches, factor):
         text = "*".join([f"(y - ({a})*x - ({b})*x^2)" for a, b in branches]
                         + ([factor] if factor else []))
         out = hyperbolic_check_2d(dist(text))
