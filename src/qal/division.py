@@ -46,7 +46,7 @@ phi(y) there.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -212,7 +212,8 @@ class DistinguishedPoly:
         for aj in self.a:
             _require_poly(aj, "a coefficient")
         if len(self.a) != self.d:
-            raise ArityMismatchError(f"need {self.d} coefficients, got {len(self.a)}")
+            raise ArityMismatchError(
+                f"need {self.d} coefficients, got {len(self.a)}")
         for j, aj in enumerate(self.a):
             if aj and aj.constant_term() != 0:
                 raise DomainError(f"coefficient a_{j + 1} does not vanish at 0")
@@ -269,12 +270,14 @@ def specialize_division(P: MultiPoly, phi: DistinguishedPoly,
             terms[exps[:z_at] + (d - 1 - j,) + exps[z_at + 1:]] = c
     G, H = euclid_divide(P, MultiPoly(phi_vars, terms), var)
     # the parts of H by the power of var, in one pass
-    at, top = H.vars.index(var), H.degree(var)
-    parts: list[dict] = [{} for _ in range(d)]
+    at = H.vars.index(var)
+    top = H.degree(var)
+    parts: list[dict] = [{} for _ in range(top + 1)]
     for exps, c in H.coeffs.items():
         parts[exps[at]][exps[:at] + exps[at + 1:]] = c
     rest = H.vars[:at] + H.vars[at + 1:]
-    return G, [MultiPoly(rest if j <= top else (), part) for j, part in enumerate(parts)]
+    return G, [MultiPoly(rest, part) for part in parts] \
+        + [MultiPoly(()) for _ in range(top + 1, d)]
 
 
 def regular_order(phi: MultiPoly, var: str) -> int | None:
@@ -284,12 +287,15 @@ def regular_order(phi: MultiPoly, var: str) -> int | None:
     _require_var(var)
     if phi.is_zero():
         raise ZeroPolynomialError("regular order of the zero polynomial")
-    if var not in phi.vars:
+    restricted = {}
+    i = phi.vars.index(var) if var in phi.vars else None
+    if i is None:
         return None if phi.constant_term() == 0 else 0
-    i = phi.vars.index(var)
-    # the terms of phi(0, ..., 0, var): distinct keys, nonzero coefficients
-    return min((exps[i] for exps in phi.coeffs if not any(exps[:i] + exps[i + 1:])),
-               default=None)
+    for exps, c in phi.coeffs.items():
+        if all(e == 0 for n, e in enumerate(exps) if n != i):
+            restricted[exps[i]] = restricted.get(exps[i], 0) + c
+    powers = sorted(p for p, c in restricted.items() if c != 0)
+    return powers[0] if powers else None
 
 
 def strictly_regular_check(F: MultiPoly, d: int, var: str) -> bool:
@@ -299,10 +305,13 @@ def strictly_regular_check(F: MultiPoly, d: int, var: str) -> bool:
     if _order(d, "d") < 0:
         raise DomainError(f"d must be >= 0, got {d}")
     _require_var(var)
-    if var not in F.vars or (F and F.order() < d):
+    if F.total_degree() >= 0 and F.order() < d:
         return False
-    i = F.vars.index(var)
-    return tuple(d if n == i else 0 for n in range(len(F.vars))) in F.coeffs
+    i = F.vars.index(var) if var in F.vars else None
+    if i is None:
+        return False
+    target = tuple(d if n == i else 0 for n in range(len(F.vars)))
+    return F.coeffs.get(target, 0) != 0
 
 
 # -- hyperbolicity ----------------------------------------------------------------
@@ -334,40 +343,6 @@ def _exquo(a: int, b: int) -> int:
     return q
 
 
-# the divisor length in bits from which one 2-adic inverse per step beats a
-# long division per entry (CPython 3.11's is quadratic, its product Karatsuba)
-_TWO_ADIC_BITS = 32000
-
-
-def _exquo_all(values: list[int], b: int) -> list[int]:
-    """The exact quotients v / b of the ints v by one nonzero int b, or
-    ChainDegenerationError.
-
-    Below ``_TWO_ADIC_BITS`` each quotient is one checked divmod.  From
-    there, with b = 2^t u for an odd u and k = bits(v) - bits(b) + 2 over
-    the longest v, an exact quotient q has |q| < 2^(k-1), so it is the
-    balanced residue of (v >> t) u^-1 mod 2^k; u^-1 mod 2^k is formed once
-    by Newton's iteration x <- x (2 - u x), which doubles the correct low
-    bits, and each q is checked by the product b q = v.
-    """
-    if b.bit_length() < _TWO_ADIC_BITS:
-        return [_exquo(v, b) for v in values]
-    t = (b & -b).bit_length() - 1
-    u = b >> t
-    k = max(2, max(v.bit_length() for v in values) - b.bit_length() + 2)
-    inverse, bits = 1, 1
-    while bits < k:
-        bits = min(2 * bits, k)
-        mask = (1 << bits) - 1
-        inverse = inverse * (2 - (u & mask) * inverse) & mask
-    mask, half = (1 << k) - 1, 1 << (k - 1)
-    out = [q - (1 << k) if q & half else q
-           for q in (((v >> t) & mask) * inverse & mask for v in values)]
-    if any(q * b != v for q, v in zip(out, values)):
-        raise ChainDegenerationError("inexact division in the subresultant chain")
-    return out
-
-
 def _prs(p: list[int]) -> list[list[int]]:
     """Brown's subresultant PRS of (p, dp/dy) for p with a positive leading
     coefficient (Brown; Cohen, Algorithm 3.3.1).
@@ -394,7 +369,8 @@ def _prs(p: list[int]) -> list[list[int]]:
                 rem[shift + i] = lead * rem[shift + i] - top * B[i]
         if not utrim(rem):
             return chain
-        chain.append(_exquo_all(rem, g * h ** delta) if len(chain) > 2 else rem)
+        beta = g * h ** delta
+        chain.append([_exquo(c, beta) for c in rem] if len(chain) > 2 else rem)
         g = lead
         h = lead if delta == 1 else _exquo(lead ** delta, h ** (delta - 1))
 
@@ -461,7 +437,10 @@ class HyperbolicityReport:
     real_root_counts: dict            # side -> distinct real roots near 0
 
     def to_json(self):
-        return asdict(self)
+        return {"verdict": self.verdict, "witness_side": self.witness_side,
+                "degree": self.degree,
+                "multiplicity_excess": self.multiplicity_excess,
+                "real_root_counts": self.real_root_counts}
 
 
 def hyperbolic_check_2d(phi: DistinguishedPoly,
@@ -511,9 +490,10 @@ def hyperbolic_check_2d(phi: DistinguishedPoly,
     excess = len(chain[-1]) - 1
     sf_deg = phi.d - excess
     bad = [s for s in sides if counts[s] != sf_deg]
-    witness = None if not bad else "both" if len(bad) == 2 else bad[0]
-    return HyperbolicityReport("not-hyperbolic" if bad else "hyperbolic", witness,
-                               sf_deg, excess, counts)
+    if not bad:
+        return HyperbolicityReport("hyperbolic", None, sf_deg, excess, counts)
+    witness = "both" if len(bad) == 2 else bad[0]
+    return HyperbolicityReport("not-hyperbolic", witness, sf_deg, excess, counts)
 
 
 def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,

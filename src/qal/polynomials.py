@@ -53,7 +53,8 @@ class MultiPoly:
         """vars must be a tuple of distinct names and each key of coeffs a
         tuple of len(vars) nonnegative exponents, otherwise DomainError; zero
         coefficients are dropped.  Each term costs one length and type test;
-        the exponents are checked by one min over all of them."""
+        the exponents are checked together, by their set of types and one
+        min."""
         self.vars = _names(vars)
         self.coeffs: dict[Exponents, object] = {}
         if coeffs:
@@ -63,11 +64,8 @@ class MultiPoly:
                     raise DomainError(f"{exps!r} is not an exponent tuple over {vars}")
                 if c != 0:
                     self.coeffs[exps] = c
-            try:
-                low = min(chain.from_iterable(coeffs), default=0)
-            except TypeError:        # an exponent that is not a number
-                low = None
-            if type(low) is not int or low < 0:
+            exps = tuple(chain.from_iterable(coeffs))
+            if set(map(type, exps)) - {int} or min(exps, default=0) < 0:
                 raise DomainError(f"an exponent that is not an int >= 0 among {list(coeffs)}")
 
     @staticmethod

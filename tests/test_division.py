@@ -381,7 +381,7 @@ class TestHyperbolicityHighDegree:
     def test_inexact_chain_division_is_coded(self):
         # (1 + x^2) / (1 + x) in Z[x], evaluated at x = 2^8
         with pytest.raises(ChainDegenerationError):
-            division._exquo_all([1 + (1 << 16)], 1 + (1 << 8))
+            division._exquo(1 + (1 << 16), 1 + (1 << 8))
 
 
 class TestLargeCoefficients:
@@ -508,47 +508,29 @@ def _exact_cases(bits):
 
 def _draw_exact(rng, bits, sign):
     b = sign * (rng.getrandbits(bits - 1) | (1 << (bits - 1)))
-    b <<= rng.choice([0, 0, 1, 7])       # even divisors take the 2-adic shift
+    b <<= rng.choice([0, 0, 1, 7])
     qs = [rng.choice([1, -1]) * rng.getrandbits(rng.randint(1, 3 * bits)) for _ in range(4)]
     return b, qs + [0]
 
 
 class TestExactDivision:
-    """``division._exquo_all`` divides by a long division per entry below
-    ``_TWO_ADIC_BITS`` and by one 2-adic inverse from there: both sides of the
-    cutoff against divmod, and the two methods against each other."""
+    """``division._exquo``, the chain's exact quotient, on short and long
+    divisors against divmod, and an inexact quotient as a coded error."""
 
-    CUTOFF = division._TWO_ADIC_BITS
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.sampled_from([CUTOFF - 2, CUTOFF - 1, CUTOFF, CUTOFF + 1]).flatmap(_exact_cases))
-    def test_both_sides_of_the_cutoff_against_divmod(self, case):
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([2, 3, 17, 64, 300, 2000, 40000]).flatmap(_exact_cases))
+    def test_against_divmod(self, case):
         b, qs = case
         values = [q * b for q in qs]
-        assert division._exquo_all(values, b) == [divmod(v, b)[0] for v in values] == qs
+        assert [division._exquo(v, b) for v in values] == [divmod(v, b)[0] for v in values] == qs
 
     @settings(max_examples=10, deadline=None)
-    @given(st.sampled_from([CUTOFF - 1, CUTOFF + 1]).flatmap(_exact_cases),
-           st.integers(1, 2**40))
+    @given(st.sampled_from([2, 64, 40000]).flatmap(_exact_cases), st.integers(1, 2**40))
     def test_an_inexact_quotient_is_coded(self, case, r):
         b, qs = case
-        values = [q * b for q in qs]
-        values[1] += r % abs(b) or 1
         with pytest.raises(ChainDegenerationError) as info:
-            division._exquo_all(values, b)
+            division._exquo(qs[1] * b + (r % abs(b) or 1), b)
         assert info.value.code == "chain-degeneration"
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([2, 3, 17, 64, 300, 2000]).flatmap(_exact_cases))
-    def test_the_two_methods_agree(self, case):
-        b, qs = case
-        values = [q * b for q in qs]
-        quotients = []
-        for cutoff in (1, 10**9):      # every divisor 2-adic, then none
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(division, "_TWO_ADIC_BITS", cutoff)
-                quotients.append(division._exquo_all(values, b))
-        assert quotients[0] == quotients[1] == qs
 
 
 class TestFalsifyGrid:

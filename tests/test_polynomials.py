@@ -180,12 +180,15 @@ class TestMultiPoly:
         lambda: MultiPoly(["x"], {(1,): 1}),
         lambda: MultiPoly(("x",), {(0.5,): 1}),
         lambda: MultiPoly(("x", "y"), {(1, None): 1}),
+        lambda: MultiPoly(("x",), {(0,): 1, (1.5,): 1}),
+        lambda: MultiPoly(("x",), {(0,): 1, (True,): 1}),
         lambda: MultiPoly.constant("a"),
         lambda: MultiPoly.constant(True),
     ], ids=["variable-outside-vars", "negative-power", "substitute-outside-vars",
             "parse-None", "float-power", "key-longer-than-vars", "repeated-variable",
             "negative-exponent", "string-of-variables", "list-of-variables",
-            "float-exponent", "None-exponent", "text-constant", "bool-constant"])
+            "float-exponent", "None-exponent", "float-above-int-exponent",
+            "bool-above-int-exponent", "text-constant", "bool-constant"])
     def test_domain_errors(self, call):
         with pytest.raises(DomainError) as info:
             call()
