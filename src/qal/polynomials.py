@@ -11,6 +11,7 @@ over a field are sympy's (see ``qal.algebraic``).
 from __future__ import annotations
 
 import re
+import sys
 from itertools import chain
 from fractions import Fraction
 
@@ -18,6 +19,10 @@ from .errors import DomainError, QalSyntaxError, ZeroPolynomialError
 from .rationals import TokenCursor, _new, _order, _rational
 
 Exponents = tuple[int, ...]
+
+# the coefficient types of a MultiPoly besides number-field elements; a bool
+# is not an int here
+_EXACT_TYPES = frozenset({int, Fraction})
 
 # the largest total degree a power may reach (a constant counts as degree 1,
 # since its coefficient grows with the exponent)
@@ -43,17 +48,27 @@ def _names(vars) -> tuple[str, ...]:
     return vars
 
 
+def _is_field_element(c) -> bool:
+    """Whether c is a :class:`qal.algebraic.FieldElement`.  None exists
+    before that module is imported, so this one imports neither it nor
+    the sympy it needs."""
+    algebraic = sys.modules.get(f"{__package__}.algebraic")
+    return algebraic is not None and type(c) is algebraic.FieldElement
+
+
 class MultiPoly:
-    """Sparse multivariate polynomial over Fraction (or any field-like
-    coefficient supporting exact arithmetic)."""
+    """Sparse multivariate polynomial with int, Fraction or number-field
+    (:class:`qal.algebraic.FieldElement`) coefficients."""
 
     __slots__ = ("vars", "coeffs")
 
     def __init__(self, vars: tuple[str, ...], coeffs: dict[Exponents, object] | None = None):
-        """vars must be a tuple of distinct names and each key of coeffs a
-        tuple of len(vars) nonnegative exponents, otherwise DomainError; zero
-        coefficients are dropped.  Each term costs one length and type test;
-        the exponents are checked together, by their set of types and one
+        """vars must be a tuple of distinct names, each key of coeffs a
+        tuple of len(vars) nonnegative exponents and each coefficient an
+        int (not a bool), a Fraction or a number-field element, otherwise
+        DomainError; zero coefficients are dropped.  Each term costs one
+        length test and a type test of its key and its coefficient; the
+        exponents are checked together, by their set of types and one
         min."""
         self.vars = _names(vars)
         self.coeffs: dict[Exponents, object] = {}
@@ -62,6 +77,9 @@ class MultiPoly:
             for exps, c in coeffs.items():
                 if type(exps) is not tuple or len(exps) != n:
                     raise DomainError(f"{exps!r} is not an exponent tuple over {vars}")
+                if type(c) not in _EXACT_TYPES and not _is_field_element(c):
+                    raise DomainError(f"the coefficient {c!r} is not an int, a Fraction "
+                                      "or a number-field element")
                 if c != 0:
                     self.coeffs[exps] = c
             exps = tuple(chain.from_iterable(coeffs))

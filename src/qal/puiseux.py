@@ -226,12 +226,27 @@ class PuiseuxExpansion:
                 "branches": [b.to_json() for b in self.branches]}
 
 
+def _germ(phi) -> MultiPoly:
+    """phi if it is a nonzero MultiPoly in x and y that vanishes at the
+    origin; otherwise DomainError, or ZeroPolynomialError for zero."""
+    if not isinstance(phi, MultiPoly):
+        raise DomainError(f"the germ must be a MultiPoly, got {type(phi).__name__}")
+    if not set(phi.vars) <= {"x", "y"}:
+        raise DomainError(f"the germ must be in the variables x and y, got {phi.vars}")
+    if phi.is_zero():
+        raise ZeroPolynomialError("cannot expand the zero polynomial")
+    if phi.constant_term() != 0:
+        raise DomainError("the germ must vanish at the origin")
+    return phi
+
+
 def shear_to_generic(phi: MultiPoly) -> tuple[MultiPoly, int]:
-    """Replace x by x + c*y in phi(x, y), trying c = 0, 1, -1, 2, ... until
-    the pure y^d coefficient (d = multiplicity at 0, so d >= 1 for a germ
-    through 0) is nonzero; then the zero set is not tangent to the y-axis
-    and all branches have order >= 1.  The result is in ("x", "y")."""
-    d = phi.order()
+    """Replace x by x + c*y in the germ phi(x, y), trying c = 0, 1, -1, 2,
+    ... until the pure y^d coefficient (d = multiplicity at 0, so d >= 1
+    for a germ through 0) is nonzero; then the zero set is not tangent to
+    the y-axis and all branches have order >= 1.  The result is in
+    ("x", "y")."""
+    d = _germ(phi).order()
     phi = phi.with_vars(("x", "y"))
     candidates = [0]
     for k in range(1, d * d + 1):
@@ -269,19 +284,12 @@ def puiseux_expand(phi: MultiPoly, T) -> PuiseuxExpansion:
     vanish identically for an exact branch and to x-order > T for a
     truncated one; the module docstring says what this proves.
     """
-    if not isinstance(phi, MultiPoly):
-        raise DomainError(f"the germ must be a MultiPoly, got {type(phi).__name__}")
+    _germ(phi)
     if isinstance(T, bool) or not isinstance(T, (int, Fraction)):
         raise DomainError(f"truncation order must be an int or a Fraction, got {T!r}")
     T = Fraction(T)
     if T <= 0:
         raise DomainError(f"truncation order must be positive, got {T}")
-    if not set(phi.vars) <= {"x", "y"}:
-        raise DomainError(f"the germ must be in the variables x and y, got {phi.vars}")
-    if phi.is_zero():
-        raise ZeroPolynomialError("cannot expand the zero polynomial")
-    if phi.constant_term() != 0:
-        raise DomainError("the germ must vanish at the origin")
     sheared, c = shear_to_generic(phi)
 
     branches: list[PuiseuxBranch] = []
@@ -362,6 +370,8 @@ def branch_im_order(branch: PuiseuxBranch) -> BranchImOrder:
     computed coefficients real stays undetermined at this truncation and
     the caller must raise T.
     """
+    if not isinstance(branch, PuiseuxBranch):
+        raise DomainError(f"branch_im_order needs a PuiseuxBranch, got {type(branch).__name__}")
     fld = branch.field
     minpoly = list(fld.minpoly)
     degree = fld.degree

@@ -227,35 +227,3 @@ def exact_pow(x: Fraction, s: Fraction) -> Fraction | None:
         return None
     return Fraction(rn, rd)
 
-
-def compare_power_products(left: list[tuple[Fraction, Fraction]],
-                           right: list[tuple[Fraction, Fraction]]) -> int:
-    """Exactly compare two products of rational powers of positive rationals.
-
-    Each side is a list of (base, exponent) pairs standing for the product
-    of base^exponent.  Returns -1, 0 or 1.  Exponent denominators are
-    cleared to a common multiple L, which turns each side into a ratio
-    N/D of integers: the product of the bases' numerators and denominators
-    raised to the integer exponents e*L (swapped for a negative one).  Only
-    the sign of N_left * D_right - N_right * D_left is needed, so no side
-    is reduced to lowest terms and no Fraction product is formed.
-    """
-    denom = 1
-    for _, e in left + right:
-        denom = denom * e.denominator // math.gcd(denom, e.denominator)
-    sides = []
-    for side in (left, right):
-        num = den = 1
-        for b, e in side:
-            n, d = b.numerator, b.denominator
-            if n <= 0:
-                raise DomainError("bases must be positive")
-            k = e.numerator * (denom // e.denominator)
-            if k < 0:
-                n, d, k = d, n, -k
-            num *= n**k
-            den *= d**k
-        sides.append((num, den))
-    (ln, ld), (rn, rd) = sides
-    lv, rv = ln * rd, rn * ld
-    return (lv > rv) - (lv < rv)

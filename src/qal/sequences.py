@@ -31,8 +31,7 @@ from .errors import (DomainError, InconclusiveInput, QalSyntaxError,
                      UndecidableAtCap)
 from .intervals import (RI, certify, default_bits, iv_log_shift_e, iv_pow,
                         ri_pow_frac)
-from .rationals import (TokenCursor, _order, compare_power_products, exact_pow,
-                        factorial, format_fraction)
+from .rationals import TokenCursor, _order, exact_pow, factorial, format_fraction
 
 TRUE = "true"
 FALSE = "false"
@@ -134,6 +133,8 @@ class CarlemanSequence:
             v = self.base.exact_value(j)
             return None if v is None else exact_pow(v, self.exponent)
         if self.derived == "shift":
+            if j == 0:
+                return Fraction(1)         # M_1 / M_1, rational or not
             v1 = self.base.exact_value(j + 1)
             v0 = self.base.exact_value(1)
             if v1 is None or v0 is None:
@@ -352,17 +353,27 @@ def parse_sequence(text: str) -> CarlemanSequence:
 
 # -- exact / certified value comparisons --------------------------------------
 
-def _power_product(seq: CarlemanSequence,
-                   items: list[tuple[int, int]]) -> list[tuple[Fraction, Fraction]] | None:
-    """prod seq_j^p over (j, p) in items as (base, exponent) pairs, or None
-    when some factor has no power form."""
-    out = []
-    for j, p in items:
-        pf = seq.power_form(j)
-        if pf is None:
-            return None
-        out.extend((b, e * p) for b, e in pf if b != 1)
-    return out
+def _ratio_power(factors) -> tuple[int, int]:
+    """prod (n/d)^k over the factors (n, d, k), n and d positive ints and
+    k an int, as an unreduced pair of positive ints."""
+    num = den = 1
+    for n, d, k in factors:
+        if k < 0:
+            n, d, k = d, n, -k
+        num *= n**k
+        den *= d**k
+    return num, den
+
+
+def _power_entry(seq: CarlemanSequence, j: int) -> tuple[int, int, int] | None:
+    """(N, D, L) with seq_j^L = N/D, N and D positive ints and L the lcm of
+    the exponent denominators of seq_j's power form; None without one."""
+    pf = seq.power_form(j)
+    if pf is None:
+        return None
+    L = math.lcm(*(e.denominator for _, e in pf))
+    return (*_ratio_power((b.numerator, b.denominator, e.numerator * (L // e.denominator))
+                          for b, e in pf), L)
 
 
 def _compare_scan(M: CarlemanSequence, N: CarlemanSequence,
@@ -372,20 +383,52 @@ def _compare_scan(M: CarlemanSequence, N: CarlemanSequence,
 
     Each comparison is (lhs, rhs, label), a side being a list of (index,
     integer power).  A comparison whose sides both have a power form is
-    decided exactly, at most once.  The others share one :func:`certify`:
-    each attempt fetches every value it needs once, scans the comparisons
-    in order and escalates while one before the first '>' is undecided;
-    at the cap the error names that comparison.
+    decided exactly, at most once, from one table per scan:
+
+    ==============  ==============================================
+    key             (id(seq), j)
+    entry           (N_j, D_j, L_j) with seq_j^(L_j) = N_j / D_j
+    L_j             lcm of the exponent denominators of seq_j's
+                    power form (1 for a rational value)
+    N_j, D_j        positive ints, not reduced
+    ==============  ==============================================
+
+    Each entry is built once, from one power form.  With L the lcm of the
+    L_j of both sides, a side raised to L is prod (N_j/D_j)^(p L / L_j),
+    an integer power of each entry, so the sign is that of
+    N_lhs D_rhs - N_rhs D_lhs; no Fraction is formed.  The other
+    comparisons share one :func:`certify`: each attempt fetches every value
+    it needs once, scans the comparisons in order and escalates while one
+    before the first '>' is undecided; at the cap the error names that
+    comparison.
     """
     exact: dict[int, int | None] = {}
+    powers: dict[tuple[int, int], tuple[int, int, int] | None] = {}
     pending = ""
+
+    def side_entries(seq, items):
+        out = []
+        for j, p in items:
+            key = (id(seq), j)
+            if key not in powers:
+                powers[key] = _power_entry(seq, j)
+            if powers[key] is None:
+                return None
+            out.append((powers[key], p))
+        return out
 
     def exact_sign(i: int) -> int | None:
         if i not in exact:
             lhs, rhs, _ = comparisons[i]
-            left, right = _power_product(M, lhs), _power_product(N, rhs)
-            exact[i] = (None if left is None or right is None
-                        else compare_power_products(left, right))
+            left, right = side_entries(M, lhs), side_entries(N, rhs)
+            if left is None or right is None:
+                exact[i] = None
+            else:
+                L = math.lcm(*(Lj for (_, _, Lj), _ in left + right))
+                ln, ld = _ratio_power((n, d, p * (L // Lj)) for (n, d, Lj), p in left)
+                rn, rd = _ratio_power((n, d, p * (L // Lj)) for (n, d, Lj), p in right)
+                lv, rv = ln * rd, rn * ld
+                exact[i] = (lv > rv) - (lv < rv)
         return exact[i]
 
     def attempt(bits: int) -> list[int] | None:
@@ -450,21 +493,50 @@ def check_log_convexity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
     if _order(horizon, "horizon") < 2:
         raise DomainError("log-convexity check needs horizon >= 2")
     top = _log_convex_top(M, horizon)
-    # equality or strict inequality both satisfy log-convexity
-    i = _first_violation(M, [([(j, 2)], [(j - 1, 1), (j + 1, 1)],
-                              f"log-convexity at j={j}") for j in range(1, top)])
+    i = _first_violation(M, _log_convexity_comparisons(top))
     if i is not None:
         j = i + 1
         return CheckResult(False, witness=(j,), detail=f"M_{j}^2 > M_{j-1} M_{j+1}")
     return CheckResult(True, detail=f"verified for 1 <= j < {top}")
 
 
+def _log_convexity_comparisons(top: int) -> list[tuple[list, list, str]]:
+    """M_j^2 against M_{j-1} M_{j+1} for 1 <= j < top; equality or strict
+    inequality both satisfy log-convexity."""
+    return [([(j, 2)], [(j - 1, 1), (j + 1, 1)], f"log-convexity at j={j}")
+            for j in range(1, top)]
+
+
 def verify_superadditivity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
     """Verify M_j M_k <= M_{j+k} for j + k <= horizon and that (M_j)^(1/j)
-    is nondecreasing for 1 <= j <= horizon."""
+    is nondecreasing for 1 <= j <= horizon.
+
+    Both follow from log-convexity up to top = min(horizon, last index),
+    so the top - 1 comparisons M_j^2 <= M_{j-1} M_{j+1}, 1 <= j < top,
+    are made first.  Lemma: if they hold, then, as M_0 = 1 and every M_j
+    is positive, the ratios r_i = M_i / M_{i-1} do not decrease for
+    1 <= i <= top and M_j = r_1 ... r_j.  For j + k <= top,
+
+        M_{j+k} / M_k = r_{k+1} ... r_{k+j} >= r_1 ... r_j = M_j,
+
+    and for j < top, since M_j = r_1 ... r_j <= r_{j+1}^j,
+
+        M_j^(j+1) = M_j^j M_j <= M_j^j r_{j+1}^j = M_{j+1}^j.
+
+    On a violated chain, on :class:`UndecidableAtCap` or when top < 2,
+    every pair is compared in one scan, so that a failing check names its
+    first failing pair and an undecidable one its first undecided pair.
+    """
     _checked(M, horizon=horizon)
+    assert M.exact_value(0) == 1
     lim = M.horizon_limit()
     top = horizon if lim is None else min(horizon, lim)
+    if top >= 2:
+        try:
+            if _first_violation(M, _log_convexity_comparisons(top)) is None:
+                return CheckResult(True, detail=f"verified up to j+k <= {top}")
+        except UndecidableAtCap:
+            pass
     comparisons, failures = [], []
     for j in range(1, top + 1):
         for k in range(j, top - j + 1):
@@ -493,7 +565,7 @@ def value(M: CarlemanSequence, j: int, precision: int | None = None):
     exact = M.exact_value(j)
     if exact is not None:
         return exact
-    precision = precision or default_bits()
+    precision = default_bits() if precision is None else precision
     target = Fraction(1, 1 << precision)
 
     def attempt(bits: int) -> RI | None:
@@ -777,11 +849,12 @@ def _classify_custom(M: CarlemanSequence, horizon: int) -> dict:
         if j in (1, 3, 7, 15, 31) or j == top - 1:
             partial_trace.append((j, partial))
 
-    # strong non-quasianalyticity ratio diagnostic at each k
-    snqa_ratios = []
-    for k in range(0, top - 1):
-        tail = sum(terms[k:top], Fraction(0))
-        snqa_ratios.append(tail / (mids[k] / mids[k + 1]))
+    # strong non-quasianalyticity ratio diagnostic at each k, from the
+    # tails terms[k] + ... + terms[top - 1] summed in one suffix pass
+    tails = [Fraction(0)] * (top + 1)
+    for k in range(top - 1, -1, -1):
+        tails[k] = terms[k] + tails[k + 1]
+    snqa_ratios = [tails[k] / (mids[k] / mids[k + 1]) for k in range(top - 1)]
     snqa_sup = max(snqa_ratios) if snqa_ratios else Fraction(0)
 
     # moderate growth diagnostic sup over j + k <= horizon

@@ -184,11 +184,19 @@ class TestMultiPoly:
         lambda: MultiPoly(("x",), {(0,): 1, (True,): 1}),
         lambda: MultiPoly.constant("a"),
         lambda: MultiPoly.constant(True),
+        lambda: MultiPoly(("x",), {(1,): "a", (0,): Fraction(3, 2)}),
+        lambda: MultiPoly(("x",), {(1,): 1, (0,): 1.5}),
+        lambda: MultiPoly(("x",), {(1,): True}),
+        lambda: MultiPoly(("x",), {(1,): None}),
+        lambda: MultiPoly(("x",), {(1,): 1j}),
+        lambda: MultiPoly(("x",), {(1,): [1]}),
     ], ids=["variable-outside-vars", "negative-power", "substitute-outside-vars",
             "parse-None", "float-power", "key-longer-than-vars", "repeated-variable",
             "negative-exponent", "string-of-variables", "list-of-variables",
             "float-exponent", "None-exponent", "float-above-int-exponent",
-            "bool-above-int-exponent", "text-constant", "bool-constant"])
+            "bool-above-int-exponent", "text-constant", "bool-constant",
+            "text-coefficient", "float-coefficient", "bool-coefficient",
+            "None-coefficient", "complex-coefficient", "list-coefficient"])
     def test_domain_errors(self, call):
         with pytest.raises(DomainError) as info:
             call()

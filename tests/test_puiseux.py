@@ -11,9 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qal import puiseux
-from qal.errors import DomainError, TruncationInsufficient
+from qal.errors import DomainError, QalError, TruncationInsufficient
 from qal.polynomials import MultiPoly, parse_polynomial
-from qal.puiseux import d_exponent, puiseux_expand
+from qal.puiseux import branch_im_order, d_exponent, puiseux_expand, shear_to_generic
 
 # hand-checked germs and their exponents: y^2 + x^(2k) has the branches
 # +-i x^k, (y - x^2)^2 + x^6 has x^2 +- i x^3, and y^3 + x^2 y + x^5 has
@@ -251,3 +251,65 @@ def test_puiseux_and_algebraic_do_not_import_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+# -- error contract ----------------------------------------------------------------------
+
+_NOT_A_GERM = st.one_of(st.text(max_size=4), st.none(), st.booleans(), st.integers(),
+                        st.floats(), st.fractions(), st.lists(st.integers(), max_size=2))
+_TRUNCATIONS = st.one_of(st.integers(-3, 0), st.fractions(max_value=0),
+                         st.fractions(min_value=Fraction(1, 8), max_value=2),
+                         st.integers(1, 2), st.booleans(), st.floats(), st.none(),
+                         st.text(max_size=2), st.sampled_from(["4", "1/2", "x"]))
+
+
+@st.composite
+def _germs(draw):
+    """Something that is not a polynomial, a zero or constant polynomial,
+    a polynomial with a third variable, or a small polynomial in x and y,
+    most of them through the origin."""
+    kind = draw(st.sampled_from(["other", "zero", "constant", "third", "xy"]))
+    names = draw(st.sampled_from([(), ("x",), ("y",), ("x", "y")]))
+    if kind == "other":
+        return draw(_NOT_A_GERM)
+    if kind == "zero":
+        return MultiPoly(names)
+    if kind == "constant":
+        return MultiPoly.constant(draw(st.fractions(-3, 3)), names)
+    if kind == "third":
+        names = ("x", "y", draw(st.sampled_from(["z", "t", "x1"])))
+    exps = st.tuples(*(st.integers(0, 3) for _ in names))
+    if draw(st.integers(0, 3)):
+        exps = exps.filter(any)
+    return MultiPoly(names, draw(st.dictionaries(exps, st.integers(-2, 2), max_size=4)))
+
+
+class TestErrorContract:
+    @settings(max_examples=150, deadline=None)
+    @given(_germs(), _TRUNCATIONS, st.sampled_from(["puiseux_expand", "d_exponent",
+                                                     "shear_to_generic", "branch_im_order"]))
+    def test_malformed_input_raises_only_a_coded_qal_error(self, phi, T, name):
+        call = {"puiseux_expand": lambda: puiseux_expand(phi, T),
+                "d_exponent": lambda: d_exponent(phi, T),
+                "shear_to_generic": lambda: shear_to_generic(phi),
+                "branch_im_order": lambda: branch_im_order(phi)}[name]
+        try:
+            call()
+        except QalError as e:
+            assert e.code == type(e).code and e.code != QalError.code, (name, phi, T)
+
+    @pytest.mark.parametrize("call", [
+        lambda: shear_to_generic(None),
+        lambda: shear_to_generic("y^2"),
+        lambda: shear_to_generic(parse_polynomial("3")),
+        lambda: shear_to_generic(parse_polynomial("y^2 + x + 1")),
+        lambda: branch_im_order(None),
+        lambda: branch_im_order(parse_polynomial("y - x")),
+    ], ids=["shear-None", "shear-text", "shear-constant", "shear-off-the-origin",
+            "branch-None", "branch-polynomial"])
+    def test_calls_that_escaped_the_contract(self, call):
+        # each raised a bare AttributeError or returned a shear of a
+        # polynomial that is no germ through the origin
+        with pytest.raises(DomainError) as info:
+            call()
+        assert info.value.code == "domain-error"

@@ -7,10 +7,43 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qal import rationals
+from qal import rationals, sequences
 from qal.errors import DomainError, QalSyntaxError
-from qal.rationals import (TokenCursor, compare_power_products, factorial, iroot,
-                           pow_bounds, root_bounds)
+from qal.rationals import TokenCursor, factorial, iroot, pow_bounds, root_bounds
+
+
+def compare_power_products(left: list[tuple[Fraction, Fraction]],
+                           right: list[tuple[Fraction, Fraction]]) -> int:
+    """The exact comparison of two products of rational powers of positive
+    rationals, the reference for ``sequences._compare_scan``'s power table.
+
+    Each side is a list of (base, exponent) pairs standing for the product
+    of base^exponent.  Returns -1, 0 or 1.  Exponent denominators are
+    cleared to a common multiple L, which turns each side into a ratio
+    N/D of integers: the product of the bases' numerators and denominators
+    raised to the integer exponents e*L (swapped for a negative one).  Only
+    the sign of N_left * D_right - N_right * D_left is needed, so no side
+    is reduced to lowest terms and no Fraction product is formed.
+    """
+    denom = 1
+    for _, e in left + right:
+        denom = denom * e.denominator // math.gcd(denom, e.denominator)
+    sides = []
+    for side in (left, right):
+        num = den = 1
+        for b, e in side:
+            n, d = b.numerator, b.denominator
+            if n <= 0:
+                raise DomainError("bases must be positive")
+            k = e.numerator * (denom // e.denominator)
+            if k < 0:
+                n, d, k = d, n, -k
+            num *= n**k
+            den *= d**k
+        sides.append((num, den))
+    (ln, ld), (rn, rd) = sides
+    lv, rv = ln * rd, rn * ld
+    return (lv > rv) - (lv < rv)
 
 
 class TestLexer:
@@ -149,3 +182,47 @@ class TestComparePowerProducts:
     ])
     def test_hand_values(self, left, right, want):
         assert compare_power_products(left, right) == want
+
+
+class _PowerForms:
+    """A stand-in sequence whose M_j is given by its power form alone."""
+
+    def __init__(self, forms):
+        self.forms = forms
+
+    def power_form(self, j):
+        return self.forms[j]
+
+
+# shared bases make equal sides and exact ties likely
+_SHARED_BASES = st.one_of(st.sampled_from([Fraction(2), Fraction(3, 2), Fraction(6), Fraction(1, 4)]),
+                          _BASES)
+_FORMS = st.lists(st.lists(st.tuples(_SHARED_BASES, _EXPONENTS), max_size=3), min_size=1,
+                  max_size=5)
+
+
+@st.composite
+def _table_scans(draw):
+    """Two stand-in sequences and comparisons of products of their values
+    raised to integer powers, which may be negative."""
+    M, N = _PowerForms(draw(_FORMS)), _PowerForms(draw(_FORMS))
+    items = lambda seq: st.lists(st.tuples(st.integers(0, len(seq.forms) - 1),
+                                           st.integers(-3, 4)), max_size=3)
+    comparisons = draw(st.lists(st.tuples(items(M), items(N)), min_size=1, max_size=6))
+    return M, N, [(lhs, rhs, f"comparison {i}") for i, (lhs, rhs) in enumerate(comparisons)]
+
+
+class TestPowerTable:
+    @settings(max_examples=300, deadline=None)
+    @given(_table_scans())
+    def test_the_table_decides_as_the_reference(self, scan):
+        # each sign of _compare_scan's integer table, through the first '>',
+        # against compare_power_products on the expanded power forms
+        M, N, comparisons = scan
+        expanded = lambda seq, items: [(b, e * p) for j, p in items for b, e in seq.forms[j]]
+        want = []
+        for lhs, rhs, _ in comparisons:
+            want.append(compare_power_products(expanded(M, lhs), expanded(N, rhs)))
+            if want[-1] > 0:
+                break
+        assert sequences._compare_scan(M, N, comparisons) == want

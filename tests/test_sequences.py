@@ -178,6 +178,14 @@ class TestValue:
         v = value(loggevrey(1), 1, precision=40)
         assert Fraction(13132, 10**4) < v.lo <= v.hi < Fraction(13133, 10**4)
 
+    def test_precision_zero_is_not_the_default(self):
+        # precision 0 was read as the default of 256 bits, whose endpoints
+        # are narrower than those that precision 1 gets
+        M = gevrey(Fraction(1, 2))
+        zero, one, default = value(M, 5, 0), value(M, 5, 1), value(M, 5)
+        assert zero.rel_width() <= 1
+        assert (zero.lo, zero.hi) == (one.lo, one.hi) != (default.lo, default.hi)
+
     def test_m0_is_one_for_all_families(self):
         for seq in BUILTINS:
             assert value(seq, 0) == 1 or value(seq, 0).contains(1)
@@ -542,6 +550,86 @@ class TestBatchedComparisons:
             check_log_convexity(loggevrey(1), 4)
         assert "log-convexity at j=2" in str(info.value)
         assert info.value.code == "undecidable-at-cap"
+
+
+def reference_classify_custom(M, horizon):
+    """The certificates of _classify_custom computed directly: each tail
+    of the quasianalyticity series summed on its own, O(horizon^2) work."""
+    lim = M.horizon_limit()
+    top = horizon if lim is None else min(horizon, lim)
+    mids = [M.interval_value(j).mid() for j in range(top + 1)]
+    terms = [mids[j] / ((j + 1) * mids[j + 1]) for j in range(top)]
+    partial_sums = [(j, sequences._diagnostic(sum(terms[:j + 1], Fraction(0))))
+                    for j in range(top) if j in (1, 3, 7, 15, 31) or j == top - 1]
+    snqa = max((sum(terms[k:top], Fraction(0)) / (mids[k] / mids[k + 1])
+                for k in range(top - 1)), default=Fraction(0))
+    mg = max((sequences._diagnostic(mids[j + k] / (mids[j] * mids[k]), j + k)
+              for j in range(1, top) for k in range(1, top - j + 1)), default=0.0)
+    certificates = {
+        "analytic_class": {"diagnostic": f"(M_{top})^(1/{top})",
+                           "value": sequences._diagnostic(mids[top], top) if top else 1.0},
+        "derivation_stable": {"diagnostic": "sup (M_{j+1}/M_j)^(1/j)",
+                              "value": max((sequences._diagnostic(mids[j + 1] / mids[j], j)
+                                            for j in range(1, top)), default=1.0)},
+        "quasianalytic": {"diagnostic": "partial sums of sum M_j/((j+1)M_{j+1})",
+                          "partial_sums": partial_sums},
+        "strongly_non_quasianalytic": {"diagnostic": "sup_k tail_k / (M_k/M_{k+1})",
+                                       "value": sequences._diagnostic(snqa)},
+        "moderate_growth": {"diagnostic": "sup (M_{j+k}/(M_j M_k))^(1/(j+k))", "value": mg},
+    }
+    for token in M.assume:
+        name, _ = sequences._ASSUMABLE[token]
+        certificates[name] = {"rule": "user-asserted tail class", "token": token}
+    return certificates
+
+
+_ASSUMPTIONS = st.lists(st.sampled_from(sorted(sequences._ASSUMABLE)), max_size=2)
+
+
+class TestLinearChecks:
+    @pytest.mark.parametrize("M, horizon", [(gevrey(Fraction(1, 2)), 24), (loggevrey(1), 24),
+                                            (qgevrey(2), 12), (analytic(), 16),
+                                            (custom([1, 1, 2, 8, 32]), 32),
+                                            (shift(loggevrey(1)), 8)], ids=str)
+    def test_superadditivity_makes_only_the_chain_comparisons(self, M, horizon, monkeypatch):
+        lim = M.horizon_limit()
+        top = horizon if lim is None else min(horizon, lim)
+        made = []
+        compare_scan = sequences._compare_scan
+
+        def counting(M, N, comparisons):
+            signs = compare_scan(M, N, comparisons)
+            made.append(len(signs))
+            return signs
+
+        monkeypatch.setattr(sequences, "_compare_scan", counting)
+        result = verify_superadditivity(M, horizon)
+        assert (result.passed, result.witness) == (True, None)
+        assert result.detail == f"verified up to j+k <= {top}"
+        assert made == [top - 1]
+
+    def test_a_broken_chain_falls_back_to_every_pair(self, monkeypatch):
+        # M_2^2 = 4 > M_1 M_3 = 3 breaks log-convexity, yet the sequence is
+        # superadditive and its roots increase: the pairwise scan decides
+        made = []
+        compare_scan = sequences._compare_scan
+        monkeypatch.setattr(sequences, "_compare_scan",
+                            lambda M, N, c: made.append(len(c)) or compare_scan(M, N, c))
+        result = verify_superadditivity(custom([1, 1, 2, 3]), 3)
+        assert (result.passed, result.detail) == (True, "verified up to j+k <= 3")
+        assert made == [2, 2 + 2]
+
+    def test_the_shifted_first_value_is_exactly_one(self):
+        for seq in BUILTINS:
+            assert shift(seq).exact_value(0) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(custom_sequences(), st.integers(1, 14), _ASSUMPTIONS)
+    def test_custom_certificates_match_the_direct_reference(self, M, horizon, assume):
+        M = custom(M.terms, assume)
+        flags = sequences._classify_custom(M, horizon)
+        assert {name: flag.certificate for name, flag in flags.items()} \
+            == reference_classify_custom(M, horizon)
 
 
 class TestDerivedClassification:
