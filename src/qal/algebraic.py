@@ -45,7 +45,7 @@ from sympy.polys.sqfreetools import dup_sqf_norm
 from .errors import DomainError, ExtensionFailure
 from .intervals import CI, RI
 from .polynomials import uadd, udeg, umul, umonic, utrim
-from .rationals import _rational
+from .rationals import _order, _rational
 
 _T = Symbol("_qal_t")
 _Z = Symbol("_qal_z")
@@ -53,18 +53,18 @@ _Z = Symbol("_qal_z")
 _REFINE_CAP = 80  # rectangle halvings before giving up a certification
 
 
-def fraction_to_qq(c: Fraction):
+def _fraction_to_qq(c: Fraction):
     """A Fraction as an element of sympy's QQ domain."""
     return sympy.QQ(c.numerator, c.denominator)
 
 
-def qq_to_fraction(q) -> Fraction:
+def _qq_to_fraction(q) -> Fraction:
     """A sympy rational (a QQ domain element or a Rational) as a Fraction."""
     return Fraction(int(q.numerator), int(q.denominator))
 
 
 def _to_sympy_poly(coeffs: list[Fraction], sym) -> Poly:
-    return Poly.from_list([fraction_to_qq(c) for c in reversed(coeffs)], sym,
+    return Poly.from_list([_fraction_to_qq(c) for c in reversed(coeffs)], sym,
                           domain=sympy.QQ)
 
 
@@ -96,17 +96,42 @@ def _refine_until(test, fields, what: str):
     raise ExtensionFailure(f"could not {what} in {_REFINE_CAP} refinements")
 
 
+def _listed(value, what: str):
+    """value, a list or tuple; DomainError otherwise."""
+    if not isinstance(value, (list, tuple)):
+        raise DomainError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _element(a) -> FieldElement:
+    """a, a FieldElement; DomainError otherwise."""
+    if not isinstance(a, FieldElement):
+        raise DomainError(f"expected a FieldElement, got {a!r}")
+    return a
+
+
+def _over(field, f, what: str) -> list[FieldElement]:
+    """f, a polynomial over the field as a list of its elements, lowest
+    degree first; DomainError otherwise."""
+    if not isinstance(field, NumberField):
+        raise DomainError(f"the field must be a NumberField, got {field!r}")
+    for c in _listed(f, what):
+        if not (isinstance(c, FieldElement) and c.field == field):
+            raise DomainError(f"{what} must have coefficients in {field!r}, got {c!r}")
+    return list(f)
+
+
 class NumberField:
     """Q(gamma) for a chosen root gamma of a monic irreducible m over Q."""
 
     def __init__(self, minpoly: list[Fraction], root_index: int | None = None):
         minpoly = umonic(utrim([_rational(c, "a minimal polynomial coefficient")
-                                for c in minpoly]))
+                                for c in _listed(minpoly, "the minimal polynomial")]))
         self.minpoly = tuple(minpoly)
         self.degree = udeg(minpoly)
         if self.degree < 1:
             raise DomainError("minimal polynomial must have positive degree")
-        self._modulus = [fraction_to_qq(c) for c in reversed(minpoly)]
+        self._modulus = [_fraction_to_qq(c) for c in reversed(minpoly)]
         if self.degree == 1:
             # the rationals; gamma = -c0 is rational
             self.root = None
@@ -114,7 +139,7 @@ class NumberField:
             gamma = -minpoly[0]
             self._rect = (gamma, gamma, Fraction(0), Fraction(0))
         else:
-            if not (isinstance(root_index, int) and 0 <= root_index < self.degree):
+            if not 0 <= _order(root_index, "the root index") < self.degree:
                 raise DomainError("extension field needs a root index in "
                                   f"0..{self.degree - 1}, got {root_index!r}")
             m = _to_sympy_poly(minpoly, _T)
@@ -125,17 +150,17 @@ class NumberField:
             # CRootOf may return c * CRootOf(m(c t) / c^degree, i) with an
             # integer c > 0; the rectangle of gamma is c times that root's
             scale, root = self.root.as_coeff_Mul()
-            self._scale = qq_to_fraction(scale)
+            self._scale = _qq_to_fraction(scale)
             self._interval = root._get_interval()
             self._rect = self._rect_from_interval()
 
     def _rect_from_interval(self):
         iv, c = self._interval, self._scale
         if self.root.is_real:
-            return (c * qq_to_fraction(iv.a), c * qq_to_fraction(iv.b),
+            return (c * _qq_to_fraction(iv.a), c * _qq_to_fraction(iv.b),
                     Fraction(0), Fraction(0))
-        return (c * qq_to_fraction(iv.ax), c * qq_to_fraction(iv.bx),
-                c * qq_to_fraction(iv.ay), c * qq_to_fraction(iv.by))
+        return (c * _qq_to_fraction(iv.ax), c * _qq_to_fraction(iv.bx),
+                c * _qq_to_fraction(iv.ay), c * _qq_to_fraction(iv.by))
 
     def refine(self):
         if self.root is not None:
@@ -164,7 +189,7 @@ class NumberField:
             return sympy.QQ
         K = sympy.QQ.algebraic_field(self.root)
         # sympy keeps the modulus primitive over Z rather than monic
-        if tuple(umonic([qq_to_fraction(c) for c in reversed(K.mod.to_list())])) \
+        if tuple(umonic([_qq_to_fraction(c) for c in reversed(K.mod.to_list())])) \
                 != self.minpoly:
             raise ExtensionFailure("sympy's field is not generated by the chosen root")
         return K
@@ -176,7 +201,8 @@ class NumberField:
         longer than the degree is reduced modulo the minimal polynomial."""
         if isinstance(coeffs, (int, Fraction)):
             coeffs = [coeffs]
-        rep = dup_strip([fraction_to_qq(Fraction(c)) for c in reversed(coeffs)])
+        rep = dup_strip([_fraction_to_qq(_rational(c, "a field element coefficient"))
+                         for c in reversed(_listed(coeffs, "the coefficients"))])
         if len(rep) > self.degree:
             rep = dup_rem(rep, self._modulus, sympy.QQ)
         if self.degree == 1:
@@ -224,10 +250,14 @@ class FieldElement:
         """The coefficients of the element in 1, gamma, ..., gamma^(degree-1)."""
         g = self.field.degree
         coeffs = [self.value] if g == 1 else self.value.to_list()[::-1]
-        return tuple(map(qq_to_fraction, coeffs)) + (Fraction(0),) * (g - len(coeffs))
+        return tuple(map(_qq_to_fraction, coeffs)) + (Fraction(0),) * (g - len(coeffs))
 
     def _coerce(self, other):
-        """other as an element of this field's sympy domain."""
+        """other as an element of this field's sympy domain: an element of
+        this field or of Q, or exact data (an int that is not a bool, or a
+        Fraction); NotImplemented for an element of a larger field when
+        this one is Q, so that the larger field's reflected operation runs;
+        DomainError otherwise."""
         if isinstance(other, FieldElement):
             if other.field == self.field:
                 return other.value
@@ -236,9 +266,7 @@ class FieldElement:
             if self.field.degree == 1:
                 return NotImplemented
             raise DomainError("elements of different fields")
-        if isinstance(other, (int, Fraction)):
-            return self.field.element(other).value
-        return NotImplemented
+        return self.field.element(_rational(other, "a field operand")).value
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -289,6 +317,8 @@ class FieldElement:
         return self.field.one() / self
 
     def __eq__(self, other):
+        if isinstance(other, bool) or not isinstance(other, (FieldElement, int, Fraction)):
+            return NotImplemented
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -328,7 +358,7 @@ def value_minpoly(a: FieldElement) -> list[Fraction]:
     The characteristic polynomial, the norm of z - a, is a power of the
     minimal polynomial; the radical is extracted by factoring.
     """
-    if a.is_rational():
+    if _element(a).is_rational():
         return [-a.rep[0], Fraction(1)]
     norm = _from_poly(QQ, _poly(a.field, [-a, a.field.one()]).norm())
     factors = [[c.as_fraction() for c in f] for f, _ in factor_over_field(QQ, norm)]
@@ -367,7 +397,7 @@ def identify_root(a: FieldElement) -> tuple[list[Fraction], int]:
 
 def is_real_certified(a: FieldElement) -> bool:
     """Exact realness of the embedded value of a."""
-    if a.field.is_real or a.is_rational():
+    if _element(a).field.is_real or a.is_rational():
         return True
     if a.box().im.excludes_zero():
         return False
@@ -394,7 +424,7 @@ def factor_over_field(field: NumberField, f: list[FieldElement]) \
         -> list[tuple[list[FieldElement], int]]:
     """Monic irreducible factors of f over the field, with multiplicities,
     in the order of sympy's ``factor_list``."""
-    _, factors = _poly(field, f).factor_list()
+    _, factors = _poly(field, _over(field, f, "f")).factor_list()
     return [(_from_poly(field, g.monic()), int(mult)) for g, mult in factors]
 
 
@@ -415,11 +445,11 @@ def extend_field(field: NumberField, h: list[FieldElement]) -> Extension:
     field as the unique common root of its minimal polynomial and the
     shifted defining polynomial, certified by rectangle refinement.
     """
-    h = umonic(h)
+    h = umonic(utrim(_over(field, h, "h")))
+    if udeg(h) < 1:
+        raise DomainError("extend_field needs a polynomial of positive degree")
     if udeg(h) == 1:
-        root = -h[0]
-        return Extension(field, lambda a: a, root if isinstance(root, FieldElement)
-                         else field.element(root))
+        return Extension(field, lambda a: a, -h[0])
     if field.degree == 1:
         dense = [c.as_fraction() for c in h]
         L = NumberField(dense, root_index=udeg(h) - 1)
@@ -428,7 +458,7 @@ def extend_field(field: NumberField, h: list[FieldElement]) -> Extension:
 
     # the norm of h(z - s*gamma), squarefree for the first s = 0, 1, 2, ...
     s, _, norm = dup_sqf_norm(_poly(field, h).rep.to_list(), field._domain)
-    norm = [qq_to_fraction(c) for c in reversed(norm)]
+    norm = [_qq_to_fraction(c) for c in reversed(norm)]
     candidates = list(range(udeg(norm)))
     chosen = None
     gamma_rep = None

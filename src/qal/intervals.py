@@ -43,19 +43,22 @@ lowest-terms Fraction that Fraction arithmetic would form.
 Exact data are ints (not bools) and Fractions; anything else, and a
 precision ``bits`` that is not an int >= 1, raises DomainError.
 
-Transcendental functions call mpmath's interval kernel (libmp's ``mpi_*``
-functions) on the raw interval that mpmath's ``iv`` context would build
-from the endpoints at ``bits + 16`` bits, and come back as exact dyadic
-endpoints, so the enclosure property is preserved end to end.  Of each
-endpoint's quotient ``iv.mpf(n) / iv.mpf(d)`` only the end that interval
-keeps is formed (:func:`_mpi_end`), and results are read off libmp's
-mantissa and exponent.  No mpmath object is made and mpmath's global
-precision is never set, so the results are those of ``iv`` at that
-precision, bit for bit, and do not depend on what else runs in the
-process.  Cosine and sine of one argument come from one evaluation
-(:func:`iv_cos_sin`).  The ``mpi_*`` functions are not mpmath's public
-API, so the package pins mpmath below 1.4 and the tests compare every
-bridge function with the ``iv`` context.
+Transcendental functions work on the raw interval [a, b] that mpmath's
+``iv`` context would build from the endpoints at ``bits + 16`` bits, and
+come back as exact dyadic endpoints, so the enclosure property is
+preserved end to end.  Of each endpoint's quotient ``iv.mpf(n) /
+iv.mpf(d)`` only the end that interval keeps is formed (:func:`_mpi_end`),
+and results are read off libmp's mantissa and exponent.  No mpmath object
+is made and mpmath's global precision is never set, so the results do not
+depend on what else runs in the process.  exp, log and pow call mpmath's
+interval kernel (libmp's ``mpi_*`` functions), so their results are those
+of ``iv`` at that precision, bit for bit.  Cosine and sine of one argument
+(:func:`iv_cos_sin`) are one evaluation of libmp's ``mpf_cos_sin`` at a,
+rounded outward as ``mpi_cos_sin`` rounds, plus an exact pad of b - a: bit
+for bit ``iv.cos`` and ``iv.sin`` on a dyadic point only, and otherwise
+at most 2(b - a) wider than theirs.  These libmp functions are not
+mpmath's public API, so the package pins mpmath below 1.4 and the tests
+compare every bridge function with the ``iv`` context.
 
 :func:`certify` runs a certification step at escalating precision: from
 ``QAL_PRECISION_BITS`` (environment variable, default 256 bits), doubling
@@ -557,15 +560,61 @@ def iv_log_shift_e(x, bits: int) -> RI:
     return _from_mpi(_libmp.mpi_log(_libmp.mpi_add(_mpi(x, prec), e, prec), prec))
 
 
+def _cos_sin_end(v: tuple, up: bool, wp: int, prec: int, w: int, f: int) -> Fraction:
+    """One end of a cos or sin interval: the value v of ``mpf_cos_sin`` at
+    wp bits through ``mpi_cos_sin``'s ``finalize`` (times 1 ± 2^(10 - wp),
+    the factor that moves v outward, rounded outward to prec bits; a
+    magnitude of at least 1 becomes ±1), then moved outward by w * 2^f
+    (f <= 0) and clamped to [-1, 1]."""
+    sign, man, exp, _ = v
+    m = -man if sign else man
+    m *= (1 << wp) + (1 << 10) if sign != up else (1 << wp) - (1 << 10)
+    e = exp - wp
+    t = abs(m).bit_length() - prec
+    if t > 0:
+        m = -(-m >> t) if up else m >> t
+        e += t
+    if m and abs(m).bit_length() + e >= 1:
+        m, e = (-1 if m < 0 else 1), 0
+    # m * 2^e and w * 2^f as integers at the lower of the two exponents
+    if e > f:
+        m <<= e - f
+    else:
+        w <<= f - e
+        f = e
+    one = 1 << -f
+    m = max(m - w, -one) if not up else min(m + w, one)
+    return _dyadic(m, one)
+
+
 def iv_cos_sin(x, bits: int) -> tuple[RI, RI]:
     """(cos x, sin x) from one conversion and one evaluation.
 
-    mpmath's ``iv.cos`` and ``iv.sin`` each run ``mpi_cos_sin`` and keep one
-    half, so this calls it once, at the precision they would use.
+    x enters as the raw interval [a, b] that ``iv`` would build at
+    bits + 16 bits.  cos and sin are evaluated once, at a, with
+    ``mpf_cos_sin`` at the working precision of mpmath's ``mpi_cos_sin``,
+    and rounded outward by that function's own ``finalize``.  Both
+    derivatives have magnitude at most 1, so on [a, b] cos and sin lie
+    within w = b - a of their values at a (the mean value theorem): each
+    interval is moved outward by the exact dyadic w and clamped to
+    [-1, 1].  The trust is the one ``iv.cos`` and ``iv.sin`` need, in
+    ``mpf_cos_sin`` and ``finalize`` at the same precision; the pad is
+    exact.  On a dyadic point (a == b) the result is bit for bit ``iv.cos``
+    and ``iv.sin``; on any argument each interval is at most 2w wider than
+    theirs.
     """
     prec = _precision(bits) + _BRIDGE_GUARD
-    c, s = _libmp.mpi_cos_sin(_mpi(x, prec), prec)
-    return _from_mpi(c), _from_mpi(s)
+    a, b = _mpi(x, prec)
+    if a == b == _libmp.fzero:
+        return _point(_fraction(1, 1)), _point(_fraction(0, 1))
+    wp = prec + 20
+    c, s = _libmp.mpf_cos_sin(a, wp)
+    # w = b - a as the integer w times 2^f, f <= 0
+    f = min(a[2], b[2], 0)
+    w = (-b[1] if b[0] else b[1]) << (b[2] - f)
+    w -= (-a[1] if a[0] else a[1]) << (a[2] - f)
+    ends = [_cos_sin_end(v, up, wp, prec, w, f) for v in (c, s) for up in (False, True)]
+    return _interval(*ends[:2]), _interval(*ends[2:])
 
 
 def iv_pow(base, expo, bits: int) -> RI:

@@ -43,9 +43,8 @@ from sympy.polys.densearith import dup_add, dup_mul
 from sympy.polys.densebasic import dup_strip
 from sympy.polys.densetools import dup_shift
 
-from .algebraic import (QQ, FieldElement, NumberField, extend_field,
-                        factor_over_field, fraction_to_qq, is_real_certified,
-                        qq_to_fraction)
+from .algebraic import (QQ, FieldElement, NumberField, _fraction_to_qq, _qq_to_fraction,
+                        extend_field, factor_over_field, is_real_certified)
 from .errors import (DomainError, ExhaustedTrials, TruncationInsufficient,
                      ZeroPolynomialError)
 from .polynomials import MultiPoly
@@ -266,9 +265,9 @@ def _squarefree_parts_in_y(phi: MultiPoly) -> list[tuple[MultiPoly, int]]:
     factor g(x) divides the y^d coefficient, whose constant term is
     nonzero, so g(0) != 0 and g is a unit at the origin that carries no
     branch."""
-    poly = sympy.Poly.from_dict({e: fraction_to_qq(c) for e, c in phi.coeffs.items()},
+    poly = sympy.Poly.from_dict({e: _fraction_to_qq(c) for e, c in phi.coeffs.items()},
                                 _X, _Y, domain=sympy.QQ)
-    return [(MultiPoly(("x", "y"), {e: qq_to_fraction(c)
+    return [(MultiPoly(("x", "y"), {e: _qq_to_fraction(c)
                                     for e, c in part.as_dict(native=True).items()}), mult)
             for part, mult in poly.sqf_list()[1] if part.degree(_Y) > 0]
 
@@ -294,7 +293,7 @@ def puiseux_expand(phi: MultiPoly, T) -> PuiseuxExpansion:
 
     branches: list[PuiseuxBranch] = []
     for part, mult in _squarefree_parts_in_y(sheared):
-        work = _Work(QQ, 1, {e: fraction_to_qq(v) for e, v in part.coeffs.items()})
+        work = _Work(QQ, 1, {e: _fraction_to_qq(v) for e, v in part.coeffs.items()})
         found: list = []
         _collect_branches(work, Fraction(0), T, [], found, 0)
         for fld, terms, exact in found:

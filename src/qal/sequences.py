@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import (DomainError, InconclusiveInput, QalSyntaxError,
                      UndecidableAtCap)
-from .intervals import (RI, certify, default_bits, iv_log_shift_e, iv_pow,
+from .intervals import (RI, _precision, certify, default_bits, iv_log_shift_e, iv_pow,
                         ri_pow_frac)
 from .rationals import TokenCursor, _order, exact_pow, factorial, format_fraction
 
@@ -110,7 +110,7 @@ class CarlemanSequence:
         return None
 
     def _check_index(self, j: int):
-        if j < 0:
+        if _order(j, "sequence index") < 0:
             raise DomainError("sequence index must be >= 0")
         lim = self.horizon_limit()
         if lim is not None and j > lim:
@@ -172,7 +172,7 @@ class CarlemanSequence:
     def interval_value(self, j: int, bits: int | None = None) -> RI:
         """Certified interval for M_j (a point interval when exact)."""
         self._check_index(j)
-        bits = bits or default_bits()
+        bits = default_bits() if bits is None else _precision(bits)
         exact = self.exact_value(j)
         if exact is not None:
             return RI.point(exact)
@@ -250,11 +250,14 @@ class CarlemanSequence:
 
 
 def _number(value, what: str) -> Fraction:
-    """Fraction(value), such as of 2, 0.5 or '1/2'; DomainError if it fails."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ArithmeticError):
-        raise DomainError(f"{what} must be a rational number, got {value!r}") from None
+    """Fraction(value), such as of 2, 0.5 or '1/2'; DomainError if it fails
+    or if value is a bool, which Fraction would read as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+    raise DomainError(f"{what} must be a rational number, got {value!r}")
 
 
 def _checked(M, what: str = "M", **orders) -> None:

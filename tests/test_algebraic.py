@@ -5,9 +5,9 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from qal.algebraic import (QQ, NumberField, extend_field, factor_over_field,
-                           is_real_certified)
-from qal.errors import DomainError, ExtensionFailure
+from qal.algebraic import (QQ, FieldElement, NumberField, extend_field, factor_over_field,
+                           identify_root, is_real_certified, value_minpoly)
+from qal.errors import DomainError, ExtensionFailure, QalError
 
 Z = sympy.Symbol("z")
 QI = NumberField([1, 0, 1], root_index=1)          # Q(i), generator +i
@@ -309,11 +309,113 @@ def test_refinement_is_capped(monkeypatch):
     lambda: QI.zero().inverse(),
     lambda: QI.generator().as_fraction(),
     lambda: NumberField("abc"),
+    lambda: NumberField([1, 0, 1], True),
 ], ids=["constant-minpoly", "no-root-index", "root-index-too-large",
         "negative-root-index", "rational-root", "reducible-minpoly",
         "different-fields", "inverse-of-zero", "irrational-as-fraction",
-        "text-minpoly"])
+        "text-minpoly", "bool-root-index"])
 def test_domain_errors(call):
     with pytest.raises(DomainError) as info:
         call()
     assert info.value.code == "domain-error"
+
+
+# -- error contract ------------------------------------------------------------
+
+_NOT_DATA = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+                      st.complex_numbers(), st.tuples(), st.just(sympy.Rational(1, 2)))
+_NOT_INTEGERS = st.one_of(_NOT_DATA, st.fractions())
+_NOT_LISTS = st.one_of(st.none(), st.booleans(), st.integers(), st.fractions(),
+                       st.text(max_size=2), st.just({0: 1}))
+_ALL_FIELDS = [QQ, QI, QSQRT2, QCBRT2]
+
+
+@st.composite
+def _bad_coefficient_lists(draw, good):
+    """Not a list, or a list of good values with one drawn from _NOT_DATA."""
+    coeffs = draw(st.lists(good, max_size=3))
+    i = draw(st.integers(0, len(coeffs)))
+    return draw(st.one_of(_NOT_LISTS, st.just(coeffs[:i] + [draw(_NOT_DATA)] + coeffs[i:])))
+
+
+@st.composite
+def _malformed_field_calls(draw):
+    """One call of a public algebraic operation with one malformed argument,
+    as (label, thunk): a wrong type, a bool, a root index of either sign up
+    to 10^3 in magnitude and outside 0..degree-1, an empty, zero or
+    constant minimal polynomial, an element of another field, or a
+    division by zero."""
+    field = draw(st.sampled_from(_ALL_FIELDS))
+    other = draw(st.sampled_from([f for f in _ALL_FIELDS if f.degree > 1 and f != field]))
+    x = field.element(draw(st.lists(st.fractions(-3, 3), min_size=1, max_size=3)))
+    poly = [field.element(c) for c in draw(st.lists(st.integers(-3, 3), min_size=2, max_size=3))]
+    op = draw(st.sampled_from(["minpoly", "root index", "element", "arith", "rarith",
+                               "divide by zero", "inverse", "as_fraction", "element fn",
+                               "factor field", "factor poly", "extend field", "extend poly"]))
+    if op == "minpoly":
+        bad = draw(st.one_of(_bad_coefficient_lists(st.integers(-3, 3)),
+                             st.lists(st.just(0), max_size=3),
+                             st.lists(st.integers(-3, 3), min_size=1, max_size=1)))
+        return f"NumberField({bad!r}, 0)", lambda: NumberField(bad, 0)
+    if op == "root index":
+        minpoly = list(draw(st.sampled_from([QI, QSQRT2, QCBRT2])).minpoly)
+        bad = draw(st.one_of(_NOT_INTEGERS, st.integers(-10**3, -1),
+                             st.integers(len(minpoly) - 1, 10**3)))
+        return f"NumberField({minpoly!r}, {bad!r})", lambda: NumberField(minpoly, bad)
+    if op == "element":
+        bad = draw(_bad_coefficient_lists(st.fractions(-3, 3)).filter(
+            lambda v: not isinstance(v, (int, Fraction)) or isinstance(v, bool)))
+        return f"{field!r}.element({bad!r})", lambda: field.element(bad)
+    if op in ("arith", "rarith"):
+        bad = draw(st.one_of(_NOT_DATA, st.just(other.generator())))
+        sym = draw(st.sampled_from(["+", "-", "*", "/"]))
+        fn = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+              "*": lambda a, b: a * b, "/": lambda a, b: a / b}[sym]
+        if field.degree == 1 and isinstance(bad, FieldElement):
+            # an element of Q meets one of a larger field: the larger field's
+            # operation runs, with the element of Q as a scalar
+            bad = draw(_NOT_DATA)
+        if op == "arith":
+            return f"{x!r} {sym} {bad!r}", lambda: fn(x, bad)
+        return f"{bad!r} {sym} {x!r}", lambda: fn(bad, x)
+    if op == "divide by zero":
+        zero = draw(st.sampled_from([0, Fraction(0), field.zero()]))
+        return f"{x!r} / {zero!r}", lambda: x / zero
+    if op == "inverse":
+        return f"{field!r}.zero().inverse()", field.zero().inverse
+    if op == "as_fraction":
+        g = other.generator()
+        return f"{g!r}.as_fraction()", g.as_fraction
+    if op == "element fn":
+        bad = draw(st.one_of(_NOT_DATA, st.integers(), st.just(field)))
+        fn = draw(st.sampled_from([value_minpoly, identify_root, is_real_certified]))
+        return f"{fn.__name__}({bad!r})", lambda: fn(bad)
+    fn = factor_over_field if op.startswith("factor") else extend_field
+    if op.endswith("field"):
+        bad = draw(st.one_of(_NOT_LISTS, st.just(field.minpoly)))
+        return f"{fn.__name__}({bad!r}, ...)", lambda: fn(bad, poly)
+    # a list that is not of the field's elements; for extend_field also an
+    # empty, zero or constant polynomial, which has no root
+    wrong = st.one_of(_bad_coefficient_lists(st.just(x)),
+                      st.just([other.generator(), other.one()]),
+                      st.just([Fraction(1), Fraction(0), Fraction(1)]))
+    if fn is extend_field:
+        wrong = st.one_of(wrong, st.lists(st.just(field.zero()), max_size=3),
+                          st.just([x if x else field.one()]))
+    bad = draw(wrong)
+    return f"{fn.__name__}({field!r}, {bad!r})", lambda: fn(field, bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_field_calls())
+def test_malformed_input_raises_a_coded_qal_error(call):
+    label, thunk = call
+    with pytest.raises(QalError) as info:
+        thunk()
+    assert info.value.code == type(info.value).code != QalError.code, label
+
+
+@pytest.mark.parametrize("field", _ALL_FIELDS, ids=repr)
+@pytest.mark.parametrize("f", [[], [0], [0, 0]], ids=repr)
+def test_empty_and_zero_polynomials_have_no_factors(field, f):
+    assert factor_over_field(field, [field.element(c) for c in f]) == []

@@ -403,26 +403,11 @@ class TestBridge:
                      st.builds(Fraction, st.integers(1, 1 << 20), st.just(1 << 100))),
            st.sampled_from([8, 64, 256, 1000]))
     def test_cos_sin_equal_mpmath_cos_and_sin(self, lo, width, bits):
-        def ref_iv(q: Fraction):
-            return mpmath.iv.mpf(q.numerator) / mpmath.iv.mpf(q.denominator)
-
-        def ref_ri(y) -> tuple[Fraction, Fraction]:
-            a, b = y._mpi_
-            return (Fraction(*mpmath.libmp.to_rational(a)),
-                    Fraction(*mpmath.libmp.to_rational(b)))
-
+        # iv's cos and sin on a dyadic point, enclosures within 2w of theirs
+        # on any other argument
         hi = lo + width
-        old = mpmath.iv.prec
-        mpmath.iv.prec = bits + 16
-        try:
-            y = mpmath.iv.mpf([ref_iv(lo).a, ref_iv(hi).b])
-            ref = ref_ri(mpmath.iv.cos(y)), ref_ri(mpmath.iv.sin(y))
-        finally:
-            mpmath.iv.prec = old
-        args = [RI(lo, hi)] + ([lo, RI(lo)] if width == 0 else [])
-        for x in args:
-            c, s = iv_cos_sin(x, bits)
-            assert ((c.lo, c.hi), (s.lo, s.hi)) == ref, x
+        for x in [RI(lo, hi)] + ([lo, RI(lo)] if width == 0 else []):
+            _check_cos_sin(x, bits)
 
 
 # -- the bridge against mpmath's iv context --------------------------------------------
@@ -486,9 +471,40 @@ def _pair(r: RI) -> tuple[Fraction, Fraction]:
     return r.lo, r.hi
 
 
+def _cos_sin_at(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """cos q and sin q by mpmath at prec bits, q rounded once to prec bits."""
+    libmp = mpmath.libmp
+    with mpmath.workprec(prec):
+        t = mpmath.mpf(libmp.from_rational(q.numerator, q.denominator, prec, libmp.round_nearest))
+        return tuple(Fraction(*libmp.to_rational(v._mpf_)) for v in (mpmath.cos(t), mpmath.sin(t)))
+
+
+def _check_cos_sin(x, bits: int) -> None:
+    """iv_cos_sin(x, bits) against mpmath.  Let [a, b] be the raw interval
+    that iv builds from x at bits + 16 bits and w = b - a.  On a dyadic
+    point (w = 0) the result is iv.cos and iv.sin bit for bit.  On every
+    input it contains cos and sin at both ends and the midpoint of x,
+    computed at 4 bits + 64 bits, and each component is at most
+    2w + 2^-bits wider than iv's."""
+    ref = _at_iv_prec(bits, lambda: (_iv_endpoints(mpmath.iv.cos(_iv_of(x))),
+                                     _iv_endpoints(mpmath.iv.sin(_iv_of(x)))))
+    a, b = (Fraction(*mpmath.libmp.to_rational(e)) for e in intervals._mpi(x, bits + 16))
+    got = iv_cos_sin(x, bits)
+    if a == b:
+        assert tuple(map(_pair, got)) == ref
+    lo, hi = _pair(x) if isinstance(x, RI) else (x, x)
+    for q in (lo, hi, (lo + hi) / 2):
+        for r, v in zip(got, _cos_sin_at(q, 4 * bits + 64)):
+            assert r.lo <= v <= r.hi, (q, r)
+    for r, (ref_lo, ref_hi) in zip(got, ref):
+        assert r.width() <= ref_hi - ref_lo + 2 * (b - a) + Fraction(1, 1 << bits)
+
+
 class TestBridgeOracle:
     """Each bridge function returns exactly the endpoints of mpmath's iv
-    context at iv.prec = bits + 16 on the same input."""
+    context at iv.prec = bits + 16 on the same input; cos and sin do on a
+    dyadic point, and on other arguments keep the contract of
+    :func:`_check_cos_sin`."""
 
     @settings(max_examples=80, deadline=None)
     @given(_fractions_1000, _bridge_bits)
@@ -499,10 +515,7 @@ class TestBridgeOracle:
     @settings(max_examples=60, deadline=None)
     @given(_args(_fractions_1000), _bridge_bits)
     def test_cos_sin(self, x, bits):
-        ref = _at_iv_prec(bits, lambda: (_iv_endpoints(mpmath.iv.cos(_iv_of(x))),
-                                         _iv_endpoints(mpmath.iv.sin(_iv_of(x)))))
-        c, s = iv_cos_sin(x, bits)
-        assert (_pair(c), _pair(s)) == ref
+        _check_cos_sin(x, bits)
 
     @settings(max_examples=60, deadline=None)
     @given(_args(_moderate), _bridge_bits)

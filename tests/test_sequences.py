@@ -94,6 +94,109 @@ class TestParser:
             assert parse_sequence(seq.dsl()) == seq
 
 
+_NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+                          st.fractions(), st.complex_numbers(), st.tuples(),
+                          st.lists(st.integers(), max_size=1))
+_BAD_ORDERS = st.one_of(_NOT_INTEGERS, st.integers(-10**3, -1))
+_NOT_NUMBERS = st.one_of(st.booleans(), st.none(),
+                         st.sampled_from([math.nan, math.inf, -math.inf]),
+                         st.text("xy/.", max_size=3),
+                         st.complex_numbers().filter(lambda z: z.imag), st.tuples(),
+                         st.lists(st.integers(), max_size=1), st.just(gevrey(1)))
+_NOT_SEQUENCES = st.one_of(st.none(), st.booleans(), st.integers(), st.fractions(),
+                           st.text(max_size=9), st.just("gevrey(1)"),
+                           st.lists(st.integers(1, 9), max_size=3))
+_SEQUENCES = st.sampled_from(BUILTINS + [custom([1, 2, 4]), custom([1]), shift(gevrey(1)),
+                                         shift(loggevrey(1)), power(qgevrey(2), Fraction(3, 2))])
+
+
+@st.composite
+def _bad_terms(draw):
+    """Custom terms that are not a list of rationals starting at 1, positive
+    and nondecreasing; or such a list with one malformed entry."""
+    bad = draw(st.one_of(_NOT_NUMBERS, st.fractions(max_value=0)))
+    terms = draw(st.lists(st.integers(1, 4), max_size=4).map(lambda t: [1] + sorted(t)))
+    return draw(st.one_of(
+        st.just(terms[:draw(st.integers(0, len(terms)))] + [bad]),
+        st.just([]), st.just([2]), st.just([1, 3, 2]), st.just([1, 0]),
+        st.integers(), st.none(), st.text(max_size=3)))
+
+
+@st.composite
+def _malformed_calls(draw):
+    """One call of a public sequences operation with one malformed argument,
+    as (label, thunk): a wrong type, a bool, a negative order down to
+    -10^3, an index past the end of a finite sequence, or a value outside
+    the operation's domain.  The other arguments are well formed."""
+    M = draw(_SEQUENCES)
+    op = draw(st.sampled_from(["gevrey", "loggevrey", "qgevrey", "custom terms",
+                               "custom assume", "parse_sequence", "exact_value",
+                               "power_form", "interval_value j", "interval_value bits",
+                               "renormalization", "check_log_convexity",
+                               "verify_superadditivity", "value j", "value precision",
+                               "precede M", "precede N", "precede horizon", "classify M",
+                               "classify horizon", "flag", "power M", "power s", "shift"]))
+    lim = M.horizon_limit()
+    # an index of the wrong type or sign, or past a finite sequence's end
+    index = st.one_of(_BAD_ORDERS, st.integers(lim + 1, 10**3)) if lim is not None \
+        else _BAD_ORDERS
+    family, _, arg = op.partition(" ")
+    if family in ("gevrey", "loggevrey", "qgevrey"):
+        top = 1 if family == "qgevrey" else 0
+        bad = draw(st.one_of(_NOT_NUMBERS, st.fractions(max_value=top),
+                             st.integers(max_value=top)))
+        return f"{family}({bad!r})", lambda: getattr(sequences, family)(bad)
+    if family == "custom":
+        terms, assume = [1, 2, 4], ["moderate_growth"]
+        if arg == "terms":
+            terms = draw(_bad_terms())
+        else:
+            assume = draw(st.one_of(st.integers(), st.none(),
+                                    st.lists(st.text("abc_", max_size=5), min_size=1, max_size=2)))
+        return f"custom({terms!r}, {assume!r})", lambda: custom(terms, assume)
+    if op == "parse_sequence":
+        bad = draw(st.one_of(st.none(), st.booleans(), st.integers(), st.just(gevrey(1)),
+                             st.lists(st.text(max_size=2), max_size=2)))
+        return f"parse_sequence({bad!r})", lambda: parse_sequence(bad)
+    if op in ("exact_value", "power_form", "interval_value j"):
+        j = draw(index)
+        name = op.split()[0]
+        return f"{M}.{name}({j!r})", lambda: getattr(M, name)(j)
+    if op == "interval_value bits":
+        bits = draw(st.one_of(_NOT_INTEGERS.filter(lambda v: v is not None),
+                              st.integers(-10**3, 0)))
+        return f"{M}.interval_value(1, {bits!r})", lambda: M.interval_value(1, bits)
+    if op == "renormalization":
+        M = draw(st.sampled_from(BUILTINS + [custom([1, 2, 4])]))
+        return f"{M}.renormalization()", M.renormalization
+    if op in ("check_log_convexity", "verify_superadditivity", "classify horizon",
+              "precede horizon"):
+        bad = draw(st.one_of(_BAD_ORDERS, st.just(0), st.just(1))
+                   if op == "check_log_convexity" else _BAD_ORDERS)
+        fn = {"check_log_convexity": check_log_convexity, "classify horizon": classify,
+              "verify_superadditivity": verify_superadditivity,
+              "precede horizon": lambda M, h: precede(M, gevrey(2), h)}[op]
+        return f"{op}({M}, {bad!r})", lambda: fn(M, bad)
+    if op == "value j":
+        j = draw(index)
+        return f"value({M}, {j!r})", lambda: value(M, j)
+    if op == "value precision":
+        bad = draw(_BAD_ORDERS.filter(lambda v: v is not None))
+        return f"value({M}, 1, {bad!r})", lambda: value(M, 1, bad)
+    if op == "flag":
+        bad = draw(st.one_of(st.text(max_size=4), st.none(), st.integers(), st.just([])))
+        return f"flag({bad!r})", lambda: classify(gevrey(1), 4).flag(bad)
+    if op == "power s":
+        bad = draw(st.one_of(_NOT_NUMBERS, st.fractions(max_value=Fraction(99, 100))))
+        return f"power({M}, {bad!r})", lambda: power(M, bad)
+    # a one-term sequence cannot be shifted
+    bad = draw(st.one_of(_NOT_SEQUENCES, st.just(custom([1]))) if op == "shift"
+               else _NOT_SEQUENCES)
+    fn = {"precede M": lambda b: precede(b, M), "precede N": lambda b: precede(M, b),
+          "classify M": classify, "power M": lambda b: power(b, 2), "shift": shift}[op]
+    return f"{op} {bad!r}", lambda: fn(bad)
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("call", [
         lambda: gevrey("a"),
@@ -114,13 +217,21 @@ class TestErrorContract:
         lambda: custom("124"),
         lambda: precede(custom([1, 2, 4]), gevrey(1), "x"),
         lambda: verify_superadditivity(gevrey(1), -3),
+        lambda: gevrey(True),
+        lambda: custom([1, True]),
+        lambda: power(gevrey(1), True),
+        lambda: gevrey(1).exact_value("a"),
+        lambda: gevrey(1).interval_value(2, True),
     ], ids=["gevrey-text", "qgevrey-text", "custom-text-term", "power-text",
             "loggevrey-None", "classify-text-horizon", "flag-unknown", "parse-int",
             "precede-text", "shift-text", "power-of-text", "classify-text",
             "log-convexity-text", "value-float-index", "custom-int", "custom-text",
-            "precede-text-horizon", "superadditivity-negative-horizon"])
+            "precede-text-horizon", "superadditivity-negative-horizon", "gevrey-bool",
+            "custom-bool-term", "power-bool", "exact-value-text-index",
+            "interval-value-bool-bits"])
     def test_calls_that_escaped_the_contract(self, call):
-        # each raised a bare ValueError, TypeError or AttributeError
+        # each raised a bare ValueError, TypeError or AttributeError, or
+        # read a bool as the number 0 or 1
         with pytest.raises(DomainError) as info:
             call()
         assert info.value.code == "domain-error"
@@ -143,6 +254,14 @@ class TestErrorContract:
 
     def test_custom_terms_of_every_accepted_type(self):
         assert custom([1, 2.0, "3", Fraction(7, 2)]).terms == (1, 2, 3, Fraction(7, 2))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_malformed_calls())
+    def test_malformed_input_raises_a_coded_qal_error(self, call):
+        label, thunk = call
+        with pytest.raises(QalError) as info:
+            thunk()
+        assert info.value.code == type(info.value).code != QalError.code, label
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["gevrey(", "qgevrey(", "custom{terms=[", "analytic"]),
