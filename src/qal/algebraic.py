@@ -45,7 +45,7 @@ from sympy.polys.sqfreetools import dup_sqf_norm
 from .errors import DomainError, ExtensionFailure
 from .intervals import CI, RI
 from .polynomials import uadd, udeg, umul, umonic, utrim
-from .rationals import _order, _rational
+from .rationals import _instance, _order, _rational, _rationals
 
 _T = Symbol("_qal_t")
 _Z = Symbol("_qal_z")
@@ -96,26 +96,11 @@ def _refine_until(test, fields, what: str):
     raise ExtensionFailure(f"could not {what} in {_REFINE_CAP} refinements")
 
 
-def _listed(value, what: str):
-    """value, a list or tuple; DomainError otherwise."""
-    if not isinstance(value, (list, tuple)):
-        raise DomainError(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def _element(a) -> FieldElement:
-    """a, a FieldElement; DomainError otherwise."""
-    if not isinstance(a, FieldElement):
-        raise DomainError(f"expected a FieldElement, got {a!r}")
-    return a
-
-
 def _over(field, f, what: str) -> list[FieldElement]:
     """f, a polynomial over the field as a list of its elements, lowest
     degree first; DomainError otherwise."""
-    if not isinstance(field, NumberField):
-        raise DomainError(f"the field must be a NumberField, got {field!r}")
-    for c in _listed(f, what):
+    _instance(field, NumberField, "the field")
+    for c in _instance(f, (list, tuple), what):
         if not (isinstance(c, FieldElement) and c.field == field):
             raise DomainError(f"{what} must have coefficients in {field!r}, got {c!r}")
     return list(f)
@@ -125,8 +110,7 @@ class NumberField:
     """Q(gamma) for a chosen root gamma of a monic irreducible m over Q."""
 
     def __init__(self, minpoly: list[Fraction], root_index: int | None = None):
-        minpoly = umonic(utrim([_rational(c, "a minimal polynomial coefficient")
-                                for c in _listed(minpoly, "the minimal polynomial")]))
+        minpoly = umonic(utrim(_rationals(minpoly, "the minimal polynomial")))
         self.minpoly = tuple(minpoly)
         self.degree = udeg(minpoly)
         if self.degree < 1:
@@ -139,9 +123,7 @@ class NumberField:
             gamma = -minpoly[0]
             self._rect = (gamma, gamma, Fraction(0), Fraction(0))
         else:
-            if not 0 <= _order(root_index, "the root index") < self.degree:
-                raise DomainError("extension field needs a root index in "
-                                  f"0..{self.degree - 1}, got {root_index!r}")
+            _order(root_index, "the root index", 0, self.degree - 1)
             m = _to_sympy_poly(minpoly, _T)
             if not m.is_irreducible:
                 raise DomainError("minimal polynomial is reducible over Q")
@@ -201,8 +183,8 @@ class NumberField:
         longer than the degree is reduced modulo the minimal polynomial."""
         if isinstance(coeffs, (int, Fraction)):
             coeffs = [coeffs]
-        rep = dup_strip([_fraction_to_qq(_rational(c, "a field element coefficient"))
-                         for c in reversed(_listed(coeffs, "the coefficients"))])
+        rep = dup_strip([_fraction_to_qq(c)
+                         for c in reversed(_rationals(coeffs, "the coefficients"))])
         if len(rep) > self.degree:
             rep = dup_rem(rep, self._modulus, sympy.QQ)
         if self.degree == 1:
@@ -358,7 +340,7 @@ def value_minpoly(a: FieldElement) -> list[Fraction]:
     The characteristic polynomial, the norm of z - a, is a power of the
     minimal polynomial; the radical is extracted by factoring.
     """
-    if _element(a).is_rational():
+    if _instance(a, FieldElement, "a").is_rational():
         return [-a.rep[0], Fraction(1)]
     norm = _from_poly(QQ, _poly(a.field, [-a, a.field.one()]).norm())
     factors = [[c.as_fraction() for c in f] for f, _ in factor_over_field(QQ, norm)]
@@ -397,7 +379,7 @@ def identify_root(a: FieldElement) -> tuple[list[Fraction], int]:
 
 def is_real_certified(a: FieldElement) -> bool:
     """Exact realness of the embedded value of a."""
-    if _element(a).field.is_real or a.is_rational():
+    if _instance(a, FieldElement, "a").field.is_real or a.is_rational():
         return True
     if a.box().im.excludes_zero():
         return False

@@ -55,10 +55,10 @@ from typing import Callable
 from .errors import (ArityMismatchError, CertificationError,
                      ChainDegenerationError, DomainError, NonMonicDivisorError,
                      PrecisionFailure, ZeroPolynomialError)
-from .intervals import (RI, _floor_dyadic, _precision, certify, default_bits,
-                        iv_exp, ri_pow_frac)
+from .intervals import RI, _floor_dyadic, certify, default_bits, iv_exp, ri_pow_frac
 from .polynomials import MultiPoly, _accumulate_product, _var_key, utrim
-from .rationals import _order, _rational, factorial, format_fraction, root_bounds
+from .rationals import (_instance, _order, _rational, factorial, format_fraction,
+                        root_bounds)
 from .sequences import CarlemanSequence, _checked
 from .theta import _magnitude_at_zero, build_theta
 
@@ -100,21 +100,6 @@ def _rows(poly: MultiPoly, rest: tuple[str, ...], var: str) -> list[dict]:
     return rows
 
 
-def _require_poly(poly, what: str) -> None:
-    if not isinstance(poly, MultiPoly):
-        raise DomainError(f"{what} must be a MultiPoly, got {type(poly).__name__}")
-
-
-def _require_var(var) -> None:
-    if not isinstance(var, str):
-        raise DomainError(f"a variable name must be a str, got {type(var).__name__}")
-
-
-def _require_positive_int(n, what: str) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"{what} must be an integer >= 1, got {n!r}")
-
-
 def euclid_divide(P: MultiPoly, F: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
     """Divide P by F along var: P = F*G + H with deg_var H < deg_var F.
 
@@ -134,9 +119,9 @@ def euclid_divide(P: MultiPoly, F: MultiPoly, var: str) -> tuple[MultiPoly, Mult
     re-verified by expansion, as a comparison of integer polynomials,
     before the Fractions are formed.
     """
-    _require_poly(P, "the dividend")
-    _require_poly(F, "the divisor")
-    _require_var(var)
+    _instance(P, MultiPoly, "the dividend")
+    _instance(F, MultiPoly, "the divisor")
+    _instance(var, str, "the variable")
     vars_all = tuple(sorted(set(P.vars) | set(F.vars) | {var},
                             key=_var_key))
     rest = tuple(v for v in vars_all if v != var)
@@ -182,8 +167,8 @@ def euclid_divide(P: MultiPoly, F: MultiPoly, var: str) -> tuple[MultiPoly, Mult
 
 def generic_divisor(d: int, var: str = "z") -> MultiPoly:
     """The generic monic polynomial z^d + mu1 z^(d-1) + ... + mud."""
-    _require_positive_int(d, "the divisor degree")
-    _require_var(var)
+    _order(d, "the divisor degree", 1)
+    _instance(var, str, "the variable")
     mus = tuple(f"mu{i}" for i in range(1, d + 1))
     vars_all = tuple(sorted(mus)) + (var,)
     terms = {(0,) * d + (d,): Fraction(1)}
@@ -205,12 +190,10 @@ class DistinguishedPoly:
     a: list[MultiPoly]      # a[j] multiplies var^(d-1-j); all a[j](0) = 0
 
     def __post_init__(self):
-        _require_var(self.var)
-        _require_positive_int(self.d, "the degree of a distinguished polynomial")
-        if not isinstance(self.a, (list, tuple)):
-            raise DomainError(f"the coefficients must be a list, got {type(self.a).__name__}")
-        for aj in self.a:
-            _require_poly(aj, "a coefficient")
+        _instance(self.var, str, "the variable")
+        _order(self.d, "the degree of a distinguished polynomial", 1)
+        for aj in _instance(self.a, (list, tuple), "the coefficients"):
+            _instance(aj, MultiPoly, "a coefficient")
         if len(self.a) != self.d:
             raise ArityMismatchError(
                 f"need {self.d} coefficients, got {len(self.a)}")
@@ -222,8 +205,8 @@ class DistinguishedPoly:
 
     @staticmethod
     def from_multipoly(phi: MultiPoly, var: str) -> "DistinguishedPoly":
-        _require_poly(phi, "phi")
-        _require_var(var)
+        _instance(phi, MultiPoly, "phi")
+        _instance(var, str, "the variable")
         d = phi.degree(var) if var in phi.vars else 0
         if d < 1:
             raise DomainError("polynomial has no main-variable degree")
@@ -232,12 +215,6 @@ class DistinguishedPoly:
             raise NonMonicDivisorError(f"not monic in {var}")
         coeffs = [phi.coefficient(var, d - j) for j in range(1, d + 1)]
         return DistinguishedPoly(var, d, coeffs)
-
-
-def _require_distinguished(phi) -> None:
-    if not isinstance(phi, DistinguishedPoly):
-        raise DomainError(f"expected a DistinguishedPoly, got {type(phi).__name__}; "
-                          "convert with DistinguishedPoly.from_multipoly")
 
 
 def specialize_division(P: MultiPoly, phi: DistinguishedPoly,
@@ -254,9 +231,9 @@ def specialize_division(P: MultiPoly, phi: DistinguishedPoly,
     division by z^d + mu1 z^(d-1) + ... specialized at mu_j := a_j gives
     the same G and H.
     """
-    _require_poly(P, "the dividend")
-    _require_distinguished(phi)
-    _require_var(var)
+    _instance(P, MultiPoly, "the dividend")
+    _instance(phi, DistinguishedPoly, "phi")
+    _instance(var, str, "the variable")
     if phi.var != var and any(var in aj.vars for aj in phi.a):
         raise DomainError(f"the division variable {var} is a variable of "
                           "phi's coefficients")
@@ -283,8 +260,8 @@ def specialize_division(P: MultiPoly, phi: DistinguishedPoly,
 def regular_order(phi: MultiPoly, var: str) -> int | None:
     """Order of vanishing of phi(0, ..., 0, var) at 0, or None when that
     restriction vanishes identically (not regular)."""
-    _require_poly(phi, "phi")
-    _require_var(var)
+    _instance(phi, MultiPoly, "phi")
+    _instance(var, str, "the variable")
     if phi.is_zero():
         raise ZeroPolynomialError("regular order of the zero polynomial")
     restricted = {}
@@ -301,10 +278,9 @@ def regular_order(phi: MultiPoly, var: str) -> int | None:
 def strictly_regular_check(F: MultiPoly, d: int, var: str) -> bool:
     """True iff F has no monomials of total degree < d and the pure var^d
     coefficient is nonzero."""
-    _require_poly(F, "F")
-    if _order(d, "d") < 0:
-        raise DomainError(f"d must be >= 0, got {d}")
-    _require_var(var)
+    _instance(F, MultiPoly, "F")
+    _order(d, "d", 0)
+    _instance(var, str, "the variable")
     if F.total_degree() >= 0 and F.order() < d:
         return False
     i = F.vars.index(var) if var in F.vars else None
@@ -471,7 +447,7 @@ def hyperbolic_check_2d(phi: DistinguishedPoly,
     tz(N) = kw + tz(c_k) with tz(c_k) < w, so k = tz(N) // w and c_k is the
     balanced residue of (N >> kw) mod 2^w; near 0- the sign flips for odd k.
     """
-    _require_distinguished(phi)
+    _instance(phi, DistinguishedPoly, "phi")
     if side not in ("both", "plus", "minus"):
         raise DomainError("side must be 'both', 'plus' or 'minus'")
     if len(_param_vars(phi)) > 1:
@@ -517,8 +493,8 @@ def hyperbolic_falsify_grid(phi: DistinguishedPoly, radius: Fraction,
     the first one runs fastest.  A None result is NOT a hyperbolicity
     proof; it only reports that the grid found nothing.
     """
-    _require_distinguished(phi)
-    _require_positive_int(resolution, "the grid resolution")
+    _instance(phi, DistinguishedPoly, "phi")
+    _order(resolution, "the grid resolution", 1)
     if _rational(radius, "the grid radius") <= 0:
         raise DomainError("grid needs a positive radius")
     params = sorted(set(v for aj in phi.a for v in aj.vars), key=_var_key)
@@ -665,10 +641,10 @@ def gevrey_flat_witness(alpha: Fraction, k: int, J: int,
     """
     if _rational(alpha, "alpha") <= 0:
         raise DomainError(f"need alpha > 0, got {alpha}")
-    _require_positive_int(k, "k")
-    _require_positive_int(J, "J")
+    _order(k, "k", 1)
+    _order(J, "J", 1)
     alpha = Fraction(alpha)
-    bits = default_bits() if bits is None else _precision(bits)
+    bits = default_bits() if bits is None else _order(bits, "bits", 1)
     rows = []
     for j in range(1, J + 1):
         mag = RI.point(Fraction(factorial(2 * j))) * iv_exp(Fraction(-j), bits)

@@ -3,6 +3,10 @@
 Every error that can escape a public operation carries a ``code`` string.
 Callers and tests match on these codes rather than on messages, so a code
 is stable once published and must not be renamed.
+
+A malformed argument (a wrong type, a bool where a number is meant, an
+order out of range) raises :class:`DomainError`, code ``domain-error``,
+through the input contract stated in :mod:`qal.rationals`.
 """
 
 

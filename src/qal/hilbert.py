@@ -44,19 +44,12 @@ from fractions import Fraction
 
 from .errors import (CertificationError, DomainError, SelectionFailure,
                      UndecidableAtCap, UnsupportedSequenceError)
-from .rationals import _order, _rational, factorial, format_fraction
-from .sequences import CarlemanSequence
+from .rationals import _instance, _order, _rational, _rationals, factorial, format_fraction
+from .sequences import CarlemanSequence, _checked
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
 IntMat = list[list[int]]
-
-
-def _rationals(values, what: str) -> Vec:
-    """A list or tuple of exact data as Fractions, otherwise DomainError."""
-    if not isinstance(values, (list, tuple)):
-        raise DomainError(f"{what} must be a list of ints and Fractions, got {values!r}")
-    return [_rational(x, what) for x in values]
 
 
 def _exact(num: int, den: int) -> int:
@@ -169,10 +162,15 @@ def ldl_decompose(G: Mat) -> tuple[Mat, Vec]:
     integer matrix A, the leading minors Delta_i of A and the eliminated
     matrices M_i, D[i] = Delta_{i+1} / (Delta_i s) and
     L[r][i] = M_i[r][i] / M_i[i][i].  Raises DomainError on a leading minor
-    <= 0, which certifies that the matrix is not positive definite.
+    <= 0, which certifies that the matrix is not positive definite.  G
+    must be a square list of lists of ints and Fractions, otherwise
+    DomainError.
     """
+    G = [_rationals(row, "a matrix row") for row in _instance(G, (list, tuple), "the matrix")]
     n = len(G)
-    G = [[Fraction(x) for x in row] for row in G]
+    if any(len(row) != n for row in G):
+        raise DomainError(f"the matrix must be square, got rows of lengths "
+                          f"{[len(row) for row in G]}")
     s = math.lcm(*(x.denominator for row in G for x in row))
     cols = _bareiss([[x.numerator * (s // x.denominator) for x in row] for row in G])
     L: Mat = [[Fraction(0)] * n for _ in range(n)]
@@ -188,15 +186,20 @@ def ldl_decompose(G: Mat) -> tuple[Mat, Vec]:
 
 
 def poly_derivative(u: Vec, times: int = 1) -> Vec:
-    out = list(u)
-    for _ in range(min(times, len(out))):
+    """The derivative of order times >= 0 of the coefficient list u, ints
+    and Fractions, otherwise DomainError."""
+    out = _rationals(u, "coefficients")
+    for _ in range(min(_order(times, "the derivative order", 0), len(out))):
         out = [Fraction(i + 1) * c for i, c in enumerate(out[1:])]
     return out
 
 
 def poly_eval(u: Vec, x: Fraction) -> Fraction:
+    """u(x) for a coefficient list u and a point x of ints and Fractions,
+    otherwise DomainError."""
+    x = _rational(x, "the point x")
     acc = Fraction(0)
-    for c in reversed(u):
+    for c in reversed(_rationals(u, "coefficients")):
         acc = acc * x + c
     return acc
 
@@ -243,7 +246,7 @@ class HilbertModel:
 
     def deriv_at_zero(self, u: Vec, i: int) -> Fraction:
         """u^(i)(0) = i! u_i; a negative order is a DomainError."""
-        if _order(i, "derivative order") >= len(u):
+        if _order(i, "derivative order", 0) >= len(u):
             return Fraction(0)
         return factorial(i) * u[i]
 
@@ -264,8 +267,8 @@ def build_model(M: CarlemanSequence, D: int) -> HilbertModel:
     The sequence must be rational valued on 0..D; the dynamic range of the
     weights (about (D! M_D)^2) rules floating point out entirely.
     """
-    if isinstance(D, bool) or not isinstance(D, int) or D < 1:
-        raise DomainError(f"degree must be an integer >= 1, got {D!r}")
+    _checked(M)
+    _order(D, "the degree", 1)
     if not M.is_rational_valued():
         raise UnsupportedSequenceError(
             "the Gram model needs exact rational sequence values")
@@ -343,8 +346,8 @@ def representer(model: HilbertModel, i: int) -> Vec:
     meet only structural zeros of G or of r).  The certified Y is cached on
     the model; callers get a fresh list of Fractions.
     """
-    if not 0 <= _order(i, "representer order") <= model.degree:
-        raise DomainError(f"representer order {i} outside 0..{model.degree}")
+    _instance(model, HilbertModel, "the model")
+    _order(i, "the representer order", 0, model.degree)
     p = i % 2
     Y, = _representers(model, p, [i])
     det = model._gram[p].det
@@ -410,6 +413,7 @@ def minimal_interpolant(model: HilbertModel, b: Vec) -> MinimalInterpolant:
     of g are certified to meet the k constraints in integers over one
     denominator, otherwise CertificationError.
     """
+    _instance(model, HilbertModel, "the model")
     b = _rationals(b, "interpolation data")
     k = len(b)
     if k == 0:
@@ -454,8 +458,8 @@ def omega_table(model: HilbertModel, k: int) -> list[Fraction]:
     At k = D + 1 the constraints pin every coefficient, u_{j,k} = x^j / j!,
     and the whole column is exactly 1.
     """
-    if not 0 <= _order(k, "omega table size") <= model.degree + 1:
-        raise DomainError(f"omega table needs 0 <= k <= D + 1, got k = {k}")
+    _instance(model, HilbertModel, "the model")
+    _order(k, "the omega table size", 0, model.degree + 1)
     out = [Fraction(0)] * k
     for p, (Ys, den, R) in enumerate(_representer_system(model, k)):
         m = len(Ys)
@@ -493,18 +497,14 @@ def lacunary_select(M: CarlemanSequence, schedule: list[tuple[int, int]]) -> Lac
     0 <= k_p <= D_p + 1, and k_p strictly increasing, otherwise
     DomainError; nothing is computed before the whole schedule passes.
     """
+    _checked(M)
     if not M.is_rational_valued():
         raise UnsupportedSequenceError("lacunary selection needs rational values")
-    if not isinstance(schedule, (list, tuple)):
-        raise DomainError(f"schedule must be a list of (D, k) pairs, got {schedule!r}")
-    for entry in schedule:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+    for entry in _instance(schedule, (list, tuple), "the schedule"):
+        if len(_instance(entry, (list, tuple), "a schedule entry")) != 2:
             raise DomainError(f"schedule entry {entry!r} is not a (D, k) pair")
-        D, k = (_order(x, "schedule entry") for x in entry)
-        if D < 1:
-            raise DomainError(f"D={D} is below 1")
-        if not 0 <= k <= D + 1:
-            raise DomainError(f"k={k} outside 0..D+1={D + 1}")
+        D = _order(entry[0], "the degree D of a schedule entry", 1)
+        _order(entry[1], "the size k of a schedule entry", 0, D + 1)
     ks = [k for _, k in schedule]
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
         raise DomainError("k_p must be strictly increasing")
@@ -545,16 +545,15 @@ def divergence_demo(M: CarlemanSequence, a: Fraction, ks: list[int],
     a and the threshold must be ints or Fractions and ks a list of
     integers >= 0, otherwise DomainError.
     """
+    _checked(M)
     if not M.is_rational_valued():
         raise UnsupportedSequenceError("divergence demo needs rational values")
     a = _rational(a, "a")
     if not 0 < a < 1:
         raise DomainError("a must lie in (0, 1)")
     threshold = _rational(threshold, "threshold")
-    if not isinstance(ks, (list, tuple)):
-        raise DomainError(f"ks must be a list of indices, got {ks!r}")
-    if any(_order(k, "index") < 0 for k in ks):
-        raise DomainError("indices must be >= 0")
+    for k in _instance(ks, (list, tuple), "ks"):
+        _order(k, "an index", 0)
     total = Fraction(0)
     partials = []
     for p, k in enumerate(ks):
@@ -654,9 +653,7 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
     Raises DomainError unless j is an integer >= 0 and u a list of ints
     and Fractions.
     """
-    if _order(j, "derivative order") < 0:
-        raise DomainError(f"derivative order must be >= 0, got {j}")
-    du = poly_derivative(_rationals(u, "coefficients"), j)
+    du = poly_derivative(u, j)
     if not any(du):
         zero = Fraction(0)
         return SobolevRecord(j, zero, zero, zero, zero, True, True)

@@ -41,7 +41,8 @@ integer cross products.  So every endpoint is bit for bit the
 lowest-terms Fraction that Fraction arithmetic would form.
 
 Exact data are ints (not bools) and Fractions; anything else, and a
-precision ``bits`` that is not an int >= 1, raises DomainError.
+precision ``bits`` that is not an int >= 1, raises DomainError (the
+input contract of :mod:`qal.rationals`).
 
 Transcendental functions work on the raw interval [a, b] that mpmath's
 ``iv`` context would build from the endpoints at ``bits + 16`` bits, and
@@ -61,14 +62,12 @@ mpmath's public API, so the package pins mpmath below 1.4 and the tests
 compare every bridge function with the ``iv`` context.
 
 :func:`certify` runs a certification step at escalating precision: from
-``QAL_PRECISION_BITS`` (environment variable, default 256 bits), doubling
-up to the cap of 4096 bits.
+256 bits (:func:`default_bits`), doubling up to the cap of 4096 bits.
 """
 
 from __future__ import annotations
 
 import contextvars
-import os
 from fractions import Fraction
 from math import gcd
 from typing import Callable, TypeVar
@@ -91,14 +90,9 @@ _T = TypeVar("_T")
 
 
 def default_bits() -> int:
-    raw = os.environ.get("QAL_PRECISION_BITS")
-    if not raw:
-        return _DEFAULT_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        return _DEFAULT_BITS
-    return max(8, min(bits, PRECISION_CAP))
+    """The precision of a first certify attempt: ``_DEFAULT_BITS``, read
+    at call time."""
+    return _DEFAULT_BITS
 
 
 def _data(x, what: str = "an endpoint") -> Fraction:
@@ -109,14 +103,6 @@ def _data(x, what: str = "an endpoint") -> Fraction:
     if type(x) is int:
         return _fraction(x, 1)
     return _rational(x, what)
-
-
-def _precision(bits) -> int:
-    """bits as a precision: an int >= 1 that is not a bool, otherwise
-    DomainError."""
-    if _order(bits, "bits") < 1:
-        raise DomainError(f"bits must be >= 1, got {bits}")
-    return bits
 
 
 def _lt(x: Fraction, y: Fraction) -> bool:
@@ -549,13 +535,13 @@ def _from_mpi(pair) -> RI:
 
 
 def iv_exp(x, bits: int) -> RI:
-    prec = _precision(bits) + _BRIDGE_GUARD
+    prec = _order(bits, "bits", 1) + _BRIDGE_GUARD
     return _from_mpi(_libmp.mpi_exp(_mpi(x, prec), prec))
 
 
 def iv_log_shift_e(x, bits: int) -> RI:
     """log(x + e) as a certified interval."""
-    prec = _precision(bits) + _BRIDGE_GUARD
+    prec = _order(bits, "bits", 1) + _BRIDGE_GUARD
     e = (_libmp.mpf_e(prec, _FLOOR), _libmp.mpf_e(prec, _CEILING))
     return _from_mpi(_libmp.mpi_log(_libmp.mpi_add(_mpi(x, prec), e, prec), prec))
 
@@ -603,7 +589,7 @@ def iv_cos_sin(x, bits: int) -> tuple[RI, RI]:
     and ``iv.sin``; on any argument each interval is at most 2w wider than
     theirs.
     """
-    prec = _precision(bits) + _BRIDGE_GUARD
+    prec = _order(bits, "bits", 1) + _BRIDGE_GUARD
     a, b = _mpi(x, prec)
     if a == b == _libmp.fzero:
         return _point(_fraction(1, 1)), _point(_fraction(0, 1))
@@ -619,7 +605,7 @@ def iv_cos_sin(x, bits: int) -> tuple[RI, RI]:
 
 def iv_pow(base, expo, bits: int) -> RI:
     """base^expo for a positive base; expo may be Fraction or RI."""
-    prec = _precision(bits) + _BRIDGE_GUARD
+    prec = _order(bits, "bits", 1) + _BRIDGE_GUARD
     return _from_mpi(_libmp.mpi_pow(_mpi(base, prec), _mpi(expo, prec), prec))
 
 
@@ -630,7 +616,7 @@ def ri_pow_frac(x: RI | Fraction, s: Fraction, bits: int) -> RI:
     else:
         lo = hi = _data(x, "the base")
     s = _data(s, "the exponent")
-    _precision(bits)
+    _order(bits, "bits", 1)
     if lo._numerator <= 0:
         raise DomainError("ri_pow_frac needs a positive base")
     los = pow_bounds(lo, s, bits)

@@ -1,7 +1,7 @@
 """Polynomial arithmetic: sparse multivariate and dense univariate.
 
-Multivariate polynomials carry exact rational (or number-field)
-coefficients in a sparse exponent-vector map with a canonical variable
+Multivariate polynomials carry exact rational coefficients (ints and
+Fractions) in a sparse exponent-vector map with a canonical variable
 ordering (x before y; numbered variables x1, x2, ... by index).  The
 dense univariate helpers are the ring operations (add, multiply) on
 plain coefficient lists over any coefficient type; division and gcds
@@ -11,17 +11,15 @@ over a field are sympy's (see ``qal.algebraic``).
 from __future__ import annotations
 
 import re
-import sys
 from itertools import chain
 from fractions import Fraction
 
 from .errors import DomainError, QalSyntaxError, ZeroPolynomialError
-from .rationals import TokenCursor, _new, _order, _rational
+from .rationals import TokenCursor, _instance, _new, _order, _rational
 
 Exponents = tuple[int, ...]
 
-# the coefficient types of a MultiPoly besides number-field elements; a bool
-# is not an int here
+# the coefficient types of a MultiPoly; a bool is not an int here
 _EXACT_TYPES = frozenset({int, Fraction})
 
 # the largest total degree a power may reach (a constant counts as degree 1,
@@ -42,34 +40,25 @@ def _var_key(name: str):
 
 def _names(vars) -> tuple[str, ...]:
     """vars if it is a tuple of distinct names, otherwise DomainError."""
-    if type(vars) is not tuple or not all(type(v) is str for v in vars) \
-            or len(set(vars)) < len(vars):
-        raise DomainError(f"the variables must be a tuple of distinct names, got {vars!r}")
+    for v in _instance(vars, tuple, "the variables"):
+        _instance(v, str, "a variable name")
+    if len(set(vars)) < len(vars):
+        raise DomainError(f"the variables must be distinct names, got {vars!r}")
     return vars
 
 
-def _is_field_element(c) -> bool:
-    """Whether c is a :class:`qal.algebraic.FieldElement`.  None exists
-    before that module is imported, so this one imports neither it nor
-    the sympy it needs."""
-    algebraic = sys.modules.get(f"{__package__}.algebraic")
-    return algebraic is not None and type(c) is algebraic.FieldElement
-
-
 class MultiPoly:
-    """Sparse multivariate polynomial with int, Fraction or number-field
-    (:class:`qal.algebraic.FieldElement`) coefficients."""
+    """Sparse multivariate polynomial with int and Fraction coefficients."""
 
     __slots__ = ("vars", "coeffs")
 
     def __init__(self, vars: tuple[str, ...], coeffs: dict[Exponents, object] | None = None):
         """vars must be a tuple of distinct names, each key of coeffs a
         tuple of len(vars) nonnegative exponents and each coefficient an
-        int (not a bool), a Fraction or a number-field element, otherwise
-        DomainError; zero coefficients are dropped.  Each term costs one
-        length test and a type test of its key and its coefficient; the
-        exponents are checked together, by their set of types and one
-        min."""
+        int (not a bool) or a Fraction, otherwise DomainError; zero
+        coefficients are dropped.  Each term costs one length test and a
+        type test of its key and its coefficient; the exponents are checked
+        together, by their set of types and one min."""
         self.vars = _names(vars)
         self.coeffs: dict[Exponents, object] = {}
         if coeffs:
@@ -77,9 +66,8 @@ class MultiPoly:
             for exps, c in coeffs.items():
                 if type(exps) is not tuple or len(exps) != n:
                     raise DomainError(f"{exps!r} is not an exponent tuple over {vars}")
-                if type(c) not in _EXACT_TYPES and not _is_field_element(c):
-                    raise DomainError(f"the coefficient {c!r} is not an int, a Fraction "
-                                      "or a number-field element")
+                if type(c) not in _EXACT_TYPES:
+                    raise DomainError(f"the coefficient {c!r} is not an int or a Fraction")
                 if c != 0:
                     self.coeffs[exps] = c
             exps = tuple(chain.from_iterable(coeffs))
@@ -175,8 +163,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if _order(n, "the exponent of a polynomial power") < 0:
-            raise DomainError("negative power of a polynomial")
+        _order(n, "the exponent of a polynomial power", 0)
         if n * max(self.total_degree(), 1) > _POWER_DEGREE_CAP:
             raise DomainError(f"the power {n} would pass the degree cap {_POWER_DEGREE_CAP}")
         out = MultiPoly.constant(1, self.vars)

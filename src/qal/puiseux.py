@@ -48,7 +48,7 @@ from .algebraic import (QQ, FieldElement, NumberField, _fraction_to_qq, _qq_to_f
 from .errors import (DomainError, ExhaustedTrials, TruncationInsufficient,
                      ZeroPolynomialError)
 from .polynomials import MultiPoly
-from .rationals import format_fraction
+from .rationals import _instance, _rational, format_fraction
 
 Term = tuple[int, int]   # (exponent of t = x^(1/r), y power)
 
@@ -228,9 +228,7 @@ class PuiseuxExpansion:
 def _germ(phi) -> MultiPoly:
     """phi if it is a nonzero MultiPoly in x and y that vanishes at the
     origin; otherwise DomainError, or ZeroPolynomialError for zero."""
-    if not isinstance(phi, MultiPoly):
-        raise DomainError(f"the germ must be a MultiPoly, got {type(phi).__name__}")
-    if not set(phi.vars) <= {"x", "y"}:
+    if not set(_instance(phi, MultiPoly, "the germ").vars) <= {"x", "y"}:
         raise DomainError(f"the germ must be in the variables x and y, got {phi.vars}")
     if phi.is_zero():
         raise ZeroPolynomialError("cannot expand the zero polynomial")
@@ -284,9 +282,7 @@ def puiseux_expand(phi: MultiPoly, T) -> PuiseuxExpansion:
     truncated one; the module docstring says what this proves.
     """
     _germ(phi)
-    if isinstance(T, bool) or not isinstance(T, (int, Fraction)):
-        raise DomainError(f"truncation order must be an int or a Fraction, got {T!r}")
-    T = Fraction(T)
+    T = _rational(T, "the truncation order")
     if T <= 0:
         raise DomainError(f"truncation order must be positive, got {T}")
     sheared, c = shear_to_generic(phi)
@@ -369,9 +365,7 @@ def branch_im_order(branch: PuiseuxBranch) -> BranchImOrder:
     computed coefficients real stays undetermined at this truncation and
     the caller must raise T.
     """
-    if not isinstance(branch, PuiseuxBranch):
-        raise DomainError(f"branch_im_order needs a PuiseuxBranch, got {type(branch).__name__}")
-    fld = branch.field
+    fld = _instance(branch, PuiseuxBranch, "the branch").field
     minpoly = list(fld.minpoly)
     degree = fld.degree
     one_over_m = Fraction(1, branch.m)

@@ -1,5 +1,28 @@
-"""Exact rational helpers: input checks, the text lexer, formatting,
-integer roots and power bounds.
+"""Exact rational helpers: the input contract, the text lexer,
+formatting, integer roots and power bounds.
+
+The input contract.  Every public operation of ``qal`` checks its
+arguments with four helpers, and each of them raises
+:class:`~qal.errors.DomainError`, code ``domain-error``, on a value it
+does not accept:
+
+* :func:`_order` -- an order, degree, index, size or precision: an int
+  that is not a bool, optionally within the bounds ``least`` and
+  ``most``;
+* :func:`_rational` -- exact data: an int that is not a bool, or a
+  Fraction, returned as a Fraction;
+* :func:`_rationals` -- a list or tuple of exact data, returned as a list
+  of Fractions;
+* :func:`_instance` -- an object of a given class, such as a
+  ``CarlemanSequence``, a ``MultiPoly`` or a variable name (a str).
+
+Checks of a domain-specific shape (a germ, a polynomial over a number
+field, a tuple of variable names) are written on these helpers in the
+module that owns the shape.  Two checks stand apart on purpose: the
+interval kernel's ``_data`` tests the common types first on its hot path
+and falls back to :func:`_rational`, and the sequence factories read
+floats and text such as ``0.5`` and ``'1/2'`` through
+``sequences._number``.
 
 Everything here is pure integer/Fraction arithmetic; no rounding occurs
 except in the explicitly directed root-bound functions, which always
@@ -24,11 +47,16 @@ from fractions import Fraction
 from .errors import DomainError, QalSyntaxError
 
 
-def _order(value, what: str) -> int:
-    """value as an order, degree or schedule entry: an int that is not a
-    bool, otherwise DomainError."""
+def _order(value, what: str, least: int | None = None, most: int | None = None) -> int:
+    """value as an order, degree, index or precision: an int that is not a
+    bool, and least <= value <= most for the bounds given, otherwise
+    DomainError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise DomainError(f"{what} must be <= {most}, got {value}")
     return value
 
 
@@ -38,6 +66,23 @@ def _rational(value, what: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise DomainError(f"{what} must be an int or a Fraction, got {value!r}")
     return Fraction(value)
+
+
+def _rationals(values, what: str) -> list[Fraction]:
+    """values, a list or tuple of exact data, as a list of Fractions,
+    otherwise DomainError."""
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f"{what} must be a list of ints and Fractions, got {values!r}")
+    return [_rational(x, what) for x in values]
+
+
+def _instance(value, cls, what: str):
+    """value if it is an instance of cls (a class or a tuple of classes),
+    otherwise DomainError."""
+    if not isinstance(value, cls):
+        names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise DomainError(f"{what} must be a {names}, got {type(value).__name__}")
+    return value
 
 
 _new = object.__new__

@@ -29,9 +29,9 @@ from fractions import Fraction
 
 from .errors import (DomainError, InconclusiveInput, QalSyntaxError,
                      UndecidableAtCap)
-from .intervals import (RI, _precision, certify, default_bits, iv_log_shift_e, iv_pow,
-                        ri_pow_frac)
-from .rationals import TokenCursor, _order, exact_pow, factorial, format_fraction
+from .intervals import RI, certify, default_bits, iv_log_shift_e, iv_pow, ri_pow_frac
+from .rationals import (TokenCursor, _instance, _order, _rational, _rationals, exact_pow,
+                        factorial, format_fraction)
 
 TRUE = "true"
 FALSE = "false"
@@ -72,6 +72,18 @@ class CarlemanSequence:
     assume: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        # the numbers as exact data; the class is frozen, so they are set
+        # through object.__setattr__
+        for name in ("param", "exponent"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _rational(value, f"the {name}"))
+        if self.terms is not None:
+            object.__setattr__(self, "terms", tuple(_rationals(self.terms, "custom terms")))
+        if self.base is not None:
+            _instance(self.base, CarlemanSequence, "the base")
+        if (self.derived == "power") != (self.exponent is not None):
+            raise DomainError("a power rule needs an exponent, and no other rule takes one")
         if self.family == GEVREY or self.family == LOG_GEVREY:
             if self.param is None or self.param <= 0:
                 raise DomainError(f"{self.family} needs a positive parameter")
@@ -110,8 +122,7 @@ class CarlemanSequence:
         return None
 
     def _check_index(self, j: int):
-        if _order(j, "sequence index") < 0:
-            raise DomainError("sequence index must be >= 0")
+        _order(j, "sequence index", 0)
         lim = self.horizon_limit()
         if lim is not None and j > lim:
             raise DomainError(f"custom sequence defined only up to j={lim}")
@@ -172,7 +183,7 @@ class CarlemanSequence:
     def interval_value(self, j: int, bits: int | None = None) -> RI:
         """Certified interval for M_j (a point interval when exact)."""
         self._check_index(j)
-        bits = default_bits() if bits is None else _precision(bits)
+        bits = default_bits() if bits is None else _order(bits, "bits", 1)
         exact = self.exact_value(j)
         if exact is not None:
             return RI.point(exact)
@@ -263,11 +274,9 @@ def _number(value, what: str) -> Fraction:
 def _checked(M, what: str = "M", **orders) -> None:
     """DomainError unless M is a CarlemanSequence and every named order is
     an int >= 0 that is not a bool."""
-    if not isinstance(M, CarlemanSequence):
-        raise DomainError(f"{what} must be a CarlemanSequence, got {M!r}")
+    _instance(M, CarlemanSequence, what)
     for name, value in orders.items():
-        if _order(value, name) < 0:
-            raise DomainError(f"{name} must be >= 0, got {value}")
+        _order(value, name, 0)
 
 
 def analytic() -> CarlemanSequence:
@@ -493,8 +502,7 @@ def _log_convex_top(M: CarlemanSequence, horizon: int) -> int:
 def check_log_convexity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
     """Verify M_j^2 <= M_{j-1} M_{j+1} for 1 <= j < horizon."""
     _checked(M)
-    if _order(horizon, "horizon") < 2:
-        raise DomainError("log-convexity check needs horizon >= 2")
+    _order(horizon, "horizon", 2)
     top = _log_convex_top(M, horizon)
     i = _first_violation(M, _log_convexity_comparisons(top))
     if i is not None:
@@ -563,8 +571,8 @@ def value(M: CarlemanSequence, j: int, precision: int | None = None):
     """M_j as an exact Fraction when rational, else a certified interval
     of relative width at most 2^-precision."""
     _checked(M, j=j)
-    if precision is not None and _order(precision, "the precision") < 0:
-        raise DomainError(f"the precision must be >= 0, got {precision}")
+    if precision is not None:
+        _order(precision, "the precision", 0)
     exact = M.exact_value(j)
     if exact is not None:
         return exact

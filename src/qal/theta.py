@@ -48,7 +48,7 @@ from typing import Callable
 from .errors import (CertificationError, DomainError, PrecisionFailure,
                      TruncationInsufficient)
 from .intervals import CI, RI, PowerLadder, certify, default_bits, iv_cos_sin
-from .rationals import _order, _rational, factorial, falling, stirling2_row
+from .rationals import _instance, _order, _rational, factorial, falling, stirling2_row
 from .sequences import CarlemanSequence, _checked
 
 
@@ -94,7 +94,7 @@ class ThetaApproximation:
 
 def build_theta(M: CarlemanSequence, K: int, bits: int | None = None) -> ThetaApproximation:
     _checked(M, truncation=K)
-    bits = bits or default_bits()
+    bits = default_bits() if bits is None else _order(bits, "bits", 1)
     values, mbars = [], []
     for k in range(K + 3):
         values.append(M.interval_value(k, bits))
@@ -217,8 +217,7 @@ class BorelExample:
         self.rho = _rational(self.rho, "rho")
         if not (0 <= self.rho < 1):
             raise DomainError("rho must satisfy 0 <= rho < 1")
-        if _order(self.N, "N") < 8:
-            raise DomainError("truncation N must be at least 8")
+        _order(self.N, "the truncation N", 8)
 
     def coefficient(self, v: int) -> Fraction:
         a = _rational(self.coeffs(v), f"A_{v}")
@@ -240,18 +239,13 @@ class BorelExample:
         return first / (1 - ratio)
 
 
-def _borel(B) -> None:
-    if not isinstance(B, BorelExample):
-        raise DomainError(f"B must be a BorelExample, got {B!r}")
-
-
 def borel_example_eval(B: BorelExample, x: Fraction) -> CI:
     """Certified complex interval for f(x) at real rational x.
 
     Each term is exact:  1/(x - i/v) = (x + i/v) / (x^2 + 1/v^2);
     the tail uses |A_v/(x - i/v)| <= rho^v * v.
     """
-    _borel(B)
+    _instance(B, BorelExample, "B")
     x = _rational(x, "x")
     re = Fraction(0)
     im = Fraction(0)
@@ -298,9 +292,8 @@ def borel_example_derivatives(B: BorelExample, j: int) -> DerivativeCrossCheck:
     Both routes produce certified intervals; the result records whether
     they overlap, which they must.
     """
-    _borel(B)
-    if _order(j, "j") < 0:
-        raise DomainError(f"j must be >= 0, got {j}")
+    _instance(B, BorelExample, "B")
+    _order(j, "j", 0)
     # route (a)
     s_direct = Fraction(0)
     for v in range(1, B.N + 1):

@@ -9,6 +9,8 @@ from qal.algebraic import (QQ, FieldElement, NumberField, extend_field, factor_o
                            identify_root, is_real_certified, value_minpoly)
 from qal.errors import DomainError, ExtensionFailure, QalError
 
+from malformed import NOT_DATA, NOT_INTEGERS, NOT_LISTS, with_one_bad
+
 Z = sympy.Symbol("z")
 QI = NumberField([1, 0, 1], root_index=1)          # Q(i), generator +i
 QSQRT2 = NumberField([-2, 0, 1], root_index=1)     # Q(sqrt 2), generator +sqrt 2
@@ -322,20 +324,12 @@ def test_domain_errors(call):
 
 # -- error contract ------------------------------------------------------------
 
-_NOT_DATA = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
-                      st.complex_numbers(), st.tuples(), st.just(sympy.Rational(1, 2)))
-_NOT_INTEGERS = st.one_of(_NOT_DATA, st.fractions())
-_NOT_LISTS = st.one_of(st.none(), st.booleans(), st.integers(), st.fractions(),
-                       st.text(max_size=2), st.just({0: 1}))
 _ALL_FIELDS = [QQ, QI, QSQRT2, QCBRT2]
 
 
-@st.composite
-def _bad_coefficient_lists(draw, good):
-    """Not a list, or a list of good values with one drawn from _NOT_DATA."""
-    coeffs = draw(st.lists(good, max_size=3))
-    i = draw(st.integers(0, len(coeffs)))
-    return draw(st.one_of(_NOT_LISTS, st.just(coeffs[:i] + [draw(_NOT_DATA)] + coeffs[i:])))
+def _bad_coefficient_lists(good):
+    """Not a list, or a list of good values with one drawn from NOT_DATA."""
+    return st.one_of(NOT_LISTS, with_one_bad(good, NOT_DATA))
 
 
 @st.composite
@@ -359,7 +353,7 @@ def _malformed_field_calls(draw):
         return f"NumberField({bad!r}, 0)", lambda: NumberField(bad, 0)
     if op == "root index":
         minpoly = list(draw(st.sampled_from([QI, QSQRT2, QCBRT2])).minpoly)
-        bad = draw(st.one_of(_NOT_INTEGERS, st.integers(-10**3, -1),
+        bad = draw(st.one_of(NOT_INTEGERS, st.integers(-10**3, -1),
                              st.integers(len(minpoly) - 1, 10**3)))
         return f"NumberField({minpoly!r}, {bad!r})", lambda: NumberField(minpoly, bad)
     if op == "element":
@@ -367,14 +361,14 @@ def _malformed_field_calls(draw):
             lambda v: not isinstance(v, (int, Fraction)) or isinstance(v, bool)))
         return f"{field!r}.element({bad!r})", lambda: field.element(bad)
     if op in ("arith", "rarith"):
-        bad = draw(st.one_of(_NOT_DATA, st.just(other.generator())))
+        bad = draw(st.one_of(NOT_DATA, st.just(other.generator())))
         sym = draw(st.sampled_from(["+", "-", "*", "/"]))
         fn = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
               "*": lambda a, b: a * b, "/": lambda a, b: a / b}[sym]
         if field.degree == 1 and isinstance(bad, FieldElement):
             # an element of Q meets one of a larger field: the larger field's
             # operation runs, with the element of Q as a scalar
-            bad = draw(_NOT_DATA)
+            bad = draw(NOT_DATA)
         if op == "arith":
             return f"{x!r} {sym} {bad!r}", lambda: fn(x, bad)
         return f"{bad!r} {sym} {x!r}", lambda: fn(bad, x)
@@ -387,12 +381,12 @@ def _malformed_field_calls(draw):
         g = other.generator()
         return f"{g!r}.as_fraction()", g.as_fraction
     if op == "element fn":
-        bad = draw(st.one_of(_NOT_DATA, st.integers(), st.just(field)))
+        bad = draw(st.one_of(NOT_DATA, st.integers(), st.just(field)))
         fn = draw(st.sampled_from([value_minpoly, identify_root, is_real_certified]))
         return f"{fn.__name__}({bad!r})", lambda: fn(bad)
     fn = factor_over_field if op.startswith("factor") else extend_field
     if op.endswith("field"):
-        bad = draw(st.one_of(_NOT_LISTS, st.just(field.minpoly)))
+        bad = draw(st.one_of(NOT_LISTS, st.just(field.minpoly)))
         return f"{fn.__name__}({bad!r}, ...)", lambda: fn(bad, poly)
     # a list that is not of the field's elements; for extend_field also an
     # empty, zero or constant polynomial, which has no root

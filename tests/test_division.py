@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from qal import division
+from qal import division, intervals
 from qal.division import (DistinguishedPoly, euclid_divide, gevrey_flat_witness,
                           generic_divisor, hyperbolic_check_2d,
                           hyperbolic_falsify_grid, nodiv_witness, regular_order,
@@ -20,6 +20,8 @@ from qal.intervals import RI, iv_exp
 from qal.polynomials import MultiPoly, _var_key, parse_polynomial
 from qal.rationals import factorial
 from qal.sequences import analytic, gevrey, loggevrey
+
+from malformed import NOT_EXACT, NOT_INTEGERS
 
 
 def P(text):
@@ -719,9 +721,7 @@ class TestFrozenOutputs:
         assert repr(hit) == repr(GRID_RESULTS[name])
 
 
-_NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
-                          st.fractions(), st.lists(st.integers(), max_size=1), st.tuples())
-_BAD_DEGREES = st.one_of(_NOT_INTEGERS, st.integers(max_value=0))
+_BAD_DEGREES = st.one_of(NOT_INTEGERS, st.integers(max_value=0))
 _NOT_POLYS = st.one_of(st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
                        st.none(), st.fractions(), st.lists(st.integers(), max_size=2))
 _NOT_NAMES = st.one_of(st.booleans(), st.integers(), st.floats(), st.none(),
@@ -775,8 +775,6 @@ def _malformed_division_calls(draw):
     return op, lambda: DistinguishedPoly("y", 1, bad)
 
 
-_NOT_EXACT = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
-                       st.complex_numbers(), st.lists(st.integers(), max_size=1))
 _NOT_SEQUENCES = st.one_of(_NOT_POLYS, st.just(P("x")))
 
 
@@ -800,7 +798,7 @@ def _malformed_decision_calls(draw):
         bad = draw(st.one_of(_NOT_POLYS, st.just(P("y^2 + x1^2"))))
         return op, lambda: hyperbolic_falsify_grid(bad, Fraction(1, 2), 1)
     if op == "grid radius":
-        bad = draw(st.one_of(_NOT_EXACT, st.integers(max_value=0),
+        bad = draw(st.one_of(NOT_EXACT, st.integers(max_value=0),
                              st.fractions(max_value=0)))
         return op, lambda: hyperbolic_falsify_grid(grid_phi, bad, 1)
     if op == "grid resolution":
@@ -822,7 +820,7 @@ def _malformed_decision_calls(draw):
         bad = draw(_NOT_POLYS)
         return op, lambda: strictly_regular_check(bad, 2, "y")
     if op == "strict d":
-        bad = draw(st.one_of(_NOT_INTEGERS, st.integers(max_value=-1)))
+        bad = draw(st.one_of(NOT_INTEGERS, st.integers(max_value=-1)))
         return op, lambda: strictly_regular_check(P("y^2 + x^3"), bad, "y")
     if op == "strict var":
         bad = draw(_NOT_NAMES)
@@ -835,10 +833,10 @@ def _malformed_decision_calls(draw):
         return op, lambda: nodiv_witness(gevrey(1), bad, 10)
     if op == "nodiv K":
         # too small for J = 1 (K >= 2J + 8), negative, or not an int
-        bad = draw(st.one_of(_NOT_INTEGERS, st.integers(max_value=9)))
+        bad = draw(st.one_of(NOT_INTEGERS, st.integers(max_value=9)))
         return op, lambda: nodiv_witness(gevrey(1), 1, bad)
     if op == "flat alpha":
-        bad = draw(st.one_of(_NOT_EXACT, st.integers(max_value=0), st.fractions(max_value=0)))
+        bad = draw(st.one_of(NOT_EXACT, st.integers(max_value=0), st.fractions(max_value=0)))
         return op, lambda: gevrey_flat_witness(bad, 1, 2)
     if op == "flat k":
         bad = draw(_BAD_DEGREES)
@@ -846,7 +844,7 @@ def _malformed_decision_calls(draw):
     if op == "flat J":
         bad = draw(_BAD_DEGREES)
         return op, lambda: gevrey_flat_witness(Fraction(1, 2), 1, bad)
-    bad = draw(st.one_of(_NOT_INTEGERS.filter(lambda v: v is not None),
+    bad = draw(st.one_of(NOT_INTEGERS.filter(lambda v: v is not None),
                          st.integers(max_value=0)))
     return op, lambda: gevrey_flat_witness(Fraction(1, 2), 1, 2, bad)
 
@@ -1041,7 +1039,7 @@ class TestNoDivWitness:
         assert len(calls) == 1
 
     def test_uncertified_coefficient_escalates_to_the_cap(self, monkeypatch):
-        monkeypatch.setenv("QAL_PRECISION_BITS", "2048")
+        monkeypatch.setattr(intervals, "_DEFAULT_BITS", 2048)
         calls = []
         build = division.build_theta
 

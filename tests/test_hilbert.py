@@ -21,6 +21,8 @@ from qal.polynomials import umul
 from qal.rationals import factorial, root_bounds
 from qal.sequences import analytic, gevrey, loggevrey, qgevrey
 
+from malformed import BAD_ORDERS, NOT_DATA, NOT_INTEGERS, NOT_LISTS, NOT_SEQUENCES, with_one_bad
+
 
 def _ldl_reference(G):
     """Textbook LDL^T in Fractions: (L, D), or None at a pivot <= 0."""
@@ -692,32 +694,17 @@ class TestSympyOracle:
 
 # -- error contract ------------------------------------------------------------
 
-_NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
-                          st.fractions(), st.lists(st.integers(), max_size=1), st.tuples())
-_BAD_ORDERS = st.one_of(_NOT_INTEGERS, st.integers(max_value=-1))
-_NOT_DATA = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
-                      st.complex_numbers(), st.tuples(st.integers()))
-_NOT_LISTS = st.one_of(st.booleans(), st.integers(), st.floats(), st.text(max_size=2),
-                       st.none(), st.fractions())
 _DATA = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=7))
-
-
-def _with_one_bad(good, bad):
-    """A list of good entries with one bad entry among them."""
-    return st.tuples(st.lists(good, max_size=2), bad, st.lists(good, max_size=2)).map(
-        lambda t: t[0] + [t[1]] + t[2])
-
-
-_BAD_DATA_LISTS = st.one_of(_NOT_LISTS, _with_one_bad(_DATA, _NOT_DATA))
+_BAD_DATA_LISTS = st.one_of(NOT_LISTS, with_one_bad(_DATA, NOT_DATA))
 _BAD_ENTRIES = st.one_of(
     st.lists(st.integers(0, 5), max_size=4).filter(lambda e: len(e) != 2).map(tuple),
-    st.tuples(_NOT_INTEGERS, st.integers(0, 2)),
-    st.tuples(st.integers(1, 4), _NOT_INTEGERS),
+    st.tuples(NOT_INTEGERS, st.integers(0, 2)),
+    st.tuples(st.integers(1, 4), NOT_INTEGERS),
     st.tuples(st.integers(1, 4), st.integers(max_value=-1)),
     st.tuples(st.integers(max_value=0), st.just(0)),
     st.tuples(st.integers(1, 4), st.integers(min_value=6, max_value=10**40)),
-    _NOT_LISTS)
-_BAD_SCHEDULES = st.one_of(_NOT_LISTS, _with_one_bad(st.just((1, 0)), _BAD_ENTRIES),
+    NOT_LISTS)
+_BAD_SCHEDULES = st.one_of(NOT_LISTS, with_one_bad(st.just((1, 0)), _BAD_ENTRIES),
                            st.just([(4, 3), (4, 3)]))
 
 
@@ -729,19 +716,34 @@ def _contract_model():
 @st.composite
 def _malformed_calls(draw):
     """One call of a public hilbert operation with one malformed argument,
-    as (label, thunk); D = 4 in the model."""
+    as (label, thunk); D = 4 in the model.  A malformed sequence is not a
+    CarlemanSequence, a malformed model not a HilbertModel."""
     model = _contract_model()
     M = gevrey(1)
     half = Fraction(1, 2)
     u = [half, 3]
-    bad_or_huge = st.one_of(_BAD_ORDERS, st.integers(min_value=6, max_value=10**40))
+    bad_or_huge = st.one_of(BAD_ORDERS, st.integers(min_value=6, max_value=10**40))
     op = draw(st.sampled_from(["build_model", "representer", "omega_table", "interpolant",
                                "interpolant length", "inner", "inner length",
                                "deriv_at_zero", "sobolev order", "sobolev data",
                                "lacunary", "divergence a", "divergence ks",
-                               "divergence threshold"]))
+                               "divergence threshold", "build_model M", "lacunary M",
+                               "divergence M", "representer model", "omega_table model",
+                               "interpolant model"]))
+    if op.endswith(" M"):
+        bad = draw(NOT_SEQUENCES)
+        fn = {"build_model M": lambda b: build_model(b, 3),
+              "lacunary M": lambda b: lacunary_select(b, [(1, 0)]),
+              "divergence M": lambda b: divergence_demo(b, half, [1], 1)}[op]
+        return f"{op} {bad!r}", lambda: fn(bad)
+    if op.endswith(" model"):
+        bad = draw(st.one_of(NOT_SEQUENCES, st.just(M)))
+        fn = {"representer model": lambda b: representer(b, 1),
+              "omega_table model": lambda b: omega_table(b, 2),
+              "interpolant model": lambda b: minimal_interpolant(b, [1])}[op]
+        return f"{op} {bad!r}", lambda: fn(bad)
     if op == "build_model":
-        D = draw(st.one_of(_NOT_INTEGERS, st.integers(max_value=0)))
+        D = draw(st.one_of(NOT_INTEGERS, st.integers(max_value=0)))
         return op, lambda: build_model(M, D)
     if op == "representer":
         i = draw(bad_or_huge)
@@ -764,10 +766,10 @@ def _malformed_calls(draw):
         v = draw(st.lists(_DATA, min_size=6, max_size=8))
         return op, lambda: model.inner(v, u)
     if op == "deriv_at_zero":
-        i = draw(_BAD_ORDERS)
+        i = draw(BAD_ORDERS)
         return op, lambda: model.deriv_at_zero(u, i)
     if op == "sobolev order":
-        j = draw(_BAD_ORDERS)
+        j = draw(BAD_ORDERS)
         return op, lambda: sobolev_check(u, j)
     if op == "sobolev data":
         v = draw(_BAD_DATA_LISTS)
@@ -776,12 +778,12 @@ def _malformed_calls(draw):
         schedule = draw(_BAD_SCHEDULES)
         return op, lambda: lacunary_select(M, schedule)
     if op == "divergence a":
-        a = draw(st.one_of(_NOT_DATA, st.fractions().filter(lambda a: not 0 < a < 1)))
+        a = draw(st.one_of(NOT_DATA, st.fractions().filter(lambda a: not 0 < a < 1)))
         return op, lambda: divergence_demo(M, a, [1, 2], 10)
     if op == "divergence ks":
-        ks = draw(st.one_of(_NOT_LISTS, _with_one_bad(st.integers(0, 5), _BAD_ORDERS)))
+        ks = draw(st.one_of(NOT_LISTS, with_one_bad(st.integers(0, 5), BAD_ORDERS)))
         return op, lambda: divergence_demo(M, half, ks, 10)
-    threshold = draw(_NOT_DATA)
+    threshold = draw(NOT_DATA)
     return op, lambda: divergence_demo(M, half, [1, 2], threshold)
 
 

@@ -10,6 +10,8 @@ from qal.intervals import (CI, PRECISION_CAP, RI, PowerLadder, certify, iv_cos_s
                            iv_log_shift_e, iv_pow, ri_pow_frac)
 from qal.sequences import CarlemanSequence, gevrey, loggevrey
 
+from malformed import NOT_DATA
+
 
 def _bits(q: Fraction) -> int:
     return q.numerator.bit_length() + q.denominator.bit_length()
@@ -295,7 +297,7 @@ class TestCertify:
     @pytest.mark.parametrize("error, code", [(PrecisionFailure, "precision-failure"),
                                              (UndecidableAtCap, "undecidable-at-cap")])
     def test_escalation_is_clamped_at_the_cap(self, monkeypatch, error, code):
-        monkeypatch.setenv("QAL_PRECISION_BITS", "3000")
+        monkeypatch.setattr(intervals, "_DEFAULT_BITS", 3000)
         seen = []
         with pytest.raises(error) as info:
             certify(lambda bits: seen.append(bits), "never certified", error)
@@ -303,8 +305,7 @@ class TestCertify:
         assert info.value.code == code
         assert "never certified" in str(info.value)
 
-    def test_default_escalation_doubles_to_the_cap(self, monkeypatch):
-        monkeypatch.delenv("QAL_PRECISION_BITS", raising=False)
+    def test_default_escalation_doubles_to_the_cap(self):
         seen = []
         with pytest.raises(PrecisionFailure):
             certify(lambda bits: seen.append(bits), "never certified", PrecisionFailure)
@@ -331,7 +332,7 @@ class TestCertify:
         assert intervals._WORKING.get() is None
 
     def test_theta_escalation_is_clamped_at_the_cap(self, monkeypatch):
-        monkeypatch.setenv("QAL_PRECISION_BITS", "3000")
+        monkeypatch.setattr(intervals, "_DEFAULT_BITS", 3000)
         seen = []
         build = theta.build_theta
 
@@ -349,7 +350,7 @@ class TestCertify:
         assert info.value.code == "precision-failure"
 
     def test_comparison_escalation_is_clamped_at_the_cap(self, monkeypatch):
-        monkeypatch.setenv("QAL_PRECISION_BITS", "3000")
+        monkeypatch.setattr(intervals, "_DEFAULT_BITS", 3000)
         seen = []
         interval_value = CarlemanSequence.interval_value
 
@@ -715,9 +716,7 @@ class TestIntPaths:
 
 # -- error contract ----------------------------------------------------------------------
 
-_NOT_DATA = st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.floats(),
-                      st.complex_numbers())
-_BAD_BITS = st.one_of(_NOT_DATA, st.fractions(), st.integers(max_value=0))
+_BAD_BITS = st.one_of(NOT_DATA, st.fractions(), st.integers(max_value=0))
 
 
 @st.composite
@@ -735,8 +734,8 @@ def _malformed_calls(draw):
             lambda: ri_pow_frac(2, Fraction(1, 2), bits)]))
         return f"bits={bits!r}", fn
     # None is the default of RI's hi and CI's im: a point, and a real box
-    bad = draw(_NOT_DATA.filter(lambda v: v is not None) if op in ("RI hi", "CI im")
-               else _NOT_DATA)
+    bad = draw(NOT_DATA.filter(lambda v: v is not None) if op in ("RI hi", "CI im")
+               else NOT_DATA)
     return f"{op} {bad!r}", {
         "RI": lambda: RI(bad), "RI lo": lambda: RI(bad, 1), "RI hi": lambda: RI(0, bad),
         "RI.point": lambda: RI.point(bad), "RI.of": lambda: RI.of(bad),

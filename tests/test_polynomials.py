@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qal import polynomials
-from qal.algebraic import NumberField
 from qal.errors import DomainError, QalError, QalSyntaxError
 from qal.polynomials import MultiPoly, _var_key, parse_polynomial
+
+from malformed import NOT_EXACT
 
 
 def P(text):
@@ -206,23 +207,10 @@ class TestMultiPoly:
         assert P("1") != True and P("0") != False      # noqa: E712
         assert P("1") == 1 and P("0") == 0
 
-    def test_gaussian_coefficients(self):
-        # (i z + 1)^2 = -z^2 + 2i z + 1 over Q(i)
-        QI = NumberField([1, 0, 1], root_index=1)
-        i = QI.generator()
-        poly = MultiPoly(("z",), {(1,): i, (0,): QI.one()})
-        sq = poly * poly
-        assert sq.coeffs[(2,)] == QI.element(-1)
-        assert sq.coeffs[(1,)] == QI.element([0, 2])
-        assert sq.coeffs[(0,)] == QI.one()
-
-
 
 # -- error contract ----------------------------------------------------------------------
 
 _NAMES = ["x", "y", "x1", "x2", "x10"]
-_NOT_EXACT = st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.floats(),
-                       st.complex_numbers(), st.lists(st.integers(), max_size=2))
 
 
 @st.composite
@@ -249,7 +237,7 @@ def _malformed_poly_calls(draw):
     op = draw(st.sampled_from(["+", "r+", "-", "r-", "*", "r*", "**", "eval", "substitute",
                                "derivative", "coefficient var", "coefficient power",
                                "degree", "with_vars"]))
-    bad = draw(_NOT_EXACT)
+    bad = draw(NOT_EXACT)
     if op == "**":
         n = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=4097),
                            st.booleans(), st.floats(), st.fractions(), st.none()))
@@ -257,7 +245,7 @@ def _malformed_poly_calls(draw):
     if op in ("eval", "substitute"):
         # not a dict; a variable left out (eval) or not among p's (substitute);
         # a value that is not exact data (eval) or not a MultiPoly (substitute)
-        args = [draw(_NOT_EXACT.filter(lambda v: not isinstance(v, dict)))]
+        args = [draw(NOT_EXACT.filter(lambda v: not isinstance(v, dict)))]
         if op == "substitute":
             args.append({"z": MultiPoly.variable("x")})
         if p.vars:
@@ -268,12 +256,12 @@ def _malformed_poly_calls(draw):
         return f"{op}({arg!r})", lambda: getattr(p, op)(arg)
     if op == "with_vars":
         arg = draw(st.one_of(
-            _NOT_EXACT.filter(lambda v: not isinstance(v, tuple)),
+            NOT_EXACT.filter(lambda v: not isinstance(v, tuple)),
             st.just(tuple(p.vars) + (1,)),
             st.just(tuple(p.vars) + p.vars[:1] + ("z", "z")),
             st.just(p.vars[1:]) if p.vars else st.just(("z", "z"))))
         return f"with_vars({arg!r})", lambda: p.with_vars(arg)
-    var = draw(st.one_of(st.just("z"), _NOT_EXACT))
+    var = draw(st.one_of(st.just("z"), NOT_EXACT))
     return f"{op} {bad!r} {var!r}", {
         "+": lambda: p + bad, "r+": lambda: bad + p, "-": lambda: p - bad,
         "r-": lambda: bad - p, "*": lambda: p * bad, "r*": lambda: bad * p,

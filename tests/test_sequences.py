@@ -10,13 +10,15 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qal import sequences
+from qal import intervals, sequences
 from qal.errors import DomainError, QalError, QalSyntaxError, UndecidableAtCap
 from qal.intervals import RI
 from qal.sequences import (CarlemanSequence, analytic, check_log_convexity,
                            classify, custom, gevrey, loggevrey, parse_sequence,
                            power, precede, qgevrey, shift, value,
                            verify_superadditivity, TRUE, FALSE, INCONCLUSIVE)
+
+from malformed import BAD_ORDERS, NOT_DATA, NOT_INTEGERS, NOT_LISTS, NOT_SEQUENCES, with_one_bad
 
 
 BUILTINS = [analytic(), gevrey(1), gevrey(2), gevrey(Fraction(1, 2)),
@@ -94,18 +96,11 @@ class TestParser:
             assert parse_sequence(seq.dsl()) == seq
 
 
-_NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
-                          st.fractions(), st.complex_numbers(), st.tuples(),
-                          st.lists(st.integers(), max_size=1))
-_BAD_ORDERS = st.one_of(_NOT_INTEGERS, st.integers(-10**3, -1))
 _NOT_NUMBERS = st.one_of(st.booleans(), st.none(),
                          st.sampled_from([math.nan, math.inf, -math.inf]),
                          st.text("xy/.", max_size=3),
                          st.complex_numbers().filter(lambda z: z.imag), st.tuples(),
                          st.lists(st.integers(), max_size=1), st.just(gevrey(1)))
-_NOT_SEQUENCES = st.one_of(st.none(), st.booleans(), st.integers(), st.fractions(),
-                           st.text(max_size=9), st.just("gevrey(1)"),
-                           st.lists(st.integers(1, 9), max_size=3))
 _SEQUENCES = st.sampled_from(BUILTINS + [custom([1, 2, 4]), custom([1]), shift(gevrey(1)),
                                          shift(loggevrey(1)), power(qgevrey(2), Fraction(3, 2))])
 
@@ -124,10 +119,11 @@ def _bad_terms(draw):
 
 @st.composite
 def _malformed_calls(draw):
-    """One call of a public sequences operation with one malformed argument,
-    as (label, thunk): a wrong type, a bool, a negative order down to
-    -10^3, an index past the end of a finite sequence, or a value outside
-    the operation's domain.  The other arguments are well formed."""
+    """One call of a public sequences operation or of the CarlemanSequence
+    constructor with one malformed argument, as (label, thunk): a wrong
+    type, a bool, a negative order, an index past the end of a finite
+    sequence, or a value outside the operation's domain.  The other
+    arguments are well formed."""
     M = draw(_SEQUENCES)
     op = draw(st.sampled_from(["gevrey", "loggevrey", "qgevrey", "custom terms",
                                "custom assume", "parse_sequence", "exact_value",
@@ -135,12 +131,36 @@ def _malformed_calls(draw):
                                "renormalization", "check_log_convexity",
                                "verify_superadditivity", "value j", "value precision",
                                "precede M", "precede N", "precede horizon", "classify M",
-                               "classify horizon", "flag", "power M", "power s", "shift"]))
+                               "classify horizon", "flag", "power M", "power s", "shift",
+                               "constructor param", "constructor terms",
+                               "constructor exponent", "constructor base"]))
     lim = M.horizon_limit()
     # an index of the wrong type or sign, or past a finite sequence's end
-    index = st.one_of(_BAD_ORDERS, st.integers(lim + 1, 10**3)) if lim is not None \
-        else _BAD_ORDERS
+    index = st.one_of(BAD_ORDERS, st.integers(lim + 1, 10**3)) if lim is not None \
+        else BAD_ORDERS
     family, _, arg = op.partition(" ")
+    if family == "constructor":
+        # the raw constructor takes exact data only: no float and no text
+        if arg == "param":
+            name = draw(st.sampled_from(["gevrey", "loggevrey", "qgevrey", "analytic"]))
+            top = 1 if name == "qgevrey" else 0
+            bad = draw(st.one_of(NOT_DATA, st.fractions(max_value=top)) if name != "analytic"
+                       else NOT_DATA.filter(lambda v: v is not None))
+            return (f"CarlemanSequence({name!r}, param={bad!r})",
+                    lambda: CarlemanSequence(name, param=bad))
+        if arg == "terms":
+            bad = draw(st.one_of(NOT_LISTS, with_one_bad(st.integers(1, 4), NOT_DATA),
+                                 st.sampled_from([(), (2,), (1, 3, 2), (1, 0), [1, -1]])))
+            return (f"CarlemanSequence('custom', terms={bad!r})",
+                    lambda: CarlemanSequence("custom", terms=bad))
+        if arg == "base":
+            bad = draw(NOT_SEQUENCES)
+            return (f"CarlemanSequence('custom', base={bad!r}, derived='shift')",
+                    lambda: CarlemanSequence("custom", base=bad, derived="shift"))
+        # None too: a power rule needs an exponent
+        bad = draw(NOT_DATA)
+        return (f"CarlemanSequence('custom', base={M}, derived='power', exponent={bad!r})",
+                lambda: CarlemanSequence("custom", base=M, derived="power", exponent=bad))
     if family in ("gevrey", "loggevrey", "qgevrey"):
         top = 1 if family == "qgevrey" else 0
         bad = draw(st.one_of(_NOT_NUMBERS, st.fractions(max_value=top),
@@ -163,7 +183,7 @@ def _malformed_calls(draw):
         name = op.split()[0]
         return f"{M}.{name}({j!r})", lambda: getattr(M, name)(j)
     if op == "interval_value bits":
-        bits = draw(st.one_of(_NOT_INTEGERS.filter(lambda v: v is not None),
+        bits = draw(st.one_of(NOT_INTEGERS.filter(lambda v: v is not None),
                               st.integers(-10**3, 0)))
         return f"{M}.interval_value(1, {bits!r})", lambda: M.interval_value(1, bits)
     if op == "renormalization":
@@ -171,8 +191,8 @@ def _malformed_calls(draw):
         return f"{M}.renormalization()", M.renormalization
     if op in ("check_log_convexity", "verify_superadditivity", "classify horizon",
               "precede horizon"):
-        bad = draw(st.one_of(_BAD_ORDERS, st.just(0), st.just(1))
-                   if op == "check_log_convexity" else _BAD_ORDERS)
+        bad = draw(st.one_of(BAD_ORDERS, st.just(0), st.just(1))
+                   if op == "check_log_convexity" else BAD_ORDERS)
         fn = {"check_log_convexity": check_log_convexity, "classify horizon": classify,
               "verify_superadditivity": verify_superadditivity,
               "precede horizon": lambda M, h: precede(M, gevrey(2), h)}[op]
@@ -181,7 +201,7 @@ def _malformed_calls(draw):
         j = draw(index)
         return f"value({M}, {j!r})", lambda: value(M, j)
     if op == "value precision":
-        bad = draw(_BAD_ORDERS.filter(lambda v: v is not None))
+        bad = draw(BAD_ORDERS.filter(lambda v: v is not None))
         return f"value({M}, 1, {bad!r})", lambda: value(M, 1, bad)
     if op == "flag":
         bad = draw(st.one_of(st.text(max_size=4), st.none(), st.integers(), st.just([])))
@@ -190,8 +210,8 @@ def _malformed_calls(draw):
         bad = draw(st.one_of(_NOT_NUMBERS, st.fractions(max_value=Fraction(99, 100))))
         return f"power({M}, {bad!r})", lambda: power(M, bad)
     # a one-term sequence cannot be shifted
-    bad = draw(st.one_of(_NOT_SEQUENCES, st.just(custom([1]))) if op == "shift"
-               else _NOT_SEQUENCES)
+    bad = draw(st.one_of(NOT_SEQUENCES, st.just(custom([1]))) if op == "shift"
+               else NOT_SEQUENCES)
     fn = {"precede M": lambda b: precede(b, M), "precede N": lambda b: precede(M, b),
           "classify M": classify, "power M": lambda b: power(b, 2), "shift": shift}[op]
     return f"{op} {bad!r}", lambda: fn(bad)
@@ -222,13 +242,17 @@ class TestErrorContract:
         lambda: power(gevrey(1), True),
         lambda: gevrey(1).exact_value("a"),
         lambda: gevrey(1).interval_value(2, True),
+        lambda: CarlemanSequence("gevrey", param="a"),
+        lambda: CarlemanSequence("custom", terms=(1, "a")),
+        lambda: CarlemanSequence("gevrey", param=True),
     ], ids=["gevrey-text", "qgevrey-text", "custom-text-term", "power-text",
             "loggevrey-None", "classify-text-horizon", "flag-unknown", "parse-int",
             "precede-text", "shift-text", "power-of-text", "classify-text",
             "log-convexity-text", "value-float-index", "custom-int", "custom-text",
             "precede-text-horizon", "superadditivity-negative-horizon", "gevrey-bool",
             "custom-bool-term", "power-bool", "exact-value-text-index",
-            "interval-value-bool-bits"])
+            "interval-value-bool-bits", "constructor-text-param",
+            "constructor-text-term", "constructor-bool-param"])
     def test_calls_that_escaped_the_contract(self, call):
         # each raised a bare ValueError, TypeError or AttributeError, or
         # read a bool as the number 0 or 1
@@ -663,7 +687,7 @@ class TestBatchedComparisons:
             calls.append(1)
             return cmp(self, other) if len(calls) % 2 else None
 
-        monkeypatch.setenv("QAL_PRECISION_BITS", "2048")
+        monkeypatch.setattr(intervals, "_DEFAULT_BITS", 2048)
         monkeypatch.setattr(RI, "cmp", undecided_after_first)
         with pytest.raises(UndecidableAtCap) as info:
             check_log_convexity(loggevrey(1), 4)

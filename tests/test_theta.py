@@ -18,6 +18,8 @@ from qal.theta import (BorelExample, ThetaDerivative, borel_example_derivatives,
                        borel_example_eval, build_theta, theta_derivative_at_zero,
                        theta_eval)
 
+from malformed import BAD_ORDERS, NOT_DATA, NOT_SEQUENCES
+
 
 def exact_partial_sum(M, j, K):
     """Independent oracle: sum_{k<=K} Mbar_k (2 m_k)^(j-k) in exact arithmetic."""
@@ -214,8 +216,7 @@ def _endpoint_bits(box) -> int:
 
 
 class TestWorkingPrecision:
-    def test_high_order_irrational_theta_is_fast_and_short(self, monkeypatch):
-        monkeypatch.delenv("QAL_PRECISION_BITS", raising=False)
+    def test_high_order_irrational_theta_is_fast_and_short(self):
         M, x, j, K = gevrey(Fraction(1, 2)), Fraction(1, 3), 32, 48
         start = time.perf_counter()
         out = theta_eval(M, x, j, K)
@@ -286,21 +287,12 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("run, digest", GOLDEN)
-def test_output_is_unchanged(monkeypatch, run, digest):
-    monkeypatch.delenv("QAL_PRECISION_BITS", raising=False)
+def test_output_is_unchanged(run, digest):
     text = json.dumps(run().to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- error contract ------------------------------------------------------------
-
-_NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
-                          st.fractions(), st.lists(st.integers(), max_size=1), st.tuples())
-_BAD_ORDERS = st.one_of(_NOT_INTEGERS, st.integers(max_value=-1))
-_NOT_DATA = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(),
-                      st.complex_numbers(), st.tuples(st.integers()))
-_NOT_SEQUENCES = st.one_of(st.none(), st.integers(), st.fractions(), st.text(max_size=9),
-                           st.just("gevrey(1)"), st.lists(st.integers(1, 9), max_size=3))
 
 
 @st.composite
@@ -312,7 +304,7 @@ def _malformed_calls(draw):
     names = {"theta_eval": ("M", "x", "j", "K"), "theta_derivative_at_zero": ("M", "j", "K"),
              "build_theta": ("M", "K")}[op]
     bad = draw(st.sampled_from(names))
-    args[bad] = draw({"M": _NOT_SEQUENCES, "x": _NOT_DATA}.get(bad, _BAD_ORDERS))
+    args[bad] = draw({"M": NOT_SEQUENCES, "x": NOT_DATA}.get(bad, BAD_ORDERS))
     fn = {"theta_eval": theta_eval, "theta_derivative_at_zero": theta_derivative_at_zero,
           "build_theta": build_theta}[op]
     return f"{op} {bad}={args[bad]!r}", lambda: fn(*(args[n] for n in names))
@@ -336,13 +328,13 @@ def _malformed_borel_calls(draw):
     and j = 1."""
     bad = draw(st.sampled_from(["coeffs", "rho", "N", "x", "j", "B eval", "B derivatives"]))
     if bad in ("coeffs", "rho", "N"):
-        value = draw({"coeffs": _NOT_CALLABLES, "rho": _NOT_DATA, "N": _BAD_ORDERS}[bad])
+        value = draw({"coeffs": _NOT_CALLABLES, "rho": NOT_DATA, "N": BAD_ORDERS}[bad])
         return f"BorelExample {bad}={value!r}", lambda: _borel(**{bad: value})
     if bad == "x":
-        x = draw(_NOT_DATA)
+        x = draw(NOT_DATA)
         return f"borel_example_eval x={x!r}", lambda: borel_example_eval(_borel(), x)
     if bad == "j":
-        j = draw(_BAD_ORDERS)
+        j = draw(BAD_ORDERS)
         return f"borel_example_derivatives j={j!r}", lambda: borel_example_derivatives(_borel(), j)
     B = draw(_NOT_BORELS)
     if bad == "B eval":
