@@ -1,29 +1,36 @@
 """Number fields with certified complex embeddings.
 
 A field is Q[t]/(m(t)) for a monic irreducible m over Q together with a
-chosen root of m, tracked by an exact isolating rectangle with rational
-corners (sympy's root isolation does the exact root counting; rectangles
-only ever shrink).  An element is held as an element of sympy's algebraic
-field QQ<gamma>, built lazily from the chosen root (a QQ rational when the
-field has degree 1), so all field arithmetic is sympy's exact arithmetic
-mod m; its dense Fraction coefficient tuple ``rep`` is read off that
-representation.  Enclosing boxes for embedded values come from plain
-interval Horner evaluation over the rectangle, so they are exact outward
-enclosures with no rounding step anywhere.
+chosen root of m, sympy's ``CRootOf`` by index, tracked by an exact
+isolating rectangle with rational corners (rectangles only ever shrink).
+An element is held as an element of sympy's algebraic field QQ<gamma>,
+built lazily from the chosen root (a QQ rational when the field has
+degree 1), so all field arithmetic is sympy's exact arithmetic mod m; its
+dense Fraction coefficient tuple ``rep`` is read off that representation.
+Enclosing boxes for embedded values come from plain interval Horner
+evaluation over the rectangle, so they are exact outward enclosures with
+no rounding step anywhere.
 
 Every decision that compares such boxes with root rectangles (which
 factor of a characteristic polynomial vanishes at an element, which root
 of its minimal polynomial the element is, whether a candidate generator
 lands on the chosen root) runs in one capped loop, ``_refine_until``: it
 halves the rectangles of the fields involved while the test is undecided
-and raises ExtensionFailure after ``_REFINE_CAP`` rounds.  Realness is
-exact: a box whose imaginary part excludes 0 proves a non-real value,
-and otherwise the value is identified as a root of its minimal
-polynomial, whose realness sympy's root isolation decides.
+and raises ExtensionFailure after ``_REFINE_CAP`` rounds.
 
-Polynomial algorithms over a field (factorization, norms over Q, gcds)
-run in the same algebraic field; its generator is gamma, so an element's
-coefficient tuple is its sympy representation reversed.  Factorization
+Realness is exact and has one source: the number of distinct real roots
+of a polynomial over Q, counted by the integer subresultant chain of
+``qal.chain`` on its multiple by the positive lcm of its denominators.
+An irreducible m is squarefree, so this count is the number of real
+embeddings, and as sympy's root order lists the real roots first, the
+root of index i is real iff i is below it.  A box whose imaginary part
+excludes 0 proves a non-real value; otherwise the value is identified as
+a root of its minimal polynomial and the index decides.
+
+Polynomial algorithms over a field (factorization, norms over Q, gcds,
+monic normalization, the Horner substitutions of an extension) run on
+sympy ``Poly`` in the same algebraic field; its generator is gamma, so an
+element's coefficient tuple is its sympy representation reversed.  Factorization
 over an extension is sympy's implementation of Trager's norm method; the
 squarefree norm of an irreducible polynomial (sympy's ``sqf_norm``) is
 itself irreducible and serves directly as the minimal polynomial of a
@@ -35,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import sympy
 from sympy import CRootOf, Poly, Symbol
@@ -42,9 +50,9 @@ from sympy.polys.densearith import dup_rem
 from sympy.polys.densebasic import dup_strip
 from sympy.polys.sqfreetools import dup_sqf_norm
 
+from .chain import _fibre_counts
 from .errors import DomainError, ExtensionFailure
 from .intervals import CI, RI
-from .polynomials import uadd, udeg, umul, umonic, utrim
 from .rationals import _instance, _order, _rational, _rationals
 
 _T = Symbol("_qal_t")
@@ -63,9 +71,13 @@ def _qq_to_fraction(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
 
 
-def _to_sympy_poly(coeffs: list[Fraction], sym) -> Poly:
-    return Poly.from_list([_fraction_to_qq(c) for c in reversed(coeffs)], sym,
-                          domain=sympy.QQ)
+def _real_root_count(m) -> int:
+    """The number of distinct real roots of m, a sequence of Fractions,
+    lowest degree first, with a positive leading coefficient: the integer
+    chain of ``qal.chain`` on m times the positive lcm of its
+    denominators, which has the same roots."""
+    L = lcm(*(c.denominator for c in m))
+    return _fibre_counts([c.numerator * (L // c.denominator) for c in m])[1]
 
 
 def _eval_box(coeffs, box: CI) -> CI:
@@ -110,21 +122,25 @@ class NumberField:
     """Q(gamma) for a chosen root gamma of a monic irreducible m over Q."""
 
     def __init__(self, minpoly: list[Fraction], root_index: int | None = None):
-        minpoly = umonic(utrim(_rationals(minpoly, "the minimal polynomial")))
-        self.minpoly = tuple(minpoly)
-        self.degree = udeg(minpoly)
-        if self.degree < 1:
+        m = Poly.from_list([_fraction_to_qq(c) for c in
+                            reversed(_rationals(minpoly, "the minimal polynomial"))],
+                           _T, domain=sympy.QQ).monic()
+        if m.degree() < 1:
             raise DomainError("minimal polynomial must have positive degree")
-        self._modulus = [_fraction_to_qq(c) for c in reversed(minpoly)]
+        self.degree = m.degree()
+        self._modulus = m.rep.to_list()
+        self.minpoly = tuple(map(_qq_to_fraction, reversed(self._modulus)))
+        # m is irreducible, so squarefree: its distinct real roots are the
+        # real embeddings
+        self._real_count = _real_root_count(self.minpoly)
         if self.degree == 1:
             # the rationals; gamma = -c0 is rational
             self.root = None
             self.root_index = None
-            gamma = -minpoly[0]
+            gamma = -self.minpoly[0]
             self._rect = (gamma, gamma, Fraction(0), Fraction(0))
         else:
             _order(root_index, "the root index", 0, self.degree - 1)
-            m = _to_sympy_poly(minpoly, _T)
             if not m.is_irreducible:
                 raise DomainError("minimal polynomial is reducible over Q")
             self.root_index = root_index
@@ -138,7 +154,7 @@ class NumberField:
 
     def _rect_from_interval(self):
         iv, c = self._interval, self._scale
-        if self.root.is_real:
+        if self.is_real:
             return (c * _qq_to_fraction(iv.a), c * _qq_to_fraction(iv.b),
                     Fraction(0), Fraction(0))
         return (c * _qq_to_fraction(iv.ax), c * _qq_to_fraction(iv.bx),
@@ -151,13 +167,11 @@ class NumberField:
 
     @property
     def is_real(self) -> bool:
-        return self.root is None or bool(self.root.is_real)
+        # sympy's CRootOf lists the real roots of m first
+        return self.root is None or self.root_index < self._real_count
 
     def real_embedding_count(self) -> int:
-        if self.degree == 1:
-            return 1
-        p = _to_sympy_poly(list(self.minpoly), _T)
-        return int(p.count_roots())
+        return self._real_count
 
     def gamma_box(self) -> CI:
         a, b, c, d = self._rect
@@ -171,8 +185,7 @@ class NumberField:
             return sympy.QQ
         K = sympy.QQ.algebraic_field(self.root)
         # sympy keeps the modulus primitive over Z rather than monic
-        if tuple(umonic([_qq_to_fraction(c) for c in reversed(K.mod.to_list())])) \
-                != self.minpoly:
+        if K.mod.monic().to_list() != self._modulus:
             raise ExtensionFailure("sympy's field is not generated by the chosen root")
         return K
 
@@ -230,9 +243,8 @@ class FieldElement:
     @property
     def rep(self) -> tuple[Fraction, ...]:
         """The coefficients of the element in 1, gamma, ..., gamma^(degree-1)."""
-        g = self.field.degree
-        coeffs = [self.value] if g == 1 else self.value.to_list()[::-1]
-        return tuple(map(_qq_to_fraction, coeffs)) + (Fraction(0),) * (g - len(coeffs))
+        coeffs = self.lift()
+        return tuple(coeffs) + (Fraction(0),) * (self.field.degree - len(coeffs))
 
     def _coerce(self, other):
         """other as an element of this field's sympy domain: an element of
@@ -324,8 +336,11 @@ class FieldElement:
         return _eval_box(self.rep, self.field.gamma_box())
 
     def lift(self) -> list[Fraction]:
-        """Representative polynomial coefficients in Q[t]."""
-        return utrim(list(self.rep))
+        """Representative polynomial coefficients in Q[t], lowest degree
+        first, without zero leading coefficients."""
+        if self.field.degree == 1:
+            return [_qq_to_fraction(self.value)] if self.value else []
+        return list(map(_qq_to_fraction, reversed(self.value.to_list())))
 
     def __repr__(self):
         return f"FieldElement({list(self.rep)})"
@@ -365,9 +380,9 @@ def identify_root(a: FieldElement) -> tuple[list[Fraction], int]:
     polynomial: returns (minpoly, root index).  Decided by shrinking the
     value box until it meets exactly one isolating rectangle."""
     h = value_minpoly(a)
-    if udeg(h) == 1:
+    if len(h) == 2:
         return h, 0
-    roots = [NumberField(h, root_index=i) for i in range(udeg(h))]
+    roots = [NumberField(h, root_index=i) for i in range(len(h) - 1)]
 
     def meeting():
         box = a.box()
@@ -384,9 +399,8 @@ def is_real_certified(a: FieldElement) -> bool:
     if a.box().im.excludes_zero():
         return False
     h, idx = identify_root(a)
-    if udeg(h) == 1:
-        return True
-    return bool(CRootOf(_to_sympy_poly(h, _T).as_expr(), idx).is_real)
+    # sympy's root order, which the index follows, lists the real roots first
+    return idx < _real_root_count(h)
 
 
 # -- polynomials over a field -------------------------------------------------------
@@ -427,24 +441,24 @@ def extend_field(field: NumberField, h: list[FieldElement]) -> Extension:
     field as the unique common root of its minimal polynomial and the
     shifted defining polynomial, certified by rectangle refinement.
     """
-    h = umonic(utrim(_over(field, h, "h")))
-    if udeg(h) < 1:
+    p = _poly(field, _over(field, h, "h")).monic()
+    if p.degree() < 1:
         raise DomainError("extend_field needs a polynomial of positive degree")
-    if udeg(h) == 1:
+    h = _from_poly(field, p)
+    if len(h) == 2:
         return Extension(field, lambda a: a, -h[0])
     if field.degree == 1:
         dense = [c.as_fraction() for c in h]
-        L = NumberField(dense, root_index=udeg(h) - 1)
+        L = NumberField(dense, root_index=len(h) - 2)
         return Extension(L, lambda a, L=L: L.element(a.as_fraction()),
                          L.generator())
 
     # the norm of h(z - s*gamma), squarefree for the first s = 0, 1, 2, ...
-    s, _, norm = dup_sqf_norm(_poly(field, h).rep.to_list(), field._domain)
+    s, _, norm = dup_sqf_norm(p.rep.to_list(), field._domain)
     norm = [_qq_to_fraction(c) for c in reversed(norm)]
-    candidates = list(range(udeg(norm)))
     chosen = None
     gamma_rep = None
-    for idx in reversed(candidates):
+    for idx in reversed(range(len(norm) - 1)):
         L = NumberField(norm, root_index=idx)
         found = _gamma_inside(L, field, h, s)
         if found is not None:
@@ -456,7 +470,7 @@ def extend_field(field: NumberField, h: list[FieldElement]) -> Extension:
 
     def embed(a: FieldElement, L=L, gamma_rep=gamma_rep) -> FieldElement:
         acc = L.zero()
-        for c in reversed(a.lift() or [Fraction(0)]):
+        for c in reversed(a.lift()):
             acc = acc * gamma_rep + L.element(c)
         return acc
 
@@ -472,11 +486,11 @@ def _gamma_inside(L: NumberField, K: NumberField, h: list[FieldElement],
     with K's chosen embedding."""
     # Horner in z: h = sum c_i z^i with c_i in K, each lifted to Q[t] -> L[t],
     # and z = delta - s*t, the polynomial in t with coefficients [delta, -s]
-    lin = [L.generator(), L.element(-s)]
-    acc = []
+    lin = _poly(L, [L.generator(), L.element(-s)])
+    acc = _poly(L, [])
     for c in reversed(h):
-        acc = uadd(umul(acc, lin), [L.element(q) for q in c.lift() or [Fraction(0)]])
-    g = _poly(L, acc).gcd(_poly(L, [L.element(q) for q in K.minpoly]))
+        acc = acc * lin + _poly(L, [L.element(q) for q in c.lift()])
+    g = acc.gcd(_poly(L, [L.element(q) for q in K.minpoly]))
     if g.degree() != 1:
         return None
     gamma_cand = -_from_poly(L, g.monic())[0]

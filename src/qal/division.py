@@ -25,15 +25,9 @@ and H is split into its parts by the power of z.
 The hyperbolicity decision rests on the observation that the sign of a
 nonzero polynomial near 0+ or 0- is that of its lowest-order term, so "all
 roots real for every x' in a punctured neighborhood" is decidable without
-any sampling.  The polynomial is scaled into Z[x][y], each coefficient is
-replaced by its value at x = 2^w, past a bound on the chain's coefficients
-(Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
-Algebra, 8.4), and Brown's subresultant PRS of (phi, phi') on these ints
-replaces the Euclid over Q(x).  Each element is the Sturm element times a
-multiplier whose sign follows from the leading coefficients' lowest
-base-2^w digits, once per side of 0, so no fraction, gcd or product in
-Z[x] is ever formed (Basu, Pollack and Roy, Algorithms in Real Algebraic
-Geometry, ch. 8-9).
+any sampling.  The polynomial is scaled into Z[x][y] and counted by the
+integer subresultant chain of ``qal.chain``, whose module docstring holds
+the width and count proofs; no Euclid over Q(x) is ever run.
 
 The grid falsifier forms no Fraction per point: all its fibres are taken
 over one positive common denominator L, fixed once for the grid, so each
@@ -50,13 +44,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Callable
 
-from .errors import (ArityMismatchError, CertificationError,
-                     ChainDegenerationError, DomainError, NonMonicDivisorError,
-                     PrecisionFailure, ZeroPolynomialError)
+from .chain import _count, _fibre_counts, _lowest_sign, _prs, utrim
+from .errors import (ArityMismatchError, CertificationError, DomainError,
+                     NonMonicDivisorError, PrecisionFailure, ZeroPolynomialError)
 from .intervals import RI, _floor_dyadic, certify, default_bits, iv_exp, ri_pow_frac
-from .polynomials import MultiPoly, _accumulate_product, _var_key, utrim
+from .polynomials import MultiPoly, _accumulate_product, _var_key
 from .rationals import (_instance, _order, _rational, factorial, format_fraction,
                         root_bounds)
 from .sequences import CarlemanSequence, _checked
@@ -293,7 +286,7 @@ def strictly_regular_check(F: MultiPoly, d: int, var: str) -> bool:
 # -- hyperbolicity ----------------------------------------------------------------
 #
 # A polynomial in y is a dense list of ints, constant term first: a grid fibre,
-# or Z[x][y] at x = 2^w for the exact decision.  One chain routine serves both.
+# or Z[x][y] at x = 2^w for the exact decision.  One chain (qal.chain) serves both.
 
 def _param_vars(phi: DistinguishedPoly) -> set[str]:
     """The parameter variables that occur in some coefficient of phi."""
@@ -308,100 +301,6 @@ def _dense_in_param(a: MultiPoly, scale: int) -> list[int]:
     for exps, c in _scaled(a.coeffs, scale).items():
         row[sum(exps)] += c
     return utrim(row)
-
-
-def _exquo(a: int, b: int) -> int:
-    """The quotient a / b of two ints; a remainder means the chain is not
-    the subresultant sequence it should be."""
-    q, r = divmod(a, b)
-    if r:
-        raise ChainDegenerationError("inexact division in the subresultant chain")
-    return q
-
-
-def _prs(p: list[int]) -> list[list[int]]:
-    """Brown's subresultant PRS of (p, dp/dy) for p with a positive leading
-    coefficient (Brown; Cohen, Algorithm 3.3.1).
-
-    R_0 = p, R_1 = dp/dy and R_(i+1) = prem(R_(i-1), R_i) / beta_i with
-    prem(A, B) = lc(B)^(delta+1) A mod B, delta_i = deg R_(i-1) - deg R_i,
-    beta_1 = 1 and beta_i = lc(R_(i-1)) h_(i-1)^delta_i, where h_0 = 1 and
-    h_i = lc(R_i)^delta_i / h_(i-1)^(delta_i - 1); every division is exact.
-    Returns the chain up to its last nonzero element, gcd(p, dp/dy) up to a
-    factor; :func:`_count` reads the steps back from it.
-    """
-    chain = [p, [k * p[k] for k in range(1, len(p))]]
-    g = h = 1
-    while True:
-        A, B = chain[-2:]
-        lead, n = B[-1], len(B)
-        delta = len(A) - n
-        rem = list(A)
-        for shift in range(delta, -1, -1):
-            top = rem.pop()
-            for i in range(shift):
-                rem[i] = lead * rem[i]
-            for i in range(n - 1):
-                rem[shift + i] = lead * rem[shift + i] - top * B[i]
-        if not utrim(rem):
-            return chain
-        beta = g * h ** delta
-        chain.append([_exquo(c, beta) for c in rem] if len(chain) > 2 else rem)
-        g = lead
-        h = lead if delta == 1 else _exquo(lead ** delta, h ** (delta - 1))
-
-
-def _count(chain: list[list[int]], sign: Callable[[int], int]) -> int:
-    """The number of distinct real roots of chain[0] from the chain that
-    :func:`_prs` returns, where sign(a) is the sign (1 or -1) of a nonzero
-    leading coefficient on the domain of the count.
-
-    Over the fraction field R_i = m_i S_i, where S is the Sturm chain
-    S_0 = p / L, S_1 = p' / L, S_(i+1) = -rem(S_(i-1), S_i) and L = lc(p), so
-    m_0 = m_1 = L > 0.  As prem(R_(i-1), R_i) equals
-    -lc(R_i)^(delta+1) m_(i-1) S_(i+1), the multiplier is
-    m_(i+1) = -lc(R_i)^(delta+1) m_(i-1) / beta_i.  Its sign is the product
-    of the signs of its factors, and beta_i = lc(R_(i-1)) h_(i-1)^delta_i
-    and h_i are products and exact quotients of leading coefficients, whose
-    signs multiply (near 0 so do the lowest-order terms); delta_i is the
-    difference of the element lengths.  S_i has the sign of lc(R_i) m_i at
-    +infinity and that times (-1)^(deg R_i) at -infinity; the count is the
-    number of sign variations at -infinity minus that at +infinity, which
-    counts distinct roots whether or not p is squarefree.
-    """
-    count = at_plus = at_minus = 0   # no variation before the first element
-    m_prev = m = 1                   # the signs of m_0 and m_1
-    g = h = 1                        # the signs of g and h before each step
-    for i, R in enumerate(chain):
-        s = sign(R[-1])
-        plus = s * m
-        minus = plus if len(R) % 2 else -plus
-        count += (minus != at_minus) - (plus != at_plus)
-        at_plus, at_minus = plus, minus
-        if 0 < i < len(chain) - 1:
-            if (len(chain[i - 1]) - len(R)) % 2:     # odd delta: beta = g h, h_i = lc
-                m_prev, m, h = m, -m_prev * g * h, s
-            else:                                     # even delta: beta = g, h_i = h
-                m_prev, m = m, -m_prev * s * g
-            g = s
-    return count
-
-
-def _fibre_counts(p: list[int]) -> tuple[int, int]:
-    """The degree of gcd(p, p') and the number of distinct real roots of p
-    in Z[y], a dense list of ints with a positive leading coefficient."""
-    chain = _prs(p)
-    return len(chain[-1]) - 1, _count(chain, lambda a: 1 if a > 0 else -1)
-
-
-def _lowest_sign(N: int, w: int, minus: bool) -> int:
-    """The sign near 0+ (near 0- for minus) of c in Z[x] with c(2^w) = N != 0
-    and every coefficient below 2^(w-1) in absolute value: that of its
-    lowest term c_k x^k, bit w - 1 of N >> kw with k = tz(N) // w (see
-    :func:`hyperbolic_check_2d`)."""
-    k = ((N & -N).bit_length() - 1) // w
-    s = -1 if N >> (k * w + w - 1) & 1 else 1
-    return -s if minus and k & 1 else s
 
 
 @dataclass
@@ -433,19 +332,11 @@ def hyperbolic_check_2d(phi: DistinguishedPoly,
     the multiplicity excess.  phi is hyperbolic iff on every requested side
     the count equals the squarefree degree.
 
-    The width.  Let n = deg_y p, |f| the sum of the absolute values of the
-    integer coefficients of f in x and y, B = |p|^(n-1) |p'|^n and
-    w = bits(B) + 1, so B < 2^(w-1).  (i) Every element of Brown's PRS
-    from R_1 on, every h and lc(p) are +- subresultant coefficients or
-    polynomials (lc(p) = lc(p') / n), whose coefficients are minors of the
-    Sylvester matrix of (p, p'): n - 1 rows from p and n from p'.
-    Hadamard's expansion with |fg| <= |f| |g| bounds each by B.  (ii) So a
-    nonzero such c = sum c_i x^i with lowest term c_k x^k does not vanish at
-    2^w: c(2^w) = 2^(kw) (c_k + 2^w m) with 0 < |c_k| < 2^w.  As x -> 2^w is
-    a ring map, the chain over Z takes the same degree steps and its exact
-    quotients are the images of those over Z[x].  (iii) With N = c(2^w),
-    tz(N) = kw + tz(c_k) with tz(c_k) < w, so k = tz(N) // w and c_k is the
-    balanced residue of (N >> kw) mod 2^w; near 0- the sign flips for odd k.
+    The width is w = bits(|p|^(n-1) |p'|^n) + 1, n = deg_y p and |f| the
+    sum of the absolute values of the integer coefficients of f: every
+    coefficient of the chain over Z[x] is then below 2^(w-1) in absolute
+    value, so the chain on the ints is its image (the proof is the width
+    paragraph of ``qal.chain``).
     """
     _instance(phi, DistinguishedPoly, "phi")
     if side not in ("both", "plus", "minus"):

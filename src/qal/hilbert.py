@@ -245,7 +245,9 @@ class HilbertModel:
         return self.inner(u, u)
 
     def deriv_at_zero(self, u: Vec, i: int) -> Fraction:
-        """u^(i)(0) = i! u_i; a negative order is a DomainError."""
+        """u^(i)(0) = i! u_i; a negative order or a u that is not a list
+        of exact data is a DomainError."""
+        u = _rationals(u, "the vector u")
         if _order(i, "derivative order", 0) >= len(u):
             return Fraction(0)
         return factorial(i) * u[i]
@@ -569,13 +571,14 @@ def divergence_demo(M: CarlemanSequence, a: Fraction, ks: list[int],
 
 @dataclass
 class SobolevRecord:
+    """The norms of a certified comparison: :func:`sobolev_check` returns a
+    record only when both inequalities hold."""
+
     order: int
     l2_sq: Fraction            # ||u^(j)||_L2^2, exact
     l2_next_sq: Fraction       # ||u^(j+1)||_L2^2, exact
     sup_lower: Fraction        # exact value at a witness point
     sup_upper: Fraction        # certified upper bound for the sup norm
-    left_ok: bool              # (1/sqrt 2) ||u^(j)||_2 <= ||u^(j)||_inf
-    right_ok: bool             # ||u^(j)||_inf <= sqrt 2 (||u^(j)||_2 + ||u^(j+1)||_2)
 
 
 def _sq_integral_numerator(U: list[int], q: int) -> int:
@@ -651,12 +654,13 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
     L^2) once at the end, so the certificate and the returned Fractions
     are exactly those of the same computation on u^(j) in Fractions.
     Raises DomainError unless j is an integer >= 0 and u a list of ints
-    and Fractions.
+    and Fractions, and UndecidableAtCap when either inequality is still
+    undecided at the finest grid or subdivision.
     """
     du = poly_derivative(u, j)
     if not any(du):
         zero = Fraction(0)
-        return SobolevRecord(j, zero, zero, zero, zero, True, True)
+        return SobolevRecord(j, zero, zero, zero, zero)
 
     U, L = _over_lcm(du)
     L2 = L * L
@@ -682,11 +686,9 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
         best = max(abs(_grid_numerator(U, i, n)) for i in fresh)
         sup_lower = max(sup_lower, Fraction(best, n**m))
         if sup_lower**2 >= target:
-            left_ok = True
             break
         if depth > 24:
-            left_ok = False
-            break
+            raise UndecidableAtCap("sup-norm lower bound not certified at depth 25")
         depth += 1
 
     # upper bound: interval evaluation on a subdivision, refined until the
@@ -695,20 +697,16 @@ def sobolev_check(u: Vec, j: int) -> SobolevRecord:
     # inequality sup^2 <= 2 (A + B + 2 sqrt(AB)) reads
     #     X = S^2 q - 2 P^2 (a + b) <= 4 P^2 sqrt(ab),
     # which holds iff X <= 0 or X^2 <= 16 P^4 a b
-    right_ok = False
     pieces = 8
     while True:
         S = _box_sup_numerator(U, pieces)
         P = pieces**m
         X = S * S * q - 2 * P * P * (a + b)
         if X <= 0 or X * X <= 16 * P**4 * a * b:
-            right_ok = True
             break
         if pieces >= _SUP_PIECES_CAP:
-            break
+            raise UndecidableAtCap(
+                f"sup-norm upper bound not certified at {pieces} pieces")
         pieces *= 2
 
-    if not (left_ok and right_ok):
-        raise UndecidableAtCap("sup-norm comparison could not be certified")
-    sup_upper = Fraction(S, P * L)
-    return SobolevRecord(j, A, B, sup_lower / L, sup_upper, left_ok, right_ok)
+    return SobolevRecord(j, A, B, sup_lower / L, Fraction(S, P * L))

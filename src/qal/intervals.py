@@ -658,8 +658,8 @@ class CI:
     __rmul__ = __mul__
 
     def rotate_i(self, j: int) -> "CI":
-        """Multiply by i^j exactly."""
-        j %= 4
+        """Multiply by i^j exactly, j an int of any sign."""
+        j = _order(j, "the power of i") % 4
         if j == 0:
             return self
         if j == 1:

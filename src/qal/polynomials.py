@@ -1,11 +1,10 @@
-"""Polynomial arithmetic: sparse multivariate and dense univariate.
+"""Sparse multivariate polynomials over Q.
 
-Multivariate polynomials carry exact rational coefficients (ints and
-Fractions) in a sparse exponent-vector map with a canonical variable
-ordering (x before y; numbered variables x1, x2, ... by index).  The
-dense univariate helpers are the ring operations (add, multiply) on
-plain coefficient lists over any coefficient type; division and gcds
-over a field are sympy's (see ``qal.algebraic``).
+A polynomial carries exact rational coefficients (ints and Fractions) in
+a sparse exponent-vector map with a canonical variable ordering (x before
+y; numbered variables x1, x2, ... by index).  Dense univariate work lives
+elsewhere: integer real-root counting in ``qal.chain``, and arithmetic
+over a number field in sympy (see ``qal.algebraic``).
 """
 
 from __future__ import annotations
@@ -398,48 +397,3 @@ def parse_polynomial(text: str) -> MultiPoly:
     poly = _expr(cur)
     cur.take("end")
     return poly
-
-
-# -- dense univariate helpers over a field-like coefficient type -----------------
-
-def utrim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def udeg(p: list) -> int:
-    return len(p) - 1
-
-
-def uadd(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else 0
-        b = q[i] if i < len(q) else 0
-        out.append(a + b)
-    return utrim(out)
-
-
-def umul(p: list, q: list) -> list:
-    if len(p) < len(q):
-        p, q = q, p
-    if not q:
-        return []
-    if len(q) == 1:    # a constant factor: one product per coefficient
-        b = q[0]
-        return utrim([a * b for a in p])
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q, i):
-                out[j] += a * b
-    return utrim(out)
-
-
-def umonic(p: list) -> list:
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]

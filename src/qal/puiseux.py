@@ -374,12 +374,13 @@ def branch_im_order(branch: PuiseuxBranch) -> BranchImOrder:
         return BranchImOrder(True, one_over_m, True)
 
     values: list[Fraction] = []
-    real_member = fld.real_embedding_count() > 0
+    real = fld.real_embedding_count()
+    real_member = real > 0
     undetermined = False
-    for idx in range(degree):
+    # the real embeddings come first in the root order; each gives a real
+    # series, whose 1/m is folded in below
+    for idx in range(real, degree):
         embedded = NumberField(minpoly, root_index=idx)
-        if embedded.is_real:
-            continue  # a real series; contributes 1/m, folded in below
         d_here = next((e for e, coef in branch.terms
                        if not is_real_certified(embedded.element(list(coef.rep)))),
                       None)

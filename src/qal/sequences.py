@@ -492,9 +492,10 @@ class CheckResult:
         return self.passed
 
 
-def _log_convex_top(M: CarlemanSequence, horizon: int) -> int:
-    """The end of the range 1 <= j < top that the log-convexity check of M
-    covers: j needs M_{j+1}, so a finite sequence stops at lim - 1."""
+def _top(M: CarlemanSequence, horizon: int) -> int:
+    """The last index that a check of M up to horizon reads: horizon, or
+    the last defined index of a finite sequence if that comes first.  The
+    log-convexity check covers 1 <= j < top, as j needs M_{j+1}."""
     lim = M.horizon_limit()
     return horizon if lim is None else min(horizon, lim)
 
@@ -503,7 +504,7 @@ def check_log_convexity(M: CarlemanSequence, horizon: int = 32) -> CheckResult:
     """Verify M_j^2 <= M_{j-1} M_{j+1} for 1 <= j < horizon."""
     _checked(M)
     _order(horizon, "horizon", 2)
-    top = _log_convex_top(M, horizon)
+    top = _top(M, horizon)
     i = _first_violation(M, _log_convexity_comparisons(top))
     if i is not None:
         j = i + 1
@@ -540,8 +541,7 @@ def verify_superadditivity(M: CarlemanSequence, horizon: int = 32) -> CheckResul
     """
     _checked(M, horizon=horizon)
     assert M.exact_value(0) == 1
-    lim = M.horizon_limit()
-    top = horizon if lim is None else min(horizon, lim)
+    top = _top(M, horizon)
     if top >= 2:
         try:
             if _first_violation(M, _log_convexity_comparisons(top)) is None:
@@ -657,11 +657,7 @@ def precede(M: CarlemanSequence, N: CarlemanSequence,
         return PrecedeResult(FALSE, "symbolic",
                              rule=f"parameter {M.param} > {N.param}")
     sup = 0.0
-    lim_m, lim_n = M.horizon_limit(), N.horizon_limit()
-    top = horizon
-    for lim in (lim_m, lim_n):
-        if lim is not None:
-            top = min(top, lim)
+    top = _top(N, _top(M, horizon))
     for j in range(1, top + 1):
         mj = M.interval_value(j).mid()
         nj = N.interval_value(j).mid()
@@ -749,7 +745,7 @@ def classify(M: CarlemanSequence, horizon: int = 32) -> SequenceReport:
     lc = check_log_convexity(M, horizon)
     if lc.passed:
         lc_flag = Flag(TRUE, "finite-horizon" if M.family == CUSTOM else "symbolic",
-                       {"checked_on": f"1 <= j < {_log_convex_top(M, horizon)}",
+                       {"checked_on": f"1 <= j < {_top(M, horizon)}",
                         "detail": lc.detail})
     else:
         lc_flag = Flag(FALSE, "finite-horizon",
@@ -847,8 +843,7 @@ def classify(M: CarlemanSequence, horizon: int = 32) -> SequenceReport:
 
 
 def _classify_custom(M: CarlemanSequence, horizon: int) -> dict:
-    lim = M.horizon_limit()
-    top = horizon if lim is None else min(horizon, lim)
+    top = _top(M, horizon)
     mids = [M.interval_value(j).mid() for j in range(top + 1)]
     # the terms M_j/((j+1) M_{j+1}) of the quasianalyticity series
     terms = [mids[j] / ((j + 1) * mids[j + 1]) for j in range(top)]

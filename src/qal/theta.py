@@ -220,7 +220,7 @@ class BorelExample:
         _order(self.N, "the truncation N", 8)
 
     def coefficient(self, v: int) -> Fraction:
-        a = _rational(self.coeffs(v), f"A_{v}")
+        a = _rational(self.coeffs(_order(v, "the index v", 1)), f"A_{v}")
         if abs(a) > self.rho**v:
             raise DomainError(f"|A_{v}| exceeds the asserted bound rho^{v}")
         return a

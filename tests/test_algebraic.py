@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from sympy import CRootOf
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qal.algebraic import (QQ, FieldElement, NumberField, extend_field, factor_over_field,
                            identify_root, is_real_certified, value_minpoly)
@@ -227,6 +228,27 @@ def test_root_that_sympy_returns_scaled():
         assert min(lo * lo, hi * hi) <= 8 <= max(lo * lo, hi * hi)
         gamma = K.generator()
         assert gamma * gamma == 4 * gamma + 4
+
+
+@st.composite
+def _irreducible_minpolys(draw):
+    """Monic polynomials over Q of degree 2 to 7, lowest degree first, that
+    sympy finds irreducible."""
+    degree = draw(st.integers(2, 7))
+    m = draw(st.lists(_RATIONAL, min_size=degree, max_size=degree)) + [Fraction(1)]
+    assume(_qq_poly(m).is_irreducible)
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(_irreducible_minpolys())
+def test_realness_is_the_chain_count_in_sympy_root_order(m):
+    # the chain counts sympy's real roots, and CRootOf lists them first
+    p = _qq_poly(m)
+    for i in range(len(m) - 1):
+        K = NumberField(m, root_index=i)
+        assert K.is_real == CRootOf(p.as_expr(), i).is_real
+        assert K.real_embedding_count() == p.count_roots()
 
 
 @settings(max_examples=30, deadline=None)

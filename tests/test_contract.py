@@ -1,15 +1,20 @@
 """The input contract across modules: every public operation and
 constructor raises a coded QalError when None stands in each of its
-required positional arguments, never a bare TypeError or AttributeError."""
+required positional arguments, never a bare TypeError or AttributeError;
+so do the public methods that take user data."""
 
 import importlib
 import inspect
+from fractions import Fraction
 
 import pytest
 
-from qal.errors import QalError
+from qal.errors import DomainError, QalError
+from qal.hilbert import build_model
 from qal.intervals import CI, RI
 from qal.polynomials import MultiPoly
+from qal.sequences import gevrey
+from qal.theta import BorelExample
 
 _MODULES = ["sequences", "theta", "hilbert", "division", "algebraic", "puiseux"]
 
@@ -65,3 +70,25 @@ def test_none_in_every_required_slot_raises_a_coded_qal_error(name):
     with pytest.raises(QalError) as info:
         fn(*[None] * _required_positional(fn))
     assert info.value.code == type(info.value).code != QalError.code, name
+
+
+def _borel(calls):
+    """A BorelExample whose coefficient callable records its arguments."""
+    return BorelExample(lambda v: calls.append(v) or Fraction(1, 2**v), Fraction(1, 2), 10)
+
+
+# public methods that take user data, each called with None in one slot
+_METHODS = {
+    "CI.rotate_i": lambda calls: CI(RI.point(1), RI.point(0)).rotate_i(None),
+    "BorelExample.coefficient": lambda calls: _borel(calls).coefficient(None),
+    "HilbertModel.deriv_at_zero": lambda calls: build_model(gevrey(1), 3).deriv_at_zero(None, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_METHODS))
+def test_none_in_a_method_raises_a_coded_error_before_any_user_code(name):
+    calls = []
+    with pytest.raises(DomainError) as info:
+        _METHODS[name](calls)
+    assert info.value.code == "domain-error"
+    assert calls == []

@@ -85,7 +85,8 @@ class TestLexer:
         # sympy would add its import time and memory to each of them
         src = os.path.dirname(os.path.dirname(os.path.abspath(rationals.__file__)))
         code = ("import sys, qal.rationals, qal.intervals, qal.sequences, qal.theta, "
-                "qal.hilbert, qal.polynomials, qal.division; print('sympy' in sys.modules)")
+                "qal.hilbert, qal.polynomials, qal.chain, qal.division; "
+                "print('sympy' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
