@@ -4,16 +4,16 @@ A field is Q[t]/(m(t)) for a monic irreducible m over Q together with a
 chosen root of m, sympy's ``CRootOf`` by index, tracked by an exact
 isolating rectangle with rational corners (rectangles only ever shrink).
 An element is held as an element of sympy's algebraic field QQ<gamma>,
-built lazily from the chosen root (a QQ rational when the field has
-degree 1), so all field arithmetic is sympy's exact arithmetic mod m; its
-dense Fraction coefficient tuple ``rep`` is read off that representation.
-Enclosing boxes for embedded values come from plain interval Horner
-evaluation over the rectangle, so they are exact outward enclosures with
-no rounding step anywhere.
+built lazily from the pair (m, chosen root), so that sympy takes m as its
+modulus as given (a QQ rational when the field has degree 1); all field
+arithmetic is sympy's exact arithmetic mod m, and the dense Fraction
+coefficient tuple ``rep`` is read off that representation.  Enclosing
+boxes for embedded values come from plain interval Horner evaluation over
+the rectangle, so they are exact outward enclosures with no rounding step
+anywhere.
 
-Every decision that compares such boxes with root rectangles (which
-factor of a characteristic polynomial vanishes at an element, which root
-of its minimal polynomial the element is, whether a candidate generator
+Every decision that compares such boxes with root rectangles (which root
+of its minimal polynomial an element is, whether a candidate generator
 lands on the chosen root) runs in one capped loop, ``_refine_until``: it
 halves the rectangles of the fields involved while the test is undecided
 and raises ExtensionFailure after ``_REFINE_CAP`` rounds.
@@ -31,10 +31,11 @@ Polynomial algorithms over a field (factorization, norms over Q, gcds,
 monic normalization, the Horner substitutions of an extension) run on
 sympy ``Poly`` in the same algebraic field; its generator is gamma, so an
 element's coefficient tuple is its sympy representation reversed.  Factorization
-over an extension is sympy's implementation of Trager's norm method; the
-squarefree norm of an irreducible polynomial (sympy's ``sqf_norm``) is
-itself irreducible and serves directly as the minimal polynomial of a
-primitive element of the extended field.
+over an extension is sympy's implementation of Trager's norm method.  An
+extension by a root of an irreducible h takes the squarefree norm of h
+(sympy's ``sqf_norm``), itself irreducible, as the minimal polynomial of a
+primitive element delta of the extended field, and finds the old
+generator as a polynomial in delta with one gcd over Q(delta).
 """
 
 from __future__ import annotations
@@ -128,13 +129,15 @@ class NumberField:
         if m.degree() < 1:
             raise DomainError("minimal polynomial must have positive degree")
         self.degree = m.degree()
-        self._modulus = m.rep.to_list()
-        self.minpoly = tuple(map(_qq_to_fraction, reversed(self._modulus)))
+        self._m = m
+        self.minpoly = tuple(map(_qq_to_fraction, reversed(m.rep.to_list())))
         # m is irreducible, so squarefree: its distinct real roots are the
         # real embeddings
         self._real_count = _real_root_count(self.minpoly)
         if self.degree == 1:
-            # the rationals; gamma = -c0 is rational
+            # the rationals; gamma = -c0 is rational, the one root of m
+            if root_index is not None:
+                _order(root_index, "the root index", 0, 0)
             self.root = None
             self.root_index = None
             gamma = -self.minpoly[0]
@@ -179,15 +182,14 @@ class NumberField:
 
     @cached_property
     def _domain(self):
-        """sympy's QQ, or its algebraic field QQ<gamma> generated by the
-        chosen root: the domain the elements of this field live in."""
+        """sympy's QQ, or its algebraic field QQ<gamma>: the domain the
+        elements of this field live in.  It is given as the pair of the
+        monic minimal polynomial and the chosen root, so sympy takes m as
+        the modulus and computes no minimal polynomial or primitive
+        element of its own."""
         if self.degree == 1:
             return sympy.QQ
-        K = sympy.QQ.algebraic_field(self.root)
-        # sympy keeps the modulus primitive over Z rather than monic
-        if K.mod.monic().to_list() != self._modulus:
-            raise ExtensionFailure("sympy's field is not generated by the chosen root")
-        return K
+        return sympy.QQ.algebraic_field((self._m, self.root))
 
     # -- elements --------------------------------------------------------
 
@@ -199,7 +201,7 @@ class NumberField:
         rep = dup_strip([_fraction_to_qq(c)
                          for c in reversed(_rationals(coeffs, "the coefficients"))])
         if len(rep) > self.degree:
-            rep = dup_rem(rep, self._modulus, sympy.QQ)
+            rep = dup_rem(rep, self._m.rep.to_list(), sympy.QQ)
         if self.degree == 1:
             return FieldElement(self, rep[0] if rep else sympy.QQ.zero)
         return FieldElement(self, self._domain.new(rep))
@@ -352,27 +354,16 @@ class FieldElement:
 def value_minpoly(a: FieldElement) -> list[Fraction]:
     """Minimal polynomial over Q of the embedded value of a.
 
-    The characteristic polynomial, the norm of z - a, is a power of the
-    minimal polynomial; the radical is extracted by factoring.
+    The norm of z - a is the characteristic polynomial of multiplication
+    by a, a power of the minimal polynomial (Cohen, *A Course in
+    Computational Algebraic Number Theory*, ch. 4); its monic squarefree
+    part (sympy's ``sqf_part``, monic over QQ) is the minimal polynomial
+    itself.
     """
     if _instance(a, FieldElement, "a").is_rational():
         return [-a.rep[0], Fraction(1)]
-    norm = _from_poly(QQ, _poly(a.field, [-a, a.field.one()]).norm())
-    factors = [[c.as_fraction() for c in f] for f, _ in factor_over_field(QQ, norm)]
-    if len(factors) == 1:
-        return factors[0]
-
-    # identify the factor vanishing at the embedded value by exclusion
-    def vanishing():
-        box = a.box()
-        alive = []
-        for f in factors:
-            val = _eval_box(f, box)
-            if not (val.re.excludes_zero() or val.im.excludes_zero()):
-                alive.append(f)
-        return alive[0] if len(alive) == 1 else None
-
-    return _refine_until(vanishing, [a.field], "isolate the minimal polynomial factor")
+    norm = _poly(a.field, [-a, a.field.one()]).norm().sqf_part()
+    return [_qq_to_fraction(c) for c in reversed(norm.rep.to_list())]
 
 
 def identify_root(a: FieldElement) -> tuple[list[Fraction], int]:
@@ -436,10 +427,14 @@ def extend_field(field: NumberField, h: list[FieldElement]) -> Extension:
 
     Over Q the root index of the new minimal polynomial is chosen
     canonically (last in sympy's root ordering, preferring the upper half
-    plane).  Over a proper extension, Trager's squarefree norm is the new
-    minimal polynomial; the old generator is recovered inside the new
-    field as the unique common root of its minimal polynomial and the
-    shifted defining polynomial, certified by rectangle refinement.
+    plane).  Over a proper extension K = Q(gamma), Trager's squarefree norm
+    of h(z - s*gamma) is the minimal polynomial of the new generator
+    delta = beta + s*gamma, beta a root of h.  Then gamma is the one common
+    root of m_K(t) and h(delta - s*t), so one gcd over Q(delta) =
+    Q[t]/(norm) gives it as a polynomial in delta, the same for every root
+    delta of the norm.  The roots are tried from the last, and the first
+    whose value of that polynomial lands on K's chosen root, certified by
+    rectangle refinement, is the new field's.
     """
     p = _poly(field, _over(field, h, "h")).monic()
     if p.degree() < 1:
@@ -456,57 +451,43 @@ def extend_field(field: NumberField, h: list[FieldElement]) -> Extension:
     # the norm of h(z - s*gamma), squarefree for the first s = 0, 1, 2, ...
     s, _, norm = dup_sqf_norm(p.rep.to_list(), field._domain)
     norm = [_qq_to_fraction(c) for c in reversed(norm)]
-    chosen = None
-    gamma_rep = None
-    for idx in reversed(range(len(norm) - 1)):
-        L = NumberField(norm, root_index=idx)
-        found = _gamma_inside(L, field, h, s)
-        if found is not None:
-            chosen, gamma_rep = L, found
-            break
-    if chosen is None:
-        raise ExtensionFailure("no compatible root of the norm polynomial")
-    L = chosen
-
-    def embed(a: FieldElement, L=L, gamma_rep=gamma_rep) -> FieldElement:
-        acc = L.zero()
-        for c in reversed(a.lift()):
-            acc = acc * gamma_rep + L.element(c)
-        return acc
-
-    # beta = delta - s*gamma
-    beta = L.generator() - L.element(s) * gamma_rep
-    return Extension(L, embed, beta)
-
-
-def _gamma_inside(L: NumberField, K: NumberField, h: list[FieldElement],
-                  s: int) -> FieldElement | None:
-    """Inside L = Q(delta), find gamma as the unique common root of
-    m_K(t) and h~(t, delta - s t); return None if delta is incompatible
-    with K's chosen embedding."""
+    L = NumberField(norm, root_index=len(norm) - 2)
     # Horner in z: h = sum c_i z^i with c_i in K, each lifted to Q[t] -> L[t],
     # and z = delta - s*t, the polynomial in t with coefficients [delta, -s]
     lin = _poly(L, [L.generator(), L.element(-s)])
     acc = _poly(L, [])
     for c in reversed(h):
         acc = acc * lin + _poly(L, [L.element(q) for q in c.lift()])
-    g = acc.gcd(_poly(L, [L.element(q) for q in K.minpoly]))
+    g = acc.gcd(_poly(L, [L.element(q) for q in field.minpoly]))
     if g.degree() != 1:
-        return None
-    gamma_cand = -_from_poly(L, g.monic())[0]
-    # both boxes contain roots of m_K; disjointness from all other roots of
-    # m_K certifies equality
-    others = [NumberField(K.minpoly, root_index=i)._rect
-              for i in range(K.degree) if i != K.root_index]
+        raise ExtensionFailure("the norm's generator does not determine the old one")
+    gamma_rep = (-_from_poly(L, g.monic())[0]).lift()
+    # gamma's box and K's rectangle both contain roots of m_K; disjointness
+    # from the rectangles of all other roots of m_K certifies equality
+    others = [NumberField(field.minpoly, root_index=i)._rect
+              for i in range(field.degree) if i != field.root_index]
 
     def lands_on_gamma():
-        box = gamma_cand.box()
-        if not _meets(box, K._rect):
+        box = gamma.box()
+        if not _meets(box, field._rect):
             return False
         if not any(_meets(box, rect) for rect in others):
             return True
         return None
 
-    if _refine_until(lands_on_gamma, [L, K], "certify the embedded generator"):
-        return gamma_cand
-    return None
+    while True:
+        gamma = L.element(gamma_rep)
+        if _refine_until(lands_on_gamma, [L, field], "certify the embedded generator"):
+            break
+        if L.root_index == 0:
+            raise ExtensionFailure("no compatible root of the norm polynomial")
+        L = NumberField(norm, root_index=L.root_index - 1)
+
+    def embed(a: FieldElement, L=L, gamma=gamma) -> FieldElement:
+        acc = L.zero()
+        for c in reversed(a.lift()):
+            acc = acc * gamma + L.element(c)
+        return acc
+
+    # beta = delta - s*gamma
+    return Extension(L, embed, L.generator() - L.element(s) * gamma)

@@ -75,7 +75,7 @@ from typing import Callable, TypeVar
 import mpmath.libmp as _libmp
 
 from .errors import CertificationError, DomainError
-from .rationals import _dyadic, _fraction, _new, _order, _rational, pow_bounds
+from .rationals import _dyadic, _fraction, _instance, _new, _order, _rational, pow_bounds
 
 PRECISION_CAP = 4096
 _DEFAULT_BITS = 256
@@ -447,11 +447,13 @@ class PowerLadder:
     __slots__ = ("base", "_p", "_lo", "_hi")
 
     def __init__(self, base: RI):
-        self.base = base
+        self.base = _instance(base, RI, "the base")
         self._p = None
         self._lo = self._hi = None
 
     def power(self, n: int) -> RI:
+        if type(n) is not int:
+            _order(n, "the exponent")
         if n < 0:
             return _reciprocal(self.power(-n))
         base = self.base

@@ -369,10 +369,6 @@ def branch_im_order(branch: PuiseuxBranch) -> BranchImOrder:
     minpoly = list(fld.minpoly)
     degree = fld.degree
     one_over_m = Fraction(1, branch.m)
-
-    if degree == 1:
-        return BranchImOrder(True, one_over_m, True)
-
     values: list[Fraction] = []
     real = fld.real_embedding_count()
     real_member = real > 0

@@ -173,6 +173,24 @@ def test_extend_field_golden_values(K, h, golden):
     assert ext.embed(K.generator()).rep == tuple(Fraction(c) for c in gamma)
 
 
+@pytest.mark.parametrize("K, h", EXTENSIONS, ids=["sqrt2-sqrt3", "i-sqrt2",
+                                                  "i-sqrt_i", "cbrt2-omega"])
+def test_extension_gamma_is_one_polynomial_at_every_root_of_the_norm(K, h):
+    # the old generator, as a polynomial in delta, is a root of m_K for
+    # every root delta of the norm; at the chosen one it is K's root
+    ext = extend_field(K, [K.element(c) for c in h])
+    gamma = ext.embed(K.generator()).lift()
+    norm = list(ext.field.minpoly)
+    for i in range(len(norm) - 1):
+        L = NumberField(norm, root_index=i)
+        value = L.element(gamma)
+        assert not _evaluate([L.element(c) for c in K.minpoly], value, L)
+        minpoly, index = identify_root(value)
+        assert minpoly == list(K.minpoly)
+        if i == ext.field.root_index:
+            assert index == K.root_index
+
+
 def test_embedded_i_stays_in_the_upper_half_plane():
     ext = extend_field(QI, [QI.element(-2), QI.zero(), QI.one()])
     gamma = ext.embed(QI.generator())
@@ -251,6 +269,23 @@ def test_realness_is_the_chain_count_in_sympy_root_order(m):
         assert K.real_embedding_count() == p.count_roots()
 
 
+def test_domain_takes_the_fields_own_modulus(monkeypatch):
+    # sympy computes no primitive element or minimal polynomial: its
+    # modulus is the field's monic one, also for a non-monic input and
+    # for a root that CRootOf returns scaled
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy computed a primitive element")
+
+    monkeypatch.setattr(sympy.polys.numberfields.subfield, "primitive_element", refuse)
+    for minpoly, index in [([1, 0, 1], 1), ([-2, 0, 0, 1], 0), ([-2, 0, 0, 0, 1], 3),
+                           ([-4, -4, 1], 0), ([1, 0, 3], 1), ([1, 1, 0, 0, 0, 0, 1], 2)]:
+        K = NumberField(minpoly, index)
+        assert K._domain.mod.to_list() == [sympy.QQ(c.numerator, c.denominator)
+                                           for c in reversed(K.minpoly)]
+        gamma = K.generator()
+        assert not _evaluate([K.element(c) for c in minpoly], gamma, K)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([QI, QSQRT2, QCBRT2, QUARTIC]),
        st.lists(_RATIONAL, min_size=4, max_size=4))
@@ -259,6 +294,26 @@ def test_inverse(field, c):
     if a:
         assert a * a.inverse() == field.one()
         assert a / a == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QSQRT2, QI, QCBRT2, QUARTIC]),
+       st.lists(_RATIONAL, min_size=4, max_size=4))
+@example(QUARTIC, [0, 0, 1, 0])    # gamma^2 = -sqrt 2: the norm is (z^2 - 2)^2
+def test_value_minpoly_is_the_one_factor_of_the_norm(field, c):
+    a = field.element(c[:field.degree])
+    h = value_minpoly(a)
+    p = _qq_poly(h)
+    assert h[-1] == 1 and p.is_irreducible
+    assert not _evaluate([field.element(q) for q in h], a, field)
+    assert field.degree % (len(h) - 1) == 0
+    # the norm of z - a, the resultant over t of m(t) and z - a(t), is a
+    # power of one irreducible polynomial, and that polynomial is h
+    norm = sympy.resultant(_qq_poly(list(field.minpoly)).as_expr(),
+                           Z - _qq_poly(a.lift()).as_expr(), _T)
+    _, factors = sympy.factor_list(norm, Z)
+    assert len(factors) == 1
+    assert sympy.Poly(factors[0][0], Z).monic().as_expr() == p.as_expr().subs(_T, Z)
 
 
 # fields of degree 2 to 6; NumberField checks that t^6 + t + 1 is irreducible
@@ -334,14 +389,26 @@ def test_refinement_is_capped(monkeypatch):
     lambda: QI.generator().as_fraction(),
     lambda: NumberField("abc"),
     lambda: NumberField([1, 0, 1], True),
+    lambda: NumberField([-1, 1], "x"),
+    lambda: NumberField([-1, 1], 5),
+    lambda: NumberField([-1, 1], True),
 ], ids=["constant-minpoly", "no-root-index", "root-index-too-large",
         "negative-root-index", "rational-root", "reducible-minpoly",
         "different-fields", "inverse-of-zero", "irrational-as-fraction",
-        "text-minpoly", "bool-root-index"])
+        "text-minpoly", "bool-root-index", "text-root-index-of-degree-1",
+        "root-index-5-of-degree-1", "bool-root-index-of-degree-1"])
 def test_domain_errors(call):
     with pytest.raises(DomainError) as info:
         call()
     assert info.value.code == "domain-error"
+
+
+@pytest.mark.parametrize("root_index", [None, 0])
+def test_a_degree_one_field_takes_its_one_root(root_index):
+    assert NumberField([0, 1], root_index) == QQ
+    K = NumberField([-2, 4], root_index)     # 4t - 2, the root 1/2
+    assert K.root_index is None and repr(K) == "QQ"
+    assert K.generator() == Fraction(1, 2)
 
 
 # -- error contract ------------------------------------------------------------
@@ -358,7 +425,8 @@ def _bad_coefficient_lists(good):
 def _malformed_field_calls(draw):
     """One call of a public algebraic operation with one malformed argument,
     as (label, thunk): a wrong type, a bool, a root index of either sign up
-    to 10^3 in magnitude and outside 0..degree-1, an empty, zero or
+    to 10^3 in magnitude and outside 0..degree-1 (for a field of degree 1
+    too), an empty, zero or
     constant minimal polynomial, an element of another field, or a
     division by zero."""
     field = draw(st.sampled_from(_ALL_FIELDS))
@@ -374,9 +442,11 @@ def _malformed_field_calls(draw):
                              st.lists(st.integers(-3, 3), min_size=1, max_size=1)))
         return f"NumberField({bad!r}, 0)", lambda: NumberField(bad, 0)
     if op == "root index":
-        minpoly = list(draw(st.sampled_from([QI, QSQRT2, QCBRT2])).minpoly)
+        # None is the one root of a degree-1 field, and only of that
+        minpoly = list(draw(st.sampled_from([NumberField([-1, 1]), QI, QSQRT2, QCBRT2])).minpoly)
         bad = draw(st.one_of(NOT_INTEGERS, st.integers(-10**3, -1),
-                             st.integers(len(minpoly) - 1, 10**3)))
+                             st.integers(len(minpoly) - 1, 10**3)).filter(
+            lambda v: v is not None or len(minpoly) > 2))
         return f"NumberField({minpoly!r}, {bad!r})", lambda: NumberField(minpoly, bad)
     if op == "element":
         bad = draw(_bad_coefficient_lists(st.fractions(-3, 3)).filter(

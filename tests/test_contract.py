@@ -11,7 +11,7 @@ import pytest
 
 from qal.errors import DomainError, QalError
 from qal.hilbert import build_model
-from qal.intervals import CI, RI
+from qal.intervals import CI, RI, PowerLadder
 from qal.polynomials import MultiPoly
 from qal.sequences import gevrey
 from qal.theta import BorelExample
@@ -56,7 +56,8 @@ _CLASSES = _public(inspect.isclass)
 _SWEPT = {**{name: fn for name, fn in _public(inspect.isfunction).items()
              if _required_positional(fn)},
           **{name: cls for name, cls in _CLASSES.items() if cls.__name__ in _CONSTRUCTED},
-          "polynomials.MultiPoly": MultiPoly, "intervals.RI": RI, "intervals.CI": CI}
+          "polynomials.MultiPoly": MultiPoly, "intervals.RI": RI, "intervals.CI": CI,
+          "intervals.PowerLadder": PowerLadder}
 
 
 def test_every_public_class_is_swept_or_a_result_record():
@@ -80,6 +81,7 @@ def _borel(calls):
 # public methods that take user data, each called with None in one slot
 _METHODS = {
     "CI.rotate_i": lambda calls: CI(RI.point(1), RI.point(0)).rotate_i(None),
+    "PowerLadder.power": lambda calls: PowerLadder(RI(1, 2)).power(None),
     "BorelExample.coefficient": lambda calls: _borel(calls).coefficient(None),
     "HilbertModel.deriv_at_zero": lambda calls: build_model(gevrey(1), 3).deriv_at_zero(None, 0),
 }

@@ -258,6 +258,13 @@ class TestOutwardRounding:
         assert [(ladder.power(n).lo, ladder.power(n).hi) for n in ns] == \
             [ref_pow((x.lo, x.hi), n) for n in ns]
 
+    @pytest.mark.parametrize("n", [True, False, 2.0, Fraction(2)], ids=repr)
+    def test_ladder_exponent_is_an_int_that_is_not_a_bool(self, n):
+        # True must not stand for the first power
+        with pytest.raises(DomainError) as info:
+            PowerLadder(RI(1, 2)).power(n)
+        assert info.value.code == "domain-error"
+
     def test_rounding_is_undone_after_certify(self):
         a = RI(Fraction(1, 3) ** 200, Fraction(1, 3) ** 199)
         b = RI(Fraction(2, 7) ** 150, Fraction(2, 7) ** 149)

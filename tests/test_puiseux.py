@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qal import puiseux
@@ -89,6 +90,17 @@ def test_squared_cusp_output_at_t8_is_unchanged():
     doc = puiseux_expand(parse_polynomial("(y^3-x^2)^2 - x^5"), 8).to_json()
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == CUSP_T8_DIGEST
+
+
+def test_d_exponent_builds_no_primitive_element(monkeypatch):
+    # every field domain of the towers is given its modulus; sympy's
+    # primitive element search never runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy computed a primitive element")
+
+    monkeypatch.setattr(sympy.polys.numberfields.subfield, "primitive_element", refuse)
+    for text in ["y^3 + x^2*y + x^5", "(y^2-x^3)^2 - 4*x^5*y - x^7"]:
+        assert d_exponent(parse_polynomial(text), 4).d_value == dict(GERMS)[text]
 
 
 def _perturbed(branch, i):
