@@ -321,6 +321,10 @@ class FieldElement:
         return self.value == o
 
     def __hash__(self):
+        # equal values hash equal: a rational one equals its Fraction, in
+        # any field, so it hashes as that Fraction
+        if self.is_rational():
+            return hash(self.rep[0])
         return hash((self.field, self.rep))
 
     def __bool__(self):

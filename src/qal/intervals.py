@@ -351,8 +351,8 @@ class RI:
         return RI.of(other) / self
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
+        if type(n) is not int:
+            _order(n, "the exponent")
         if n == 0:
             return RI(1)
         if n < 0:

@@ -236,6 +236,46 @@ def root_bounds(x: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
     return lo, make(r + 1, scale)
 
 
+def grid_root(n: int, d: int, q: int, p: int) -> tuple[Fraction, Fraction]:
+    """The tightest enclosure (lo, hi) of r = X^(1/q), X = n/d, on the
+    dyadic grid 2^(e-p) Z with e = floor((E - 1)/q) and E the bit length
+    of n minus that of d; lo == hi exactly when r lies on the grid.  n >= 0
+    and d >= 1 are ints, not necessarily coprime.
+
+    The grid: 2^(E-1) < X < 2^(E+1), so r >= 2^e and lo has a mantissa of
+    at least p + 1 bits, at most p + 3.  Take w with r/2 <= w <= 2r, so
+    2^(e-1) <= w.  If w = m/2^t in lowest terms, t >= 0, and m and 2^t
+    have at most p bits together, then e <= len(m) - t, so t < p - e and w
+    lies on the grid.  The interval kernel's outward rounding at a
+    precision p' <= p (``intervals._floor_nd``) puts w on steps of
+    2^(E_w + 1 - p') with E_w >= floor(log2 w) >= e - 1, points of the
+    grid too.  So [lo, hi] lies inside every enclosure of r whose two
+    endpoints are of either kind and within a factor 2 of r.
+
+    Proof of the enclosure.  Let s = p - e and f = floor(X 2^(qs)), the
+    quotient of one integer division, with remainder rest.  For an int
+    t >= 0, t <= r 2^s iff t^q <= X 2^(qs) iff t^q <= f, since t^q is an
+    int.  So t = ``iroot(f, q)`` is floor(r 2^s), and lo = t 2^-s <= r.  r
+    is on the grid iff t^q = X 2^(qs), that is iff the root is exact
+    (t^q = f) and rest = 0; then lo = r.  Otherwise t < r 2^s < t + 1, so
+    hi = (t + 1) 2^-s, one grid step above lo, is the least grid point
+    above r.
+    """
+    if n < 0 or d < 1 or q < 1 or p < 1:
+        raise DomainError("grid_root expects n >= 0, d >= 1, q >= 1 and p >= 1")
+    if not n:
+        return Fraction(0), Fraction(0)
+    s = p - (n.bit_length() - d.bit_length() - 1) // q
+    t = q * s
+    f, rest = divmod(n << t, d) if t >= 0 else divmod(n, d << -t)
+    r, exact = iroot(f, q)
+    if s >= 0:
+        lo = _dyadic(r, 1 << s)
+        return (lo, lo) if exact and not rest else (lo, _dyadic(r + 1, 1 << s))
+    lo = _fraction(r << -s, 1)
+    return (lo, lo) if exact and not rest else (lo, _fraction((r + 1) << -s, 1))
+
+
 def pow_bounds(x: Fraction, s: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """Outward bounds for x^s with x > 0 and s rational.
 

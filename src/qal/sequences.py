@@ -128,11 +128,21 @@ class CarlemanSequence:
             raise DomainError(f"custom sequence defined only up to j={lim}")
 
     def exact_value(self, j: int) -> Fraction | None:
-        """M_j as an exact Fraction, or None when irrational."""
+        """M_j as an exact Fraction, or None when irrational.
+
+        For ``gevrey(p/q)`` with q > 1 (p/q in lowest terms) M_j is
+        irrational for every j >= 2, so no root is tried: by Bertrand's
+        postulate a prime l with j/2 < l <= j exists, and it divides j!
+        exactly once (2l > j), so l divides (j!)^p exactly p times, which q
+        does not divide; (j!)^p is then no perfect q-th power, and
+        (j!)^(p/q) is irrational.
+        """
         self._check_index(j)
         if self.family == ANALYTIC:
             return Fraction(1)
         if self.family == GEVREY:
+            if self.param.denominator > 1:
+                return Fraction(1) if j < 2 else None
             return exact_pow(Fraction(factorial(j)), self.param)
         if self.family == LOG_GEVREY:
             return Fraction(1) if j == 0 else None

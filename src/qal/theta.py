@@ -25,76 +25,227 @@ computable tail estimate  tail <= 2 * term_{K+1}  after truncation at K,
 which this module intersects with the coarser a-priori bound
 2 * Mbar_j * 2^(j-K).
 
-Every order reads the same term magnitudes Mbar_k (2 m_k)^(j-k), so one
-:class:`ThetaApproximation` (one certify attempt) forms 2 m_k once and
-keeps a :class:`~qal.intervals.PowerLadder` per term.  The power of a
-non-point 2 m_k runs the square-and-multiply chain of ``RI.__pow__`` on
-each endpoint, and the rounded squares of that chain depend only on the
-endpoint and the working precision, never on the exponent: so the orders
-of :func:`~qal.division.nodiv_witness` and the tail term share them and
-each magnitude is bit for bit the one ``RI.__pow__`` gives.  The terms
-with k > j take a negative power: the reciprocal of the positive power,
-formed once from its endpoints (no product by the point 1), which is bit
-for bit ``1 / (2 m_k)^(k-j)``.  For point data every power is an exact
-point, so the magnitude is one exact product, formed on ints.
+Every order reads the same term magnitudes Mbar_k (2 m_k)^(j-k), which
+:class:`ThetaApproximation` forms in one of two ways, chosen from the
+sequence alone.
+
+* The closed form, for a sequence that has a power form (products of
+  rational powers of rationals, ``CarlemanSequence.power_form``) at every
+  index 0..K+2 and is not rational-valued: ``gevrey(p/q)`` with q > 1,
+  and powers and shifts of such sequences.  With q the lcm of the
+  exponents' denominators, P_k = M_k^q is an exact rational, and so are
+  Mbar_k^q = (k!)^q P_k, (2 m_k)^q = (2(k+1))^q P_(k+1)/P_k and the q-th
+  power of every magnitude, T^q = Mbar_k^q ((2 m_k)^q)^(j-k).  Each of
+  Mbar_k, m_k and T is then one exact q-th root,
+  :func:`~qal.rationals.grid_root` with a mantissa of 2p + 1 bits at the
+  working precision p: the tightest enclosure on a dyadic grid that holds
+  every dyadic endpoint the kernel forms near the same number, both those
+  it leaves alone (at most 2p bits) and those it rounds (onto a p-bit
+  grid).  One rounding thus replaces the chain of the other path (a ratio
+  division, then square-and-multiply, each step of which widens the
+  enclosure), and the result lies inside the chain's enclosure whenever
+  that has dyadic endpoints within a factor 2 of the number; the chain's
+  endpoints are rounded or exact dyadic products, so this holds in
+  practice, and a property test checks it.  Rational data stay the
+  chain's exact points: Mbar_k where M_k is rational, m_k where M_k and
+  M_(k+1) are, and the magnitudes built from both.  Log-convexity is
+  checked exactly, on the (2 m_k)^q, and the tail bound is rounded up to
+  p bits, so that the boxes it pads keep the chain's endpoint sizes.
+* The interval chain, for every other sequence: rational-valued ones,
+  whose data are exact points and whose magnitudes are exact products
+  formed on ints, and those without a power form (``loggevrey`` and what
+  is derived from it).  Mbar_k = k! M_k comes from the interval values,
+  m_k is one interval division, and each term keeps a
+  :class:`~qal.intervals.PowerLadder` for the powers of 2 m_k.  The
+  rounded squares of the square-and-multiply chain depend only on the
+  endpoint and the working precision, never on the exponent, so the
+  orders of :func:`~qal.division.nodiv_witness` and the tail term share
+  them and each magnitude is bit for bit ``Mbar_k * (2 m_k) ** (j-k)``;
+  for k > j that is the reciprocal of the positive power, formed once
+  from its endpoints, bit for bit ``1 / (2 m_k)^(k-j)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable
 
 from .errors import (CertificationError, DomainError, PrecisionFailure,
                      TruncationInsufficient)
-from .intervals import CI, RI, PowerLadder, certify, default_bits, iv_cos_sin
-from .rationals import _instance, _order, _rational, factorial, falling, stirling2_row
-from .sequences import CarlemanSequence, _checked
+from .intervals import (_GUARD_BITS, CI, RI, PowerLadder, _round_up, certify, default_bits,
+                        iv_cos_sin)
+from .rationals import (_instance, _order, _rational, factorial, falling, grid_root,
+                        stirling2_row)
+from .sequences import CarlemanSequence, _checked, _power_entry
 
 
-@dataclass
 class ThetaApproximation:
-    """Truncated term data for theta built from the sequence M.
+    """Truncated term data for theta built from the sequence M at the
+    precision ``bits``.
 
-    ``values[k]`` holds M_k as ``seq.interval_value(k, bits)`` gives it,
     ``mbars[k]`` holds Mbar_k = k! M_k and ``ms[k]`` holds the ratio
-    m_k = Mbar_{k+1}/Mbar_k, all as certified intervals (point intervals
-    in the rational-valued case).  Terms are kept through index K, plus
-    one extra ratio for the tail bound.  ``ladders[k]`` holds the powers
-    of 2 m_k (see the module docstring).
+    m_k = Mbar_{k+1}/Mbar_k, as certified intervals (point intervals for
+    rational data); terms are kept through index K, plus one extra ratio
+    for the tail bound.  ``values[k]`` is M_k as
+    ``seq.interval_value(k, bits)`` gives it.
+
+    The module docstring gives the two ways the data and the magnitudes
+    are formed.  On the interval chain ``closed`` is None, the lists are
+    formed at once and ``ladders[k]`` holds the powers of 2 m_k.  On the
+    closed form ``closed`` is a :class:`_ClosedForm`; each entry of
+    ``mbars``, ``ms`` and ``values`` is formed on first use, as
+    :func:`~qal.division.nodiv_witness` alone reads ``values`` and the
+    other operations read few of the ``mbars``.
     """
 
-    seq: CarlemanSequence
-    K: int
-    values: list[RI]
-    mbars: list[RI]
-    ms: list[RI]
-    ladders: list[PowerLadder] = field(init=False, repr=False)
+    def __init__(self, seq: CarlemanSequence, K: int, bits: int, mbars, ms,
+                 values: list[RI] | None = None, closed: "_ClosedForm | None" = None):
+        self.seq, self.K, self.bits = seq, K, bits
+        self.mbars, self.ms = mbars, ms
+        self._values = values
+        self.closed = closed
+        if closed is None:
+            two = RI.point(2)
+            self.ladders = [PowerLadder(two * m) for m in ms]
 
-    def __post_init__(self):
-        two = RI.point(2)
-        self.ladders = [PowerLadder(two * m) for m in self.ms]
+    @property
+    def values(self) -> list[RI]:
+        if self._values is None:
+            self._values = [self.seq.interval_value(k, self.bits) for k in range(self.K + 3)]
+        return self._values
 
     def term_magnitude(self, k: int, j: int) -> RI:
         """Mbar_k (2 m_k)^(j-k), the magnitude of term k of theta^(j)(0)."""
-        return self.mbars[k] * self.ladders[k].power(j - k)
+        if self.closed is None:
+            return self.mbars[k] * self.ladders[k].power(j - k)
+        if j == k:
+            return self.mbars[k]
+        return self.closed.magnitude(k, j - k)
 
     def tail_bound(self, j: int) -> Fraction:
         """Upper bound for the tail sum over k > K of term magnitudes.
 
         Uses the geometric first-omitted-term bound 2 * term_{K+1} and the
         a-priori bound 2 * Mbar_j * 2^(j-K); both are valid, the smaller
-        wins.  Requires K >= j.
+        wins.  Requires K >= j.  On the closed form the bound is rounded up
+        to the working precision, as the chain's magnitudes are, so that
+        the endpoints it pads stay as short as the chain's.
         """
         first_omitted = self.term_magnitude(self.K + 1, j)
         tight = 2 * first_omitted.hi
         coarse = 2 * self.mbars[j].hi * Fraction(2) ** (j - self.K)
-        return min(tight, coarse)
+        if self.closed is None:
+            return min(tight, coarse)
+        return _round_up(min(tight, coarse), self.bits + _GUARD_BITS)
+
+
+class _Roots:
+    """A list of enclosures of the q-th roots of the exact rationals
+    ``powers[k] = (num, den)``: the point ``points[k]`` when that is not
+    None, otherwise :func:`~qal.rationals.grid_root` with a mantissa of at
+    least p + 1 bits, formed on first use."""
+
+    __slots__ = ("_powers", "_q", "_p", "_out")
+
+    def __init__(self, powers: list[tuple[int, int]], q: int, p: int,
+                 points: list[Fraction | None]):
+        self._powers, self._q, self._p = powers, q, p
+        self._out = [None if x is None else RI.point(x) for x in points]
+
+    def __len__(self) -> int:
+        return len(self._out)
+
+    def __getitem__(self, k: int) -> RI:
+        out = self._out[k]
+        if out is None:
+            n, d = self._powers[k]
+            out = self._out[k] = RI(*grid_root(n, d, self._q, self._p))
+        return out
+
+
+class _ClosedForm:
+    """The exact q-th powers behind the closed form (module docstring) at
+    the mantissa width p: ``abars[k]`` is Mbar_k^q and ``ratios[k]`` is
+    (2 m_k)^q in lowest terms, each as a pair (num, den) of positive ints;
+    ``points[k]`` is the pair (Mbar_k, 2 m_k) of exact rationals when both
+    are rational, else None."""
+
+    __slots__ = ("q", "p", "abars", "ratios", "points")
+
+    def __init__(self, q: int, p: int, abars: list[tuple[int, int]],
+                 ratios: list[tuple[int, int]], points: list[tuple[Fraction, Fraction] | None]):
+        self.q, self.p, self.abars, self.ratios, self.points = q, p, abars, ratios, points
+
+    def magnitude(self, k: int, n: int) -> RI:
+        """Mbar_k (2 m_k)^n: the exact point for rational data, otherwise
+        the q-th root of Mbar_k^q ((2 m_k)^q)^n."""
+        if self.points[k] is not None:
+            mbar, two_m = self.points[k]
+            return RI.point(mbar * two_m ** n)
+        a, b = self.abars[k]
+        r, s = self.ratios[k]
+        if n < 0:
+            r, s, n = s, r, -n
+        return RI(*grid_root(a * r ** n, b * s ** n, self.q, self.p))
+
+
+def _power_table(M: CarlemanSequence, K: int) -> tuple[int, list[tuple[int, int]]] | None:
+    """(q, [M_0^q, ..., M_{K+2}^q]), each power a pair (num, den) of
+    positive ints, when M has a power form at 0..K+2 and q, the lcm of its
+    exponents' denominators, exceeds 1; None otherwise, so that a
+    rational-valued sequence and one without a power form take the
+    interval chain."""
+    if M.is_rational_valued():
+        return None
+    entries = []
+    for k in range(K + 3):
+        entry = _power_entry(M, k)
+        if entry is None:
+            return None
+        entries.append(entry)
+    q = lcm(*(L for _, _, L in entries))
+    if q == 1:
+        return None
+    return q, [(n ** (q // L), d ** (q // L)) for n, d, L in entries]
+
+
+def _closed_theta(M: CarlemanSequence, K: int, bits: int, q: int,
+                  P: list[tuple[int, int]]) -> ThetaApproximation:
+    """The closed form of :func:`build_theta` from P_k = M_k^q."""
+    # Mbar_k^q = (k!)^q P_k and (2 m_k)^q = (2(k+1))^q P_{k+1} / P_k
+    abars = [(factorial(k) ** q * n, d) for k, (n, d) in enumerate(P)]
+    ratios = []
+    for k in range(K + 2):
+        (n0, d0), (n1, d1) = P[k], P[k + 1]
+        num, den = (2 * (k + 1)) ** q * n1 * d0, n0 * d1
+        g = gcd(num, den)
+        ratios.append((num // g, den // g))
+    for k in range(1, K + 1):
+        if ratios[k][0] * ratios[k - 1][1] < ratios[k - 1][0] * ratios[k][1]:
+            raise _decreasing(k)
+    # rational data stay exact points, as on the interval chain
+    exact = [M.exact_value(k) for k in range(K + 3)]
+    mbar_points = [None if v is None else factorial(k) * v for k, v in enumerate(exact)]
+    m_points = [None if a is None or b is None else b / a
+                for a, b in zip(mbar_points, mbar_points[1:])]
+    # twice the working precision: the grid then holds every endpoint the
+    # kernel forms at that precision (see grid_root)
+    p = 2 * (bits + _GUARD_BITS)
+    closed = _ClosedForm(q, p, abars, ratios,
+                         [None if m is None else (a, 2 * m) for a, m in zip(mbar_points, m_points)])
+    return ThetaApproximation(M, K, bits, _Roots(abars, q, p, mbar_points),
+                              _Roots([(n, d << q) for n, d in ratios], q, p, m_points),
+                              closed=closed)
 
 
 def build_theta(M: CarlemanSequence, K: int, bits: int | None = None) -> ThetaApproximation:
     _checked(M, truncation=K)
     bits = default_bits() if bits is None else _order(bits, "bits", 1)
+    table = _power_table(M, K)
+    if table is not None:
+        return _closed_theta(M, K, bits, *table)
     values, mbars = [], []
     for k in range(K + 3):
         values.append(M.interval_value(k, bits))
@@ -103,9 +254,13 @@ def build_theta(M: CarlemanSequence, K: int, bits: int | None = None) -> ThetaAp
     # the ratio sequence must be nondecreasing; raise only on a proven violation
     for k in range(1, K + 1):
         if ms[k].hi < ms[k - 1].lo:
-            raise DomainError(f"ratio sequence m_k decreases at k={k}; "
-                              "the sequence is not log-convex")
-    return ThetaApproximation(M, K, values, mbars, ms)
+            raise _decreasing(k)
+    return ThetaApproximation(M, K, bits, mbars, ms, values)
+
+
+def _decreasing(k: int) -> DomainError:
+    return DomainError(f"ratio sequence m_k decreases at k={k}; "
+                       "the sequence is not log-convex")
 
 
 @dataclass

@@ -411,6 +411,23 @@ def test_a_degree_one_field_takes_its_one_root(root_index):
     assert K.generator() == Fraction(1, 2)
 
 
+def test_equal_rational_values_hash_equal():
+    one_in_q, one_in_linear = QQ.element(1), NumberField([-1, 1]).element(1)
+    assert one_in_q == one_in_linear == 1
+    assert len({one_in_q, one_in_linear, 1}) == 1
+    # a rational element of a larger field too
+    assert hash(QSQRT2.element([3, 0])) == hash(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RATIONAL, _RATIONAL.filter(bool), _RATIONAL.filter(bool), _RATIONAL)
+def test_equal_elements_of_degree_one_fields_hash_equal(root, a, b, value):
+    # Q as the fields a t - a r and b t - b r: other moduli, one root r
+    K, L = NumberField([-a * root, a]), NumberField([-b * root, b])
+    x, y = K.element(value), L.element(value)
+    assert x == y and hash(x) == hash(y) == hash(value)
+
+
 # -- error contract ------------------------------------------------------------
 
 _ALL_FIELDS = [QQ, QI, QSQRT2, QCBRT2]

@@ -265,6 +265,13 @@ class TestOutwardRounding:
             PowerLadder(RI(1, 2)).power(n)
         assert info.value.code == "domain-error"
 
+    @pytest.mark.parametrize("n", [True, False, None, 2.0, Fraction(2)], ids=repr)
+    def test_pow_exponent_is_an_int_that_is_not_a_bool(self, n):
+        # RI(1, 2) ** True used to be [1, 2]
+        with pytest.raises(DomainError) as info:
+            RI(1, 2) ** n
+        assert info.value.code == "domain-error"
+
     def test_rounding_is_undone_after_certify(self):
         a = RI(Fraction(1, 3) ** 200, Fraction(1, 3) ** 199)
         b = RI(Fraction(2, 7) ** 150, Fraction(2, 7) ** 149)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qal import rationals, sequences
 from qal.errors import DomainError, QalSyntaxError
-from qal.rationals import TokenCursor, factorial, iroot, pow_bounds, root_bounds
+from qal.rationals import TokenCursor, factorial, grid_root, iroot, pow_bounds, root_bounds
 
 
 def compare_power_products(left: list[tuple[Fraction, Fraction]],
@@ -144,6 +144,51 @@ class TestRoots:
         expected = Fraction(math.isqrt((x.numerator * x.denominator) << (2 * shift)),
                             x.denominator << shift)
         assert root_bounds(x, 2, bits)[0] == expected
+
+
+# radicands n/d from 2^-5000 to 2^5000, their sizes drawn apart from their digits
+_RADICANDS = st.tuples(st.integers(0, 5000), st.integers(1, 2**64), st.integers(0, 5000),
+                       st.integers(1, 2**64)).map(lambda t: ((t[1] << t[0]) + 1, (t[3] << t[2])))
+
+
+class TestGridRoot:
+    @settings(max_examples=300, deadline=None)
+    @given(_RADICANDS, st.integers(1, 6), st.sampled_from([8, 64, 288, 4128]),
+           st.booleans())
+    def test_the_tightest_enclosure_on_the_grid(self, x, q, p, square):
+        n, d = x
+        if square:   # a radicand whose root is rational
+            n, d = n ** q, d ** q
+        X = Fraction(n, d)
+        lo, hi = grid_root(n, d, q, p)
+        assert lo ** q <= X <= hi ** q
+        # the grid: steps of 2^(e - p), e = floor((E - 1)/q), E = len(n) - len(d)
+        e = (n.bit_length() - d.bit_length() - 1) // q
+        step = Fraction(2) ** (e - p)
+        assert (lo / step).denominator == 1 and lo / step >= 2 ** p
+        exact = lo ** q == X
+        assert hi - lo == (0 if exact else step)
+        assert (lo is hi) == exact
+
+    def test_an_unreduced_radicand_gives_the_reduced_enclosure(self):
+        assert grid_root(6, 3, 2, 64) == grid_root(2, 1, 2, 64)
+
+    @pytest.mark.parametrize("n, d, q, p, expected", [
+        (0, 5, 3, 64, (0, 0)),
+        (4, 1, 2, 8, (2, 2)),
+        (1, 4, 2, 8, (Fraction(1, 2), Fraction(1, 2))),
+        (2, 1, 2, 8, (Fraction(181, 128), Fraction(363, 256))),
+    ], ids=["zero", "exact", "exact below 1", "sqrt 2"])
+    def test_hand_values(self, n, d, q, p, expected):
+        # sqrt 2 on steps of 2^-8: 362/256 < sqrt 2 < 363/256
+        assert grid_root(n, d, q, p) == expected
+
+    @pytest.mark.parametrize("n, d, q, p", [(-1, 1, 2, 8), (1, 0, 2, 8), (1, 1, 0, 8),
+                                            (1, 1, 2, 0)])
+    def test_outside_its_domain(self, n, d, q, p):
+        with pytest.raises(DomainError) as info:
+            grid_root(n, d, q, p)
+        assert info.value.code == "domain-error"
 
 
 def _power_product_reference(left, right) -> int:

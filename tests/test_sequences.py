@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qal import intervals, sequences
 from qal.errors import DomainError, QalError, QalSyntaxError, UndecidableAtCap
 from qal.intervals import RI
+from qal.rationals import exact_pow, factorial
 from qal.sequences import (CarlemanSequence, analytic, check_log_convexity,
                            classify, custom, gevrey, loggevrey, parse_sequence,
                            power, precede, qgevrey, shift, value,
@@ -328,6 +329,17 @@ class TestValue:
         zero, one, default = value(M, 5, 0), value(M, 5, 1), value(M, 5)
         assert zero.rel_width() <= 1
         assert (zero.lo, zero.hi) == (one.lo, one.hi) != (default.lo, default.hi)
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(3, 2), Fraction(2, 3),
+                                       Fraction(5, 4)], ids=str)
+    def test_gevrey_exact_values_are_the_exact_powers(self, alpha):
+        # (j!)^alpha is irrational from j = 2 on (Bertrand's postulate), and
+        # exact_value answers so without trying a root
+        M = gevrey(alpha)
+        for j in range(301):
+            assert M.exact_value(j) == exact_pow(Fraction(factorial(j)), alpha), j
+        with mock.patch.object(sequences, "exact_pow", side_effect=AssertionError):
+            assert [M.exact_value(j) for j in (0, 1, 2, 300)] == [1, 1, None, None]
 
     def test_m0_is_one_for_all_families(self):
         for seq in BUILTINS:

@@ -13,7 +13,8 @@ from qal.division import nodiv_witness
 from qal.errors import CertificationError, DomainError, QalError
 from qal.intervals import RI, default_bits
 from qal.rationals import factorial
-from qal.sequences import analytic, gevrey, loggevrey, qgevrey
+from qal.sequences import (CarlemanSequence, analytic, custom, gevrey, loggevrey, power,
+                           qgevrey, shift)
 from qal.theta import (BorelExample, ThetaDerivative, borel_example_derivatives,
                        borel_example_eval, build_theta, theta_derivative_at_zero,
                        theta_eval)
@@ -232,8 +233,10 @@ class TestWorkingPrecision:
     @pytest.mark.parametrize("M", [gevrey(1), gevrey(Fraction(1, 2)), gevrey(Fraction(3, 2)),
                                    loggevrey(1), qgevrey(2)], ids=str)
     def test_term_magnitudes_equal_the_interval_power(self, M):
-        # nodiv's orders and the tail term share one ladder per term; each
-        # magnitude is Mbar_k * (2 m_k) ** (j - k) bit for bit
+        # on the interval chain nodiv's orders and the tail term share one
+        # ladder per term, and each magnitude is Mbar_k * (2 m_k) ** (j - k)
+        # bit for bit; the closed form (gevrey(1/2), gevrey(3/2)) lies inside
+        # that product, one step of its grid wide
         K = 16
 
         def both(bits):
@@ -242,11 +245,19 @@ class TestWorkingPrecision:
             got = [approx.term_magnitude(k, j) for j in orders for k in range(K + 2)]
             ref = [approx.mbars[k] * (RI.point(2) * approx.ms[k]) ** (j - k)
                    for j in orders for k in range(K + 2)]
-            return got, ref
+            return approx.closed, got, ref
 
         for bits in (64, 256):
-            got, ref = intervals.certify(both, "test step", CertificationError, bits)
-            assert [(g.lo, g.hi) for g in got] == [(r.lo, r.hi) for r in ref]
+            closed, got, ref = intervals.certify(both, "test step", CertificationError, bits)
+            assert (closed is not None) == (M.param.denominator > 1)
+            if closed is None:
+                assert [(g.lo, g.hi) for g in got] == [(r.lo, r.hi) for r in ref]
+                continue
+            p = 2 * (bits + intervals._GUARD_BITS)
+            for g, r in zip(got, ref):
+                assert r.lo <= g.lo <= g.hi <= r.hi
+                assert g.hi - g.lo <= g.lo / 2 ** p
+                assert g.hi - g.lo < r.hi - r.lo or g.is_point()
 
     def test_rational_partial_sums_stay_exact(self):
         for M in (gevrey(1), gevrey(2), qgevrey(2), analytic()):
@@ -258,15 +269,130 @@ class TestWorkingPrecision:
                 assert out.magnitude.width() == build_theta(M, K).tail_bound(j), (M, j)
 
 
+def _mp_magnitude(M, k: int, j: int):
+    """Mbar_k (2 m_k)^(j-k) summed in mpmath at 400 bits from the power form."""
+    with mpmath.workprec(400):
+        def mbar(i):
+            out = mpmath.factorial(i)
+            for b, e in M.power_form(i):
+                out *= mpmath.power(mpmath.mpf(b.numerator) / b.denominator,
+                                    mpmath.mpf(e.numerator) / e.denominator)
+            return out
+        a, b = mbar(k), mbar(k + 1)
+        return a * (2 * b / a) ** (j - k)
+
+
+def _parent_chain(M, K: int, bits: int, pairs):
+    """The interval chain's magnitudes, Mbar_k * (2 m_k) ** (j - k) from the
+    interval values, at the working precision of ``bits``."""
+    mbars = [RI.point(factorial(k)) * M.interval_value(k, bits) for k in range(K + 3)]
+    ms = [mbars[k + 1] / mbars[k] for k in range(K + 2)]
+    return [mbars[k] * (RI.point(2) * ms[k]) ** (j - k) for k, j in pairs]
+
+
+_NOT_INTEGER = st.fractions(min_value=Fraction(1, 3), max_value=4,
+                            max_denominator=6).filter(lambda a: a.denominator > 1)
+_CLOSED_FORM_SEQUENCES = st.one_of(
+    st.builds(gevrey, _NOT_INTEGER),
+    st.builds(power, st.builds(qgevrey, st.sampled_from([2, 3, Fraction(3, 2), Fraction(5, 3)])),
+              _NOT_INTEGER.filter(lambda s: s > 1)),
+    st.builds(shift, st.builds(gevrey, _NOT_INTEGER)))
+
+
+class TestClosedForm:
+    @settings(max_examples=100, deadline=None)
+    @given(_CLOSED_FORM_SEQUENCES, st.integers(8, 14), st.sampled_from([64, 256]))
+    def test_magnitudes_lie_inside_the_chain_and_hold_the_value(self, M, K, bits):
+        pairs = [(k, j) for j in (0, 1, K // 2, K) for k in range(K + 2)]
+
+        def step(b):
+            approx = build_theta(M, K, b)
+            return approx, [approx.term_magnitude(k, j) for k, j in pairs], \
+                _parent_chain(M, K, b, pairs)
+
+        approx, got, ref = intervals.certify(step, "test step", CertificationError, bits)
+        assert approx.closed is not None
+        slack = Fraction(1, 2 ** 380)    # the reference's own rounding
+        for (k, j), g, r in zip(pairs, got, ref):
+            assert r.lo <= g.lo <= g.hi <= r.hi, (k, j)
+            value = _fraction(_mp_magnitude(M, k, j))
+            assert g.lo * (1 - slack) <= value <= g.hi * (1 + slack), (k, j)
+
+    @pytest.mark.parametrize("M, closed", [
+        (gevrey(Fraction(1, 2)), True), (gevrey(Fraction(3, 2)), True),
+        (shift(gevrey(Fraction(2, 3))), True),
+        (power(qgevrey(2), Fraction(3, 2)), True),
+        (gevrey(1), False), (gevrey(2), False), (qgevrey(2), False), (analytic(), False),
+        (power(qgevrey(4), Fraction(3, 2)), False),     # qgevrey(8)
+        (custom([1, 2, 8, 64, 1024, 2**15, 2**21, 2**28, 2**36, 2**45, 2**55, 2**66,
+                 2**78, 2**91]), False),
+        (loggevrey(1), False), (power(loggevrey(1), Fraction(3, 2)), False),
+        (shift(loggevrey(1)), False),
+    ], ids=str)
+    def test_the_path_follows_the_sequence(self, M, closed):
+        approx = build_theta(M, 10, 64)
+        assert (approx.closed is not None) == closed
+
+    def test_rational_data_stay_exact_points(self):
+        # M_k = 2^(3k^2/2) is rational at even k only: those Mbar_k are
+        # exact points, and no m_k is
+        M, K = power(qgevrey(2), Fraction(3, 2)), 10
+        approx = build_theta(M, K, 64)
+        for k in range(K + 3):
+            assert approx.mbars[k].is_point() == (k % 2 == 0), k
+        assert not any(m.is_point() for m in approx.ms)
+        # M = 1, 8, 64, 512, then 2^(27/2), 2^(39/2): Mbar = 1, 8, 128, 3072
+        # and m = 8, 16, 24 are exact, and so are the terms built from them;
+        # m_4 = 5 * 16^(3/2) = 320 is on the grid, m_3 = 4 * 8^(3/2) is not
+        approx = build_theta(power(custom([1, 4, 16, 64, 512, 8192]), Fraction(3, 2)), 3, 64)
+        assert [m.is_point() for m in approx.mbars] == [True] * 4 + [False] * 2
+        assert [m.is_point() for m in approx.ms] == [True] * 3 + [False, True]
+        assert [approx.ms[k].lo for k in (0, 1, 2, 4)] == [8, 16, 24, 320]
+        for k, j, exact in [(1, 3, 8 * 32 ** 2), (2, 0, Fraction(128, 48 ** 2))]:
+            term = approx.term_magnitude(k, j)
+            assert term.is_point() and term.lo == exact
+        assert not approx.term_magnitude(3, 0).is_point()
+        # an m_k on the grid is exact too: m_k = (k+1) (k+2)^(1/2) for the
+        # shifted gevrey(1/2), rational at k = 2 and 7
+        approx = build_theta(shift(gevrey(Fraction(1, 2))), K, 64)
+        assert [k for k in range(K + 2) if approx.ms[k].is_point()] == [2, 7]
+        assert approx.ms[2].lo == 6 and approx.ms[7].lo == 24
+
+    def test_log_convexity_is_decided_exactly(self):
+        # Mbar = 1, 8, 2 * 5^(3/2), ...: m_1 < m_0, proven on the exact powers
+        M = power(custom([1, 4, 5, 100]), Fraction(3, 2))
+        with pytest.raises(DomainError, match="k=1"):
+            build_theta(M, 1, 64)
+
+    def test_the_values_are_formed_only_when_read(self, monkeypatch):
+        calls = []
+        interval_value = CarlemanSequence.interval_value
+
+        def recording(self, j, bits=None):
+            calls.append(j)
+            return interval_value(self, j, bits)
+
+        monkeypatch.setattr(CarlemanSequence, "interval_value", recording)
+        M = gevrey(Fraction(1, 2))
+        theta_eval(M, Fraction(1, 3), 4, 12)
+        theta_derivative_at_zero(M, 4, 12)
+        assert calls == []
+        approx = build_theta(M, 12, 64)
+        assert len(approx.values) == 15 and calls == list(range(15))
+
+
 # SHA-256 of the sorted-key JSON of each result, frozen from the interval
 # kernel that formed all four endpoint products of every product and ran
 # every power as an interval chain, with cos and sin from separate mpmath
 # calls; the kernel must reproduce every endpoint bit for bit.  The two
 # theta_eval rows were frozen again when cos and sin became one evaluation
-# padded by the argument's width; each new box contains the old one.
+# padded by the argument's width; each new box contains the old one.  The
+# three gevrey(1/2) and gevrey(3/2) rows were frozen again when those
+# sequences took the closed form of the theta magnitudes; each new box lies
+# inside the old one.
 GOLDEN = [
     pytest.param(lambda: theta_eval(gevrey(Fraction(1, 2)), Fraction(1, 3), 16, 32),
-                 "5fdd727dc2f9ac6d072556f449cbb9f059e49fb8c8ac9be95d6f52e354a3e8ca",
+                 "b08b58fb676ea75cbb1d6f95ee791f56526cf0a28445015a25beb52a0fd67a15",
                  id="theta_eval gevrey(1/2) x=1/3 j=16 K=32"),
     pytest.param(lambda: theta_eval(loggevrey(1), Fraction(2, 7), 8, 16),
                  "c763ea685f15221836733f563390cee46972b7252a269347b30960b03cbf3b51",
@@ -275,10 +401,10 @@ GOLDEN = [
                  "6764b928385a60f8d59296c815bc27a7332dda0aca6013ac241ff3d6e5022a49",
                  id="theta_derivative_at_zero loggevrey(1) j=16 K=24"),
     pytest.param(lambda: nodiv_witness(gevrey(Fraction(1, 2)), 4, 16),
-                 "2ef365d46d437f75a628b098310c72565e42f12cca8b862e2a7ed120a5373287",
+                 "81d3779b0b98b1d21614f587bb2cc9fdb7d851153b00189df3f3838d5f276ca8",
                  id="nodiv_witness gevrey(1/2) J=4 K=16"),
     pytest.param(lambda: nodiv_witness(gevrey(Fraction(3, 2)), 4, 16),
-                 "aeb148db45cdb135533fec10c17fc08375eb825b727065dfddf1401375caaba7",
+                 "9a7ddcea0f05999502a35ac354d9308f0d4ffcdf7e0712ca1e5b2b9ad915ca3d",
                  id="nodiv_witness gevrey(3/2) J=4 K=16"),
     pytest.param(lambda: nodiv_witness(loggevrey(1), 4, 16),
                  "681eea94f37a75f00f131644f265dd3a521132597cf98423cad7364f72624ce1",
